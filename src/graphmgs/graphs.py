@@ -254,8 +254,3 @@ def corpus_homophily(corpus: GraphCorpus, label_attr: Optional[int] = None,
         same_total += sum(1 for u, v in g.edges if labels[u] == labels[v])
         edge_total += g.edge_count
     return same_total / edge_total
-
-
-def degree_matrix(g: LabeledGraph) -> np.ndarray:
-    """Diagonal integer degree matrix D with D[u,u] = deg(u)."""
-    return np.diag(g.degrees())

@@ -23,16 +23,6 @@ def tanimoto(f_i: BitFingerprint, f_j: BitFingerprint) -> float:
     return common / (total - common)
 
 
-def dice(f_i: BitFingerprint, f_j: BitFingerprint) -> float:
-    if f_i.nbits != f_j.nbits:
-        raise DataError(f"dice: length mismatch {f_i.nbits} vs {f_j.nbits}")
-    common = int(np.count_nonzero(f_i.bits & f_j.bits))
-    total = f_i.popcount() + f_j.popcount()
-    if total == 0:
-        return 1.0
-    return 2.0 * common / total
-
-
 def spectral_distance(l_i: SpectralFingerprint, l_j: SpectralFingerprint) -> float:
     """Squared Euclidean distance between two eigenvalue fingerprints."""
     if l_i.k != l_j.k:

@@ -1,4 +1,4 @@
-"""Graph Laplacians, a cyclic-Jacobi symmetric eigensolver, and eigenvalue fingerprints."""
+"""Graph Laplacians, their eigenvalues, and eigenvalue fingerprints."""
 
 from __future__ import annotations
 
@@ -6,15 +6,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import DataError
 from .graphs import LabeledGraph
 
 COMBINATORIAL = "combinatorial"
 SYM_NORMALIZED = "sym_normalized"
 LAPLACIAN_KINDS = (COMBINATORIAL, SYM_NORMALIZED)
-
-JACOBI_TOL = 1e-10
-JACOBI_MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -49,54 +46,17 @@ def laplacian(g: LabeledGraph, kind: str = COMBINATORIAL) -> LaplacianMatrix:
     return LaplacianMatrix(kind, lap)
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.sqrt(np.sum(off * off)))
-
-
-def symmetric_eigenvalues(m: np.ndarray, tol: float = JACOBI_TOL,
-                          max_sweeps: int = JACOBI_MAX_SWEEPS) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending.
-
-    Cyclic Jacobi: sweep the strict upper triangle in row order, rotating each
-    pivot to zero, until the off-diagonal Frobenius norm drops below ``tol``.
-    """
+def symmetric_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a finite symmetric matrix, ascending (LAPACK via
+    ``np.linalg.eigvalsh``, which reads only the lower triangle)."""
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DataError(f"eigensolver: expected square matrix, got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise DataError("eigensolver: matrix has non-finite entries")
     if m.size and float(np.max(np.abs(m - m.T))) > 1e-10:
         raise DataError("eigensolver: matrix is not symmetric within 1e-10")
-    n = m.shape[0]
-    if n == 1:
-        return m.diagonal().copy()
-    a = m.copy()
-    for _ in range(max_sweeps):
-        if _offdiag_norm(a) < tol:
-            return np.sort(np.diag(a))
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    if _offdiag_norm(a) < tol:
-        return np.sort(np.diag(a))
-    raise NumericError(f"jacobi eigensolver did not converge in {max_sweeps} sweeps")
+    return np.linalg.eigvalsh(m)
 
 
 def spectral_fingerprint(g: LabeledGraph, k: int,

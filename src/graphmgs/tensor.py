@@ -8,7 +8,6 @@ order.  ``backward`` walks the tape once in reverse and then clears it.
 from __future__ import annotations
 
 import contextlib
-import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -479,31 +478,3 @@ def adam_step(params: Sequence[Tensor], state: AdamState,
 def zero_grads(params: Sequence[Tensor]) -> None:
     for p in params:
         p.grad = None
-
-
-CHECKPOINT_VERSION = 1
-
-
-def save_params(params: dict[str, Tensor], path) -> None:
-    """JSON checkpoint: name -> shape + row-major values (exact float round-trip)."""
-    payload = {
-        "version": CHECKPOINT_VERSION,
-        "params": {
-            name: {"shape": list(p.data.shape), "values": p.data.reshape(-1).tolist()}
-            for name, p in params.items()
-        },
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-
-
-def load_params(path) -> dict[str, Tensor]:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise DataError(f"checkpoint version {payload.get('version')!r} unsupported")
-    params = {}
-    for name, entry in payload["params"].items():
-        arr = np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
-        params[name] = Tensor(arr, requires_grad=True)
-    return params

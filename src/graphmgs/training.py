@@ -201,6 +201,7 @@ def pretrain(corpus: GraphCorpus, model: GnnModel, cfg: PgmConfig,
                 T.clear_tape()
                 continue
             if not np.isfinite(loss.item()):
+                T.clear_tape()
                 raise NumericError(
                     f"NaN/inf pre-training loss on batch {[g.id for g in batch]}")
             T.backward(loss)
@@ -441,6 +442,7 @@ def finetune(corpus: GraphCorpus, model: GnnModel, epochs: int = 100,
             logits = T.concat(logits_rows, axis=0)
             loss = T.bce_with_logits(logits, np.asarray(targets), np.asarray(masks))
             if not np.isfinite(loss.item()):
+                T.clear_tape()
                 raise NumericError("NaN/inf fine-tuning loss")
             T.backward(loss)
             T.adam_step(params, state)

@@ -3,8 +3,7 @@ import pytest
 
 from graphmgs.errors import DataError
 from graphmgs.graphs import (GraphCorpus, LabeledGraph, corpus_homophily,
-                             degree_matrix, homophily_ratio, load_corpus,
-                             save_corpus)
+                             homophily_ratio, load_corpus, save_corpus)
 
 
 def make_graph(gid="g", n=3, edges=((0, 1), (0, 2), (1, 2)), labels=(0, 0, 1)):
@@ -194,18 +193,3 @@ class TestCorpusHomophily:
         b = make_graph("b", labels=(1, 1, 1))
         corpus = GraphCorpus(graphs=(a, b))
         assert corpus_homophily(corpus, edge_weighted=False) == pytest.approx((1 / 3 + 1.0) / 2)
-
-
-class TestDegreeMatrix:
-    def test_triangle(self):
-        assert np.array_equal(degree_matrix(make_graph()), np.diag([2, 2, 2]))
-
-    def test_single_edge(self):
-        g = LabeledGraph(id="e", node_count=2, edges=((0, 1),),
-                         node_attrs=((0,), (0,)), edge_attrs=((0,),))
-        assert np.array_equal(degree_matrix(g), np.diag([1, 1]))
-
-    def test_star(self):
-        g = LabeledGraph(id="s", node_count=4, edges=((0, 1), (0, 2), (0, 3)),
-                         node_attrs=((0,),) * 4, edge_attrs=((0,),) * 3)
-        assert np.array_equal(degree_matrix(g), np.diag([3, 1, 1, 1]))

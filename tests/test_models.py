@@ -224,8 +224,18 @@ class TestModelCheckpoint:
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.config == model.config
+        assert set(loaded.params) == set(model.params)
+        for name, p in model.params.items():
+            assert loaded.params[name].data.tobytes() == p.data.tobytes()
+            assert loaded.params[name].requires_grad
         after = classify(loaded, g).data
         assert before.tobytes() == after.tobytes()
+
+    def test_version_checked(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"version": 99, "config": {}, "params": {}}', encoding="utf-8")
+        with pytest.raises(DataError, match="version"):
+            load_model(path)
 
 
 class TestInferAttrSizes:

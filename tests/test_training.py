@@ -377,3 +377,16 @@ class TestFinetune:
     def test_split_folds_strata_length_checked(self):
         with pytest.raises(DataError, match="strata"):
             split_folds(20, seed=0, strata=[0] * 19)
+
+
+class TestNonFiniteLoss:
+    def test_tape_cleared_when_training_raises(self, tiny_corpus, tiny_fps):
+        model = tiny_model(tiny_corpus, seed=16, task_count=1)
+        next(iter(model.params.values())).data[0, 0] = np.nan
+        with pytest.raises(NumericError, match="pre-training loss"):
+            pretrain(tiny_corpus, model, PgmConfig(batch_size=8, epochs=1, seed=0),
+                     tiny_fps)
+        assert T.tape_size() == 0
+        with pytest.raises(NumericError, match="fine-tuning loss"):
+            finetune(tiny_corpus, model, epochs=1, seed=0)
+        assert T.tape_size() == 0
