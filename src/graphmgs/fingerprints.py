@@ -2,7 +2,19 @@
 
 All hashing is fixed 64-bit FNV-1a over canonical integer sequences, with
 splitmix64 expanding a feature hash into bit indices, so fingerprints are
-deterministic across runs and platforms.
+deterministic across runs and platforms.  The scalar ``fnv1a64`` and
+``splitmix64`` are the reference spec; ``fnv1a64_rows`` and
+``splitmix64_rows`` compute the same values over numpy uint64 arrays.
+
+Topological path features (after Rogers & Hahn, "Extended-Connectivity
+Fingerprints", JCIM 2010) come from a frontier engine.  Per graph it builds
+CSR neighbour arrays and dense n×n adjacency and bond-code tables once.  The
+frontier for path length k is a (rows, k + 1) array of every directed simple
+path with k edges; each length is hashed as one batch, then extended by every
+neighbour of the last node that is not already on the path.  The next
+frontier is counted before it is built, so a graph over
+``MAX_PATHS_PER_GRAPH`` fails before the costly lengths; the work runs in
+blocks of ``PATH_BLOCK_ROWS`` rows, so the copies it makes stay small.
 """
 
 from __future__ import annotations
@@ -18,6 +30,7 @@ TOPOLOGICAL = "topological"
 MORGAN = "morgan"
 
 MAX_PATHS_PER_GRAPH = 10 ** 6
+PATH_BLOCK_ROWS = 1024  # frontier rows per numpy batch; bounds the transient copies
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -43,6 +56,25 @@ def splitmix64(state: int):
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31), state
+
+
+def fnv1a64_rows(codes: np.ndarray) -> np.ndarray:
+    """``fnv1a64`` of each row of a (rows, k) uint64 array."""
+    octets = np.ascontiguousarray(codes, dtype="<u8").view(np.uint8)
+    h = np.full(len(octets), _FNV_OFFSET, dtype=np.uint64)
+    prime = np.uint64(_FNV_PRIME)
+    for column in octets.T:
+        h ^= column
+        h *= prime
+    return h
+
+
+def splitmix64_rows(state: np.ndarray):
+    """``splitmix64`` of each element of a uint64 array; returns (values, next_states)."""
+    state = state + np.uint64(0x9E3779B97F4A7C15)
+    z = (state ^ (state >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31)), state
 
 
 @dataclass(frozen=True)
@@ -116,65 +148,101 @@ def topological_fingerprint(g: LabeledGraph, max_path_len: int = 7,
     A path is canonicalized as the lexicographically smaller of its two
     directional encodings (alternating attribute-only node codes and bond
     codes); the canonical hash seeds splitmix64, which picks
-    ``bits_per_feature`` indices.
+    ``bits_per_feature`` indices.  More than ``MAX_PATHS_PER_GRAPH`` paths
+    raise ``DataError``.
     """
     if max_path_len < 1 or bits_per_feature < 1:
         raise DataError("topological fingerprint: max_path_len and bits_per_feature must be >= 1")
-    bits = np.zeros(nbits, dtype=bool)
-    inv = _path_node_codes(g)
-    bonds = _bond_codes(g)
-    adj = g.neighbors()
-    for nbrs in adj:
-        nbrs.sort()
+    # built first, so a bad nbits fails before any path is enumerated
+    fp = BitFingerprint(bits=np.zeros(nbits, dtype=bool), scheme=TOPOLOGICAL,
+                        params=(("max_path_len", max_path_len),
+                                ("nbits", nbits),
+                                ("bits_per_feature", bits_per_feature)))
+    n = g.node_count
+    u, v = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
+    adj = np.zeros((n, n), dtype=bool)
+    adj[u, v] = adj[v, u] = True
+    bond = np.zeros((n, n), dtype=np.uint64)
+    bond[u, v] = bond[v, u] = np.array([_edge_code(a) for a in g.edge_attrs], dtype=np.uint64)
+    node_code = np.array(_path_node_codes(g), dtype=np.uint64)
+    # row-major nonzeros are the CSR neighbour lists, node by node
+    src, nbr = np.nonzero(adj)
+    deg = adj.sum(axis=1)
+    indptr = np.concatenate([[0], np.cumsum(deg)])
 
-    emitted = 0
+    # frontier of directed simple paths with k edges, one int32 row of k + 1
+    # nodes each (half the memory of intp on large frontiers); every
+    # undirected path appears twice, and the copy with path[0] < path[-1] is
+    # the one hashed
+    paths = np.stack([src, nbr], axis=1).astype(np.int32)
+    total = g.edge_count
+    _check_path_count(g, total)
+    for k in range(1, max_path_len + 1):
+        for block in _row_blocks(paths):
+            _set_path_bits(fp.bits, block[block[:, 0] < block[:, -1]], node_code, bond,
+                           bits_per_feature)
+        if k == max_path_len:
+            break
+        # count the next frontier before building it
+        grown = sum(int((deg[block[:, -1]] - adj[block[:, -1:], block].sum(1)).sum())
+                    for block in _row_blocks(paths))
+        if not grown:
+            break
+        total += grown // 2
+        _check_path_count(g, total)
+        longer = np.empty((grown, k + 2), dtype=paths.dtype)
+        filled = 0
+        for block in _row_blocks(paths):
+            filled += _extend_paths(block, indptr, nbr, longer[filled:])
+        paths = longer
+    return fp
 
-    def set_feature(path: list[int]) -> None:
-        forward = []
-        for i, v in enumerate(path):
-            if i:
-                forward.append(bonds[(path[i - 1], v)])
-            forward.append(inv[v])
-        backward = []
-        rev = path[::-1]
-        for i, v in enumerate(rev):
-            if i:
-                backward.append(bonds[(rev[i - 1], v)])
-            backward.append(inv[v])
-        canonical = forward if tuple(forward) <= tuple(backward) else backward
-        state = fnv1a64(canonical)
-        for _ in range(bits_per_feature):
-            draw, state = splitmix64(state)
-            bits[draw % nbits] = True
 
-    # DFS from every start; emitting only start < end visits each undirected
-    # path exactly once.
-    path = []
-    on_path = np.zeros(g.node_count, dtype=bool)
+def _check_path_count(g: LabeledGraph, total: int) -> None:
+    if total > MAX_PATHS_PER_GRAPH:
+        raise DataError(f"graph {g.id!r}: more than {MAX_PATHS_PER_GRAPH} simple paths")
 
-    def dfs(v: int) -> None:
-        nonlocal emitted
-        path.append(v)
-        on_path[v] = True
-        if len(path) >= 2 and path[0] < v:
-            emitted += 1
-            if emitted > MAX_PATHS_PER_GRAPH:
-                raise DataError(
-                    f"graph {g.id!r}: more than {MAX_PATHS_PER_GRAPH} simple paths")
-            set_feature(path)
-        if len(path) <= max_path_len:
-            for u in adj[v]:
-                if not on_path[u]:
-                    dfs(u)
-        on_path[v] = False
-        path.pop()
 
-    for start in range(g.node_count):
-        dfs(start)
-    return BitFingerprint(bits=bits, scheme=TOPOLOGICAL,
-                          params=(("max_path_len", max_path_len),
-                                  ("nbits", nbits),
-                                  ("bits_per_feature", bits_per_feature)))
+def _row_blocks(paths: np.ndarray):
+    for lo in range(0, len(paths), PATH_BLOCK_ROWS):
+        yield paths[lo:lo + PATH_BLOCK_ROWS]
+
+
+def _extend_paths(paths: np.ndarray, indptr: np.ndarray, nbr: np.ndarray,
+                  out: np.ndarray) -> int:
+    """Write every simple path that continues a row of ``paths`` by one edge
+    to the first rows of ``out``; return how many rows were written."""
+    last = paths[:, -1]
+    start = indptr[last]
+    count = indptr[last + 1] - start
+    row = np.repeat(np.arange(len(paths)), count)
+    # offset of each candidate within its row's neighbour list, plus the list start
+    slot = np.arange(len(row)) + np.repeat(start - (np.cumsum(count) - count), count)
+    nxt = nbr[slot]
+    keep = (paths[row] != nxt[:, None]).all(axis=1)
+    kept = int(keep.sum())
+    out[:kept, :-1] = paths[row[keep]]
+    out[:kept, -1] = nxt[keep]
+    return kept
+
+
+def _set_path_bits(bits: np.ndarray, paths: np.ndarray, node_code: np.ndarray,
+                   bond: np.ndarray, bits_per_feature: int) -> None:
+    """Hash each path's canonical encoding into ``bits``."""
+    rows = np.arange(len(paths))
+    forward = np.empty((len(paths), 2 * paths.shape[1] - 1), dtype=np.uint64)
+    forward[:, 0::2] = node_code[paths]
+    forward[:, 1::2] = bond[paths[:, :-1], paths[:, 1:]]
+    backward = forward[:, ::-1]
+    # the first column where the directions differ decides; a palindrome
+    # differs nowhere, argmax gives column 0 and forward is kept
+    first = (forward != backward).argmax(axis=1)
+    flip = backward[rows, first] < forward[rows, first]
+    forward[flip] = backward[flip]
+    state = fnv1a64_rows(forward)
+    for _ in range(bits_per_feature):
+        draw, state = splitmix64_rows(state)
+        bits[draw % np.uint64(len(bits))] = True
 
 
 def morgan_fingerprint(g: LabeledGraph, radius: int = 2,

@@ -1,10 +1,15 @@
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from graphmgs import fingerprints
 from graphmgs.errors import DataError
 from graphmgs.fingerprints import (BitFingerprint, atom_invariants, fnv1a64,
-                                   morgan_fingerprint, splitmix64,
-                                   topological_fingerprint)
+                                   fnv1a64_rows, morgan_fingerprint, splitmix64,
+                                   splitmix64_rows, topological_fingerprint)
 from graphmgs.graphs import LabeledGraph
 
 from conftest import random_attributed_graph
@@ -13,6 +18,42 @@ from conftest import random_attributed_graph
 def molecule(n, edges, node_attrs, edge_attrs, gid="m"):
     return LabeledGraph(id=gid, node_count=n, edges=tuple(edges),
                         node_attrs=tuple(node_attrs), edge_attrs=tuple(edge_attrs))
+
+
+def complete_graph(n):
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return molecule(n, edges, [(0,)] * n, [(0,)] * len(edges), gid=f"k{n}")
+
+
+def reference_topological_bits(g, max_path_len, nbits, bits_per_feature):
+    """The path fingerprint by its definition: scalar hashes over every simple path."""
+    code = [fnv1a64((len(a), *a)) for a in g.node_attrs]
+    bond = {}
+    for (u, v), a in zip(g.edges, g.edge_attrs):
+        bond[u, v] = bond[v, u] = fnv1a64((len(a), *a))
+    nbrs = g.neighbors()
+    bits = np.zeros(nbits, dtype=bool)
+
+    def encode(path):
+        out = [code[path[0]]]
+        for u, v in zip(path, path[1:]):
+            out += [bond[u, v], code[v]]
+        return out
+
+    def walk(path):
+        if len(path) > 1 and path[0] < path[-1]:
+            state = fnv1a64(min(encode(path), encode(path[::-1])))
+            for _ in range(bits_per_feature):
+                draw, state = splitmix64(state)
+                bits[draw % nbits] = True
+        if len(path) <= max_path_len:
+            for v in nbrs[path[-1]]:
+                if v not in path:
+                    walk(path + [v])
+
+    for start in range(g.node_count):
+        walk([start])
+    return bits
 
 
 class TestHashing:
@@ -30,6 +71,31 @@ class TestHashing:
         with pytest.raises(DataError):
             BitFingerprint(bits=np.zeros(100, dtype=bool), scheme="topological", params=())
 
+    def test_fnv_rows_match_scalar(self):
+        rng = np.random.default_rng(6)
+        special = np.array([0, 1 << 63, (1 << 64) - 1], dtype=np.uint64)
+        for width in range(1, 16):
+            codes = rng.integers(0, 1 << 64, size=(667, width), dtype=np.uint64,
+                                 endpoint=False)
+            pick = rng.random(codes.shape) < 0.2
+            codes[pick] = rng.choice(special, size=int(pick.sum()))
+            got = fnv1a64_rows(codes)
+            assert got.dtype == np.uint64
+            assert [int(h) for h in got] == [fnv1a64(int(c) for c in row) for row in codes]
+
+    def test_splitmix_rows_match_scalar(self):
+        rng = np.random.default_rng(7)
+        states = np.concatenate([
+            np.array([0, 1 << 63, (1 << 64) - 1], dtype=np.uint64),
+            rng.integers(0, 1 << 64, size=2000, dtype=np.uint64, endpoint=False)])
+        expected = [int(s) for s in states]
+        for _ in range(4):
+            draws, states = splitmix64_rows(states)
+            pairs = [splitmix64(s) for s in expected]
+            assert [int(d) for d in draws] == [d for d, _ in pairs]
+            expected = [s for _, s in pairs]
+            assert [int(s) for s in states] == expected
+
     def test_hex_roundtrip(self):
         rng = np.random.default_rng(0)
         bits = rng.random(256) > 0.8
@@ -42,6 +108,46 @@ class TestTopological:
     def test_single_node_all_zero(self):
         fp = topological_fingerprint(molecule(1, [], [(6,)], []))
         assert fp.popcount() == 0
+
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_no_edges_all_zero(self, n):
+        fp = topological_fingerprint(molecule(n, [], [(6,)] * n, []),
+                                     max_path_len=4, nbits=256, bits_per_feature=3)
+        assert fp.nbits == 256 and fp.popcount() == 0
+        assert fp.params == (("max_path_len", 4), ("nbits", 256), ("bits_per_feature", 3))
+
+    @pytest.mark.parametrize("params, match", [
+        (dict(max_path_len=0), ">= 1"), (dict(bits_per_feature=0), ">= 1"),
+        (dict(nbits=100), "power of two")], ids=["max_path_len", "bits_per_feature", "nbits"])
+    def test_bad_params_raise_before_enumeration(self, monkeypatch, params, match):
+        # with a cap of 0, enumerating the first edge would raise about paths
+        monkeypatch.setattr(fingerprints, "MAX_PATHS_PER_GRAPH", 0)
+        with pytest.raises(DataError, match=match):
+            topological_fingerprint(complete_graph(5), **params)
+
+    @pytest.mark.parametrize("uniform", [False, True])
+    def test_matches_scalar_reference(self, uniform):
+        # uniform attributes make every path encoding a palindrome
+        sizes = dict(attr_sizes=(1,), edge_attr_sizes=(1,)) if uniform else {}
+        rng = np.random.default_rng(8)
+        for _ in range(30):
+            g = random_attributed_graph(rng, n_min=1, n_max=9, **sizes)
+            for max_path_len, nbits, bpf in ((1, 64, 1), (3, 2048, 2), (6, 1 << 16, 3)):
+                got = topological_fingerprint(g, max_path_len=max_path_len, nbits=nbits,
+                                              bits_per_feature=bpf)
+                assert np.array_equal(
+                    got.bits, reference_topological_bits(g, max_path_len, nbits, bpf))
+
+    def test_palindromic_path_tie(self):
+        # C-N-C with equal bonds: the 2-edge path reads the same both ways
+        g = molecule(3, [(0, 1), (1, 2)], [(6,), (7,), (6,)], [(1,), (1,)])
+        c, n, b = (fnv1a64((1, a)) for a in (6, 7, 1))
+        expected = np.zeros(1 << 16, dtype=bool)
+        for encoding in (min([c, b, n], [n, b, c]), [c, b, n, b, c]):
+            draw, _ = splitmix64(fnv1a64(encoding))
+            expected[draw % (1 << 16)] = True
+        got = topological_fingerprint(g, max_path_len=2, nbits=1 << 16, bits_per_feature=1)
+        assert np.array_equal(got.bits, expected)
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)
@@ -76,9 +182,10 @@ class TestTopological:
             assert np.all(after[before])  # existing bits never cleared
 
     def test_component_subgraph_bits_subset(self):
-        # atom invariants are degree-aware, so the path-set subset relation
-        # holds exactly for component subgraphs; 2^16 bits makes collisions
-        # negligible at toy sizes
+        # path features hash attribute-only node codes (_path_node_codes), so a
+        # component's paths encode the same inside the union and its bits are a
+        # subset of the union's; 2^16 bits keep the vectors sparse, so a
+        # missing path would show
         rng = np.random.default_rng(4)
         for _ in range(10):
             a = random_attributed_graph(rng, n_min=4, n_max=8)
@@ -100,6 +207,16 @@ class TestTopological:
         g = molecule(n, edges, [(0,)] * n, [(0,)] * len(edges), gid="dense")
         with pytest.raises(DataError, match="paths"):
             topological_fingerprint(g, max_path_len=7)
+
+    @pytest.mark.parametrize("max_path_len, count", [(1, 10), (2, 40), (3, 100), (4, 160)])
+    def test_path_cap_boundary(self, monkeypatch, max_path_len, count):
+        # K5 has 5!/(2 (4 - k)!) simple paths of k edges: 10, 30, 60 and 60
+        g = complete_graph(5)
+        monkeypatch.setattr(fingerprints, "MAX_PATHS_PER_GRAPH", count)
+        topological_fingerprint(g, max_path_len=max_path_len)
+        monkeypatch.setattr(fingerprints, "MAX_PATHS_PER_GRAPH", count - 1)
+        with pytest.raises(DataError, match="paths"):
+            topological_fingerprint(g, max_path_len=max_path_len)
 
 
 class TestMorgan:
@@ -132,3 +249,33 @@ class TestMorgan:
         g = molecule(1, [], [(6,)], [])
         assert np.array_equal(morgan_fingerprint(g, radius=0).bits,
                               morgan_fingerprint(g, radius=3).bits)
+
+
+GOLDEN = json.loads((Path(__file__).parent / "fingerprint_golden.json").read_text())
+
+
+class TestGolden:
+    """Every recorded fingerprint, bit for bit (see the file's "about")."""
+
+    @pytest.mark.parametrize("scheme", ["topological", "morgan"])
+    def test_matches_recorded_bits(self, scheme):
+        fingerprint = {"topological": topological_fingerprint,
+                       "morgan": morgan_fingerprint}[scheme]
+        graphs = {spec["seed"]: LabeledGraph(
+                      id=f"golden-{spec['seed']}", node_count=spec["node_count"],
+                      edges=tuple(map(tuple, spec["edges"])),
+                      node_attrs=tuple(map(tuple, spec["node_attrs"])),
+                      edge_attrs=tuple(map(tuple, spec["edge_attrs"])))
+                  for spec in GOLDEN["graphs"]}
+        cases = [c for c in GOLDEN["cases"] if c["scheme"] == scheme]
+        assert cases
+        mismatched = []
+        for case in cases:
+            got = fingerprint(graphs[case["graph"]], **case["params"]).to_hex()
+            if "sha256" in case:
+                ok = hashlib.sha256(got.encode("ascii")).hexdigest() == case["sha256"]
+            else:
+                ok = got == case["hex"]
+            if not ok:
+                mismatched.append((case["graph"], case["params"]))
+        assert not mismatched

@@ -36,7 +36,7 @@ def rank_then_pearson_oracle(x, y):
     return num / (dx * dy)
 
 
-class TestTanimotoDice:
+class TestTanimoto:
     def test_identical(self):
         f = bitfp([1, 0, 1, 0])
         assert tanimoto(f, f) == 1.0
