@@ -18,6 +18,8 @@ from .errors import DataError
 _TAPE: list["Tensor"] = []
 _GRAD_ENABLED = True
 
+SOFT_RANK_BLOCK_ROWS = 128  # rows of the pairwise sigmoid matrix held at once
+
 
 @contextlib.contextmanager
 def no_grad():
@@ -200,12 +202,9 @@ def tanh(a) -> Tensor:
 
 
 def _sigmoid_stable(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e) for x >= 0 and e / (1 + e) otherwise, with e = exp(-|x|) <= 1."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(a) -> Tensor:
@@ -357,21 +356,41 @@ def dropout(a, rate: float, rng: np.random.Generator) -> Tensor:
     return _record(out, (a,), backward)
 
 
+def _soft_rank_blocks(x: np.ndarray, tau: float):
+    """Yield ``(lo, hi, s)`` with s = sigmoid((x[lo:hi, None] - x[None, :]) / tau),
+    one block of at most ``SOFT_RANK_BLOCK_ROWS`` whole rows at a time."""
+    for lo in range(0, len(x), SOFT_RANK_BLOCK_ROWS):
+        hi = min(lo + SOFT_RANK_BLOCK_ROWS, len(x))
+        yield lo, hi, _sigmoid_stable((x[lo:hi, None] - x[None, :]) / tau)
+
+
 def soft_rank(a, tau: float) -> Tensor:
-    """Differentiable ranks r_i = sum_j sigmoid((x_i - x_j) / tau) over a 1-D tensor."""
+    """Differentiable ranks r_i = sum_j sigmoid((x_i - x_j) / tau) over a 1-D tensor.
+
+    The P x P sigmoid matrix is never held whole: forward and backward each
+    build it in blocks of ``SOFT_RANK_BLOCK_ROWS`` rows, so memory is
+    O(P * block) and time O(P^2). The backward pass recomputes the blocks
+    instead of keeping them. Every row is summed whole inside its block, so
+    the result is bit-identical to the dense computation.
+    """
     a = as_tensor(a)
     if a.data.ndim != 1:
         raise DataError(f"soft_rank: expected 1-D, got {a.shape}")
-    if tau <= 0.0:
-        raise DataError(f"soft_rank: tau must be > 0, got {tau}")
-    z = (a.data[:, None] - a.data[None, :]) / tau
-    s = _sigmoid_stable(z)
-    out = Tensor(s.sum(axis=1))
-    sprime = s * (1.0 - s)  # symmetric: sigma'(z) is even and z_ij = -z_ji
+    if not (np.isfinite(tau) and tau > 0.0):
+        raise DataError(f"soft_rank: tau must be finite and > 0, got {tau}")
+    x = a.data
+    ranks = np.empty_like(x)
+    for lo, hi, s in _soft_rank_blocks(x, tau):
+        ranks[lo:hi] = s.sum(axis=1)
+    out = Tensor(ranks)
 
     def backward(g):
         g = np.asarray(g)
-        _accumulate(a, (g * sprime.sum(axis=1) - sprime @ g) / tau)
+        ga = np.empty_like(x)
+        for lo, hi, s in _soft_rank_blocks(x, tau):
+            sprime = s * (1.0 - s)  # symmetric: sigma'(z) is even and z_ij = -z_ji
+            ga[lo:hi] = (g[lo:hi] * sprime.sum(axis=1) - sprime @ g) / tau
+        _accumulate(a, ga)
 
     return _record(out, (a,), backward)
 

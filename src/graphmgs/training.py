@@ -8,6 +8,7 @@ Spearman or a plain Pearson surrogate.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from collections import Counter
@@ -44,8 +45,8 @@ class PgmConfig:
             raise DataError(f"unknown surrogate {self.surrogate!r}")
         if self.batch_size < 3:
             raise DataError("batch_size must be >= 3")
-        if self.temperature < 0.0:
-            raise DataError("temperature must be >= 0 (0 selects auto)")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0.0):
+            raise DataError("temperature must be finite and >= 0 (0 selects auto)")
 
 
 @dataclass
@@ -118,6 +119,10 @@ def pgm_loss(embeddings: list[T.Tensor], structural_sims: np.ndarray,
     if np.all(structural == structural[0]):
         raise NumericError("pgm loss undefined: zero rank variance in structural similarities")
     sims = _batch_embedding_sims(embeddings)
+    if not np.all(np.isfinite(sims.data)):
+        # a non-finite embedding leaves the loss, and the auto temperature, undefined;
+        # a NaN loss is what callers check for (pretrain raises on it)
+        return T.Tensor(np.nan)
     if cfg.surrogate == "pearson":
         corr = _pearson_of(sims, structural)
     else:

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -44,6 +47,89 @@ class TestOpValues:
         hard = average_ranks(x)
         # soft ranks carry a constant +0.5 from the self term
         assert np.max(np.abs(soft - (hard - 0.5))) < 1e-6
+
+
+def _two_branch_sigmoid(x):
+    """Reference: 1/(1+exp(-x)) on x >= 0 and exp(x)/(1+exp(x)) elsewhere."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _dense_soft_rank(x, tau, g):
+    """Reference: ranks and their gradient against g from whole P x P arrays."""
+    s = _two_branch_sigmoid((x[:, None] - x[None, :]) / tau)
+    sprime = s * (1.0 - s)
+    return s.sum(axis=1), (g * sprime.sum(axis=1) - sprime @ g) / tau
+
+
+def _soft_rank_and_grad(x, tau, g):
+    a = T.Tensor(x, requires_grad=True)
+    ranks = T.soft_rank(a, tau)
+    T.backward(T.tsum(ranks * T.Tensor(g)))
+    return ranks.data, a.grad
+
+
+_BLOCK = T.SOFT_RANK_BLOCK_ROWS
+
+
+class TestSoftRankBlocks:
+    # one partial block, exact multiples of the block, and remainders
+    @pytest.mark.parametrize("p", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                   2 * _BLOCK + 5, 1000])
+    def test_bit_identical_to_dense(self, p):
+        rng = np.random.default_rng(p)
+        x = rng.normal(size=p)
+        g = rng.normal(size=p)
+        tau = 0.05 * float(np.ptp(x)) if p > 1 else 0.1
+        ranks, grad = _soft_rank_and_grad(x, tau, g)
+        dense_ranks, dense_grad = _dense_soft_rank(x, tau, g)
+        assert np.array_equal(ranks, dense_ranks)
+        assert np.array_equal(grad, dense_grad)
+
+    def test_gradient_matches_finite_differences_across_blocks(self):
+        rng = np.random.default_rng(12)
+        p = 300
+        assert p > 2 * _BLOCK
+        x = T.Tensor(rng.normal(size=p), requires_grad=True)
+        w = T.Tensor(rng.normal(size=p))
+        rel = finite_difference_check(lambda: T.tsum(T.soft_rank(x, 0.3) * w), [x], h=1e-5)
+        assert rel < 1e-5
+
+    def test_memory_stays_below_one_dense_matrix(self):
+        p = 2048
+        x = np.random.default_rng(13).normal(size=p)
+        g = np.ones(p)
+        dense_bytes = p * p * 8
+        tracemalloc.start()
+        try:
+            _soft_rank_and_grad(x, 0.1, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes, f"peak {peak} B, one dense P x P array is {dense_bytes} B"
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_bad_tau_rejected(self, tau):
+        with pytest.raises(DataError, match="tau"):
+            T.soft_rank(T.Tensor([0.0, 1.0, 2.0]), tau)
+
+
+class TestSigmoid:
+    def test_bit_identical_to_two_branch_formula(self):
+        edges = [0.0, -0.0, 1e-300, -1e-300, 700.0, -700.0, 800.0, -800.0,
+                 np.inf, -np.inf, np.nan]
+        x = np.concatenate([np.random.default_rng(14).normal(scale=30.0, size=10**5), edges])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = T._sigmoid_stable(x)
+        want = _two_branch_sigmoid(x)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan) and nan.sum() == 1
+        assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
 
 
 class TestBackward:

@@ -102,6 +102,21 @@ class TestPgmLoss:
         assert np.max(np.abs(soft - (average_ranks(x) - 0.5))) < 1e-6
 
 
+    @pytest.mark.parametrize("mode", ["softrank", "pearson"])
+    def test_non_finite_embedding_gives_nan_loss(self, mode):
+        rng = np.random.default_rng(7)
+        embs = self._embeddings(rng)
+        embs[2].data[0] = np.nan
+        loss = pgm_loss(embs, rng.normal(size=15), PgmConfig(surrogate=mode))
+        assert np.isnan(loss.item())
+        T.clear_tape()
+
+    @pytest.mark.parametrize("temperature", [np.nan, np.inf])
+    def test_non_finite_temperature_rejected(self, temperature):
+        with pytest.raises(DataError, match="temperature"):
+            PgmConfig(temperature=temperature)
+
+
 def _pair_cosines(embs):
     from graphmgs.similarity import cosine_similarity
     out = []
