@@ -1,118 +1,15 @@
-"""Run configuration: presets, key=value config files, seed derivation, hashing.
+"""Seed derivation and configuration hashing.
 
-Precedence (low to high): built-in defaults, preset, config file, CLI flags.
-Every command writes its resolved configuration next to its outputs so any
-run can be reproduced from the dump alone.
+Runs are configured with the frozen dataclasses that validate their own
+fields (``SyntheticSpec``, ``GnnConfig``, ``PgmConfig``).  This module gives
+every component its own seed, derived from one master seed, and a stable
+hash that identifies a configuration in a run's report.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-
-import numpy as np
-
-
-class UsageError(ValueError):
-    """Bad flags or config keys (CLI exit code 1)."""
-
-
-# full-scale settings ("paper") vs reduced desk-scale settings ("desk")
-PRESETS = {
-    "paper": {"layers": 5, "hidden_dim": 300, "batch_size": 256, "epochs": 100,
-              "finetune_epochs": 100},
-    "desk": {"layers": 2, "hidden_dim": 64, "batch_size": 32, "epochs": 50,
-             "finetune_epochs": 50},
-}
-
-DEFAULTS = {
-    "arch": "gin",
-    "layers": 5,
-    "hidden_dim": 300,
-    "cheb_order": 3,
-    "fagcn_eps": 0.3,
-    "dropout": 0.5,
-    "batch_size": 32,
-    "epochs": 100,
-    "finetune_epochs": 100,
-    "lr": 1e-3,
-    "surrogate": "softrank",
-    "temperature": 0.0,        # 0 = auto (0.05 x interquartile range per batch)
-    "scheme": "topological",
-    "nbits": 2048,
-    "max_path_len": 7,
-    "bits_per_feature": 2,
-    "radius": 2,
-    "spectral_k": 6,
-    "laplacian": "combinatorial",
-    "n_pairs": 1000,
-    "holdout_fraction": 0.1,
-    "eval_pairs": 200,
-    "seeds": 10,
-    "label_attr": -1,          # -1 = use node_labels
-    "pretrain": 1,             # benchmark: 1 = pretrain before finetune
-    "syn_n_graphs": 200,
-    "syn_size_min": 10,
-    "syn_size_max": 16,
-    "syn_homophily": 0.3,
-    "syn_label_rule": "triangle_motif",
-    "syn_label_attr_noise": 0.1,
-    "syn_edge_factor": 1.5,
-}
-
-_TYPES = {key: type(value) for key, value in DEFAULTS.items()}
-
-
-def coerce(key: str, raw) -> object:
-    if key not in _TYPES:
-        raise UsageError(f"unknown configuration key {key!r}")
-    ty = _TYPES[key]
-    try:
-        if ty is int:
-            return int(raw)
-        if ty is float:
-            return float(raw)
-        return str(raw)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad value for {key}: {raw!r}") from exc
-
-
-def parse_config_file(path) -> dict:
-    """key=value lines; blank lines and # comments ignored."""
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{line_no}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            out[key] = coerce(key, value.strip())
-    return out
-
-
-def resolve_config(preset: str | None = None, config_path=None,
-                   overrides: dict | None = None) -> dict:
-    cfg = dict(DEFAULTS)
-    if preset is not None:
-        if preset not in PRESETS:
-            raise UsageError(f"unknown preset {preset!r} (choose from {sorted(PRESETS)})")
-        cfg.update(PRESETS[preset])
-    if config_path is not None:
-        cfg.update(parse_config_file(config_path))
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        cfg[key] = coerce(key, value)
-    return cfg
-
-
-def dump_config(cfg: dict, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for key in sorted(cfg):
-            fh.write(f"{key}={cfg[key]}\n")
 
 
 def stable_hash(obj) -> str:
@@ -125,7 +22,3 @@ def derive_seed(master_seed: int, label: str) -> int:
     """Deterministic per-component child seed from one master seed."""
     digest = hashlib.sha256(f"{master_seed}:{label}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
-
-
-def rng_for(master_seed: int, label: str) -> np.random.Generator:
-    return np.random.default_rng(derive_seed(master_seed, label))

@@ -67,9 +67,6 @@ class GnnModel:
     def parameters(self) -> list[T.Tensor]:
         return list(self.params.values())
 
-    def param_items(self) -> dict[str, T.Tensor]:
-        return self.params
-
 
 def infer_attr_sizes(corpus: GraphCorpus) -> tuple[int, ...]:
     """Embedding-table sizes: per-slot attribute maximum + 1 across the corpus."""

@@ -1,4 +1,29 @@
-"""Similarity kernels, rank correlation, and the graph-structure metric (MGS)."""
+"""Similarity kernels, rank correlation, and the graph-structure metric (MGS).
+
+Pairs of graphs are scored on one path, shared by pre-training (every pair
+of a batch, from ``np.triu_indices``) and by ``build_pair_set`` (sampled
+pairs, for MGS):
+
+- ``structural_pair_sims`` stacks the fingerprints of the distinct graphs
+  involved into one matrix.  Tanimoto intersections come from the Gram
+  matrix of the 0/1 bit rows in float64 (exact: every count is at most
+  ``nbits`` < 2**53); spectral scores are ``-sum((L[i] - L[j])**2)`` over
+  gathered eigenvalue rows.  Both are bit-identical to the scalar
+  ``structural_similarity``; the expansion |a|^2 + |b|^2 - 2ab is not, so it
+  is not used.
+- ``cosine_pair_sims`` is a Tensor op: normalise the embedding rows, take
+  their Gram matrix, gather the pairs.  Pre-training differentiates through
+  it; evaluation calls it under ``no_grad``.  Its values agree with the
+  scalar ``cosine_similarity`` to about 1e-15, not bit for bit.
+
+Memory is O(distinct graphs ** 2) for the Gram matrices, plus the stacked
+rows (distinct graphs x nbits or x embedding dim).  Gathering the two
+embedding rows of every pair instead would hold 2 x pairs x dim floats:
+96 MB for 20,000 pairs of 300-dim embeddings, against 0.7 MB for the Gram
+matrix of 300 graphs.  The scalar ``tanimoto``, ``spectral_distance``,
+``structural_similarity`` and ``cosine_similarity`` stay as the
+specification the pair scorers are tested against.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import tensor as T
 from .errors import DataError, NumericError
 from .fingerprints import BitFingerprint
 from .spectral import SpectralFingerprint
@@ -45,17 +71,17 @@ def cosine_similarity(h_i, h_j) -> float:
 
 
 def average_ranks(x) -> np.ndarray:
-    """1-based ranks, ties averaged over the positions they span."""
+    """1-based ranks, ties averaged over the positions they span (each NaN
+    is a run of its own, after every number)."""
     x = np.asarray(x, dtype=np.float64)
     order = np.argsort(x, kind="stable")
+    xs = x[order]
+    new_run = np.ones(len(x), dtype=bool)
+    new_run[1:] = xs[1:] != xs[:-1]
+    starts = np.flatnonzero(new_run)
+    ends = np.append(starts[1:], len(x))
     ranks = np.empty(len(x), dtype=np.float64)
-    i = 0
-    while i < len(x):
-        j = i + 1
-        while j < len(x) and x[order[j]] == x[order[i]]:
-            j += 1
-        ranks[order[i:j]] = (i + 1 + j) / 2.0
-        i = j
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
     return ranks
 
 
@@ -83,6 +109,8 @@ def spearman(x, y) -> float:
         raise DataError(f"spearman: shape mismatch {x.shape} vs {y.shape}")
     if len(x) < 2:
         raise DataError("spearman: need at least 2 samples")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise NumericError("spearman undefined: non-finite input")
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise NumericError("spearman undefined: zero rank variance")
     return pearson(average_ranks(x), average_ranks(y))
@@ -118,8 +146,44 @@ def structural_similarity(fp_i, fp_j) -> float:
     raise DataError("structural similarity: mixed fingerprint schemes")
 
 
-def sample_pairs(count: int, n_pairs: int, seed: int) -> list[tuple[int, int]]:
-    """n_pairs distinct unordered index pairs, uniform without replacement."""
+def structural_pair_sims(fps: Sequence, rows, cols) -> np.ndarray:
+    """``structural_similarity(fps[rows[k]], fps[cols[k]])`` for every k,
+    bit for bit, from one stacked matrix of ``fps``."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    if all(isinstance(f, BitFingerprint) for f in fps):
+        nbits = sorted({f.nbits for f in fps})
+        if len(nbits) > 1:
+            raise DataError(f"tanimoto: length mismatch {nbits}")
+        bits = np.stack([f.bits for f in fps]).astype(np.float64)
+        counts = bits.sum(axis=1)
+        common = (bits @ bits.T)[rows, cols]
+        union = counts[rows] + counts[cols] - common
+        return np.divide(common, union, out=np.ones_like(common), where=union > 0)
+    if all(isinstance(f, SpectralFingerprint) for f in fps):
+        ks = sorted({f.k for f in fps})
+        if len(ks) > 1:
+            raise DataError(f"spectral distance: k mismatch {ks}")
+        eig = np.asarray([f.eigenvalues for f in fps], dtype=np.float64)
+        return -np.sum((eig[rows] - eig[cols]) ** 2, axis=1)
+    raise DataError("structural similarity: mixed fingerprint schemes")
+
+
+def cosine_pair_sims(embeddings: Sequence, rows, cols) -> T.Tensor:
+    """Cosine similarity of embeddings ``rows[k]`` and ``cols[k]`` for every k,
+    as one Tensor (differentiable when the embeddings are)."""
+    dims = sorted({int(np.size(getattr(e, "data", e))) for e in embeddings})
+    if len(dims) > 1:
+        raise DataError(f"cosine: dimension mismatch {dims}")
+    e = T.concat([T.reshape(x, (1, -1)) for x in embeddings], axis=0)
+    norms = T.sqrt(T.tsum(e * e, axis=1, keepdims=True))
+    if float(np.min(norms.data)) == 0.0:
+        raise NumericError("undefined cosine: zero-norm embedding")
+    normed = e / norms
+    return T.gather2d(normed @ T.transpose(normed), rows, cols)
+
+
+def _sample_pair_indices(count: int, n_pairs: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     total = count * (count - 1) // 2
     if n_pairs > total:
         raise DataError(f"cannot sample {n_pairs} pairs from {count} graphs ({total} possible)")
@@ -127,7 +191,13 @@ def sample_pairs(count: int, n_pairs: int, seed: int) -> list[tuple[int, int]]:
     rng = np.random.default_rng(seed)
     pick = rng.choice(total, size=n_pairs, replace=False)
     pick.sort()
-    return [(int(rows[p]), int(cols[p])) for p in pick]
+    return rows[pick], cols[pick]
+
+
+def sample_pairs(count: int, n_pairs: int, seed: int) -> list[tuple[int, int]]:
+    """n_pairs distinct unordered index pairs, uniform without replacement."""
+    rows, cols = _sample_pair_indices(count, n_pairs, seed)
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def build_pair_set(corpus, encoder: Callable, fingerprints: dict,
@@ -138,19 +208,18 @@ def build_pair_set(corpus, encoder: Callable, fingerprints: dict,
     missing = [g.id for g in graphs if g.id not in fingerprints]
     if missing:
         raise DataError(f"fingerprints missing for graphs: {missing[:5]}")
-    idx_pairs = sample_pairs(len(graphs), n_pairs, seed)
-    needed = sorted({i for p in idx_pairs for i in p})
-    embeddings = {i: np.asarray(encoder(graphs[i]), dtype=np.float64) for i in needed}
-    structural = np.empty(n_pairs, dtype=np.float64)
-    embedding = np.empty(n_pairs, dtype=np.float64)
-    pair_ids = []
-    for k, (i, j) in enumerate(idx_pairs):
-        gi, gj = graphs[i], graphs[j]
-        structural[k] = structural_similarity(fingerprints[gi.id], fingerprints[gj.id])
-        embedding[k] = cosine_similarity(embeddings[i], embeddings[j])
-        pair_ids.append((gi.id, gj.id))
+    if n_pairs < 2:
+        raise DataError("pair set: need at least 2 pairs")
+    rows, cols = _sample_pair_indices(len(graphs), n_pairs, seed)
+    needed, inverse = np.unique(np.concatenate([rows, cols]), return_inverse=True)
+    i_pos, j_pos = inverse[:n_pairs], inverse[n_pairs:]
+    embeddings = [np.asarray(encoder(graphs[i]), dtype=np.float64) for i in needed]
+    structural = structural_pair_sims([fingerprints[graphs[i].id] for i in needed],
+                                      i_pos, j_pos)
+    embedding = cosine_pair_sims(embeddings, i_pos, j_pos).data
+    ids = np.asarray([g.id for g in graphs], dtype=object)
     return SimilarityPairSet(structural=structural, embedding=embedding,
-                             pair_ids=tuple(pair_ids))
+                             pair_ids=tuple(zip(ids[rows], ids[cols])))
 
 
 def write_pair_csv(pairs: SimilarityPairSet, path) -> None:

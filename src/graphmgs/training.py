@@ -22,8 +22,8 @@ from .config import derive_seed, stable_hash
 from .errors import DataError, NumericError
 from .graphs import GraphCorpus
 from .models import GnnModel, embed_graph, classify, with_head
-from .similarity import (SimilarityPairSet, average_ranks, build_pair_set, mgs,
-                         sample_pairs, structural_similarity, write_pair_csv)
+from .similarity import (SimilarityPairSet, average_ranks, build_pair_set,
+                         cosine_pair_sims, mgs, structural_pair_sims, write_pair_csv)
 
 SURROGATES = ("softrank", "pearson")
 
@@ -87,20 +87,6 @@ def _pearson_of(x: T.Tensor, y_const: np.ndarray) -> T.Tensor:
     return num / den
 
 
-def _batch_embedding_sims(embeddings: list[T.Tensor]) -> T.Tensor:
-    """Cosine similarity of every unordered pair, as one differentiable vector."""
-    rows = [T.reshape(e, (1, -1)) for e in embeddings]
-    e = T.concat(rows, axis=0)
-    sq = T.tsum(e * e, axis=1, keepdims=True)
-    norms = T.sqrt(sq)
-    if float(np.min(norms.data)) == 0.0:
-        raise NumericError("undefined cosine: zero-norm embedding in batch")
-    normed = e / norms
-    sims = normed @ T.transpose(normed)
-    i_idx, j_idx = np.triu_indices(len(embeddings), k=1)
-    return T.gather2d(sims, i_idx, j_idx)
-
-
 def pgm_loss(embeddings: list[T.Tensor], structural_sims: np.ndarray,
              cfg: PgmConfig) -> T.Tensor:
     """Negative correlation between structural and embedding similarity.
@@ -118,7 +104,7 @@ def pgm_loss(embeddings: list[T.Tensor], structural_sims: np.ndarray,
         raise DataError("pgm_loss: need at least 3 pairs")
     if np.all(structural == structural[0]):
         raise NumericError("pgm loss undefined: zero rank variance in structural similarities")
-    sims = _batch_embedding_sims(embeddings)
+    sims = cosine_pair_sims(embeddings, *np.triu_indices(len(embeddings), k=1))
     if not np.all(np.isfinite(sims.data)):
         # a non-finite embedding leaves the loss, and the auto temperature, undefined;
         # a NaN loss is what callers check for (pretrain raises on it)
@@ -138,15 +124,6 @@ def pgm_loss(embeddings: list[T.Tensor], structural_sims: np.ndarray,
         soft = T.soft_rank(sims, tau)
         corr = _pearson_of(soft, average_ranks(structural))
     return -corr
-
-
-def _structural_sims_for_batch(graphs, fingerprints) -> np.ndarray:
-    n = len(graphs)
-    i_idx, j_idx = np.triu_indices(n, k=1)
-    out = np.empty(len(i_idx), dtype=np.float64)
-    for k, (i, j) in enumerate(zip(i_idx, j_idx)):
-        out[k] = structural_similarity(fingerprints[graphs[i].id], fingerprints[graphs[j].id])
-    return out
 
 
 def holdout_split(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -195,7 +172,8 @@ def pretrain(corpus: GraphCorpus, model: GnnModel, cfg: PgmConfig,
             batch = [graphs[i] for i in order[lo:lo + cfg.batch_size]]
             if len(batch) < 3:
                 continue
-            structural = _structural_sims_for_batch(batch, fingerprints)
+            structural = structural_pair_sims([fingerprints[g.id] for g in batch],
+                                              *np.triu_indices(len(batch), k=1))
             T.zero_grads(params)
             try:
                 embeddings = [embed_graph(model, g) for g in batch]
@@ -243,6 +221,8 @@ def roc_auc(scores, labels) -> float:
     y = np.asarray(labels)
     if s.shape != y.shape or s.ndim != 1:
         raise DataError(f"roc_auc: shape mismatch {s.shape} vs {y.shape}")
+    if not np.all(np.isfinite(s)):
+        raise NumericError("AUC undefined: non-finite score")
     pos = int(np.sum(y == 1))
     neg = int(np.sum(y == 0))
     if pos == 0 or neg == 0:

@@ -4,10 +4,11 @@ import pytest
 from graphmgs.errors import DataError, NumericError
 from graphmgs.fingerprints import BitFingerprint
 from graphmgs.similarity import (SimilarityPairSet, average_ranks, build_pair_set,
-                                 cosine_similarity, mgs, pearson,
+                                 cosine_pair_sims, cosine_similarity, mgs, pearson,
                                  sample_pairs, spearman, spectral_distance,
-                                 structural_similarity, tanimoto, write_pair_csv)
-from graphmgs.spectral import SpectralFingerprint
+                                 structural_pair_sims, structural_similarity, tanimoto,
+                                 write_pair_csv)
+from graphmgs.spectral import SpectralFingerprint, spectral_fingerprint
 
 from conftest import random_attributed_graph
 
@@ -157,6 +158,13 @@ class TestRankStatistics:
         assert np.array_equal(average_ranks([10.0, 30.0, 20.0, 30.0]),
                               [1.0, 3.5, 2.0, 3.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_spearman_rejects_non_finite(self, bad):
+        with pytest.raises(NumericError, match="non-finite"):
+            spearman([1.0, 2.0, 3.0, 4.0], [bad, 2.0, 1.0, 3.0])
+        with pytest.raises(NumericError, match="non-finite"):
+            spearman([bad, 2.0, 1.0, 3.0], [1.0, 2.0, 3.0, 4.0])
+
 
 class TestMgs:
     def test_perfect_alignment(self):
@@ -188,6 +196,19 @@ class TestMgs:
         scaled = mgs(SimilarityPairSet(structural=s, embedding=e * 7.3, pair_ids=ids))
         assert scaled == pytest.approx(base, abs=1e-12)
 
+    def test_nan_embedding_gives_no_mgs(self):
+        from graphmgs.fingerprints import make_fingerprints
+        from graphmgs.graphs import GraphCorpus
+        rng = np.random.default_rng(16)
+        corpus = GraphCorpus(graphs=tuple(random_attributed_graph(rng) for _ in range(30)))
+        fps = make_fingerprints(corpus, "morgan", radius=2)
+        embs = {g.id: rng.normal(size=4) for g in corpus}
+        embs[corpus.graphs[5].id][:] = np.nan
+        pairs = build_pair_set(corpus, lambda g: embs[g.id], fps, n_pairs=200, seed=1)
+        assert np.isnan(pairs.embedding).any()
+        with pytest.raises(NumericError, match="non-finite"):
+            mgs(pairs)
+
 
 class TestBuildPairSet:
     def _tiny_corpus(self):
@@ -214,6 +235,13 @@ class TestBuildPairSet:
         with pytest.raises(DataError, match="cannot sample"):
             build_pair_set(corpus, lambda g: np.ones(4), self._fps(corpus),
                            n_pairs=4, seed=0)
+
+    @pytest.mark.parametrize("n_pairs", [0, 1])
+    def test_fewer_than_two_pairs_rejected(self, n_pairs):
+        corpus = self._tiny_corpus()
+        with pytest.raises(DataError, match="at least 2 pairs"):
+            build_pair_set(corpus, lambda g: np.ones(4), self._fps(corpus),
+                           n_pairs=n_pairs, seed=0)
 
     def test_seed_determinism(self):
         assert sample_pairs(30, 10, seed=9) == sample_pairs(30, 10, seed=9)
@@ -250,3 +278,121 @@ class TestBuildPairSet:
         lines = path.read_text().splitlines()
         assert lines[0] == "pair_i,pair_j,structural_sim,embedding_sim"
         assert len(lines) == 4
+
+
+def while_loop_average_ranks(x):
+    """The scan that ``average_ranks`` replaced: walk the sorted order and
+    average the positions of each run of equal values."""
+    x = np.asarray(x, dtype=np.float64)
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(len(x), dtype=np.float64)
+    i = 0
+    while i < len(x):
+        j = i + 1
+        while j < len(x) and x[order[j]] == x[order[i]]:
+            j += 1
+        ranks[order[i:j]] = (i + 1 + j) / 2.0
+        i = j
+    return ranks
+
+
+def random_fingerprints(scheme, rng, count=25):
+    from graphmgs.fingerprints import morgan_fingerprint, topological_fingerprint
+    graphs = [random_attributed_graph(rng, n_min=1, n_max=10) for _ in range(count)]
+    if scheme == "spectral":
+        return [spectral_fingerprint(g, k=6) for g in graphs]
+    if scheme == "morgan":
+        fps = [morgan_fingerprint(g, radius=2, nbits=256) for g in graphs]
+    else:
+        fps = [topological_fingerprint(g, max_path_len=4, nbits=256) for g in graphs]
+    zero = BitFingerprint(bits=np.zeros(256, dtype=bool), scheme=scheme, params=())
+    return fps + [zero, zero]
+
+
+class TestPairScorer:
+    @pytest.mark.parametrize("scheme", ["topological", "morgan", "spectral"])
+    def test_structural_matches_scalar_exactly(self, scheme):
+        rng = np.random.default_rng(11)
+        fps = random_fingerprints(scheme, rng)
+        rows = rng.integers(0, len(fps), size=400)
+        cols = rng.integers(0, len(fps), size=400)
+        if scheme != "spectral":  # the two all-zero vectors, with each other and themselves
+            z = len(fps) - 1
+            rows = np.append(rows, [z, z, z - 1])
+            cols = np.append(cols, [z - 1, z, z - 1])
+        expected = [structural_similarity(fps[i], fps[j]) for i, j in zip(rows, cols)]
+        got = structural_pair_sims(fps, rows, cols)
+        assert got.tobytes() == np.asarray(expected).tobytes()
+        if scheme != "spectral":
+            assert got[-3:].tolist() == [1.0, 1.0, 1.0]
+
+    def test_cosines_match_scalar(self):
+        rng = np.random.default_rng(12)
+        embs = [rng.normal(size=7) * 10.0 ** rng.uniform(-3, 3) for _ in range(30)]
+        rows = rng.integers(0, 30, size=500)
+        cols = rng.integers(0, 30, size=500)
+        expected = np.asarray([cosine_similarity(embs[i], embs[j])
+                               for i, j in zip(rows, cols)])
+        got = cosine_pair_sims(embs, rows, cols).data
+        assert np.max(np.abs(got - expected)) < 1e-12
+
+    def test_build_pair_set_matches_scalar_loop(self):
+        from graphmgs.graphs import GraphCorpus
+        rng = np.random.default_rng(13)
+        corpus = GraphCorpus(graphs=tuple(random_attributed_graph(rng) for _ in range(20)))
+        fps = {g.id: fp for g, fp in zip(corpus, random_fingerprints("topological", rng, 20))}
+        embs = {g.id: rng.normal(size=5) for g in corpus}
+        pairs = build_pair_set(corpus, lambda g: embs[g.id], fps, n_pairs=120, seed=3)
+        graphs = list(corpus)
+        idx = sample_pairs(len(graphs), 120, seed=3)
+        assert pairs.pair_ids == tuple((graphs[i].id, graphs[j].id) for i, j in idx)
+        expected = [structural_similarity(fps[a], fps[b]) for a, b in pairs.pair_ids]
+        assert pairs.structural.tobytes() == np.asarray(expected).tobytes()
+        cos = [cosine_similarity(embs[a], embs[b]) for a, b in pairs.pair_ids]
+        assert np.max(np.abs(pairs.embedding - cos)) < 1e-12
+
+    def test_mixed_schemes_rejected(self):
+        with pytest.raises(DataError, match="mixed"):
+            structural_pair_sims([bitfp([1, 0]), SpectralFingerprint((1.0,), 1)], [0], [1])
+
+    def test_nbits_mismatch_rejected(self):
+        with pytest.raises(DataError, match="length mismatch"):
+            structural_pair_sims([bitfp([1, 0]), bitfp([1, 0, 0, 0])], [0], [1])
+
+    def test_k_mismatch_rejected(self):
+        fps = [SpectralFingerprint((1.0,), 1), SpectralFingerprint((1.0, 0.0), 2)]
+        with pytest.raises(DataError, match="k mismatch"):
+            structural_pair_sims(fps, [0], [1])
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(DataError, match="dimension mismatch"):
+            cosine_pair_sims([np.ones(2), np.ones(3)], [0], [1])
+
+    def test_zero_norm_embedding_rejected_in_evaluation(self):
+        from graphmgs.graphs import GraphCorpus
+        rng = np.random.default_rng(14)
+        corpus = GraphCorpus(graphs=tuple(random_attributed_graph(rng) for _ in range(6)))
+        fps = {g.id: fp for g, fp in zip(corpus, random_fingerprints("morgan", rng, 6))}
+        zero_id = corpus.graphs[2].id
+        with pytest.raises(NumericError, match="zero-norm"):
+            build_pair_set(corpus, lambda g: np.zeros(3) if g.id == zero_id else np.ones(3),
+                           fps, n_pairs=15, seed=0)
+
+
+class TestAverageRanks:
+    @pytest.mark.parametrize("values", [
+        [], [2.5], [1.0, 1.0, 1.0], [3.0, 1.0, 3.0, 2.0, 1.0, 3.0],
+        [np.nan], [np.nan, 1.0, np.nan, 1.0, 0.0], [-0.0, 0.0, np.inf, -np.inf, np.inf],
+    ])
+    def test_matches_while_loop(self, values):
+        expected = while_loop_average_ranks(values)
+        assert average_ranks(values).tobytes() == expected.tobytes()
+
+    def test_matches_while_loop_tie_heavy_random(self):
+        rng = np.random.default_rng(15)
+        for _ in range(300):
+            x = rng.integers(0, int(rng.integers(1, 6)), size=int(rng.integers(0, 80)))
+            x = x.astype(np.float64)
+            x[rng.random(len(x)) < 0.05] = np.nan
+            assert average_ranks(x).tobytes() == while_loop_average_ranks(x).tobytes()
+

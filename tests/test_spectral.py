@@ -68,6 +68,16 @@ class TestLaplacian:
             laplacian(plain_graph(2, [(0, 1)]), "rw")
 
 
+class TestNonFiniteMatrix:
+    def test_nan_diagonal_rejected(self):
+        with pytest.raises(DataError, match="non-finite"):
+            symmetric_eigenvalues(np.array([[np.nan, 1.0], [1.0, 0.0]]))
+
+    def test_inf_off_diagonal_rejected(self):
+        with pytest.raises(DataError, match="non-finite"):
+            symmetric_eigenvalues(np.array([[0.0, np.inf], [np.inf, 0.0]]))
+
+
 class TestJacobiEigensolver:
     def test_two_by_two(self):
         eig = symmetric_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]]))
@@ -84,14 +94,6 @@ class TestJacobiEigensolver:
     def test_non_symmetric_rejected(self):
         with pytest.raises(DataError, match="symmetric"):
             symmetric_eigenvalues(np.array([[0.0, 1.0], [0.5, 0.0]]))
-
-    def test_nan_diagonal_rejected(self):
-        with pytest.raises(DataError, match="non-finite"):
-            symmetric_eigenvalues(np.array([[np.nan, 1.0], [1.0, 0.0]]))
-
-    def test_inf_off_diagonal_rejected(self):
-        with pytest.raises(DataError, match="non-finite"):
-            symmetric_eigenvalues(np.array([[0.0, np.inf], [np.inf, 0.0]]))
 
     @pytest.mark.parametrize("family,builder,closed_form", [
         ("path", path_graph, path_spectrum),

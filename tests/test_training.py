@@ -164,6 +164,30 @@ class TestPretrain:
         full, _ = evaluate_mgs(tiny_corpus, model, tiny_fps, n_pairs=100, seed=5)
         assert full > init
 
+    def test_bits_match_scalar_structural_loop(self, tiny_corpus, tiny_fps, monkeypatch):
+        from graphmgs import similarity, training
+
+        def run():
+            model = tiny_model(tiny_corpus, seed=10)
+            _, report = pretrain(tiny_corpus, model,
+                                 PgmConfig(batch_size=8, epochs=3, seed=11,
+                                           eval_pairs=20), tiny_fps)
+            return report
+
+        matrix = run()
+
+        def scalar_loop(fps, rows, cols):
+            return np.asarray([similarity.structural_similarity(fps[i], fps[j])
+                               for i, j in zip(rows, cols)])
+
+        monkeypatch.setattr(training, "structural_pair_sims", scalar_loop)
+        monkeypatch.setattr(similarity, "structural_pair_sims", scalar_loop)
+        scalar = run()
+        assert len(matrix.losses) == 3
+        assert np.asarray(matrix.losses).tobytes() == np.asarray(scalar.losses).tobytes()
+        assert (np.asarray(matrix.holdout_mgs).tobytes()
+                == np.asarray(scalar.holdout_mgs).tobytes())
+
 
 class TestEvaluateMgs:
     def test_identity_encoder_crafted_corpus(self):
@@ -200,8 +224,19 @@ class TestEvaluateMgs:
         assert path.exists()
         assert len(path.read_text().splitlines()) == 31
 
+    def test_nan_embeddings_rejected(self, tiny_corpus, tiny_fps):
+        model = tiny_model(tiny_corpus, seed=9)
+        next(iter(model.params.values())).data[0, 0] = np.nan
+        with pytest.raises(NumericError, match="non-finite"):
+            evaluate_mgs(tiny_corpus, model, tiny_fps, n_pairs=50, seed=3)
+
 
 class TestRocAuc:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        with pytest.raises(NumericError, match="non-finite"):
+            roc_auc([0.9, bad, 0.2, 0.1], [1, 1, 0, 0])
+
     def test_perfect_separation(self):
         assert roc_auc([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0]) == 1.0
 
