@@ -2,8 +2,13 @@
 
 Every architecture maps categorical node attributes through summed embedding
 tables, stacks ``layers`` propagation layers, mean-pools to a graph embedding,
-and optionally applies a linear classification head.  Graphs are processed
-one at a time with dense propagation matrices (desk-scale sizes).
+and optionally applies a linear classification head.  A batch of graphs is
+one matrix of stacked node rows (graph k owns rows offsets[k]:offsets[k+1]),
+and a single graph is a batch of one.  Weight matmuls act on all rows at once,
+each graph's dense propagation matrix on its own rows, and FAGCN's edges are
+renumbered to global rows, so a forward pass records a fixed number of tape
+nodes per layer.  Evaluation encodes blocks of ``similarity.ENCODE_BLOCK_GRAPHS``
+graphs, because FAGCN's (edges x 2 hidden) arrays grow with the block.
 """
 
 from __future__ import annotations
@@ -124,19 +129,22 @@ def init_model(config: GnnConfig, seed: int) -> GnnModel:
     return GnnModel(config=config, params=params)
 
 
-def _input_features(model: GnnModel, g: LabeledGraph) -> T.Tensor:
-    cfg = model.config
-    h0 = None
-    for s, size in enumerate(cfg.attr_sizes):
-        idx = []
+def _input_features(model: GnnModel, graphs) -> T.Tensor:
+    """Stacked rows of summed attribute embeddings, one index_select per slot."""
+    sizes = model.config.attr_sizes
+    idx: list[list[int]] = [[] for _ in sizes]
+    for g in graphs:
         for v, attrs in enumerate(g.node_attrs):
-            if s >= len(attrs):
-                raise DataError(f"graph {g.id!r}: node {v} missing attribute slot {s}")
-            if attrs[s] >= size:
-                raise DataError(
-                    f"graph {g.id!r}: attribute {attrs[s]} out of embedding range {size}")
-            idx.append(attrs[s])
-        looked = T.index_select(model.params[f"embed.{s}"], np.asarray(idx))
+            if len(attrs) < len(sizes):
+                raise DataError(f"graph {g.id!r}: node {v} missing attribute slot {len(attrs)}")
+            for s, size in enumerate(sizes):
+                if attrs[s] >= size:
+                    raise DataError(
+                        f"graph {g.id!r}: attribute {attrs[s]} out of embedding range {size}")
+                idx[s].append(attrs[s])
+    h0 = None
+    for s, rows in enumerate(idx):
+        looked = T.index_select(model.params[f"embed.{s}"], np.asarray(rows))
         h0 = looked if h0 is None else h0 + looked
     return h0
 
@@ -149,112 +157,96 @@ def _gcn_propagation(g: LabeledGraph) -> np.ndarray:
     return (dinv[:, None] * a) * dinv[None, :]
 
 
-def _directed_edges(g: LabeledGraph) -> tuple[np.ndarray, np.ndarray]:
-    src = np.fromiter((e[i] for e in g.edges for i in (0, 1)), dtype=np.int64,
-                      count=2 * g.edge_count)
-    dst = np.fromiter((e[i] for e in g.edges for i in (1, 0)), dtype=np.int64,
-                      count=2 * g.edge_count)
-    return src, dst
+def _scaled_laplacian(g: LabeledGraph) -> np.ndarray:
+    """ChebNet's 2 L_norm / lambda_max - I with lambda_max fixed at 2."""
+    return laplacian(g, SYM_NORMALIZED).matrix - np.eye(g.node_count)
 
 
-def encode_nodes(model: GnnModel, g: LabeledGraph, training: bool = False,
-                 rng: Optional[np.random.Generator] = None) -> T.Tensor:
-    """Node embedding matrix (n x hidden) after the full layer stack."""
+# the dense per-graph operator each propagating architecture multiplies by
+_OPERATORS = {"gcn": _gcn_propagation, "gin": LabeledGraph.adjacency,
+              "chebnet": _scaled_laplacian}
+
+
+def encode_nodes(model: GnnModel, graphs, training: bool = False,
+                 rng: Optional[np.random.Generator] = None) -> tuple[T.Tensor, np.ndarray]:
+    """Stacked node embeddings (N x hidden) of a batch of graphs after the full
+    layer stack, and the G + 1 ``offsets`` that bound each graph's rows."""
     cfg = model.config
-    if g.node_count == 0:
-        raise DataError(f"graph {g.id!r}: cannot encode an empty graph")
+    graphs = list(graphs)
+    if not graphs:
+        raise DataError("cannot encode an empty batch of graphs")
+    for g in graphs:
+        if g.node_count == 0:
+            raise DataError(f"graph {g.id!r}: cannot encode an empty graph")
     if training and cfg.dropout > 0.0 and rng is None:
         raise DataError("training-mode forward with dropout needs an rng")
-    h = _input_features(model, g)
+    offsets = np.cumsum([0] + [g.node_count for g in graphs])
+    masks = []
+    if training and cfg.dropout > 0.0:
+        # inverted dropout for every layer but the last, drawn graph by graph and
+        # layer by layer within a graph: the rng stream of one-at-a-time encoding
+        drawn = [[(rng.random((g.node_count, cfg.hidden_dim)) >= cfg.dropout)
+                  / (1.0 - cfg.dropout) for _ in range(cfg.layers - 1)] for g in graphs]
+        masks = [np.concatenate(layer) for layer in zip(*drawn)]
+    h = _input_features(model, graphs)
     p = model.params
+    ops = [_OPERATORS[cfg.arch](g) for g in graphs] if cfg.arch in _OPERATORS else None
+    if cfg.arch == "fagcn":
+        # residual propagation around a projected input; edge attention tanh(g . [h_i || h_j])
+        # scaled by 1/sqrt(d_i d_j) on both directions of each edge; edgeless rows stay eps*h0
+        h = h0 = T.relu(h @ p["proj.w"])
+        ends = [np.asarray(g.edges, dtype=np.int64).reshape(-1, 2) + lo
+                for g, lo in zip(graphs, offsets)]
+        src = np.concatenate([e.reshape(-1) for e in ends])
+        dst = np.concatenate([e[:, ::-1].reshape(-1) for e in ends])
+        deg = np.concatenate([g.degrees() for g in graphs]).astype(np.float64)
+        norm = T.Tensor((1.0 / np.sqrt(deg[dst] * deg[src])).reshape(-1, 1))
 
-    if cfg.arch == "gcn":
-        prop = T.Tensor(_gcn_propagation(g))
-        for l in range(cfg.layers):
-            h = T.relu(prop @ (h @ p[f"layer{l}.theta"]))
-            h = _between_layers(h, l, cfg, training, rng)
-        return h
-
-    if cfg.arch == "fcn":
-        for l in range(cfg.layers):
+    for l in range(cfg.layers):
+        if cfg.arch == "gcn":
+            h = T.relu(T.block_diag_matmul(ops, offsets, h @ p[f"layer{l}.theta"]))
+        elif cfg.arch == "fcn":
             h = T.relu(h @ p[f"layer{l}.theta"])
-            h = _between_layers(h, l, cfg, training, rng)
-        return h
-
-    if cfg.arch == "gin":
-        adj = T.Tensor(g.adjacency())
-        for l in range(cfg.layers):
-            agg = (adj @ h) + ((p[f"layer{l}.eps"] + 1.0) * h)
+        elif cfg.arch == "gin":
+            agg = T.block_diag_matmul(ops, offsets, h) + ((p[f"layer{l}.eps"] + 1.0) * h)
             mid = T.relu(agg @ p[f"layer{l}.w1"] + p[f"layer{l}.b1"])
             h = mid @ p[f"layer{l}.w2"] + p[f"layer{l}.b2"]
-            h = _between_layers(h, l, cfg, training, rng)
-        return h
-
-    if cfg.arch == "chebnet":
-        # scaled Laplacian 2 L_norm / lambda_max - I with lambda_max fixed at 2
-        lhat = T.Tensor(laplacian(g, SYM_NORMALIZED).matrix - np.eye(g.node_count))
-        for l in range(cfg.layers):
-            xk_prev = None
-            xk = h
+        elif cfg.arch == "chebnet":
+            xk_prev, xk = None, h
             out = xk @ p[f"layer{l}.theta0"]
             for k in range(1, cfg.cheb_order):
-                if k == 1:
-                    xk_prev, xk = xk, lhat @ xk
-                else:
-                    xk_prev, xk = xk, 2.0 * (lhat @ xk) - xk_prev
+                lx = T.block_diag_matmul(ops, offsets, xk)
+                xk_prev, xk = xk, (lx if k == 1 else 2.0 * lx - xk_prev)
                 out = out + xk @ p[f"layer{l}.theta{k}"]
             h = T.relu(out)
-            h = _between_layers(h, l, cfg, training, rng)
-        return h
-
-    # fagcn: residual propagation around a projected input, edge attention
-    # tanh(g . [h_i || h_j]) scaled by 1/sqrt(d_i d_j)
-    h0 = T.relu(h @ p["proj.w"])
-    deg = g.degrees().astype(np.float64)
-    h = h0
-    if g.edge_count == 0:
-        for l in range(cfg.layers):
-            h = cfg.fagcn_eps * h0
-            h = _between_layers(h, l, cfg, training, rng)
-        return h
-    src, dst = _directed_edges(g)
-    norm = T.Tensor((1.0 / np.sqrt(deg[dst] * deg[src])).reshape(-1, 1))
-    for l in range(cfg.layers):
-        h_src = T.index_select(h, src)
-        h_dst = T.index_select(h, dst)
-        alpha = T.tanh(T.concat([h_dst, h_src], axis=1) @ p[f"layer{l}.g"])
-        coeff = T.reshape(alpha, (-1, 1)) * norm
-        agg = T.scatter_add(coeff * h_src, dst, g.node_count)
-        h = cfg.fagcn_eps * h0 + agg
-        h = _between_layers(h, l, cfg, training, rng)
-    return h
+        else:
+            h_src = T.index_select(h, src)
+            h_dst = T.index_select(h, dst)
+            alpha = T.tanh(T.concat([h_dst, h_src], axis=1) @ p[f"layer{l}.g"])
+            coeff = T.reshape(alpha, (-1, 1)) * norm
+            h = cfg.fagcn_eps * h0 + T.scatter_add(coeff * h_src, dst, int(offsets[-1]))
+        if l < len(masks):
+            h = h * masks[l]
+    return h, offsets
 
 
-def _between_layers(h: T.Tensor, layer: int, cfg: GnnConfig, training: bool,
-                    rng: Optional[np.random.Generator]) -> T.Tensor:
-    if training and cfg.dropout > 0.0 and layer < cfg.layers - 1:
-        return T.dropout(h, cfg.dropout, rng)
-    return h
+def readout(node_rows: T.Tensor, offsets) -> T.Tensor:
+    """Mean-pool each graph's node rows into its graph embedding (G x hidden)."""
+    return T.segment_mean(node_rows, offsets)
 
 
-def readout(node_embeddings: T.Tensor) -> T.Tensor:
-    """Mean-pool node embeddings into a graph embedding."""
-    if node_embeddings.shape[0] == 0:
-        raise DataError("readout: empty node embedding matrix")
-    return T.tmean(node_embeddings, axis=0)
-
-
-def embed_graph(model: GnnModel, g: LabeledGraph, training: bool = False,
+def embed_graph(model: GnnModel, graphs, training: bool = False,
                 rng: Optional[np.random.Generator] = None) -> T.Tensor:
-    return readout(encode_nodes(model, g, training=training, rng=rng))
+    """Graph embeddings (G x hidden) of a batch."""
+    return readout(*encode_nodes(model, graphs, training=training, rng=rng))
 
 
-def classify(model: GnnModel, g: LabeledGraph, training: bool = False,
+def classify(model: GnnModel, graphs, training: bool = False,
              rng: Optional[np.random.Generator] = None) -> T.Tensor:
-    """Per-task logits h_G W + b."""
+    """Per-task logits h_G W + b (G x tasks)."""
     if model.config.task_count < 1 or "head.w" not in model.params:
         raise DataError("model has no classification head")
-    hg = embed_graph(model, g, training=training, rng=rng)
+    hg = embed_graph(model, graphs, training=training, rng=rng)
     return hg @ model.params["head.w"] + model.params["head.b"]
 
 

@@ -11,10 +11,10 @@ pairs, for MGS):
   gathered eigenvalue rows.  Both are bit-identical to the scalar
   ``structural_similarity``; the expansion |a|^2 + |b|^2 - 2ab is not, so it
   is not used.
-- ``cosine_pair_sims`` is a Tensor op: normalise the embedding rows, take
-  their Gram matrix, gather the pairs.  Pre-training differentiates through
-  it; evaluation calls it under ``no_grad``.  Its values agree with the
-  scalar ``cosine_similarity`` to about 1e-15, not bit for bit.
+- ``cosine_pair_sims`` is a Tensor op on one (n, dim) embedding matrix:
+  normalise its rows, take their Gram matrix, gather the pairs.  Pre-training
+  differentiates through it; evaluation calls it under ``no_grad``.  It agrees
+  with the scalar ``cosine_similarity`` to about 1e-15, not bit for bit.
 
 Memory is O(distinct graphs ** 2) for the Gram matrices, plus the stacked
 rows (distinct graphs x nbits or x embedding dim).  Gathering the two
@@ -36,6 +36,8 @@ from . import tensor as T
 from .errors import DataError, NumericError
 from .fingerprints import BitFingerprint
 from .spectral import SpectralFingerprint
+
+ENCODE_BLOCK_GRAPHS = 8  # graphs per encoder call in build_pair_set (bounds memory)
 
 
 def tanimoto(f_i: BitFingerprint, f_j: BitFingerprint) -> float:
@@ -169,13 +171,13 @@ def structural_pair_sims(fps: Sequence, rows, cols) -> np.ndarray:
     raise DataError("structural similarity: mixed fingerprint schemes")
 
 
-def cosine_pair_sims(embeddings: Sequence, rows, cols) -> T.Tensor:
-    """Cosine similarity of embeddings ``rows[k]`` and ``cols[k]`` for every k,
-    as one Tensor (differentiable when the embeddings are)."""
-    dims = sorted({int(np.size(getattr(e, "data", e))) for e in embeddings})
-    if len(dims) > 1:
-        raise DataError(f"cosine: dimension mismatch {dims}")
-    e = T.concat([T.reshape(x, (1, -1)) for x in embeddings], axis=0)
+def cosine_pair_sims(embeddings, rows, cols) -> T.Tensor:
+    """Cosine similarity of embedding rows ``rows[k]`` and ``cols[k]`` of an
+    (n, dim) matrix for every k, as one Tensor (differentiable when the
+    embeddings are)."""
+    e = T.as_tensor(embeddings)
+    if e.data.ndim != 2:
+        raise DataError(f"cosine: expected an (n, dim) embedding matrix, got {e.shape}")
     norms = T.sqrt(T.tsum(e * e, axis=1, keepdims=True))
     if float(np.min(norms.data)) == 0.0:
         raise NumericError("undefined cosine: zero-norm embedding")
@@ -203,7 +205,10 @@ def sample_pairs(count: int, n_pairs: int, seed: int) -> list[tuple[int, int]]:
 def build_pair_set(corpus, encoder: Callable, fingerprints: dict,
                    n_pairs: int, seed: int) -> SimilarityPairSet:
     """Sample graph pairs and score them: structural from fingerprints,
-    embedding as cosine similarity of encoder outputs."""
+    embedding as cosine similarity of encoder outputs.  ``encoder`` maps a
+    list of k graphs to their (k, dim) embedding rows, with one dim for every
+    call; it gets the graphs of the sampled pairs in blocks of at most
+    ``ENCODE_BLOCK_GRAPHS``."""
     graphs = list(corpus)
     missing = [g.id for g in graphs if g.id not in fingerprints]
     if missing:
@@ -213,10 +218,17 @@ def build_pair_set(corpus, encoder: Callable, fingerprints: dict,
     rows, cols = _sample_pair_indices(len(graphs), n_pairs, seed)
     needed, inverse = np.unique(np.concatenate([rows, cols]), return_inverse=True)
     i_pos, j_pos = inverse[:n_pairs], inverse[n_pairs:]
-    embeddings = [np.asarray(encoder(graphs[i]), dtype=np.float64) for i in needed]
+    chosen, blocks = [graphs[i] for i in needed], []
+    for lo in range(0, len(chosen), ENCODE_BLOCK_GRAPHS):
+        block = chosen[lo:lo + ENCODE_BLOCK_GRAPHS]
+        emb = np.asarray(encoder(block), dtype=np.float64)
+        want = (len(block), (blocks[0] if blocks else emb).shape[-1])
+        if emb.shape != want:
+            raise DataError(f"cosine: dimension mismatch, encoder gave {emb.shape}, not {want}")
+        blocks.append(emb)
     structural = structural_pair_sims([fingerprints[graphs[i].id] for i in needed],
                                       i_pos, j_pos)
-    embedding = cosine_pair_sims(embeddings, i_pos, j_pos).data
+    embedding = cosine_pair_sims(np.concatenate(blocks), i_pos, j_pos).data
     ids = np.asarray([g.id for g in graphs], dtype=object)
     return SimilarityPairSet(structural=structural, embedding=embedding,
                              pair_ids=tuple(zip(ids[rows], ids[cols])))

@@ -49,15 +49,8 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -228,20 +221,6 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     return _record(out, (a,), backward)
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(a.data.mean(axis=axis, keepdims=keepdims))
-    count = a.data.size if axis is None else a.data.shape[axis]
-
-    def backward(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, a.data.shape).copy() / count)
-
-    return _record(out, (a,), backward)
-
-
 def concat(tensors: Sequence, axis: int = 0) -> Tensor:
     parts = [as_tensor(t) for t in tensors]
     out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
@@ -340,18 +319,40 @@ def gather2d(a, rows, cols) -> Tensor:
     return _record(out, (a,), backward)
 
 
-def dropout(a, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; caller decides training mode and supplies the rng."""
+def block_diag_matmul(blocks: Sequence[np.ndarray], offsets, a) -> Tensor:
+    """diag(blocks) @ a without forming it: out[lo:hi] = blocks[k] @ a[lo:hi] for
+    lo, hi = offsets[k], offsets[k + 1], the blocks being constant and square."""
     a = as_tensor(a)
-    if not 0.0 <= rate < 1.0:
-        raise DataError(f"dropout: rate {rate} outside [0,1)")
-    if rate == 0.0:
-        return a
-    mask = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
-    out = Tensor(a.data * mask)
+    spans = list(zip(blocks, offsets[:-1], offsets[1:]))
+    if offsets[0] != 0 or offsets[-1] != len(a.data) or any(
+            b.shape != (hi - lo, hi - lo) for b, lo, hi in spans):
+        raise DataError(f"block_diag_matmul: blocks do not tile the {len(a.data)} rows")
+    out = np.empty_like(a.data)
+    for b, lo, hi in spans:
+        out[lo:hi] = b @ a.data[lo:hi]
 
     def backward(g):
-        _accumulate(a, g * mask)
+        ga = np.empty_like(a.data)
+        for b, lo, hi in spans:
+            ga[lo:hi] = b.T @ g[lo:hi]
+        _accumulate(a, ga)
+
+    return _record(Tensor(out), (a,), backward)
+
+
+def segment_mean(a, offsets) -> Tensor:
+    """out[k] = mean of rows offsets[k]:offsets[k + 1] of a 2-D tensor."""
+    a = as_tensor(a)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    counts = np.diff(offsets)
+    # reduceat gives a zero-length segment the next row, not a mean, so reject it
+    if len(counts) == 0 or counts.min() < 1 or offsets[0] != 0 or offsets[-1] != len(a.data):
+        raise DataError(f"segment_mean: offsets {offsets.tolist()} do not split "
+                        f"{len(a.data)} rows into non-empty segments")
+    out = Tensor(np.add.reduceat(a.data, offsets[:-1], axis=0) / counts[:, None])
+
+    def backward(g):
+        _accumulate(a, np.repeat(g / counts[:, None], counts, axis=0))
 
     return _record(out, (a,), backward)
 

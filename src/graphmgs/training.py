@@ -80,16 +80,17 @@ def _pearson_of(x: T.Tensor, y_const: np.ndarray) -> T.Tensor:
     sy = float(np.sqrt(np.sum((y - y.mean()) ** 2)))
     if sy == 0.0:
         raise NumericError("pgm loss undefined: zero rank variance in structural similarities")
-    dx = x - T.tmean(x)
+    dx = x - T.tsum(x) / len(x.data)
     dy = (y - y.mean()) / sy
     num = T.tsum(dx * dy)
     den = T.sqrt(T.tsum(dx * dx))
     return num / den
 
 
-def pgm_loss(embeddings: list[T.Tensor], structural_sims: np.ndarray,
+def pgm_loss(embeddings: T.Tensor, structural_sims: np.ndarray,
              cfg: PgmConfig) -> T.Tensor:
-    """Negative correlation between structural and embedding similarity.
+    """Negative correlation between structural and embedding similarity over
+    every pair of rows of a (B, h) embedding matrix, in ``np.triu_indices`` order.
 
     softrank mode correlates differentiable soft ranks of the embedding
     similarities with exact average ranks of the structural similarities;
@@ -97,14 +98,14 @@ def pgm_loss(embeddings: list[T.Tensor], structural_sims: np.ndarray,
     the embedding side.
     """
     structural = np.asarray(structural_sims, dtype=np.float64)
-    n_pairs = len(embeddings) * (len(embeddings) - 1) // 2
+    n_pairs = len(embeddings.data) * (len(embeddings.data) - 1) // 2
     if len(structural) != n_pairs:
         raise DataError(f"pgm_loss: {len(structural)} structural sims for {n_pairs} pairs")
     if n_pairs < 3:
         raise DataError("pgm_loss: need at least 3 pairs")
     if np.all(structural == structural[0]):
         raise NumericError("pgm loss undefined: zero rank variance in structural similarities")
-    sims = cosine_pair_sims(embeddings, *np.triu_indices(len(embeddings), k=1))
+    sims = cosine_pair_sims(embeddings, *np.triu_indices(len(embeddings.data), k=1))
     if not np.all(np.isfinite(sims.data)):
         # a non-finite embedding leaves the loss, and the auto temperature, undefined;
         # a NaN loss is what callers check for (pretrain raises on it)
@@ -176,8 +177,7 @@ def pretrain(corpus: GraphCorpus, model: GnnModel, cfg: PgmConfig,
                                               *np.triu_indices(len(batch), k=1))
             T.zero_grads(params)
             try:
-                embeddings = [embed_graph(model, g) for g in batch]
-                loss = pgm_loss(embeddings, structural, cfg)
+                loss = pgm_loss(embed_graph(model, batch), structural, cfg)
             except NumericError as exc:
                 warnings.warn(f"skipping batch: {exc}")
                 report.skipped_batches += 1
@@ -200,7 +200,7 @@ def _eval_pair_set(corpus: GraphCorpus, model: GnnModel, fingerprints: dict,
                    n_pairs: int, seed: int) -> SimilarityPairSet:
     with T.no_grad():
         return build_pair_set(
-            corpus, lambda g: embed_graph(model, g).data, fingerprints, n_pairs, seed)
+            corpus, lambda gs: embed_graph(model, gs).data, fingerprints, n_pairs, seed)
 
 
 def evaluate_mgs(corpus: GraphCorpus, model: GnnModel, fingerprints: dict,
@@ -325,9 +325,12 @@ def _cover_strata(perm: np.ndarray, labels: list, bounds: dict) -> None:
 
 
 def _fold_auc(model: GnnModel, graphs, labels_per_graph) -> float:
-    """Mean per-task AUC over tasks with both classes present in the fold."""
+    """Mean per-task AUC over tasks with both classes present in the fold, or
+    NaN when no task has both; a non-finite score raises ``NumericError``."""
     with T.no_grad():
-        scores = np.stack([classify(model, g).data for g in graphs])
+        scores = classify(model, graphs).data
+    if not np.all(np.isfinite(scores)):
+        raise NumericError("AUC undefined: non-finite score")
     tasks = scores.shape[1]
     aucs = []
     for t in range(tasks):
@@ -339,9 +342,7 @@ def _fold_auc(model: GnnModel, graphs, labels_per_graph) -> float:
         if len(np.unique(yt)) < 2:
             continue
         aucs.append(roc_auc(scores[known, t], yt))
-    if not aucs:
-        raise NumericError("AUC undefined: no task has both classes in this fold")
-    return float(np.mean(aucs))
+    return float(np.mean(aucs)) if aucs else float("nan")
 
 
 def finetune(corpus: GraphCorpus, model: GnnModel, epochs: int = 100,
@@ -408,23 +409,17 @@ def finetune(corpus: GraphCorpus, model: GnnModel, epochs: int = 100,
         train_labels = fold_labels("train", epoch)
         epoch_losses = []
         for lo in range(0, len(order), batch_size):
-            picks = order[lo:lo + batch_size]
-            logits_rows = []
-            targets = []
-            masks = []
-            for k in picks:
-                g = graphs[folds["train"][k]]
-                labs = train_labels[k]
-                if all(l is None for l in labs):
-                    continue  # all-missing graphs contribute nothing
-                logits_rows.append(T.reshape(
-                    classify(model, g, training=True, rng=dropout_rng), (1, -1)))
-                targets.append([0.0 if l is None else float(l) for l in labs])
-                masks.append([0.0 if l is None else 1.0 for l in labs])
-            if not logits_rows:
+            # all-missing graphs contribute nothing
+            picks = [k for k in order[lo:lo + batch_size]
+                     if any(l is not None for l in train_labels[k])]
+            if not picks:
                 continue
+            labs = [train_labels[k] for k in picks]
+            targets = [[0.0 if l is None else float(l) for l in lab] for lab in labs]
+            masks = [[0.0 if l is None else 1.0 for l in lab] for lab in labs]
             T.zero_grads(params)
-            logits = T.concat(logits_rows, axis=0)
+            logits = classify(model, [graphs[folds["train"][k]] for k in picks],
+                              training=True, rng=dropout_rng)
             loss = T.bce_with_logits(logits, np.asarray(targets), np.asarray(masks))
             if not np.isfinite(loss.item()):
                 T.clear_tape()
@@ -433,11 +428,9 @@ def finetune(corpus: GraphCorpus, model: GnnModel, epochs: int = 100,
             T.adam_step(params, state)
             epoch_losses.append(loss.item())
         report.train_losses.append(float(np.mean(epoch_losses)) if epoch_losses else float("nan"))
-        try:
-            valid_auc = _fold_auc(model, [graphs[i] for i in folds["valid"]],
-                                  fold_labels("valid", epoch))
-        except NumericError:
-            valid_auc = float("nan")  # single-class fold this epoch; no signal
+        # NaN when the valid fold is single-class: no signal this epoch
+        valid_auc = _fold_auc(model, [graphs[i] for i in folds["valid"]],
+                              fold_labels("valid", epoch))
         report.valid_aucs.append(valid_auc)
         if valid_auc > best_auc:
             best_auc = valid_auc
@@ -452,5 +445,7 @@ def finetune(corpus: GraphCorpus, model: GnnModel, epochs: int = 100,
         report.best_epoch, report.selection = best_epoch, "valid_auc"
     report.test_auc = _fold_auc(model, [graphs[i] for i in folds["test"]],
                                 fold_labels("test", None))
+    if np.isnan(report.test_auc):
+        raise NumericError("AUC undefined: no task has both classes in the test fold")
     report.wall_clock = time.perf_counter() - start
     return model, report

@@ -4,7 +4,7 @@ import pytest
 from graphmgs import tensor as T
 from graphmgs.errors import DataError
 from graphmgs.graphs import GraphCorpus, LabeledGraph
-from graphmgs.models import (GnnConfig, classify, embed_graph, encode_nodes,
+from graphmgs.models import (ARCHS, GnnConfig, classify, embed_graph, encode_nodes,
                              infer_attr_sizes, init_model, load_model, readout,
                              save_model, spectral_filter_response, with_head)
 from graphmgs.spectral import SYM_NORMALIZED, laplacian
@@ -25,6 +25,15 @@ def graph_for(rng):
     return random_attributed_graph(rng, n_min=4, n_max=9, attr_sizes=ATTRS)
 
 
+def mixed_batch(rng):
+    """Graphs of 1 to 9 nodes, among them a single node and an edgeless graph."""
+    single = LabeledGraph(id="single", node_count=1, edges=(), node_attrs=((3, 1),),
+                          edge_attrs=())
+    edgeless = LabeledGraph(id="edgeless", node_count=3, edges=(),
+                            node_attrs=((0, 1), (2, 0), (1, 1)), edge_attrs=())
+    return [graph_for(rng), single, graph_for(rng), edgeless, graph_for(rng)]
+
+
 class TestLayerFormulas:
     def test_gcn_single_node(self):
         # one node, self-loop only: A~ = D~ = 1, so H' = relu(H theta)
@@ -34,7 +43,7 @@ class TestLayerFormulas:
         model.params["embed.0"].data[:] = np.array([[2.0], [0.0], [0.0], [0.0]])
         model.params["embed.1"].data[:] = 0.0
         model.params["layer0.theta"].data[:] = np.array([[0.5]])
-        out = encode_nodes(model, g)
+        out, _ = encode_nodes(model, [g])
         assert out.data[0, 0] == pytest.approx(1.0)
 
     def test_gcn_matches_dense_formula(self):
@@ -42,7 +51,7 @@ class TestLayerFormulas:
         for _ in range(50):
             g = graph_for(rng)
             model = small_model("gcn", layers=2, seed=int(rng.integers(1 << 20)))
-            out = encode_nodes(model, g).data
+            out = encode_nodes(model, [g])[0].data
             # independent dense evaluation
             a = g.adjacency() + np.eye(g.node_count)
             d = np.diag(1.0 / np.sqrt(a.sum(axis=1)))
@@ -61,14 +70,14 @@ class TestLayerFormulas:
         stripped = LabeledGraph(id=g.id, node_count=g.node_count, edges=(),
                                 node_attrs=g.node_attrs, edge_attrs=())
         model = small_model("fcn")
-        a = encode_nodes(model, g).data
-        b = encode_nodes(model, stripped).data
+        a = encode_nodes(model, [g])[0].data
+        b = encode_nodes(model, [stripped])[0].data
         assert a.tobytes() == b.tobytes()
 
     def test_gcn_symmetric_two_nodes(self):
         g = LabeledGraph(id="pair", node_count=2, edges=((0, 1),),
                          node_attrs=((1, 0), (1, 0)), edge_attrs=((0,),))
-        out = encode_nodes(small_model("gcn"), g).data
+        out = encode_nodes(small_model("gcn"), [g])[0].data
         assert np.array_equal(out[0], out[1])
 
     def test_chebnet_k1_is_structure_free(self):
@@ -77,8 +86,8 @@ class TestLayerFormulas:
         stripped = LabeledGraph(id=g.id, node_count=g.node_count, edges=(),
                                 node_attrs=g.node_attrs, edge_attrs=())
         model = small_model("chebnet", cheb_order=1)
-        assert np.array_equal(encode_nodes(model, g).data,
-                              encode_nodes(model, stripped).data)
+        assert np.array_equal(encode_nodes(model, [g])[0].data,
+                              encode_nodes(model, [stripped])[0].data)
 
     def test_chebnet_recurrence_matches_explicit_polynomial(self):
         rng = np.random.default_rng(3)
@@ -86,7 +95,7 @@ class TestLayerFormulas:
             g = graph_for(rng)
             model = small_model("chebnet", layers=1, cheb_order=4,
                                 seed=int(rng.integers(1 << 20)))
-            out = encode_nodes(model, g).data
+            out = encode_nodes(model, [g])[0].data
             lhat = laplacian(g, SYM_NORMALIZED).matrix - np.eye(g.node_count)
             h = np.zeros((g.node_count, model.config.hidden_dim))
             for s in range(len(ATTRS)):
@@ -113,7 +122,7 @@ class TestLayerFormulas:
         model.params["layer0.b1"].data[:] = 0.0
         model.params["layer0.w2"].data[:] = np.eye(2)
         model.params["layer0.b2"].data[:] = 0.0
-        out = encode_nodes(model, g).data
+        out = encode_nodes(model, [g])[0].data
         # node 1 aggregates two neighbors plus itself: 2 + 1
         assert out[:, 0] == pytest.approx([2.0, 3.0, 2.0])
 
@@ -126,8 +135,8 @@ class TestPermutationEquivariance:
             g = graph_for(rng)
             model = small_model(arch, seed=7)
             perm = list(rng.permutation(g.node_count))
-            out = encode_nodes(model, g).data
-            out_p = encode_nodes(model, g.permuted(perm)).data
+            out = encode_nodes(model, [g])[0].data
+            out_p = encode_nodes(model, [g.permuted(perm)])[0].data
             rearranged = np.empty_like(out)
             for i, pi in enumerate(perm):
                 rearranged[pi] = out[i]
@@ -139,24 +148,24 @@ class TestPermutationEquivariance:
         g = graph_for(rng)
         model = small_model(arch, seed=8)
         perm = list(rng.permutation(g.node_count))
-        a = embed_graph(model, g).data
-        b = embed_graph(model, g.permuted(perm)).data
+        a = embed_graph(model, [g]).data[0]
+        b = embed_graph(model, [g.permuted(perm)]).data[0]
         assert np.max(np.abs(a - b)) < 1e-10
 
 
 class TestReadoutAndHead:
     def test_readout_constant_rows(self):
         h = T.Tensor(np.tile([1.0, 2.0, 3.0], (4, 1)))
-        assert np.array_equal(readout(h).data, [1.0, 2.0, 3.0])
+        assert np.array_equal(readout(h, [0, 4]).data[0], [1.0, 2.0, 3.0])
 
     def test_readout_mean(self):
         h = T.Tensor([[0.0, 2.0], [2.0, 0.0]])
-        assert np.array_equal(readout(h).data, [1.0, 1.0])
+        assert np.array_equal(readout(h, [0, 2]).data[0], [1.0, 1.0])
 
     def test_readout_matches_average_oracle(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(7, 5))
-        assert np.allclose(readout(T.Tensor(x)).data, x.mean(axis=0), atol=1e-15)
+        assert np.allclose(readout(T.Tensor(x), [0, 7]).data[0], x.mean(axis=0), atol=1e-15)
 
     def test_zero_head_zero_logits(self):
         rng = np.random.default_rng(7)
@@ -164,37 +173,87 @@ class TestReadoutAndHead:
         model = small_model("gcn", task_count=3)
         model.params["head.w"].data[:] = 0.0
         model.params["head.b"].data[:] = 0.0
-        assert np.array_equal(classify(model, g).data, np.zeros(3))
+        assert np.array_equal(classify(model, [g]).data[0], np.zeros(3))
 
     def test_logits_match_matmul_oracle(self):
         rng = np.random.default_rng(8)
         g = graph_for(rng)
         model = small_model("gin", task_count=2)
-        hg = embed_graph(model, g).data
+        hg = embed_graph(model, [g]).data[0]
         expected = hg @ model.params["head.w"].data + model.params["head.b"].data
-        assert np.allclose(classify(model, g).data, expected, atol=1e-12)
+        assert np.allclose(classify(model, [g]).data[0], expected, atol=1e-12)
 
     def test_missing_head_rejected(self):
         rng = np.random.default_rng(9)
         with pytest.raises(DataError, match="head"):
-            classify(small_model("gcn"), graph_for(rng))
+            classify(small_model("gcn"), [graph_for(rng)])
 
     def test_with_head_attaches(self):
         rng = np.random.default_rng(10)
         model = with_head(small_model("gcn"), task_count=4, seed=0)
-        assert classify(model, graph_for(rng)).shape == (4,)
+        assert classify(model, [graph_for(rng)]).data[0].shape == (4,)
 
 
 class TestGradients:
     @pytest.mark.parametrize("arch", ["gcn", "gin", "chebnet", "fagcn", "fcn"])
     def test_classify_loss_gradcheck(self, arch):
         rng = np.random.default_rng(11)
-        g = graph_for(rng)
+        graphs = mixed_batch(rng)
         model = small_model(arch, hidden=4, task_count=2, seed=12)
-        w = T.Tensor(np.random.default_rng(1).normal(size=2))
-        rel = finite_difference_check(lambda: T.tsum(classify(model, g) * w),
+        w = T.Tensor(np.random.default_rng(1).normal(size=(len(graphs), 2)))
+        rel = finite_difference_check(lambda: T.tsum(classify(model, graphs) * w),
                                       model.parameters(), h=1e-5)
         assert rel < 1e-5
+
+
+class TestBatching:
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_batch_equals_batches_of_one(self, arch):
+        graphs = mixed_batch(np.random.default_rng(20))
+        model = small_model(arch, task_count=2, seed=21)
+        rows, offsets = encode_nodes(model, graphs)
+        assert offsets.tolist() == np.cumsum([0] + [g.node_count for g in graphs]).tolist()
+        for g, lo, hi in zip(graphs, offsets[:-1], offsets[1:]):
+            one, _ = encode_nodes(model, [g])
+            assert np.max(np.abs(rows.data[lo:hi] - one.data)) < 1e-12
+        singles = np.concatenate([classify(model, [g]).data for g in graphs])
+        assert np.max(np.abs(classify(model, graphs).data - singles)) < 1e-12
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_training_batch_draws_dropout_like_batches_of_one(self, arch):
+        cfg = GnnConfig(arch=arch, layers=3, hidden_dim=6, dropout=0.5, attr_sizes=ATTRS)
+        model = init_model(cfg, seed=22)
+        graphs = mixed_batch(np.random.default_rng(23))
+        batch = embed_graph(model, graphs, training=True, rng=np.random.default_rng(24)).data
+        shared = np.random.default_rng(24)
+        singles = np.concatenate([embed_graph(model, [g], training=True, rng=shared).data
+                                  for g in graphs])
+        assert np.max(np.abs(batch - singles)) < 1e-12
+        assert not np.allclose(batch, embed_graph(model, graphs).data)
+        T.clear_tape()
+
+    def test_tape_nodes_do_not_grow_with_the_batch(self):
+        graphs = mixed_batch(np.random.default_rng(26))
+        for arch in ARCHS:
+            model = small_model(arch, task_count=2)
+            counts = []
+            for batch in (graphs[:1], graphs):
+                T.clear_tape()
+                classify(model, batch)
+                counts.append(T.tape_size())
+            T.clear_tape()
+            assert counts[0] == counts[1], arch
+
+    def test_empty_graph_in_batch_rejected(self):
+        empty = LabeledGraph(id="empty", node_count=0, edges=(), node_attrs=(), edge_attrs=())
+        graphs = mixed_batch(np.random.default_rng(25))
+        for arch in ARCHS:
+            with pytest.raises(DataError, match="empty graph"):
+                encode_nodes(small_model(arch), graphs[:2] + [empty] + graphs[2:])
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(DataError, match="empty batch"):
+            embed_graph(small_model("gin"), [])
 
 
 class TestFilterResponse:
@@ -219,7 +278,7 @@ class TestModelCheckpoint:
         rng = np.random.default_rng(12)
         g = graph_for(rng)
         model = small_model("fagcn", task_count=2, seed=13)
-        before = classify(model, g).data
+        before = classify(model, [g]).data
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
@@ -228,7 +287,7 @@ class TestModelCheckpoint:
         for name, p in model.params.items():
             assert loaded.params[name].data.tobytes() == p.data.tobytes()
             assert loaded.params[name].requires_grad
-        after = classify(loaded, g).data
+        after = classify(loaded, [g]).data
         assert before.tobytes() == after.tobytes()
 
     def test_version_checked(self, tmp_path):
@@ -255,4 +314,4 @@ class TestInferAttrSizes:
                          edge_attrs=())
         model = small_model("gcn")
         with pytest.raises(DataError, match="embedding range"):
-            encode_nodes(model, g)
+            encode_nodes(model, [g])

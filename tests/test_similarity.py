@@ -3,8 +3,8 @@ import pytest
 
 from graphmgs.errors import DataError, NumericError
 from graphmgs.fingerprints import BitFingerprint
-from graphmgs.similarity import (SimilarityPairSet, average_ranks, build_pair_set,
-                                 cosine_pair_sims, cosine_similarity, mgs, pearson,
+from graphmgs.similarity import (ENCODE_BLOCK_GRAPHS, SimilarityPairSet, average_ranks,
+                                 build_pair_set, cosine_pair_sims, cosine_similarity, mgs, pearson,
                                  sample_pairs, spearman, spectral_distance,
                                  structural_pair_sims, structural_similarity, tanimoto,
                                  write_pair_csv)
@@ -204,7 +204,8 @@ class TestMgs:
         fps = make_fingerprints(corpus, "morgan", radius=2)
         embs = {g.id: rng.normal(size=4) for g in corpus}
         embs[corpus.graphs[5].id][:] = np.nan
-        pairs = build_pair_set(corpus, lambda g: embs[g.id], fps, n_pairs=200, seed=1)
+        pairs = build_pair_set(corpus, lambda gs: np.stack([embs[g.id] for g in gs]), fps,
+                               n_pairs=200, seed=1)
         assert np.isnan(pairs.embedding).any()
         with pytest.raises(NumericError, match="non-finite"):
             mgs(pairs)
@@ -225,22 +226,22 @@ class TestBuildPairSet:
     def test_exhaustive_three_graphs(self):
         corpus = self._tiny_corpus()
         fps = self._fps(corpus)
-        pairs = build_pair_set(corpus, lambda g: np.ones(4) + g.node_count, fps,
-                               n_pairs=3, seed=0)
+        pairs = build_pair_set(corpus, lambda gs: np.stack([np.ones(4) + g.node_count for g in gs]),
+                               fps, n_pairs=3, seed=0)
         assert len(pairs.structural) == 3
         assert len(set(pairs.pair_ids)) == 3
 
     def test_too_many_pairs(self):
         corpus = self._tiny_corpus()
         with pytest.raises(DataError, match="cannot sample"):
-            build_pair_set(corpus, lambda g: np.ones(4), self._fps(corpus),
+            build_pair_set(corpus, lambda gs: np.ones((len(gs), 4)), self._fps(corpus),
                            n_pairs=4, seed=0)
 
     @pytest.mark.parametrize("n_pairs", [0, 1])
     def test_fewer_than_two_pairs_rejected(self, n_pairs):
         corpus = self._tiny_corpus()
         with pytest.raises(DataError, match="at least 2 pairs"):
-            build_pair_set(corpus, lambda g: np.ones(4), self._fps(corpus),
+            build_pair_set(corpus, lambda gs: np.ones((len(gs), 4)), self._fps(corpus),
                            n_pairs=n_pairs, seed=0)
 
     def test_seed_determinism(self):
@@ -257,7 +258,8 @@ class TestBuildPairSet:
                           node_attrs=((2,), (3,)), edge_attrs=((1,),))
         corpus = GraphCorpus(graphs=(g1, g2, g3))
         fps = self._fps(corpus)
-        pairs = build_pair_set(corpus, lambda g: np.asarray([1.0, g.node_attrs[0][0]]),
+        pairs = build_pair_set(corpus,
+                               lambda gs: np.asarray([[1.0, g.node_attrs[0][0]] for g in gs]),
                                fps, n_pairs=3, seed=1)
         by_id = dict(zip(pairs.pair_ids, pairs.structural))
         assert by_id[("t1", "t2")] == 1.0
@@ -271,8 +273,8 @@ class TestBuildPairSet:
     def test_csv_export(self, tmp_path):
         corpus = self._tiny_corpus()
         fps = self._fps(corpus)
-        pairs = build_pair_set(corpus, lambda g: np.ones(4) + g.node_count, fps,
-                               n_pairs=3, seed=0)
+        pairs = build_pair_set(corpus, lambda gs: np.stack([np.ones(4) + g.node_count for g in gs]),
+                               fps, n_pairs=3, seed=0)
         path = tmp_path / "pairs.csv"
         write_pair_csv(pairs, path)
         lines = path.read_text().splitlines()
@@ -342,7 +344,16 @@ class TestPairScorer:
         corpus = GraphCorpus(graphs=tuple(random_attributed_graph(rng) for _ in range(20)))
         fps = {g.id: fp for g, fp in zip(corpus, random_fingerprints("topological", rng, 20))}
         embs = {g.id: rng.normal(size=5) for g in corpus}
-        pairs = build_pair_set(corpus, lambda g: embs[g.id], fps, n_pairs=120, seed=3)
+        calls = []
+
+        def encoder(gs):
+            calls.append([g.id for g in gs])
+            return np.stack([embs[g.id] for g in gs])
+
+        pairs = build_pair_set(corpus, encoder, fps, n_pairs=120, seed=3)
+        # the graphs the pairs involve, once each, in blocks of at most ENCODE_BLOCK_GRAPHS
+        assert max(len(c) for c in calls) == ENCODE_BLOCK_GRAPHS and len(calls) > 1
+        assert sorted(sum(calls, [])) == sorted({i for pair in pairs.pair_ids for i in pair})
         graphs = list(corpus)
         idx = sample_pairs(len(graphs), 120, seed=3)
         assert pairs.pair_ids == tuple((graphs[i].id, graphs[j].id) for i, j in idx)
@@ -365,8 +376,16 @@ class TestPairScorer:
             structural_pair_sims(fps, [0], [1])
 
     def test_dimension_mismatch_rejected(self):
+        from graphmgs.graphs import GraphCorpus
+        rng = np.random.default_rng(15)
+        corpus = GraphCorpus(graphs=tuple(random_attributed_graph(rng) for _ in range(12)))
+        fps = {g.id: fp for g, fp in zip(corpus, random_fingerprints("morgan", rng, 12))}
+        first = corpus.graphs[0]  # its block gets 2-dim rows, the next block 3-dim ones
         with pytest.raises(DataError, match="dimension mismatch"):
-            cosine_pair_sims([np.ones(2), np.ones(3)], [0], [1])
+            build_pair_set(corpus, lambda gs: np.ones((len(gs), 2 if gs[0] is first else 3)),
+                           fps, n_pairs=66, seed=0)
+        with pytest.raises(DataError, match="dimension mismatch"):
+            build_pair_set(corpus, lambda gs: np.ones((len(gs) - 1, 3)), fps, n_pairs=66, seed=0)
 
     def test_zero_norm_embedding_rejected_in_evaluation(self):
         from graphmgs.graphs import GraphCorpus
@@ -375,7 +394,8 @@ class TestPairScorer:
         fps = {g.id: fp for g, fp in zip(corpus, random_fingerprints("morgan", rng, 6))}
         zero_id = corpus.graphs[2].id
         with pytest.raises(NumericError, match="zero-norm"):
-            build_pair_set(corpus, lambda g: np.zeros(3) if g.id == zero_id else np.ones(3),
+            build_pair_set(corpus, lambda gs: np.asarray([np.zeros(3) if g.id == zero_id
+                                                          else np.ones(3) for g in gs]),
                            fps, n_pairs=15, seed=0)
 
 

@@ -78,7 +78,7 @@ class TestNonFiniteMatrix:
             symmetric_eigenvalues(np.array([[0.0, np.inf], [np.inf, 0.0]]))
 
 
-class TestJacobiEigensolver:
+class TestSymmetricEigenvalues:
     def test_two_by_two(self):
         eig = symmetric_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert np.allclose(eig, [1.0, 3.0], atol=1e-10)

@@ -38,6 +38,21 @@ class TestOpValues:
         assert np.array_equal(cat.data, [[1], [2], [3]])
         assert np.array_equal(T.index_select(cat, [2, 0]).data, [[3], [1]])
 
+    def test_block_diag_matmul_matches_dense(self):
+        rng = np.random.default_rng(3)
+        blocks = [rng.normal(size=(k, k)) for k in (1, 4, 2)]
+        x = rng.normal(size=(7, 3))
+        dense = np.zeros((7, 7))
+        for b, lo in zip(blocks, (0, 1, 5)):
+            dense[lo:lo + len(b), lo:lo + len(b)] = b
+        out = T.block_diag_matmul(blocks, np.array([0, 1, 5, 7]), T.Tensor(x)).data
+        assert np.max(np.abs(out - dense @ x)) < 1e-14
+
+    @pytest.mark.parametrize("offsets", [[0, 2, 2, 3], [0, 3, 2], [], [0, 2]])
+    def test_segment_mean_rejects_empty_or_partial_segments(self, offsets):
+        with pytest.raises(DataError, match="segment_mean"):
+            T.segment_mean(T.Tensor(np.ones((3, 2))), offsets)
+
     def test_soft_rank_matches_hard_ranks_at_small_tau(self):
         from graphmgs.similarity import average_ranks
         rng = np.random.default_rng(4)
@@ -197,6 +212,7 @@ class TestBackward:
 class TestGradChecksAllOps:
     def test_every_op_against_central_differences(self):
         rng = np.random.default_rng(11)
+        block_rng = np.random.default_rng(12)
         checks = 0
         for trial in range(12):
             m = int(rng.integers(2, 5))
@@ -210,6 +226,8 @@ class TestGradChecksAllOps:
             wm = T.Tensor(rng.normal(size=(m, k)))
             wc = T.Tensor(rng.normal(size=(m, 2 * n)))
             idx = rng.integers(0, m, size=m + 1)
+            offsets = np.array([0, 1, m])  # a one-row and an (m - 1)-row segment
+            blocks = [block_rng.normal(size=(1, 1)), block_rng.normal(size=(m - 1, m - 1))]
             bce_targets = (rng.random((m, n)) > 0.5).astype(float)
             bce_mask = (rng.random((m, n)) > 0.3).astype(float)
             if bce_mask.sum() == 0:
@@ -225,7 +243,9 @@ class TestGradChecksAllOps:
                 "tanh": (lambda: T.tsum(T.tanh(A) * C), [A]),
                 "sigmoid": (lambda: T.tsum(T.sigmoid(A) * C), [A]),
                 "sqrt": (lambda: T.tsum(T.sqrt(w)), [w]),
-                "mean_axis": (lambda: T.tsum(T.tmean(A, axis=0) * v), [A]),
+                "segment_mean": (lambda: T.tsum(T.segment_mean(A, offsets) * v), [A]),
+                "block_diag_matmul": (lambda: T.tsum(
+                    T.block_diag_matmul(blocks, offsets, A) * C), [A]),
                 "sum_keepdims": (lambda: T.tsum(T.tsum(A, axis=1, keepdims=True) * w), [A]),
                 "concat": (lambda: T.tsum(T.concat([A, C], axis=1) * wc), [A, C]),
                 "index_scatter": (lambda: T.tsum(

@@ -37,8 +37,7 @@ def tiny_model(corpus, arch="gin", seed=0, task_count=0):
 
 class TestPgmLoss:
     def _embeddings(self, rng, count=6, dim=5, requires_grad=False):
-        return [T.Tensor(rng.normal(size=dim), requires_grad=requires_grad)
-                for _ in range(count)]
+        return T.Tensor(rng.normal(size=(count, dim)), requires_grad=requires_grad)
 
     def test_pearson_affine_alignment(self):
         rng = np.random.default_rng(0)
@@ -91,7 +90,7 @@ class TestPgmLoss:
         for mode in ("softrank", "pearson"):
             embs = self._embeddings(rng, count=5, requires_grad=True)
             cfg = PgmConfig(surrogate=mode, batch_size=8, epochs=1, temperature=0.1)
-            rel = finite_difference_check(lambda: pgm_loss(embs, structural, cfg), embs)
+            rel = finite_difference_check(lambda: pgm_loss(embs, structural, cfg), [embs])
             assert rel < 1e-5, mode
 
     def test_softrank_converges_to_hard_ranks(self):
@@ -106,7 +105,7 @@ class TestPgmLoss:
     def test_non_finite_embedding_gives_nan_loss(self, mode):
         rng = np.random.default_rng(7)
         embs = self._embeddings(rng)
-        embs[2].data[0] = np.nan
+        embs.data[2, 0] = np.nan
         loss = pgm_loss(embs, rng.normal(size=15), PgmConfig(surrogate=mode))
         assert np.isnan(loss.item())
         T.clear_tape()
@@ -120,9 +119,9 @@ class TestPgmLoss:
 def _pair_cosines(embs):
     from graphmgs.similarity import cosine_similarity
     out = []
-    for i in range(len(embs)):
-        for j in range(i + 1, len(embs)):
-            out.append(cosine_similarity(embs[i].data, embs[j].data))
+    for i in range(len(embs.data)):
+        for j in range(i + 1, len(embs.data)):
+            out.append(cosine_similarity(embs.data[i], embs.data[j]))
     return np.asarray(out)
 
 
@@ -202,8 +201,8 @@ class TestEvaluateMgs:
         fps = make_fingerprints(corpus, "topological", max_path_len=2)
         model = tiny_model(corpus, seed=6)
 
-        def encoder(g):
-            return fps[g.id].bits.astype(float)
+        def encoder(graphs):
+            return np.stack([fps[g.id].bits.astype(float) for g in graphs])
 
         from graphmgs.similarity import build_pair_set
         pairs = build_pair_set(corpus, encoder, fps, n_pairs=6, seed=0)
@@ -314,7 +313,7 @@ class TestFinetune:
         model, _ = finetune(corpus, model, epochs=50, seed=1)
         from graphmgs.models import classify
         with T.no_grad():
-            scores = [classify(model, g).data[0] for g in corpus]
+            scores = classify(model, list(corpus)).data[:, 0]
         labels = [g.graph_labels[0] for g in corpus]
         assert roc_auc(scores, labels) == 1.0
 
@@ -336,12 +335,10 @@ class TestFinetune:
         # via a direct loss probe instead
         from graphmgs.models import classify
         g = tiny_corpus.graphs[0]
-        logits = classify(model1, g)
-        base = T.bce_with_logits(T.reshape(logits, (1, -1)),
-                                 np.asarray([[1.0]]), np.asarray([[1.0]]))
+        logits = classify(model1, [g])
+        base = T.bce_with_logits(logits, np.asarray([[1.0]]), np.asarray([[1.0]]))
         with pytest.raises(DataError, match="no unmasked"):
-            T.bce_with_logits(T.reshape(classify(model1, g), (1, -1)),
-                              np.asarray([[1.0]]), np.asarray([[0.0]]))
+            T.bce_with_logits(classify(model1, [g]), np.asarray([[1.0]]), np.asarray([[0.0]]))
         T.clear_tape()
         assert np.isfinite(base.item())
 
@@ -381,6 +378,29 @@ class TestFinetune:
         assert report.to_dict()["selection"] == "last_epoch"
         assert any(not np.array_equal(p.data, initial[k]) for k, p in model.params.items())
         assert np.isfinite(report.test_auc)
+
+    @pytest.mark.parametrize("one_class_valid", [False, True])
+    def test_non_finite_validation_scores_raise(self, one_class_valid):
+        # only valid-fold graphs carry attribute 2, whose embedding row is NaN:
+        # the training loss and the test fold stay finite, the valid scores do not
+        seed = 5
+        plain = split_folds(40, derive_seed(seed, "finetune-split"))
+        # 2 positives are below MIN_STRATUM: one lands in test, none in valid
+        positives = ({int(plain["test"][0]), int(plain["train"][0])} if one_class_valid
+                     else set(range(0, 40, 2)))
+        labels = [(int(i in positives),) for i in range(40)]
+        folds = split_folds(40, derive_seed(seed, "finetune-split"), labels)
+        valid = set(folds["valid"].tolist())
+        assert len({labels[i] for i in valid}) == (1 if one_class_valid else 2)
+        graphs = tuple(LabeledGraph(
+            id=f"v{i}", node_count=4, edges=((0, 1), (1, 2), (2, 3)),
+            node_attrs=((2 if i in valid else i % 2,), (0,), (1,), (i % 2,)),
+            edge_attrs=((0,),) * 3, graph_labels=labels[i]) for i in range(40))
+        corpus = GraphCorpus(graphs=graphs, task_count=1)
+        model = tiny_model(corpus, seed=19, task_count=1)
+        model.params["embed.0"].data[2] = np.nan
+        with pytest.raises(NumericError, match="non-finite"):
+            finetune(corpus, model, epochs=2, seed=seed)
 
     def test_zero_epochs_returns_initial_parameters(self, tiny_corpus):
         model = tiny_model(tiny_corpus, seed=17, task_count=1)
