@@ -7,14 +7,21 @@ deterministic across runs and platforms.  The scalar ``fnv1a64`` and
 ``splitmix64_rows`` compute the same values over numpy uint64 arrays.
 
 Topological path features (after Rogers & Hahn, "Extended-Connectivity
-Fingerprints", JCIM 2010) come from a frontier engine.  Per graph it builds
-CSR neighbour arrays and dense n×n adjacency and bond-code tables once.  The
-frontier for path length k is a (rows, k + 1) array of every directed simple
-path with k edges; each length is hashed as one batch, then extended by every
-neighbour of the last node that is not already on the path.  The next
-frontier is counted before it is built, so a graph over
-``MAX_PATHS_PER_GRAPH`` fails before the costly lengths; the work runs in
-blocks of ``PATH_BLOCK_ROWS`` rows, so the copies it makes stay small.
+Fingerprints", JCIM 2010) come from one engine, ``topological_fingerprints``,
+that walks the simple paths of a whole batch of graphs together; a single
+graph is a batch of one.  Nodes are renumbered to global rows of the batch and
+one CSR lists its directed edge slots, each with a head node, a tail node and
+a bond code; node and bond codes are hashed once per batch.  A path of k edges
+is a row of k slots, and a block is an int32 array of such rows from any
+graphs of the batch.  The walk is depth-first: it extends the next rows of the
+deepest block whose continuations fit in ``PATH_BLOCK_ROWS`` rows, hashes the
+canonical rows of the new block into one (graphs, nbits) bit matrix, adds them
+to each graph's running total and descends.  At most one block per path
+length is alive, so beyond the CSR itself (whose slots are the 1-edge paths)
+memory is O(max_path_len × PATH_BLOCK_ROWS) whatever the batch size or a
+graph's path count; a breadth-first frontier of every k-edge path would grow
+with both.  ``MAX_PATHS_PER_GRAPH`` caps each graph on its
+own: the walk raises as soon as one graph's running total passes it.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ TOPOLOGICAL = "topological"
 MORGAN = "morgan"
 
 MAX_PATHS_PER_GRAPH = 10 ** 6
-PATH_BLOCK_ROWS = 1024  # frontier rows per numpy batch; bounds the transient copies
+PATH_BLOCK_ROWS = 32768  # path rows per block of the depth-first walk; bounds its memory
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -133,106 +140,133 @@ def _bond_codes(g: LabeledGraph) -> dict[tuple[int, int], int]:
     return codes
 
 
-def _path_node_codes(g: LabeledGraph) -> list[int]:
-    """Per-node hash of the node attributes alone.  Path features must not
-    depend on degrees, otherwise adding an edge elsewhere would rewrite the
-    encodings of untouched paths (bits could be cleared instead of OR-ed)."""
-    return [fnv1a64((len(attrs), *attrs)) for attrs in g.node_attrs]
+def _attr_codes(rows) -> np.ndarray:
+    """``fnv1a64((len(a), *a))`` of each attribute tuple, one batch per tuple length."""
+    codes = np.empty(len(rows), dtype=np.uint64)
+    widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    for width in np.unique(widths).tolist():
+        at = np.flatnonzero(widths == width)
+        table = np.array([(width, *(v & _MASK64 for v in rows[i])) for i in at], dtype=np.uint64)
+        codes[at] = fnv1a64_rows(table.reshape(len(at), width + 1))
+    return codes
 
 
 def topological_fingerprint(g: LabeledGraph, max_path_len: int = 7,
                             nbits: int = 2048,
                             bits_per_feature: int = 2) -> BitFingerprint:
-    """Hash every simple path of 1..max_path_len edges into the bit vector.
+    """The fingerprint of one graph: ``topological_fingerprints`` of a batch of one."""
+    return topological_fingerprints([g], max_path_len, nbits, bits_per_feature)[0]
 
+
+def topological_fingerprints(graphs, max_path_len: int = 7, nbits: int = 2048,
+                             bits_per_feature: int = 2) -> list[BitFingerprint]:
+    """Hash every simple path of 1..max_path_len edges of each graph of the
+    batch into that graph's bit vector; returns one fingerprint per graph.
+
+    The paths of all graphs are walked together (see the module docstring):
+    a block holds paths of one length from any graphs, one row of directed
+    edge slots each, and depth-first order keeps one block per length alive.
     A path is canonicalized as the lexicographically smaller of its two
     directional encodings (alternating attribute-only node codes and bond
     codes); the canonical hash seeds splitmix64, which picks
-    ``bits_per_feature`` indices.  More than ``MAX_PATHS_PER_GRAPH`` paths
-    raise ``DataError``.
+    ``bits_per_feature`` indices.  The cap is per graph: the first graph whose
+    running path count passes ``MAX_PATHS_PER_GRAPH`` raises ``DataError``
+    naming it, however many paths the batch holds in all.
     """
     if max_path_len < 1 or bits_per_feature < 1:
         raise DataError("topological fingerprint: max_path_len and bits_per_feature must be >= 1")
+    params = (("max_path_len", max_path_len), ("nbits", nbits),
+              ("bits_per_feature", bits_per_feature))
     # built first, so a bad nbits fails before any path is enumerated
-    fp = BitFingerprint(bits=np.zeros(nbits, dtype=bool), scheme=TOPOLOGICAL,
-                        params=(("max_path_len", max_path_len),
-                                ("nbits", nbits),
-                                ("bits_per_feature", bits_per_feature)))
-    n = g.node_count
-    u, v = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
-    adj = np.zeros((n, n), dtype=bool)
-    adj[u, v] = adj[v, u] = True
-    bond = np.zeros((n, n), dtype=np.uint64)
-    bond[u, v] = bond[v, u] = np.array([_edge_code(a) for a in g.edge_attrs], dtype=np.uint64)
-    node_code = np.array(_path_node_codes(g), dtype=np.uint64)
-    # row-major nonzeros are the CSR neighbour lists, node by node
-    src, nbr = np.nonzero(adj)
-    deg = adj.sum(axis=1)
+    BitFingerprint(bits=np.zeros(nbits, dtype=bool), scheme=TOPOLOGICAL, params=params)
+    graphs = list(graphs)
+    bits = np.zeros((len(graphs), nbits), dtype=bool)
+    sizes = [g.node_count for g in graphs]
+    owner = np.repeat(np.arange(len(graphs)), sizes)
+    ends = np.array([(u + lo, v + lo) for g, lo in zip(graphs, np.cumsum([0] + sizes).tolist())
+                     for u, v in g.edges], dtype=np.intp).reshape(-1, 2)
+    # directed edge slots in order of their head node, the batch's CSR: slot s
+    # runs from head[s] to tail[s] over a bond with code bond[s]
+    directed = np.concatenate([ends, ends[:, ::-1]])
+    order = np.argsort(directed[:, 0], kind="stable")
+    head, tail = directed[order].T.copy()
+    bond = np.tile(_attr_codes([a for g in graphs for a in g.edge_attrs]), 2)[order]
+    # node codes hash the attributes alone: with degrees in them, adding an edge
+    # elsewhere would rewrite the encodings of untouched paths and clear bits
+    node_code = _attr_codes([a for g in graphs for a in g.node_attrs])
+    deg = np.bincount(head, minlength=len(owner))
     indptr = np.concatenate([[0], np.cumsum(deg)])
+    head_code, tail_code = node_code[head], node_code[tail]
+    totals = np.zeros(len(graphs), dtype=np.int64)
+    # depth first over blocks of k-edge paths, one int32 row of k slots each.
+    # An entry holds a block, the running count of its rows' continuations
+    # (from 0) and the rows extended so far; each step extends the next rows
+    # whose continuations fit in PATH_BLOCK_ROWS, so the stack holds fewer
+    # than max_path_len blocks whatever the batch size or the path count.
+    stack = []
 
-    # frontier of directed simple paths with k edges, one int32 row of k + 1
-    # nodes each (half the memory of intp on large frontiers); every
-    # undirected path appears twice, and the copy with path[0] < path[-1] is
-    # the one hashed
-    paths = np.stack([src, nbr], axis=1).astype(np.int32)
-    total = g.edge_count
-    _check_path_count(g, total)
-    for k in range(1, max_path_len + 1):
-        for block in _row_blocks(paths):
-            _set_path_bits(fp.bits, block[block[:, 0] < block[:, -1]], node_code, bond,
-                           bits_per_feature)
-        if k == max_path_len:
-            break
-        # count the next frontier before building it
-        grown = sum(int((deg[block[:, -1]] - adj[block[:, -1:], block].sum(1)).sum())
-                    for block in _row_blocks(paths))
-        if not grown:
-            break
-        total += grown // 2
-        _check_path_count(g, total)
-        longer = np.empty((grown, k + 2), dtype=paths.dtype)
-        filled = 0
-        for block in _row_blocks(paths):
-            filled += _extend_paths(block, indptr, nbr, longer[filled:])
-        paths = longer
-    return fp
+    def push(paths: np.ndarray) -> None:
+        # every undirected path appears twice; the copy whose first node is
+        # below its last is counted and hashed
+        canonical = paths[head[paths[:, 0]] < tail[paths[:, -1]]]
+        graph = owner[head[canonical[:, 0]]]
+        totals[:] += np.bincount(graph, minlength=len(graphs))
+        over = np.flatnonzero(totals > MAX_PATHS_PER_GRAPH)
+        if len(over):
+            raise DataError(f"graph {graphs[over[0]].id!r}: "
+                            f"more than {MAX_PATHS_PER_GRAPH} simple paths")
+        _set_path_bits(bits, graph, canonical, head_code, tail_code, bond, bits_per_feature)
+        if paths.shape[1] < max_path_len:
+            # the edge back to the previous node never continues a simple path
+            reach = np.concatenate([[0], np.cumsum(deg[tail[paths[:, -1]]] - 1)])
+            stack.append([paths, reach, 0])
+
+    push(np.arange(len(head), dtype=np.int32)[:, None])
+    while stack:
+        top = stack[-1]
+        paths, reach, lo = top
+        if lo == len(paths):
+            stack.pop()
+            continue
+        # at least one row, even when its continuations alone exceed the block
+        hi = max(lo + 1, int(np.searchsorted(reach, reach[lo] + PATH_BLOCK_ROWS, "right")) - 1)
+        top[2] = hi
+        longer = _extend_paths(paths[lo:hi], indptr, head, tail)
+        if len(longer):
+            push(longer)
+    return [BitFingerprint(bits=row, scheme=TOPOLOGICAL, params=params) for row in bits]
 
 
-def _check_path_count(g: LabeledGraph, total: int) -> None:
-    if total > MAX_PATHS_PER_GRAPH:
-        raise DataError(f"graph {g.id!r}: more than {MAX_PATHS_PER_GRAPH} simple paths")
-
-
-def _row_blocks(paths: np.ndarray):
-    for lo in range(0, len(paths), PATH_BLOCK_ROWS):
-        yield paths[lo:lo + PATH_BLOCK_ROWS]
-
-
-def _extend_paths(paths: np.ndarray, indptr: np.ndarray, nbr: np.ndarray,
-                  out: np.ndarray) -> int:
-    """Write every simple path that continues a row of ``paths`` by one edge
-    to the first rows of ``out``; return how many rows were written."""
-    last = paths[:, -1]
+def _extend_paths(paths: np.ndarray, indptr: np.ndarray, head: np.ndarray,
+                  tail: np.ndarray) -> np.ndarray:
+    """Every simple path that continues a row of ``paths`` by one more slot."""
+    last = tail[paths[:, -1]]
     start = indptr[last]
     count = indptr[last + 1] - start
     row = np.repeat(np.arange(len(paths)), count)
-    # offset of each candidate within its row's neighbour list, plus the list start
+    # offset of each candidate within its row's slot list, plus the list start
     slot = np.arange(len(row)) + np.repeat(start - (np.cumsum(count) - count), count)
-    nxt = nbr[slot]
-    keep = (paths[row] != nxt[:, None]).all(axis=1)
-    kept = int(keep.sum())
-    out[:kept, :-1] = paths[row[keep]]
-    out[:kept, -1] = nxt[keep]
-    return kept
+    nxt = tail[slot]
+    # column by column, since a (candidates, k + 1) comparison reduced along
+    # its short rows costs more; the last node is never its own neighbour
+    keep = head[paths[row, 0]] != nxt
+    for column in paths.T[:-1]:
+        keep &= tail[column[row]] != nxt
+    out = np.empty((int(keep.sum()), paths.shape[1] + 1), dtype=paths.dtype)
+    out[:, :-1] = paths[row[keep]]
+    out[:, -1] = slot[keep]
+    return out
 
 
-def _set_path_bits(bits: np.ndarray, paths: np.ndarray, node_code: np.ndarray,
-                   bond: np.ndarray, bits_per_feature: int) -> None:
-    """Hash each path's canonical encoding into ``bits``."""
+def _set_path_bits(bits: np.ndarray, graph: np.ndarray, paths: np.ndarray,
+                   head_code: np.ndarray, tail_code: np.ndarray, bond: np.ndarray,
+                   bits_per_feature: int) -> None:
+    """Hash the canonical encoding of each path into its graph's row of ``bits``."""
     rows = np.arange(len(paths))
-    forward = np.empty((len(paths), 2 * paths.shape[1] - 1), dtype=np.uint64)
-    forward[:, 0::2] = node_code[paths]
-    forward[:, 1::2] = bond[paths[:, :-1], paths[:, 1:]]
+    forward = np.empty((len(paths), 2 * paths.shape[1] + 1), dtype=np.uint64)
+    forward[:, 0] = head_code[paths[:, 0]]
+    forward[:, 1::2] = bond[paths]
+    forward[:, 2::2] = tail_code[paths]
     backward = forward[:, ::-1]
     # the first column where the directions differ decides; a palindrome
     # differs nowhere, argmax gives column 0 and forward is kept
@@ -242,7 +276,7 @@ def _set_path_bits(bits: np.ndarray, paths: np.ndarray, node_code: np.ndarray,
     state = fnv1a64_rows(forward)
     for _ in range(bits_per_feature):
         draw, state = splitmix64_rows(state)
-        bits[draw % np.uint64(len(bits))] = True
+        bits[graph, draw % np.uint64(bits.shape[1])] = True
 
 
 def morgan_fingerprint(g: LabeledGraph, radius: int = 2,
@@ -294,7 +328,8 @@ def morgan_fingerprint(g: LabeledGraph, radius: int = 2,
 def make_fingerprints(corpus, scheme: str, **params) -> dict[str, BitFingerprint]:
     """Fingerprint every graph in a corpus with one bit scheme."""
     if scheme == TOPOLOGICAL:
-        return {g.id: topological_fingerprint(g, **params) for g in corpus}
+        graphs = list(corpus)
+        return dict(zip((g.id for g in graphs), topological_fingerprints(graphs, **params)))
     if scheme == MORGAN:
         return {g.id: morgan_fingerprint(g, **params) for g in corpus}
     raise DataError(f"unknown bit-fingerprint scheme {scheme!r}")

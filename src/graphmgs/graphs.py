@@ -139,24 +139,35 @@ class GraphCorpus:
         return self._index[graph_id]
 
 
+def _json_int(value, field: str) -> int:
+    """A JSON integer; floats, booleans and strings raise TypeError."""
+    if type(value) is not int:  # bool is a subclass of int
+        raise TypeError(f"{field}: expected an integer, got {value!r}")
+    return value
+
+
 def _graph_from_record(rec: dict, line_no: int) -> LabeledGraph:
+    def ints(values, field: str) -> tuple[int, ...]:
+        return tuple(_json_int(v, field) for v in values)
+
     try:
         gid = str(rec["id"])
-        n = int(rec["n"])
-        edges = tuple((min(int(u), int(v)), max(int(u), int(v))) for u, v in rec["edges"])
-        node_attrs = tuple(tuple(int(x) for x in row) for row in rec["node_attrs"])
-        edge_attrs = tuple(tuple(int(x) for x in row) for row in rec["edge_attrs"])
+        n = _json_int(rec["n"], "n")
+        edges = tuple((min(u, v), max(u, v)) for u, v in (ints(e, "edges") for e in rec["edges"]))
+        node_attrs = tuple(ints(row, "node_attrs") for row in rec["node_attrs"])
+        edge_attrs = tuple(ints(row, "edge_attrs") for row in rec["edge_attrs"])
+        node_labels = None
+        if rec.get("node_labels") is not None:
+            node_labels = ints(rec["node_labels"], "node_labels")
+        graph_labels = None
+        if rec.get("graph_labels") is not None:
+            graph_labels = tuple(None if y is None else _json_int(y, "graph_labels")
+                                 for y in rec["graph_labels"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"line {line_no}: malformed graph record ({exc})") from exc
-    node_labels = None
-    if rec.get("node_labels") is not None:
-        node_labels = tuple(int(y) for y in rec["node_labels"])
-    graph_labels = None
-    if rec.get("graph_labels") is not None:
-        graph_labels = tuple(None if y is None else int(y) for y in rec["graph_labels"])
-        for y in graph_labels:
-            if y not in (0, 1, None):
-                raise DataError(f"line {line_no}: graph label {y} not in {{0,1,null}}")
+    for y in graph_labels or ():
+        if y not in (0, 1, None):
+            raise DataError(f"line {line_no}: graph label {y} not in {{0,1,null}}")
     return LabeledGraph(id=gid, node_count=n, edges=edges, node_attrs=node_attrs,
                         edge_attrs=edge_attrs, node_labels=node_labels,
                         graph_labels=graph_labels)

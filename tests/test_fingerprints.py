@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +9,9 @@ import pytest
 from graphmgs import fingerprints
 from graphmgs.errors import DataError
 from graphmgs.fingerprints import (BitFingerprint, atom_invariants, fnv1a64,
-                                   fnv1a64_rows, morgan_fingerprint, splitmix64,
-                                   splitmix64_rows, topological_fingerprint)
+                                   fnv1a64_rows, make_fingerprints, morgan_fingerprint,
+                                   splitmix64, splitmix64_rows, topological_fingerprint,
+                                   topological_fingerprints)
 from graphmgs.graphs import LabeledGraph
 
 from conftest import random_attributed_graph
@@ -20,9 +22,9 @@ def molecule(n, edges, node_attrs, edge_attrs, gid="m"):
                         node_attrs=tuple(node_attrs), edge_attrs=tuple(edge_attrs))
 
 
-def complete_graph(n):
+def complete_graph(n, gid=None):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return molecule(n, edges, [(0,)] * n, [(0,)] * len(edges), gid=f"k{n}")
+    return molecule(n, edges, [(0,)] * n, [(0,)] * len(edges), gid=gid or f"k{n}")
 
 
 def reference_topological_bits(g, max_path_len, nbits, bits_per_feature):
@@ -182,7 +184,7 @@ class TestTopological:
             assert np.all(after[before])  # existing bits never cleared
 
     def test_component_subgraph_bits_subset(self):
-        # path features hash attribute-only node codes (_path_node_codes), so a
+        # path features hash attribute-only node codes, so a
         # component's paths encode the same inside the union and its bits are a
         # subset of the union's; 2^16 bits keep the vectors sparse, so a
         # missing path would show
@@ -217,6 +219,71 @@ class TestTopological:
         monkeypatch.setattr(fingerprints, "MAX_PATHS_PER_GRAPH", count - 1)
         with pytest.raises(DataError, match="paths"):
             topological_fingerprint(g, max_path_len=max_path_len)
+
+
+class TestBatch:
+    """``topological_fingerprints`` walks a whole batch; each graph's bits and
+    path cap are its own."""
+
+    def test_mixed_batch_matches_scalar_reference(self):
+        rng = np.random.default_rng(9)
+        graphs = [molecule(0, [], [], [], gid="empty"),
+                  molecule(1, [], [(6,)], [], gid="atom"),
+                  molecule(4, [], [(6,), (7,), (8,), (6,)], [], gid="edgeless"),
+                  molecule(3, [(0, 1), (1, 2)], [(6,), (7,), (6,)], [(1,), (1,)], gid="cnc"),
+                  complete_graph(5),
+                  molecule(4, [(0, 1), (1, 2), (2, 3), (0, 3)], [(-1,), (2,), (-3,), (0,)],
+                           [(-2,), (1,), (-2,), (0,)], gid="negative")]
+        graphs += [random_attributed_graph(rng, n_min=1, n_max=10) for _ in range(12)]
+        for max_path_len, nbits, bpf in ((1, 64, 1), (4, 2048, 2), (7, 1 << 16, 3)):
+            got = topological_fingerprints(graphs, max_path_len, nbits, bpf)
+            assert len(got) == len(graphs)
+            for g, fp in zip(graphs, got):
+                assert fp.params == (("max_path_len", max_path_len), ("nbits", nbits),
+                                     ("bits_per_feature", bpf))
+                assert np.array_equal(
+                    fp.bits, reference_topological_bits(g, max_path_len, nbits, bpf)), g.id
+        assert topological_fingerprints([], max_path_len=3) == []
+
+    def test_attr_codes_match_scalar(self):
+        # node and bond codes are hashed in batches grouped by tuple length;
+        # negative and 64-bit values hash as their two's complement
+        rows = [(), (0,), (3, 1), (-1,), (2, -7, 5), (1 << 63,), (-(1 << 63), 4), (3, 1), (9,)]
+        got = fingerprints._attr_codes(rows)
+        assert got.dtype == np.uint64
+        assert [int(c) for c in got] == [fnv1a64((len(a), *a)) for a in rows]
+
+    @pytest.mark.parametrize("max_path_len, count", [(1, 10), (4, 160)])
+    def test_cap_counts_each_graph(self, monkeypatch, max_path_len, count):
+        # K5 comes after a path graph with fewer paths; at its exact count the
+        # batch passes, one below it raises naming K5
+        chain = molecule(4, [(0, 1), (1, 2), (2, 3)], [(0,)] * 4, [(0,)] * 3, gid="chain")
+        batch = [chain, complete_graph(5, gid="k5-capped")]
+        monkeypatch.setattr(fingerprints, "MAX_PATHS_PER_GRAPH", count)
+        make_fingerprints(batch, "topological", max_path_len=max_path_len)
+        monkeypatch.setattr(fingerprints, "MAX_PATHS_PER_GRAPH", count - 1)
+        with pytest.raises(DataError, match="'k5-capped'.*paths"):
+            make_fingerprints(batch, "topological", max_path_len=max_path_len)
+
+    def test_cap_ignores_batch_total(self, monkeypatch):
+        # four K5 copies hold 640 paths of up to 4 edges, 160 each
+        monkeypatch.setattr(fingerprints, "MAX_PATHS_PER_GRAPH", 160)
+        copies = [complete_graph(5, gid=f"k5-{i}") for i in range(4)]
+        fps = make_fingerprints(copies, "topological", max_path_len=4)
+        assert len({fp.to_hex() for fp in fps.values()}) == 1
+
+    def test_memory_bounded_by_blocks(self):
+        # eight K9 copies hold 8 x 623,520 directed paths of up to 7 edges; a
+        # breadth-first frontier of the 7-edge ones alone would take 93 MB
+        copies = [complete_graph(9, gid=f"k9-{i}") for i in range(8)]
+        tracemalloc.start()
+        try:
+            fps = make_fingerprints(copies, "topological", max_path_len=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+        assert np.array_equal(fps["k9-7"].bits, topological_fingerprint(copies[0]).bits)
 
 
 class TestMorgan:
@@ -269,13 +336,24 @@ class TestGolden:
                   for spec in GOLDEN["graphs"]}
         cases = [c for c in GOLDEN["cases"] if c["scheme"] == scheme]
         assert cases
+
+        def recorded(case, got):
+            if "sha256" in case:
+                return hashlib.sha256(got.encode("ascii")).hexdigest() == case["sha256"]
+            return got == case["hex"]
+
         mismatched = []
         for case in cases:
             got = fingerprint(graphs[case["graph"]], **case["params"]).to_hex()
-            if "sha256" in case:
-                ok = hashlib.sha256(got.encode("ascii")).hexdigest() == case["sha256"]
-            else:
-                ok = got == case["hex"]
-            if not ok:
+            if not recorded(case, got):
                 mismatched.append((case["graph"], case["params"]))
+        if scheme == "topological":
+            # and the batch engine: all 12 fixtures in one call per parameter set
+            for params in {json.dumps(c["params"], sort_keys=True) for c in cases}:
+                params = json.loads(params)
+                batch = make_fingerprints(list(graphs.values()), scheme, **params)
+                for case in cases:
+                    if case["params"] == params and not recorded(
+                            case, batch[graphs[case["graph"]].id].to_hex()):
+                        mismatched.append((case["graph"], case["params"], "batch"))
         assert not mismatched

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,22 @@ class TestLoadCorpus:
     def test_parse_error_names_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(TRIANGLE_LINE + "\n{oops\n", encoding="utf-8")
+        with pytest.raises(DataError, match="line 2"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("node_labels", ["x", 1, 0]), ("node_labels", 5), ("node_labels", [0, 1.0, 1]),
+        ("graph_labels", ["x"]), ("graph_labels", [0.7]), ("graph_labels", [True]),
+        ("node_attrs", [[0], [1.5], [1]]), ("node_attrs", [[0], ["1"], [1]]),
+        ("edge_attrs", [[0], [False], [0]]), ("edges", [[0, 1], [0, 2.0], [1, 2]]),
+        ("n", 3.0), ("n", True)])
+    def test_non_integer_field_names_line(self, tmp_path, field, value):
+        # only JSON integers parse: strings, floats and booleans are rejected
+        # rather than cast, so 0.7 is not read as the label 0
+        record = dict(json.loads(TRIANGLE_LINE), id="bad")
+        record[field] = value
+        path = tmp_path / "bad.jsonl"
+        path.write_text(TRIANGLE_LINE + "\n" + json.dumps(record) + "\n", encoding="utf-8")
         with pytest.raises(DataError, match="line 2"):
             load_corpus(path)
 
