@@ -151,7 +151,10 @@ def _graph_from_record(rec: dict, line_no: int) -> LabeledGraph:
         return tuple(_json_int(v, field) for v in values)
 
     try:
-        gid = str(rec["id"])
+        gid = rec["id"]
+        if type(gid) not in (str, int):  # bool is a subclass of int
+            raise TypeError(f"id: expected a string or an integer, got {gid!r}")
+        gid = str(gid)
         n = _json_int(rec["n"], "n")
         edges = tuple((min(u, v), max(u, v)) for u, v in (ints(e, "edges") for e in rec["edges"]))
         node_attrs = tuple(ints(row, "node_attrs") for row in rec["node_attrs"])
@@ -177,7 +180,7 @@ def load_corpus(path, name: str = "") -> GraphCorpus:
     """Load a JSONL corpus: one graph object per line, UTF-8, LF endings.
 
     Record schema:
-      {"id": str, "n": int, "edges": [[u,v],...], "node_attrs": [[int,...],...],
+      {"id": str|int, "n": int, "edges": [[u,v],...], "node_attrs": [[int,...],...],
        "edge_attrs": [[int,...],...], "node_labels": [int,...]?, "graph_labels": [0|1|null,...]?}
     """
     graphs = []

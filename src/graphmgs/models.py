@@ -4,11 +4,10 @@ Every architecture maps categorical node attributes through summed embedding
 tables, stacks ``layers`` propagation layers, mean-pools to a graph embedding,
 and optionally applies a linear classification head.  A batch of graphs is
 one matrix of stacked node rows (graph k owns rows offsets[k]:offsets[k+1]),
-and a single graph is a batch of one.  Weight matmuls act on all rows at once,
-each graph's dense propagation matrix on its own rows, and FAGCN's edges are
-renumbered to global rows, so a forward pass records a fixed number of tape
-nodes per layer.  Evaluation encodes blocks of ``similarity.ENCODE_BLOCK_GRAPHS``
-graphs, because FAGCN's (edges x 2 hidden) arrays grow with the block.
+and a single graph is a batch of one.  Weight matmuls act on all rows at once
+and each graph's dense propagation operator on its own rows (FAGCN weights its
+operator's entries by edge attention first), so a forward pass records a
+fixed number of tape nodes per layer.
 """
 
 from __future__ import annotations
@@ -162,9 +161,10 @@ def _scaled_laplacian(g: LabeledGraph) -> np.ndarray:
     return laplacian(g, SYM_NORMALIZED).matrix - np.eye(g.node_count)
 
 
-# the dense per-graph operator each propagating architecture multiplies by
+# the dense per-graph operator each propagating architecture multiplies by; FAGCN's
+# D^{-1/2} A D^{-1/2} (zero rows for isolated nodes) is minus ChebNet's
 _OPERATORS = {"gcn": _gcn_propagation, "gin": LabeledGraph.adjacency,
-              "chebnet": _scaled_laplacian}
+              "chebnet": _scaled_laplacian, "fagcn": lambda g: -_scaled_laplacian(g)}
 
 
 def encode_nodes(model: GnnModel, graphs, training: bool = False,
@@ -192,15 +192,8 @@ def encode_nodes(model: GnnModel, graphs, training: bool = False,
     p = model.params
     ops = [_OPERATORS[cfg.arch](g) for g in graphs] if cfg.arch in _OPERATORS else None
     if cfg.arch == "fagcn":
-        # residual propagation around a projected input; edge attention tanh(g . [h_i || h_j])
-        # scaled by 1/sqrt(d_i d_j) on both directions of each edge; edgeless rows stay eps*h0
+        # residual propagation around a projected input; isolated rows stay eps*h0
         h = h0 = T.relu(h @ p["proj.w"])
-        ends = [np.asarray(g.edges, dtype=np.int64).reshape(-1, 2) + lo
-                for g, lo in zip(graphs, offsets)]
-        src = np.concatenate([e.reshape(-1) for e in ends])
-        dst = np.concatenate([e[:, ::-1].reshape(-1) for e in ends])
-        deg = np.concatenate([g.degrees() for g in graphs]).astype(np.float64)
-        norm = T.Tensor((1.0 / np.sqrt(deg[dst] * deg[src])).reshape(-1, 1))
 
     for l in range(cfg.layers):
         if cfg.arch == "gcn":
@@ -220,11 +213,10 @@ def encode_nodes(model: GnnModel, graphs, training: bool = False,
                 out = out + xk @ p[f"layer{l}.theta{k}"]
             h = T.relu(out)
         else:
-            h_src = T.index_select(h, src)
-            h_dst = T.index_select(h, dst)
-            alpha = T.tanh(T.concat([h_dst, h_src], axis=1) @ p[f"layer{l}.g"])
-            coeff = T.reshape(alpha, (-1, 1)) * norm
-            h = cfg.fagcn_eps * h0 + T.scatter_add(coeff * h_src, dst, int(offsets[-1]))
+            # edge attention tanh(g . [h_i || h_j]) = tanh(g[:h] . h_i + g[h:] . h_j)
+            # weights the entry 1/sqrt(d_i d_j) of receiver i and sender j
+            scores = h @ T.transpose(T.reshape(p[f"layer{l}.g"], (2, cfg.hidden_dim)))
+            h = cfg.fagcn_eps * h0 + T.block_diag_attention(ops, offsets, scores, h)
         if l < len(masks):
             h = h * masks[l]
     return h, offsets

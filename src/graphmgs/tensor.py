@@ -36,14 +36,13 @@ def no_grad():
 class Tensor:
     """Row-major float64 array, optionally tracked by the gradient tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_backward", "_parents")
+    __slots__ = ("data", "requires_grad", "grad", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
         self._backward = None
-        self._parents: tuple = ()
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -93,7 +92,6 @@ def as_tensor(x) -> Tensor:
 def _record(out: Tensor, parents: tuple[Tensor, ...], backward) -> Tensor:
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = parents
         out._backward = backward
         _TAPE.append(out)
     return out
@@ -151,26 +149,16 @@ def divide(a, b) -> Tensor:
 
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim not in (1, 2) or b.data.ndim not in (1, 2):
-        raise DataError(f"matmul: only 1-D/2-D operands, got {a.shape} @ {b.shape}")
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise DataError(f"matmul: only 2-D operands, got {a.shape} @ {b.shape}")
     try:
         out = Tensor(a.data @ b.data)
     except ValueError as exc:
         raise DataError(f"matmul: incompatible shapes {a.shape} @ {b.shape}") from exc
 
     def backward(g):
-        A = a.data if a.data.ndim == 2 else a.data[None, :]
-        B = b.data if b.data.ndim == 2 else b.data[:, None]
-        if a.data.ndim == 1 and b.data.ndim == 1:
-            G = np.asarray(g).reshape(1, 1)
-        elif a.data.ndim == 1:
-            G = np.asarray(g).reshape(1, -1)
-        elif b.data.ndim == 1:
-            G = np.asarray(g).reshape(-1, 1)
-        else:
-            G = g
-        _accumulate(a, (G @ B.T).reshape(a.data.shape))
-        _accumulate(b, (A.T @ G).reshape(b.data.shape))
+        _accumulate(a, g @ b.data.T)
+        _accumulate(b, a.data.T @ g)
 
     return _record(out, (a, b), backward)
 
@@ -221,21 +209,6 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     return _record(out, (a,), backward)
 
 
-def concat(tensors: Sequence, axis: int = 0) -> Tensor:
-    parts = [as_tensor(t) for t in tensors]
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            _accumulate(p, g[tuple(sl)])
-
-    return _record(out, tuple(parts), backward)
-
-
 def index_select(a, index) -> Tensor:
     """Gather rows: out[i] = a[index[i]]."""
     a = as_tensor(a)
@@ -250,24 +223,6 @@ def index_select(a, index) -> Tensor:
         _accumulate(a, ga)
 
     return _record(out, (a,), backward)
-
-
-def scatter_add(values, index, out_rows: int) -> Tensor:
-    """Sum rows of ``values`` into slots given by ``index``: out[index[i]] += values[i]."""
-    v = as_tensor(values)
-    idx = np.asarray(index, dtype=np.int64)
-    if idx.shape[0] != v.data.shape[0]:
-        raise DataError(f"scatter_add: {idx.shape[0]} indices for {v.data.shape[0]} rows")
-    if idx.size and (idx.min() < 0 or idx.max() >= out_rows):
-        raise DataError(f"scatter_add: index out of range for {out_rows} rows")
-    out_data = np.zeros((out_rows,) + v.data.shape[1:], dtype=np.float64)
-    np.add.at(out_data, idx, v.data)
-    out = Tensor(out_data)
-
-    def backward(g):
-        _accumulate(v, g[idx])
-
-    return _record(out, (v,), backward)
 
 
 def l2_norm(a) -> Tensor:
@@ -319,14 +274,20 @@ def gather2d(a, rows, cols) -> Tensor:
     return _record(out, (a,), backward)
 
 
+def _block_spans(name: str, blocks: Sequence[np.ndarray], offsets, rows: int) -> list:
+    """(block, lo, hi) for each square block, checked to tile rows 0:rows in order."""
+    spans = list(zip(blocks, offsets[:-1], offsets[1:]))
+    if len(blocks) != len(offsets) - 1 or offsets[0] != 0 or offsets[-1] != rows or any(
+            b.shape != (hi - lo, hi - lo) for b, lo, hi in spans):
+        raise DataError(f"{name}: blocks do not tile the {rows} rows")
+    return spans
+
+
 def block_diag_matmul(blocks: Sequence[np.ndarray], offsets, a) -> Tensor:
     """diag(blocks) @ a without forming it: out[lo:hi] = blocks[k] @ a[lo:hi] for
     lo, hi = offsets[k], offsets[k + 1], the blocks being constant and square."""
     a = as_tensor(a)
-    spans = list(zip(blocks, offsets[:-1], offsets[1:]))
-    if offsets[0] != 0 or offsets[-1] != len(a.data) or any(
-            b.shape != (hi - lo, hi - lo) for b, lo, hi in spans):
-        raise DataError(f"block_diag_matmul: blocks do not tile the {len(a.data)} rows")
+    spans = _block_spans("block_diag_matmul", blocks, offsets, len(a.data))
     out = np.empty_like(a.data)
     for b, lo, hi in spans:
         out[lo:hi] = b @ a.data[lo:hi]
@@ -338,6 +299,33 @@ def block_diag_matmul(blocks: Sequence[np.ndarray], offsets, a) -> Tensor:
         _accumulate(a, ga)
 
     return _record(Tensor(out), (a,), backward)
+
+
+def block_diag_attention(blocks: Sequence[np.ndarray], offsets, scores, a) -> Tensor:
+    """``block_diag_matmul`` with attention tanh(scores[i, 0] + scores[j, 1]) on each
+    entry (i, j) of a block, i receiving and j sending: out[lo:hi] = (blocks[k] * w) @
+    a[lo:hi].  The blocks are constant; gradients flow to ``scores`` and ``a``."""
+    s, a = as_tensor(scores), as_tensor(a)
+    spans = _block_spans("block_diag_attention", blocks, offsets, len(a.data))
+    if s.data.shape != (len(a.data), 2):
+        raise DataError(f"block_diag_attention: scores {s.shape} for {len(a.data)} rows")
+    w = [np.tanh(s.data[lo:hi, 0, None] + s.data[None, lo:hi, 1]) for _, lo, hi in spans]
+    out = np.empty_like(a.data)
+    for (b, lo, hi), wk in zip(spans, w):
+        out[lo:hi] = (b * wk) @ a.data[lo:hi]
+
+    def backward(g):
+        gs, ga = np.empty_like(s.data), np.empty_like(a.data)
+        for (b, lo, hi), wk in zip(spans, w):
+            m = b * wk
+            ga[lo:hi] = m.T @ g[lo:hi]
+            gz = (g[lo:hi] @ a.data[lo:hi].T) * b * (1.0 - wk * wk)
+            gs[lo:hi, 0] = gz.sum(axis=1)
+            gs[lo:hi, 1] = gz.sum(axis=0)
+        _accumulate(s, gs)
+        _accumulate(a, ga)
+
+    return _record(Tensor(out), (s, a), backward)
 
 
 def segment_mean(a, offsets) -> Tensor:
@@ -433,10 +421,7 @@ def backward(loss: Tensor) -> None:
                 node._backward(node.grad)
                 node.grad = None  # intermediate; leaves keep grads
     finally:
-        for node in _TAPE:
-            node._backward = None
-            node._parents = ()
-        _TAPE.clear()
+        clear_tape()
 
 
 def tape_size() -> int:
@@ -447,7 +432,6 @@ def clear_tape() -> None:
     """Drop all recorded nodes (e.g. after a skipped batch)."""
     for node in _TAPE:
         node._backward = None
-        node._parents = ()
     _TAPE.clear()
 
 

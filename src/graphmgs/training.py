@@ -28,6 +28,14 @@ from .similarity import (SimilarityPairSet, average_ranks, build_pair_set,
 SURROGATES = ("softrank", "pearson")
 
 
+def _check_schedule(epochs: int, lr: float) -> None:
+    """The epoch count and Adam step size that pretrain and finetune accept."""
+    if epochs < 0:
+        raise DataError(f"epochs must be >= 0, got {epochs}")
+    if not (math.isfinite(lr) and lr > 0.0):
+        raise DataError(f"lr must be finite and > 0, got {lr}")
+
+
 @dataclass(frozen=True)
 class PgmConfig:
     surrogate: str = "softrank"
@@ -47,6 +55,9 @@ class PgmConfig:
             raise DataError("batch_size must be >= 3")
         if not (math.isfinite(self.temperature) and self.temperature >= 0.0):
             raise DataError("temperature must be finite and >= 0 (0 selects auto)")
+        if not (math.isfinite(self.holdout_fraction) and 0.0 <= self.holdout_fraction < 1.0):
+            raise DataError(f"holdout_fraction {self.holdout_fraction} outside [0,1)")
+        _check_schedule(self.epochs, self.lr)
 
 
 @dataclass
@@ -369,6 +380,9 @@ def finetune(corpus: GraphCorpus, model: GnnModel, epochs: int = 100,
     test labels are never touched during training.  The split itself reads
     every graph's labels once, before training, to stratify.
     """
+    _check_schedule(epochs, lr)
+    if batch_size < 1:
+        raise DataError(f"batch_size must be >= 1, got {batch_size}")
     if corpus.task_count < 1:
         raise DataError("finetune needs a corpus with graph labels")
     graphs = list(corpus)

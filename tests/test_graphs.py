@@ -55,16 +55,23 @@ class TestLoadCorpus:
         ("graph_labels", ["x"]), ("graph_labels", [0.7]), ("graph_labels", [True]),
         ("node_attrs", [[0], [1.5], [1]]), ("node_attrs", [[0], ["1"], [1]]),
         ("edge_attrs", [[0], [False], [0]]), ("edges", [[0, 1], [0, 2.0], [1, 2]]),
-        ("n", 3.0), ("n", True)])
+        ("n", 3.0), ("n", True), ("id", None), ("id", ["a"]), ("id", 1.5), ("id", True),
+        ("id", {"x": 1})])
     def test_non_integer_field_names_line(self, tmp_path, field, value):
-        # only JSON integers parse: strings, floats and booleans are rejected
-        # rather than cast, so 0.7 is not read as the label 0
+        # only JSON integers parse (and strings for the id): floats, booleans and
+        # the rest are rejected rather than cast, so 0.7 is not read as the label 0
         record = dict(json.loads(TRIANGLE_LINE), id="bad")
         record[field] = value
         path = tmp_path / "bad.jsonl"
         path.write_text(TRIANGLE_LINE + "\n" + json.dumps(record) + "\n", encoding="utf-8")
         with pytest.raises(DataError, match="line 2"):
             load_corpus(path)
+
+    def test_integer_id_loads_as_decimal_string(self, tmp_path):
+        path = tmp_path / "int_id.jsonl"
+        path.write_text(json.dumps(dict(json.loads(TRIANGLE_LINE), id=7)) + "\n",
+                        encoding="utf-8")
+        assert [g.id for g in load_corpus(path)] == ["7"]
 
     def test_duplicate_ids_rejected(self, tmp_path):
         path = tmp_path / "dup.jsonl"

@@ -110,6 +110,28 @@ class TestLayerFormulas:
                 acc += t_mats[k] @ h @ model.params[f"layer0.theta{k}"].data
             assert np.max(np.abs(out - np.maximum(acc, 0.0))) < 1e-8
 
+    def test_fagcn_matches_edge_formula(self):
+        # per-edge oracle: h'_i = eps h0_i + sum over neighbours j of
+        # tanh(g . [h_i || h_j]) / sqrt(d_i d_j) h_j, on both directions of each edge
+        graphs = mixed_batch(np.random.default_rng(14))
+        model = small_model("fagcn", layers=2, seed=15)
+        out, offsets = encode_nodes(model, graphs)
+        p = {name: t.data for name, t in model.params.items()}
+        eps = model.config.fagcn_eps
+        for g, lo, hi in zip(graphs, offsets[:-1], offsets[1:]):
+            x = sum(p[f"embed.{s}"][[attrs[s] for attrs in g.node_attrs]]
+                    for s in range(len(ATTRS)))
+            h = h0 = np.maximum(x @ p["proj.w"], 0.0)
+            deg = g.degrees()
+            for l in range(2):
+                new = eps * h0
+                for u, v in g.edges:
+                    for i, j in ((u, v), (v, u)):
+                        att = np.tanh(p[f"layer{l}.g"] @ np.concatenate([h[i], h[j]]))
+                        new[i] = new[i] + att / np.sqrt(deg[i] * deg[j]) * h[j]
+                h = new
+            assert np.max(np.abs(out.data[lo:hi] - h)) < 1e-12, g.id
+
     def test_gin_sum_aggregation(self):
         # identity-ish check: eps=0, MLP = identity pass-through on first coords
         g = LabeledGraph(id="path3", node_count=3, edges=((0, 1), (1, 2)),

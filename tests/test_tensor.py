@@ -20,23 +20,17 @@ class TestOpValues:
         out = T.matmul(T.Tensor(np.eye(2)), T.Tensor(x))
         assert np.array_equal(out.data, x)
 
-    def test_scatter_add_sums_messages(self):
-        msgs = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
-        out = T.scatter_add(msgs, [1, 1], out_rows=3)
-        assert np.array_equal(out.data, [[0, 0], [4, 6], [0, 0]])
-
     def test_shape_mismatch_names_op(self):
         with pytest.raises(DataError, match="matmul"):
             T.matmul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 3))))
+        with pytest.raises(DataError, match="matmul"):
+            T.matmul(T.Tensor(np.ones(3)), T.Tensor(np.ones((3, 2))))
         with pytest.raises(DataError, match="add"):
             T.add(T.Tensor(np.ones(3)), T.Tensor(np.ones(4)))
 
-    def test_concat_and_index_select(self):
-        a = T.Tensor([[1.0], [2.0]])
-        b = T.Tensor([[3.0]])
-        cat = T.concat([a, b], axis=0)
-        assert np.array_equal(cat.data, [[1], [2], [3]])
-        assert np.array_equal(T.index_select(cat, [2, 0]).data, [[3], [1]])
+    def test_index_select(self):
+        a = T.Tensor([[1.0], [2.0], [3.0]])
+        assert np.array_equal(T.index_select(a, [2, 0]).data, [[3], [1]])
 
     def test_block_diag_matmul_matches_dense(self):
         rng = np.random.default_rng(3)
@@ -47,6 +41,16 @@ class TestOpValues:
             dense[lo:lo + len(b), lo:lo + len(b)] = b
         out = T.block_diag_matmul(blocks, np.array([0, 1, 5, 7]), T.Tensor(x)).data
         assert np.max(np.abs(out - dense @ x)) < 1e-14
+
+    @pytest.mark.parametrize("op", ["block_diag_matmul", "block_diag_attention"])
+    @pytest.mark.parametrize("sizes,offsets", [
+        ((1, 2), [0, 1, 4]), ((1, 2), [1, 2, 4]), ((1, 3), [0, 2, 3]), ((1, 2, 1), [0, 1, 3])])
+    def test_blocks_must_tile_the_rows(self, op, sizes, offsets):
+        blocks = [np.ones((k, k)) for k in sizes]
+        x = T.Tensor(np.ones((3, 2)))
+        args = (x,) if op == "block_diag_matmul" else (T.Tensor(np.ones((3, 2))), x)
+        with pytest.raises(DataError, match=f"{op}: blocks do not tile the 3 rows"):
+            getattr(T, op)(blocks, np.array(offsets), *args)
 
     @pytest.mark.parametrize("offsets", [[0, 2, 2, 3], [0, 3, 2], [], [0, 2]])
     def test_segment_mean_rejects_empty_or_partial_segments(self, offsets):
@@ -213,6 +217,7 @@ class TestGradChecksAllOps:
     def test_every_op_against_central_differences(self):
         rng = np.random.default_rng(11)
         block_rng = np.random.default_rng(12)
+        score_rng = np.random.default_rng(13)
         checks = 0
         for trial in range(12):
             m = int(rng.integers(2, 5))
@@ -224,10 +229,13 @@ class TestGradChecksAllOps:
             v = T.Tensor(rng.normal(size=n), requires_grad=True)
             w = T.Tensor(rng.uniform(0.5, 2.0, size=(m, n)), requires_grad=True)
             wm = T.Tensor(rng.normal(size=(m, k)))
-            wc = T.Tensor(rng.normal(size=(m, 2 * n)))
+            wi = T.Tensor(rng.normal(size=(m + 1, n)))
             idx = rng.integers(0, m, size=m + 1)
             offsets = np.array([0, 1, m])  # a one-row and an (m - 1)-row segment
             blocks = [block_rng.normal(size=(1, 1)), block_rng.normal(size=(m - 1, m - 1))]
+            # zero entries as in FAGCN's operator: no self-loops, an isolated node
+            zeroed = [np.zeros((1, 1)), blocks[1] * (1.0 - np.eye(m - 1))]
+            S = T.Tensor(score_rng.normal(size=(m, 2)), requires_grad=True)
             bce_targets = (rng.random((m, n)) > 0.5).astype(float)
             bce_mask = (rng.random((m, n)) > 0.3).astype(float)
             if bce_mask.sum() == 0:
@@ -235,7 +243,6 @@ class TestGradChecksAllOps:
 
             cases = {
                 "matmul": (lambda: T.tsum(T.matmul(A, B) * wm), [A, B]),
-                "vec_matmul": (lambda: T.tsum(T.matmul(v, B)), [v, B]),
                 "add_mul": (lambda: T.tsum((A + C) * C), [A, C]),
                 "sub_div": (lambda: T.tsum((A - C) / w), [A, C, w]),
                 "broadcast": (lambda: T.tsum(A * v + v), [A, v]),
@@ -246,10 +253,10 @@ class TestGradChecksAllOps:
                 "segment_mean": (lambda: T.tsum(T.segment_mean(A, offsets) * v), [A]),
                 "block_diag_matmul": (lambda: T.tsum(
                     T.block_diag_matmul(blocks, offsets, A) * C), [A]),
+                "block_diag_attention": (lambda: T.tsum(
+                    T.block_diag_attention(zeroed, offsets, S, A) * C), [S, A]),
                 "sum_keepdims": (lambda: T.tsum(T.tsum(A, axis=1, keepdims=True) * w), [A]),
-                "concat": (lambda: T.tsum(T.concat([A, C], axis=1) * wc), [A, C]),
-                "index_scatter": (lambda: T.tsum(
-                    T.scatter_add(T.index_select(A, idx), idx, m) * C), [A]),
+                "index_select": (lambda: T.tsum(T.index_select(A, idx) * wi), [A]),
                 "l2_norm": (lambda: T.l2_norm(A) * 2.0, [A]),
                 "reshape_gather": (lambda: T.tsum(T.gather2d(
                     T.reshape(A, (n, m)), [0, 1], [1, 0])), [A]),

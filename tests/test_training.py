@@ -115,6 +115,13 @@ class TestPgmLoss:
         with pytest.raises(DataError, match="temperature"):
             PgmConfig(temperature=temperature)
 
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", -1), ("lr", -1.0), ("lr", 0.0), ("lr", np.nan), ("lr", np.inf),
+        ("holdout_fraction", np.nan), ("holdout_fraction", -0.1), ("holdout_fraction", 1.0)])
+    def test_out_of_range_argument_rejected(self, field, value):
+        with pytest.raises(DataError, match=field):
+            PgmConfig(**{field: value})
+
 
 def _pair_cosines(embs):
     from graphmgs.similarity import cosine_similarity
@@ -282,6 +289,14 @@ class TestFinetune:
         corpus = GraphCorpus(graphs=(g,), task_count=0)
         with pytest.raises(DataError, match="labels"):
             finetune(corpus, tiny_model(corpus, seed=10), epochs=1, seed=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", -2), ("batch_size", 0), ("batch_size", -3), ("lr", -1.0), ("lr", 0.0),
+        ("lr", np.nan), ("lr", np.inf)])
+    def test_out_of_range_argument_rejected(self, tiny_corpus, field, value):
+        model = tiny_model(tiny_corpus, seed=11, task_count=1)
+        with pytest.raises(DataError, match=field):
+            finetune(tiny_corpus, model, seed=0, **{"epochs": 1, field: value})
 
     def test_seeded_reproducibility(self, tiny_corpus):
         def run():
