@@ -13,6 +13,7 @@ fixed number of tape nodes per layer.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -44,6 +45,8 @@ class GnnConfig:
             raise DataError("layers, hidden_dim and cheb_order must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise DataError(f"dropout {self.dropout} outside [0,1)")
+        if not math.isfinite(self.fagcn_eps):
+            raise DataError(f"fagcn_eps must be finite, got {self.fagcn_eps}")
         if not self.attr_sizes:
             raise DataError("attr_sizes must list one alphabet size per attribute slot")
 
@@ -158,7 +161,7 @@ def _gcn_propagation(g: LabeledGraph) -> np.ndarray:
 
 def _scaled_laplacian(g: LabeledGraph) -> np.ndarray:
     """ChebNet's 2 L_norm / lambda_max - I with lambda_max fixed at 2."""
-    return laplacian(g, SYM_NORMALIZED).matrix - np.eye(g.node_count)
+    return laplacian(g, SYM_NORMALIZED) - np.eye(g.node_count)
 
 
 # the dense per-graph operator each propagating architecture multiplies by; FAGCN's
@@ -253,30 +256,6 @@ def with_head(model: GnnModel, task_count: int, seed: int) -> GnnModel:
                                 requires_grad=True)
     params["head.b"] = T.Tensor(np.zeros(task_count), requires_grad=True)
     return GnnModel(config=replace(model.config, task_count=task_count), params=params)
-
-
-def spectral_filter_response(arch: str, lam: float, alphas=None, eps: float = 0.3,
-                             band: str = "low") -> float:
-    """Scalar spectral kernel gain at eigenvalue ``lam`` (diagnostic).
-
-    gcn: 1 - lam; chebnet: sum_k alphas[k] lam^k (monomial mode);
-    fagcn: (eps+1) -/+ lam for the low/high band; fcn: constant 1.
-    """
-    if arch == "gcn":
-        return 1.0 - lam
-    if arch == "fcn":
-        return 1.0
-    if arch == "chebnet":
-        if alphas is None:
-            raise DataError("chebnet filter response needs alphas")
-        return float(sum(a * lam ** k for k, a in enumerate(alphas)))
-    if arch == "fagcn":
-        if band == "low":
-            return (eps + 1.0) - lam
-        if band == "high":
-            return (eps + 1.0) + lam
-        raise DataError(f"unknown fagcn band {band!r}")
-    raise DataError(f"no filter response for architecture {arch!r}")
 
 
 MODEL_CHECKPOINT_VERSION = 1

@@ -13,7 +13,8 @@ pairs, for MGS):
   is not used.
 - ``cosine_pair_sims`` is a Tensor op on one (n, dim) embedding matrix:
   normalise its rows, take their Gram matrix, gather the pairs.  Pre-training
-  differentiates through it; evaluation calls it under ``no_grad``.  It agrees
+  differentiates through it inside a ``tape()`` block; evaluation calls it
+  outside any block, where nothing is recorded.  It agrees
   with the scalar ``cosine_similarity`` to about 1e-15, not bit for bit.
 
 Memory is O(distinct graphs ** 2) for the Gram matrices, plus the stacked

@@ -15,12 +15,6 @@ LAPLACIAN_KINDS = (COMBINATORIAL, SYM_NORMALIZED)
 
 
 @dataclass(frozen=True)
-class LaplacianMatrix:
-    kind: str
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
 class SpectralFingerprint:
     """Top-k Laplacian eigenvalues, descending, zero-padded when the graph
     has fewer than k nodes."""
@@ -29,7 +23,7 @@ class SpectralFingerprint:
     k: int
 
 
-def laplacian(g: LabeledGraph, kind: str = COMBINATORIAL) -> LaplacianMatrix:
+def laplacian(g: LabeledGraph, kind: str = COMBINATORIAL) -> np.ndarray:
     """Dense Laplacian: D - A, or I - D^{-1/2} A D^{-1/2} (isolated nodes get
     a zero D^{-1/2} entry, leaving the identity term)."""
     if kind not in LAPLACIAN_KINDS:
@@ -39,11 +33,10 @@ def laplacian(g: LabeledGraph, kind: str = COMBINATORIAL) -> LaplacianMatrix:
     a = g.adjacency()
     deg = g.degrees().astype(np.float64)
     if kind == COMBINATORIAL:
-        return LaplacianMatrix(kind, np.diag(deg) - a)
+        return np.diag(deg) - a
     with np.errstate(divide="ignore"):
         dinv = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
-    lap = np.eye(g.node_count) - (dinv[:, None] * a) * dinv[None, :]
-    return LaplacianMatrix(kind, lap)
+    return np.eye(g.node_count) - (dinv[:, None] * a) * dinv[None, :]
 
 
 def symmetric_eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -65,8 +58,7 @@ def spectral_fingerprint(g: LabeledGraph, k: int,
     are clamped to zero."""
     if k < 1:
         raise DataError(f"spectral fingerprint: k must be >= 1, got {k}")
-    lap = laplacian(g, kind)
-    eig = symmetric_eigenvalues(lap.matrix)
+    eig = symmetric_eigenvalues(laplacian(g, kind))
     top = np.maximum(eig[::-1][:k], 0.0)
     values = list(top) + [0.0] * (k - len(top))
     return SpectralFingerprint(eigenvalues=tuple(float(v) for v in values), k=k)

@@ -292,7 +292,7 @@ def _triangle_count(g: LabeledGraph) -> float:
 
 
 def _lambda_max(g: LabeledGraph) -> float:
-    return float(symmetric_eigenvalues(laplacian(g).matrix)[-1])
+    return float(symmetric_eigenvalues(laplacian(g))[-1])
 
 
 def generate_synthetic(spec: SyntheticSpec) -> GraphCorpus:

@@ -1,13 +1,18 @@
 """Dense float64 tensors with a reverse-mode gradient tape and the Adam optimizer.
 
-Define-by-run: every op executed while gradients are enabled appends its output
-node to a module-level tape, whose recording order is a valid topological
-order.  ``backward`` walks the tape once in reverse and then clears it.
+Define-by-run and scoped: inside a ``with tape():`` block, every op with a
+parent that requires grad appends its output node to the block's tape, whose
+recording order is a valid topological order.  Outside every block nothing is
+recorded, so a forward-only pass needs no switch.  ``backward`` walks the
+innermost open tape once in reverse and then clears it; leaving the block,
+normally or by a raise, drops whatever it still holds.  Each thread (each
+``contextvars`` context) has its own open tapes.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -15,22 +20,27 @@ import numpy as np
 
 from .errors import DataError
 
-_TAPE: list["Tensor"] = []
-_GRAD_ENABLED = True
+# the innermost open tape's nodes, or None outside every ``tape()`` block
+_open_tape: contextvars.ContextVar[Optional[list]] = contextvars.ContextVar(
+    "graphmgs_tape", default=None)
 
 SOFT_RANK_BLOCK_ROWS = 128  # rows of the pairwise sigmoid matrix held at once
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 
 @contextlib.contextmanager
-def no_grad():
-    """Disable tape recording inside the block (evaluation-only passes)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+def tape():
+    """Record differentiable ops inside the block; its nodes are dropped on exit."""
+    nodes: list[Tensor] = []
+    token = _open_tape.set(nodes)
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _open_tape.reset(token)
+        _drop(nodes)
 
 
 class Tensor:
@@ -90,11 +100,20 @@ def as_tensor(x) -> Tensor:
 
 
 def _record(out: Tensor, parents: tuple[Tensor, ...], backward) -> Tensor:
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    nodes = _open_tape.get()
+    if nodes is not None and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._backward = backward
-        _TAPE.append(out)
+        nodes.append(out)
     return out
+
+
+def _drop(nodes: list) -> None:
+    """Cut recorded nodes off the tape: they no longer require grad or keep closures."""
+    for node in nodes:
+        node._backward = None
+        node.requires_grad = False
+    nodes.clear()
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -178,18 +197,10 @@ def relu(a) -> Tensor:
                   lambda g, x, y: g * (x > 0.0))
 
 
-def tanh(a) -> Tensor:
-    return _unary(a, np.tanh, lambda g, x, y: g * (1.0 - y * y))
-
-
 def _sigmoid_stable(x: np.ndarray) -> np.ndarray:
     """1 / (1 + e) for x >= 0 and e / (1 + e) otherwise, with e = exp(-|x|) <= 1."""
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def sigmoid(a) -> Tensor:
-    return _unary(a, _sigmoid_stable, lambda g, x, y: g * y * (1.0 - y))
 
 
 def sqrt(a) -> Tensor:
@@ -221,18 +232,6 @@ def index_select(a, index) -> Tensor:
         ga = np.zeros_like(a.data)
         np.add.at(ga, idx, g)
         _accumulate(a, ga)
-
-    return _record(out, (a,), backward)
-
-
-def l2_norm(a) -> Tensor:
-    a = as_tensor(a)
-    norm = float(np.sqrt(np.sum(a.data * a.data)))
-    out = Tensor(norm)
-
-    def backward(g):
-        if norm > 0.0:
-            _accumulate(a, np.asarray(g) * a.data / norm)
 
     return _record(out, (a,), backward)
 
@@ -408,31 +407,28 @@ def bce_with_logits(logits, targets, mask=None) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Reverse-mode sweep from a scalar loss; fills ``grad`` on every
-    requires_grad leaf reachable from it, then clears the tape."""
+    """Reverse-mode sweep from a scalar loss recorded on the innermost open tape;
+    fills ``grad`` on every requires_grad leaf reachable from it, then clears
+    that tape."""
     if loss.data.size != 1:
         raise DataError(f"backward: loss must be scalar, got shape {loss.shape}")
-    if loss._backward is None and not loss.requires_grad:
-        raise DataError("backward: loss is not connected to the gradient tape")
+    nodes = _open_tape.get()
+    if nodes is None or not loss.requires_grad:
+        raise DataError("backward: loss is not connected to an open gradient tape")
     loss.grad = np.ones_like(loss.data)
     try:
-        for node in reversed(_TAPE):
+        for node in reversed(nodes):
             if node.grad is not None and node._backward is not None:
                 node._backward(node.grad)
                 node.grad = None  # intermediate; leaves keep grads
     finally:
-        clear_tape()
+        _drop(nodes)
 
 
 def tape_size() -> int:
-    return len(_TAPE)
-
-
-def clear_tape() -> None:
-    """Drop all recorded nodes (e.g. after a skipped batch)."""
-    for node in _TAPE:
-        node._backward = None
-    _TAPE.clear()
+    """Nodes on the innermost open tape; 0 outside every ``tape()`` block."""
+    nodes = _open_tape.get()
+    return 0 if nodes is None else len(nodes)
 
 
 @dataclass
@@ -440,42 +436,36 @@ class AdamState:
     """Adam moment buffers for an ordered parameter list."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     t: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
 
     @classmethod
-    def for_params(cls, params: Sequence[Tensor], lr: float = 1e-3,
-                   beta1: float = 0.9, beta2: float = 0.999,
-                   epsilon: float = 1e-8) -> "AdamState":
-        state = cls(lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
+    def for_params(cls, params: Sequence[Tensor], lr: float = 1e-3) -> "AdamState":
+        state = cls(lr=lr)
         state.m = [np.zeros_like(p.data) for p in params]
         state.v = [np.zeros_like(p.data) for p in params]
         return state
 
 
-def adam_step(params: Sequence[Tensor], state: AdamState,
-              grads: Optional[Sequence[np.ndarray]] = None) -> Sequence[Tensor]:
-    """One Adam update with bias correction; mutates params in place."""
-    if grads is None:
-        grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
-    if len(grads) != len(params) or len(state.m) != len(params):
-        raise DataError("adam_step: params/grads/state length mismatch")
+def adam_step(params: Sequence[Tensor], state: AdamState) -> Sequence[Tensor]:
+    """One Adam update with bias correction from each param's ``grad`` (zero when
+    None); mutates params in place."""
+    if len(state.m) != len(params):
+        raise DataError("adam_step: params/state length mismatch")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for p, m, v in zip(params, state.m, state.v):
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if g.shape != p.data.shape:
             raise DataError(f"adam_step: grad shape {g.shape} vs param {p.data.shape}")
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
     return params
 
 

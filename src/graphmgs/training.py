@@ -187,18 +187,17 @@ def pretrain(corpus: GraphCorpus, model: GnnModel, cfg: PgmConfig,
             structural = structural_pair_sims([fingerprints[g.id] for g in batch],
                                               *np.triu_indices(len(batch), k=1))
             T.zero_grads(params)
-            try:
-                loss = pgm_loss(embed_graph(model, batch), structural, cfg)
-            except NumericError as exc:
-                warnings.warn(f"skipping batch: {exc}")
-                report.skipped_batches += 1
-                T.clear_tape()
-                continue
-            if not np.isfinite(loss.item()):
-                T.clear_tape()
-                raise NumericError(
-                    f"NaN/inf pre-training loss on batch {[g.id for g in batch]}")
-            T.backward(loss)
+            with T.tape():
+                try:
+                    loss = pgm_loss(embed_graph(model, batch), structural, cfg)
+                except NumericError as exc:
+                    warnings.warn(f"skipping batch: {exc}")
+                    report.skipped_batches += 1
+                    continue
+                if not np.isfinite(loss.item()):
+                    raise NumericError(
+                        f"NaN/inf pre-training loss on batch {[g.id for g in batch]}")
+                T.backward(loss)
             T.adam_step(params, state)
             batch_losses.append(loss.item())
         report.losses.append(float(np.mean(batch_losses)) if batch_losses else float("nan"))
@@ -209,9 +208,8 @@ def pretrain(corpus: GraphCorpus, model: GnnModel, cfg: PgmConfig,
 
 def _eval_pair_set(corpus: GraphCorpus, model: GnnModel, fingerprints: dict,
                    n_pairs: int, seed: int) -> SimilarityPairSet:
-    with T.no_grad():
-        return build_pair_set(
-            corpus, lambda gs: embed_graph(model, gs).data, fingerprints, n_pairs, seed)
+    return build_pair_set(
+        corpus, lambda gs: embed_graph(model, gs).data, fingerprints, n_pairs, seed)
 
 
 def evaluate_mgs(corpus: GraphCorpus, model: GnnModel, fingerprints: dict,
@@ -338,8 +336,7 @@ def _cover_strata(perm: np.ndarray, labels: list, bounds: dict) -> None:
 def _fold_auc(model: GnnModel, graphs, labels_per_graph) -> float:
     """Mean per-task AUC over tasks with both classes present in the fold, or
     NaN when no task has both; a non-finite score raises ``NumericError``."""
-    with T.no_grad():
-        scores = classify(model, graphs).data
+    scores = classify(model, graphs).data
     if not np.all(np.isfinite(scores)):
         raise NumericError("AUC undefined: non-finite score")
     tasks = scores.shape[1]
@@ -432,13 +429,13 @@ def finetune(corpus: GraphCorpus, model: GnnModel, epochs: int = 100,
             targets = [[0.0 if l is None else float(l) for l in lab] for lab in labs]
             masks = [[0.0 if l is None else 1.0 for l in lab] for lab in labs]
             T.zero_grads(params)
-            logits = classify(model, [graphs[folds["train"][k]] for k in picks],
-                              training=True, rng=dropout_rng)
-            loss = T.bce_with_logits(logits, np.asarray(targets), np.asarray(masks))
-            if not np.isfinite(loss.item()):
-                T.clear_tape()
-                raise NumericError("NaN/inf fine-tuning loss")
-            T.backward(loss)
+            with T.tape():
+                logits = classify(model, [graphs[folds["train"][k]] for k in picks],
+                                  training=True, rng=dropout_rng)
+                loss = T.bce_with_logits(logits, np.asarray(targets), np.asarray(masks))
+                if not np.isfinite(loss.item()):
+                    raise NumericError("NaN/inf fine-tuning loss")
+                T.backward(loss)
             T.adam_step(params, state)
             epoch_losses.append(loss.item())
         report.train_losses.append(float(np.mean(epoch_losses)) if epoch_losses else float("nan"))

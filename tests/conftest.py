@@ -7,8 +7,8 @@ def finite_difference_check(fn, tensors, h=1e-5):
     """Max relative error between tape gradients of fn() and central differences."""
     for t in tensors:
         t.grad = None
-    loss = fn()
-    T.backward(loss)
+    with T.tape():
+        T.backward(fn())
     grads = [t.grad.copy() if t.grad is not None else np.zeros_like(t.data)
              for t in tensors]
     max_rel = 0.0
@@ -19,10 +19,8 @@ def finite_difference_check(fn, tensors, h=1e-5):
             orig = flat[i]
             flat[i] = orig + h
             lp = fn().item()
-            T.clear_tape()
             flat[i] = orig - h
             lm = fn().item()
-            T.clear_tape()
             flat[i] = orig
             numeric = (lp - lm) / (2.0 * h)
             rel = abs(numeric - gf[i]) / max(abs(numeric), abs(gf[i]), 1e-8)

@@ -45,23 +45,23 @@ def complete_spectrum(n):
 class TestLaplacian:
     def test_single_edge_combinatorial(self):
         lap = laplacian(plain_graph(2, [(0, 1)]), COMBINATORIAL)
-        assert np.array_equal(lap.matrix, [[1, -1], [-1, 1]])
+        assert np.array_equal(lap, [[1, -1], [-1, 1]])
 
     def test_triangle_normalized_spectrum(self):
         lap = laplacian(complete_graph(3), SYM_NORMALIZED)
-        assert np.allclose(lap.matrix, np.eye(3) - 0.5 * complete_graph(3).adjacency())
-        eig = symmetric_eigenvalues(lap.matrix)
+        assert np.allclose(lap, np.eye(3) - 0.5 * complete_graph(3).adjacency())
+        eig = symmetric_eigenvalues(lap)
         assert np.allclose(eig, [0.0, 1.5, 1.5], atol=1e-10)
 
     def test_isolated_node(self):
         lap = laplacian(plain_graph(1, []), COMBINATORIAL)
-        assert lap.matrix.shape == (1, 1) and lap.matrix[0, 0] == 0.0
+        assert lap.shape == (1, 1) and lap[0, 0] == 0.0
 
     def test_row_sums_zero_combinatorial(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
             g = random_attributed_graph(rng)
-            assert np.allclose(laplacian(g).matrix.sum(axis=1), 0.0, atol=1e-12)
+            assert np.allclose(laplacian(g).sum(axis=1), 0.0, atol=1e-12)
 
     def test_unknown_kind(self):
         with pytest.raises(DataError):
@@ -88,7 +88,7 @@ class TestSymmetricEigenvalues:
         assert np.allclose(eig, [1.0, 3.0, 5.0])
 
     def test_c4_spectrum(self):
-        eig = symmetric_eigenvalues(laplacian(cycle_graph(4)).matrix)
+        eig = symmetric_eigenvalues(laplacian(cycle_graph(4)))
         assert np.allclose(eig, [0.0, 2.0, 2.0, 4.0], atol=1e-10)
 
     def test_non_symmetric_rejected(self):
@@ -102,7 +102,7 @@ class TestSymmetricEigenvalues:
     ])
     def test_closed_forms_to_n50(self, family, builder, closed_form):
         for n in range(3, 51, 4):
-            eig = symmetric_eigenvalues(laplacian(builder(n)).matrix)
+            eig = symmetric_eigenvalues(laplacian(builder(n)))
             assert np.max(np.abs(eig - closed_form(n))) < 1e-8, f"{family} n={n}"
 
     def test_permutation_invariance(self):
@@ -110,22 +110,22 @@ class TestSymmetricEigenvalues:
         for _ in range(15):
             g = random_attributed_graph(rng)
             perm = list(rng.permutation(g.node_count))
-            e1 = symmetric_eigenvalues(laplacian(g).matrix)
-            e2 = symmetric_eigenvalues(laplacian(g.permuted(perm)).matrix)
+            e1 = symmetric_eigenvalues(laplacian(g))
+            e2 = symmetric_eigenvalues(laplacian(g.permuted(perm)))
             assert np.max(np.abs(e1 - e2)) < 1e-8
 
     def test_component_count_equals_zero_multiplicity(self):
         # two triangles + an isolated node: 3 components
         edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
         g = plain_graph(7, edges)
-        eig = symmetric_eigenvalues(laplacian(g).matrix)
+        eig = symmetric_eigenvalues(laplacian(g))
         assert int(np.sum(np.abs(eig) < 1e-8)) == 3
 
     def test_normalized_range(self):
         rng = np.random.default_rng(7)
         for _ in range(30):
             g = random_attributed_graph(rng)
-            eig = symmetric_eigenvalues(laplacian(g, SYM_NORMALIZED).matrix)
+            eig = symmetric_eigenvalues(laplacian(g, SYM_NORMALIZED))
             assert eig.min() > -1e-8 and eig.max() < 2.0 + 1e-8
 
 

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -87,8 +89,9 @@ def _dense_soft_rank(x, tau, g):
 
 def _soft_rank_and_grad(x, tau, g):
     a = T.Tensor(x, requires_grad=True)
-    ranks = T.soft_rank(a, tau)
-    T.backward(T.tsum(ranks * T.Tensor(g)))
+    with T.tape():
+        ranks = T.soft_rank(a, tau)
+        T.backward(T.tsum(ranks * T.Tensor(g)))
     return ranks.data, a.grad
 
 
@@ -154,24 +157,26 @@ class TestSigmoid:
 class TestBackward:
     def test_square(self):
         x = T.Tensor([3.0], requires_grad=True)
-        T.backward(T.tsum(x * x))
+        with T.tape():
+            T.backward(T.tsum(x * x))
         assert np.allclose(x.grad, [6.0])
 
     def test_relu_sum(self):
         x = T.Tensor([-1.0, 2.0], requires_grad=True)
-        T.backward(T.tsum(T.relu(x)))
+        with T.tape():
+            T.backward(T.tsum(T.relu(x)))
         assert np.array_equal(x.grad, [0.0, 1.0])
 
     def test_non_scalar_loss_rejected(self):
         x = T.Tensor([1.0, 2.0], requires_grad=True)
-        with pytest.raises(DataError, match="scalar"):
+        with T.tape(), pytest.raises(DataError, match="scalar"):
             T.backward(x * 2.0)
-        T.clear_tape()
 
     def test_tape_cleared_after_backward(self):
         x = T.Tensor([1.0], requires_grad=True)
-        T.backward(T.tsum(x * x))
-        assert T.tape_size() == 0
+        with T.tape():
+            T.backward(T.tsum(x * x))
+            assert T.tape_size() == 0
 
     def test_tape_isolation(self):
         # gradients of a joint loss over two independent graphs equal the
@@ -183,22 +188,84 @@ class TestBackward:
 
         xa, wa = build(0)
         xb, wb = build(1)
-        T.backward(T.tsum(T.relu(xa) * wa))
-        ga_alone = xa.grad.copy()
-        xa.grad = None
-        T.backward(T.tsum(T.relu(xb) * wb))
-        gb_alone = xb.grad.copy()
-        xb.grad = None
-        joint = T.tsum(T.relu(xa) * wa) + T.tsum(T.relu(xb) * wb)
-        T.backward(joint)
+        with T.tape():
+            T.backward(T.tsum(T.relu(xa) * wa))
+            ga_alone = xa.grad.copy()
+            xa.grad = None
+            T.backward(T.tsum(T.relu(xb) * wb))
+            gb_alone = xb.grad.copy()
+            xb.grad = None
+            joint = T.tsum(T.relu(xa) * wa) + T.tsum(T.relu(xb) * wb)
+            T.backward(joint)
         assert np.array_equal(xa.grad, ga_alone)
         assert np.array_equal(xb.grad, gb_alone)
 
-    def test_no_grad_blocks_recording(self):
+    def test_outside_a_block_records_nothing(self):
         x = T.Tensor([1.0], requires_grad=True)
-        with T.no_grad():
-            y = x * 3.0
-        assert not y.requires_grad and T.tape_size() == 0
+        loss = T.tsum(x * 3.0)
+        assert not loss.requires_grad and T.tape_size() == 0
+        with pytest.raises(DataError, match="open gradient tape"):
+            T.backward(loss)
+        assert x.grad is None
+
+    def test_raising_block_drops_its_nodes(self):
+        x = T.Tensor([1.0, 2.0], requires_grad=True)
+        with pytest.raises(ValueError, match="mid-forward"):
+            with T.tape():
+                y = T.relu(x * 2.0)
+                assert T.tape_size() == 2
+                raise ValueError("mid-forward")
+        assert T.tape_size() == 0
+        assert not y.requires_grad and y._backward is None
+
+    def test_backward_after_block_exit_rejected(self):
+        x = T.Tensor([1.0], requires_grad=True)
+        with T.tape():
+            loss = T.tsum(x * x)
+        with pytest.raises(DataError, match="open gradient tape"):
+            T.backward(loss)
+        with T.tape(), pytest.raises(DataError, match="open gradient tape"):
+            T.backward(loss)  # another block does not hold its nodes either
+        assert x.grad is None
+
+    def test_threads_record_on_their_own_tapes(self):
+        def grads(seed, sync=lambda: None):
+            rng = np.random.default_rng(seed)
+            x = T.Tensor(rng.normal(size=(40, 8)), requires_grad=True)
+            w = T.Tensor(rng.normal(size=(8, 8)), requires_grad=True)
+            with T.tape():
+                sync()
+                h = x
+                for _ in range(30):
+                    h = T.relu(h @ w) * 0.5
+                loss = T.tsum(h)
+                sync()  # both forward passes are recorded before either backward
+                T.backward(loss)
+            return x.grad, w.grad
+
+        serial = [grads(seed) for seed in (0, 1)]
+        barrier = threading.Barrier(2)
+        results, errors = [None, None], []
+
+        def run(k):
+            try:
+                results[k] = grads(k, lambda: barrier.wait(timeout=10))
+            except Exception as exc:  # reported after join
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in (0, 1)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the two forward passes op by op
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads) and not errors
+        for (gx, gw), (sx, sw) in zip(results, serial):
+            assert np.array_equal(gx, sx) and np.array_equal(gw, sw)
 
     def test_cosine_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -208,7 +275,7 @@ class TestBackward:
 
             def cosine():
                 num = T.tsum(a * b)
-                return num / (T.l2_norm(a) * T.l2_norm(b))
+                return num / (T.sqrt(T.tsum(a * a)) * T.sqrt(T.tsum(b * b)))
 
             assert finite_difference_check(cosine, [a], h=1e-4) < 1e-5
 
@@ -247,8 +314,6 @@ class TestGradChecksAllOps:
                 "sub_div": (lambda: T.tsum((A - C) / w), [A, C, w]),
                 "broadcast": (lambda: T.tsum(A * v + v), [A, v]),
                 "relu": (lambda: T.tsum(T.relu(A) * C), [A]),
-                "tanh": (lambda: T.tsum(T.tanh(A) * C), [A]),
-                "sigmoid": (lambda: T.tsum(T.sigmoid(A) * C), [A]),
                 "sqrt": (lambda: T.tsum(T.sqrt(w)), [w]),
                 "segment_mean": (lambda: T.tsum(T.segment_mean(A, offsets) * v), [A]),
                 "block_diag_matmul": (lambda: T.tsum(
@@ -257,7 +322,6 @@ class TestGradChecksAllOps:
                     T.block_diag_attention(zeroed, offsets, S, A) * C), [S, A]),
                 "sum_keepdims": (lambda: T.tsum(T.tsum(A, axis=1, keepdims=True) * w), [A]),
                 "index_select": (lambda: T.tsum(T.index_select(A, idx) * wi), [A]),
-                "l2_norm": (lambda: T.l2_norm(A) * 2.0, [A]),
                 "reshape_gather": (lambda: T.tsum(T.gather2d(
                     T.reshape(A, (n, m)), [0, 1], [1, 0])), [A]),
                 "bce": (lambda: T.bce_with_logits(A, bce_targets, bce_mask), [A]),
@@ -275,8 +339,9 @@ class TestDeterminism:
             rng = np.random.default_rng(42)
             x = T.Tensor(rng.normal(size=(6, 6)), requires_grad=True)
             w = T.Tensor(rng.normal(size=(6, 6)), requires_grad=True)
-            loss = T.tsum(T.tanh(x @ w) * T.Tensor(rng.normal(size=(6, 6))))
-            T.backward(loss)
+            with T.tape():
+                loss = T.tsum(T.relu(x @ w) * T.Tensor(rng.normal(size=(6, 6))))
+                T.backward(loss)
             return loss.data.copy(), x.grad.copy(), w.grad.copy()
 
         l1, gx1, gw1 = run()
@@ -290,21 +355,24 @@ class TestAdam:
     def test_single_step_closed_form(self):
         p = T.Tensor(np.zeros(1), requires_grad=True)
         state = T.AdamState.for_params([p], lr=1e-3)
-        T.adam_step([p], state, grads=[np.ones(1)])
+        p.grad = np.ones(1)
+        T.adam_step([p], state)
         # m-hat = 1, v-hat = 1 after bias correction
         assert p.data[0] == pytest.approx(-1e-3 / (1.0 + 1e-8), abs=1e-15)
 
     def test_zero_gradient_leaves_params(self):
         p = T.Tensor([1.5, -2.0], requires_grad=True)
         state = T.AdamState.for_params([p])
-        T.adam_step([p], state, grads=[np.zeros(2)])
+        p.grad = np.zeros(2)
+        T.adam_step([p], state)
         assert np.array_equal(p.data, [1.5, -2.0])
 
     def test_two_steps_match_hand_recurrence(self):
         p = T.Tensor(np.zeros(1), requires_grad=True)
         state = T.AdamState.for_params([p], lr=1e-3)
-        T.adam_step([p], state, grads=[np.ones(1)])
-        T.adam_step([p], state, grads=[np.ones(1)])
+        p.grad = np.ones(1)
+        T.adam_step([p], state)
+        T.adam_step([p], state)
         # hand-evaluated Adam with g=1 at t=1,2
         theta, m, v = 0.0, 0.0, 0.0
         for t in (1, 2):
@@ -318,6 +386,7 @@ class TestAdam:
     def test_step_counter_increments(self):
         p = T.Tensor(np.zeros(1), requires_grad=True)
         state = T.AdamState.for_params([p])
+        p.grad = np.ones(1)
         for expected in (1, 2, 3):
-            T.adam_step([p], state, grads=[np.ones(1)])
+            T.adam_step([p], state)
             assert state.t == expected
