@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -24,7 +25,10 @@ from .errors import DataError
 _open_tape: contextvars.ContextVar[Optional[list]] = contextvars.ContextVar(
     "graphmgs_tape", default=None)
 
-SOFT_RANK_BLOCK_ROWS = 128  # rows of the pairwise sigmoid matrix held at once
+# entries of the pairwise sigmoid matrix in one soft-rank block, so that each
+# float64 temporary of a block fits a core's L2 cache: 128 KB up to P = 2,048,
+# beyond which the 8-row floor of ``_soft_rank_rows`` sets the size
+SOFT_RANK_BLOCK_ENTRIES = 1 << 14
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -199,8 +203,14 @@ def relu(a) -> Tensor:
 
 def _sigmoid_stable(x: np.ndarray) -> np.ndarray:
     """1 / (1 + e) for x >= 0 and e / (1 + e) otherwise, with e = exp(-|x|) <= 1."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    # in place where the values allow it: the same ops and bits, fewer temporaries
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    return out
 
 
 def sqrt(a) -> Tensor:
@@ -220,6 +230,13 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     return _record(out, (a,), backward)
 
 
+def _scatter_add(shape: tuple[int, ...], flat, g) -> np.ndarray:
+    """Zeros of ``shape`` with g[k] added at flat index flat[k], in order of k: the
+    sums of ``np.add.at`` bit for bit, since both add in the same order from 0."""
+    return np.bincount(np.ravel(flat), weights=np.ravel(g),
+                       minlength=math.prod(shape)).reshape(shape)
+
+
 def index_select(a, index) -> Tensor:
     """Gather rows: out[i] = a[index[i]]."""
     a = as_tensor(a)
@@ -229,9 +246,9 @@ def index_select(a, index) -> Tensor:
     out = Tensor(a.data[idx])
 
     def backward(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
-        _accumulate(a, ga)
+        inner = math.prod(a.data.shape[1:])
+        flat = idx.reshape(-1, 1) * inner + np.arange(inner)
+        _accumulate(a, _scatter_add(a.data.shape, flat, g))
 
     return _record(out, (a,), backward)
 
@@ -263,12 +280,15 @@ def gather2d(a, rows, cols) -> Tensor:
     a = as_tensor(a)
     r = np.asarray(rows, dtype=np.int64)
     c = np.asarray(cols, dtype=np.int64)
+    if a.data.ndim != 2 or r.shape != c.shape:
+        raise DataError(f"gather2d: rows {r.shape} and cols {c.shape} into {a.shape}")
+    if r.size and (min(r.min(), c.min()) < 0 or r.max() >= a.data.shape[0]
+                   or c.max() >= a.data.shape[1]):
+        raise DataError(f"gather2d: index out of range for {a.shape}")
     out = Tensor(a.data[r, c])
 
     def backward(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, (r, c), g)
-        _accumulate(a, ga)
+        _accumulate(a, _scatter_add(a.data.shape, r * a.data.shape[1] + c, g))
 
     return _record(out, (a,), backward)
 
@@ -344,22 +364,51 @@ def segment_mean(a, offsets) -> Tensor:
     return _record(out, (a,), backward)
 
 
+def _soft_rank_rows(p: int) -> int:
+    """Rows per soft-rank block over p values: 128, halved while the block would
+    hold more than ``SOFT_RANK_BLOCK_ENTRIES`` entries, but never below 8."""
+    rows = 128
+    while rows > 8 and rows * p > SOFT_RANK_BLOCK_ENTRIES:
+        rows //= 2
+    return rows
+
+
 def _soft_rank_blocks(x: np.ndarray, tau: float):
     """Yield ``(lo, hi, s)`` with s = sigmoid((x[lo:hi, None] - x[None, :]) / tau),
-    one block of at most ``SOFT_RANK_BLOCK_ROWS`` whole rows at a time."""
-    for lo in range(0, len(x), SOFT_RANK_BLOCK_ROWS):
-        hi = min(lo + SOFT_RANK_BLOCK_ROWS, len(x))
-        yield lo, hi, _sigmoid_stable((x[lo:hi, None] - x[None, :]) / tau)
+    one block of at most ``_soft_rank_rows(len(x))`` whole rows at a time."""
+    rows = _soft_rank_rows(len(x))
+    for lo in range(0, len(x), rows):
+        hi = min(lo + rows, len(x))
+        z = x[lo:hi, None] - x[None, :]
+        z /= tau
+        yield lo, hi, _sigmoid_stable(z)
 
 
 def soft_rank(a, tau: float) -> Tensor:
     """Differentiable ranks r_i = sum_j sigmoid((x_i - x_j) / tau) over a 1-D tensor.
 
     The P x P sigmoid matrix is never held whole: forward and backward each
-    build it in blocks of ``SOFT_RANK_BLOCK_ROWS`` rows, so memory is
-    O(P * block) and time O(P^2). The backward pass recomputes the blocks
-    instead of keeping them. Every row is summed whole inside its block, so
-    the result is bit-identical to the dense computation.
+    build it in blocks of whole rows, and the backward pass recomputes the
+    blocks instead of keeping them, so time is O(P^2) and memory O(P) per
+    block. A block has 128 rows, halved while it would hold more than
+    ``SOFT_RANK_BLOCK_ENTRIES`` (2^14) entries, but never fewer than 8: 64
+    rows at P = 190, 32 at P = 496 and 8 from P = 2,048 on.
+
+    What is guaranteed:
+    - The ranks are bit-identical to the dense computation at every P,
+      because each row is summed whole inside its block.
+    - The gradient is not always. Its ``sprime @ g`` is a BLAS
+      matrix-vector product whose last-bit rounding can depend on how many
+      rows it is given, in a way that varies with the BLAS build and CPU.
+      Blocks of 1-7 rows (or 12) round differently from 128-row blocks at
+      many P. Blocks whose row count is a power of two and at least 8 give
+      the bits of 128-row blocks at all but a few odd batch pair counts
+      B(B-1)/2 for B = 3..128 (561, 1,081 or 6,441, depending on the host),
+      hence the halving and its floor. At the pair counts of the pipeline's
+      batch sizes (B = 16, 20, 32, 64, 128) the gradient is bit-identical to
+      the dense product. Elsewhere it can differ from the dense product in
+      the last bits, as 128-row blocks do at P = 4,097, and stays within
+      1e-12 relative of it.
     """
     a = as_tensor(a)
     if a.data.ndim != 1:
@@ -376,7 +425,8 @@ def soft_rank(a, tau: float) -> Tensor:
         g = np.asarray(g)
         ga = np.empty_like(x)
         for lo, hi, s in _soft_rank_blocks(x, tau):
-            sprime = s * (1.0 - s)  # symmetric: sigma'(z) is even and z_ij = -z_ji
+            sprime = np.subtract(1.0, s)
+            sprime *= s  # symmetric: sigma'(z) is even and z_ij = -z_ji
             ga[lo:hi] = (g[lo:hi] * sprime.sum(axis=1) - sprime @ g) / tau
         _accumulate(a, ga)
 

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Hashable, Optional, Sequence
 
 import numpy as np
@@ -60,6 +59,17 @@ class PgmConfig:
         _check_schedule(self.epochs, self.lr)
 
 
+@dataclass(frozen=True)
+class SkippedBatch:
+    """A pre-training batch that took no step: its epoch (from 1), its position
+    in that epoch's shuffled order (from 0), its graphs, and why."""
+
+    epoch: int
+    position: int
+    graph_ids: tuple
+    reason: str
+
+
 @dataclass
 class TrainReport:
     """Per-epoch pre-training trace; epochs are recorded consecutively from 1."""
@@ -69,7 +79,11 @@ class TrainReport:
     wall_clock: float = 0.0
     seed: int = 0
     config_hash: str = ""
-    skipped_batches: int = 0
+    skipped: list[SkippedBatch] = field(default_factory=list)
+
+    @property
+    def skipped_batches(self) -> int:
+        return len(self.skipped)
 
     def to_dict(self) -> dict:
         return {
@@ -80,6 +94,7 @@ class TrainReport:
             "seed": self.seed,
             "config_hash": self.config_hash,
             "skipped_batches": self.skipped_batches,
+            "skipped": [asdict(b) for b in self.skipped],
         }
 
 
@@ -151,7 +166,10 @@ def holdout_split(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.nd
 def pretrain(corpus: GraphCorpus, model: GnnModel, cfg: PgmConfig,
              fingerprints: dict) -> tuple[GnnModel, TrainReport]:
     """Epochs of within-batch pair correlation maximization with Adam; the
-    held-out MGS is evaluated on a fixed pair sample of unseen graphs."""
+    held-out MGS is evaluated on a fixed pair sample of unseen graphs.  A
+    batch whose loss is undefined (``NumericError``) takes no step and is
+    recorded in ``report.skipped``; a trailing batch of fewer than 3 graphs
+    is left out."""
     missing = [g.id for g in corpus if g.id not in fingerprints]
     if missing:
         raise DataError(f"fingerprints missing for graphs: {missing[:5]}")
@@ -177,10 +195,10 @@ def pretrain(corpus: GraphCorpus, model: GnnModel, cfg: PgmConfig,
                                derive_seed(cfg.seed, "pretrain-eval"))
         return mgs(pairs)
 
-    for _ in range(cfg.epochs):
+    for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(train_idx)
         batch_losses = []
-        for lo in range(0, len(order), cfg.batch_size):
+        for position, lo in enumerate(range(0, len(order), cfg.batch_size)):
             batch = [graphs[i] for i in order[lo:lo + cfg.batch_size]]
             if len(batch) < 3:
                 continue
@@ -191,8 +209,8 @@ def pretrain(corpus: GraphCorpus, model: GnnModel, cfg: PgmConfig,
                 try:
                     loss = pgm_loss(embed_graph(model, batch), structural, cfg)
                 except NumericError as exc:
-                    warnings.warn(f"skipping batch: {exc}")
-                    report.skipped_batches += 1
+                    report.skipped.append(SkippedBatch(
+                        epoch, position, tuple(g.id for g in batch), str(exc)))
                     continue
                 if not np.isfinite(loss.item()):
                     raise NumericError(

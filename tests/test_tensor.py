@@ -81,10 +81,18 @@ def _two_branch_sigmoid(x):
 
 
 def _dense_soft_rank(x, tau, g):
-    """Reference: ranks and their gradient against g from whole P x P arrays."""
-    s = _two_branch_sigmoid((x[:, None] - x[None, :]) / tau)
-    sprime = s * (1.0 - s)
-    return s.sum(axis=1), (g * sprime.sum(axis=1) - sprime @ g) / tau
+    """Reference: ranks and their gradient against g, each row sum and the product
+    sprime @ g taken over one whole P x P matrix.  The matrix is filled and turned
+    into sprime a few rows at a time, elementwise ops whose bits do not depend on
+    the rows, so that only one P x P array is held (528 MB at P = 8,128)."""
+    m = np.empty((len(x), len(x)))
+    chunks = [m[lo:lo + 64] for lo in range(0, len(x), 64)]
+    for lo, rows in zip(range(0, len(x), 64), chunks):
+        rows[:] = _two_branch_sigmoid((x[lo:lo + 64, None] - x[None, :]) / tau)
+    ranks = m.sum(axis=1)
+    for rows in chunks:
+        np.multiply(rows, 1.0 - rows, out=rows)
+    return ranks, (g * m.sum(axis=1) - m @ g) / tau
 
 
 def _soft_rank_and_grad(x, tau, g):
@@ -95,27 +103,46 @@ def _soft_rank_and_grad(x, tau, g):
     return ranks.data, a.grad
 
 
-_BLOCK = T.SOFT_RANK_BLOCK_ROWS
+def _soft_rank_case(p):
+    rng = np.random.default_rng(p)
+    x = rng.normal(size=p)
+    g = rng.normal(size=p)
+    tau = 0.05 * float(np.ptp(x)) if p > 1 else 0.1
+    return x, tau, g
 
 
 class TestSoftRankBlocks:
-    # one partial block, exact multiples of the block, and remainders
-    @pytest.mark.parametrize("p", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1,
-                                   2 * _BLOCK + 5, 1000])
+    # one partial block, exact multiples of the block, and remainders; then the
+    # pair counts B(B-1)/2 of batches of 16, 20, 32, 64 and 128 graphs
+    @pytest.mark.parametrize("p", [1, 2, 127, 128, 129, 261, 1000,
+                                   120, 190, 496, 2016, 8128])
     def test_bit_identical_to_dense(self, p):
-        rng = np.random.default_rng(p)
-        x = rng.normal(size=p)
-        g = rng.normal(size=p)
-        tau = 0.05 * float(np.ptp(x)) if p > 1 else 0.1
+        x, tau, g = _soft_rank_case(p)
         ranks, grad = _soft_rank_and_grad(x, tau, g)
         dense_ranks, dense_grad = _dense_soft_rank(x, tau, g)
         assert np.array_equal(ranks, dense_ranks)
         assert np.array_equal(grad, dense_grad)
 
+    # pair counts where a block's matrix-vector product can round the gradient
+    # differently from the dense one, in the last bits
+    @pytest.mark.parametrize("p", [561, 1081, 4097, 6441])
+    def test_odd_pair_counts_close_to_dense(self, p):
+        x, tau, g = _soft_rank_case(p)
+        ranks, grad = _soft_rank_and_grad(x, tau, g)
+        dense_ranks, dense_grad = _dense_soft_rank(x, tau, g)
+        assert np.array_equal(ranks, dense_ranks)
+        assert np.max(np.abs(grad - dense_grad)) <= 1e-12 * np.max(np.abs(dense_grad))
+
+    @pytest.mark.parametrize("p,rows", [(1, 128), (128, 128), (129, 64), (190, 64),
+                                        (496, 32), (1024, 16), (1025, 8), (2048, 8),
+                                        (32640, 8)])
+    def test_block_rows_halve_to_the_budget(self, p, rows):
+        assert T._soft_rank_rows(p) == rows
+
     def test_gradient_matches_finite_differences_across_blocks(self):
         rng = np.random.default_rng(12)
         p = 300
-        assert p > 2 * _BLOCK
+        assert p > 2 * T._soft_rank_rows(p)
         x = T.Tensor(rng.normal(size=p), requires_grad=True)
         w = T.Tensor(rng.normal(size=p))
         rel = finite_difference_check(lambda: T.tsum(T.soft_rank(x, 0.3) * w), [x], h=1e-5)
@@ -134,10 +161,65 @@ class TestSoftRankBlocks:
             tracemalloc.stop()
         assert peak < dense_bytes, f"peak {peak} B, one dense P x P array is {dense_bytes} B"
 
+    def test_blocks_stay_cache_sized(self):
+        p = 4096
+        x = np.random.default_rng(15).normal(size=p)
+        g = np.ones(p)
+        budget = p * p * 8 // 16
+        tracemalloc.start()
+        try:
+            _soft_rank_and_grad(x, 0.1, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < budget, f"peak {peak} B, 1/16 of a dense P x P array is {budget} B"
+
     @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf, 0.0, -1.0])
     def test_bad_tau_rejected(self, tau):
         with pytest.raises(DataError, match="tau"):
             T.soft_rank(T.Tensor([0.0, 1.0, 2.0]), tau)
+
+
+def _add_at(shape, index, g):
+    """Reference scatter-add: zeros of shape with g added at index by np.add.at."""
+    out = np.zeros(shape)
+    np.add.at(out, index, g)
+    return out
+
+
+def _grad_through(op, a, upstream):
+    with T.tape():
+        T.backward(T.tsum(op(a) * T.Tensor(upstream)))
+    return a.grad
+
+
+class TestScatterAddBackward:
+    # repeated, unsorted indices; then an empty index
+    @pytest.mark.parametrize("idx", [[3, 0, 3, 4, 0, 0, 2, 3], []])
+    def test_index_select_matches_add_at(self, idx):
+        rng = np.random.default_rng(16)
+        a = T.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        upstream = rng.normal(size=(len(idx), 3))  # 2-D upstream gradient
+        grad = _grad_through(lambda t: T.index_select(t, idx), a, upstream)
+        assert np.array_equal(grad, _add_at((5, 3), np.asarray(idx, dtype=np.int64), upstream))
+
+    @pytest.mark.parametrize("rows,cols", [
+        ([2, 0, 2, 3, 0, 2], [1, 4, 1, 0, 4, 1]),
+        ([[2, 0, 2], [3, 0, 2]], [[1, 4, 1], [0, 4, 1]]),  # 2-D upstream gradient
+        ([], [])])
+    def test_gather2d_matches_add_at(self, rows, cols):
+        rng = np.random.default_rng(17)
+        a = T.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        r, c = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        upstream = rng.normal(size=r.shape)
+        grad = _grad_through(lambda t: T.gather2d(t, r, c), a, upstream)
+        assert np.array_equal(grad, _add_at((4, 5), (r, c), upstream))
+
+    @pytest.mark.parametrize("rows,cols", [([0, 4], [0, 0]), ([0, 0], [0, 5]),
+                                           ([-1], [0]), ([0, 1], [0])])
+    def test_gather2d_rejects_bad_indices(self, rows, cols):
+        with pytest.raises(DataError, match="gather2d"):
+            T.gather2d(T.Tensor(np.ones((4, 5))), rows, cols)
 
 
 class TestSigmoid:

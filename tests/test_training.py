@@ -9,8 +9,9 @@ from graphmgs.graphs import GraphCorpus, LabeledGraph
 from graphmgs.models import GnnConfig, infer_attr_sizes, init_model
 from graphmgs.similarity import average_ranks, mgs
 from graphmgs.synthetic import SyntheticSpec, generate_synthetic
-from graphmgs.training import (MIN_STRATUM, FinetuneReport, PgmConfig, evaluate_mgs,
-                               finetune, pgm_loss, pretrain, roc_auc, split_folds)
+from graphmgs.training import (MIN_STRATUM, FinetuneReport, PgmConfig, SkippedBatch,
+                               evaluate_mgs, finetune, pgm_loss, pretrain, roc_auc,
+                               split_folds)
 
 from conftest import finite_difference_check
 
@@ -188,6 +189,34 @@ class TestPretrain:
         assert np.asarray(matrix.losses).tobytes() == np.asarray(scalar.losses).tobytes()
         assert (np.asarray(matrix.holdout_mgs).tobytes()
                 == np.asarray(scalar.holdout_mgs).tobytes())
+
+    def test_skipped_batch_recorded(self, tiny_corpus, tiny_fps, monkeypatch):
+        from graphmgs import training
+
+        real = training.structural_pair_sims
+        ids_of = {id(fp): gid for gid, fp in tiny_fps.items()}
+        batches = []
+
+        def flat_second_batch(fps, rows, cols):
+            # every pair of the second batch equally similar: the loss is undefined
+            batches.append(tuple(ids_of[id(fp)] for fp in fps))
+            sims = real(fps, rows, cols)
+            return np.full_like(sims, 0.5) if len(batches) == 2 else sims
+
+        monkeypatch.setattr(training, "structural_pair_sims", flat_second_batch)
+        model = tiny_model(tiny_corpus, seed=12)
+        _, report = pretrain(tiny_corpus, model,
+                             PgmConfig(batch_size=8, epochs=2, seed=13, eval_pairs=20),
+                             tiny_fps)
+        assert report.skipped == [SkippedBatch(
+            epoch=1, position=1, graph_ids=batches[1],
+            reason="pgm loss undefined: zero rank variance in structural similarities")]
+        assert report.skipped_batches == 1 and len(batches[1]) == 8
+        assert np.all(np.isfinite(report.losses))
+        record = report.to_dict()
+        assert record["skipped_batches"] == 1
+        assert record["skipped"] == [{"epoch": 1, "position": 1, "graph_ids": batches[1],
+                                      "reason": report.skipped[0].reason}]
 
 
 class TestEvaluateMgs:
