@@ -25,9 +25,11 @@ from .errors import DataError
 _open_tape: contextvars.ContextVar[Optional[list]] = contextvars.ContextVar(
     "graphmgs_tape", default=None)
 
-# entries of the pairwise sigmoid matrix in one soft-rank block, so that each
-# float64 temporary of a block fits a core's L2 cache: 128 KB up to P = 2,048,
-# beyond which the 8-row floor of ``_soft_rank_rows`` sets the size
+# entries of the pairwise sigmoid matrix in one soft-rank block, so that each of
+# the two float64 block buffers a call reuses fits a core's L2 cache: 128 KB up
+# to P = 2,048, beyond which the 8-row floor of ``_soft_rank_rows`` sets the
+# size.  There is no third buffer: the branch-free sigmoid takes its input z
+# as its ``work``.
 SOFT_RANK_BLOCK_ENTRIES = 1 << 14
 
 ADAM_BETA1 = 0.9
@@ -201,13 +203,20 @@ def relu(a) -> Tensor:
                   lambda g, x, y: g * (x > 0.0))
 
 
-def _sigmoid_stable(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + e) for x >= 0 and e / (1 + e) otherwise, with e = exp(-|x|) <= 1."""
-    # in place where the values allow it: the same ops and bits, fewer temporaries
-    e = np.abs(x)
+def _sigmoid_stable(x: np.ndarray, out: Optional[np.ndarray] = None,
+                    work: Optional[np.ndarray] = None) -> np.ndarray:
+    """1 / (1 + e) for x >= 0 and e / (1 + e) otherwise, with e = exp(-|x|) <= 1.
+
+    The numerator is selected without a branch: max(m, e) with m = 1.0 where
+    x >= 0 and 0.0 elsewhere, which is exactly 1 or e because 0 <= e <= 1, and
+    NaN where x is NaN.  ``out`` receives the result and ``work`` holds e; both
+    are optional float64 arrays of x's shape, and ``work`` may be x itself,
+    which is then overwritten."""
+    out = np.greater_equal(x, 0.0, out=np.empty(x.shape) if out is None else out)
+    e = np.abs(x, out=work)  # the last read of x, which ``work`` may be
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.where(x >= 0, 1.0, e)
+    np.maximum(out, e, out=out)
     e += 1.0
     out /= e
     return out
@@ -374,14 +383,18 @@ def _soft_rank_rows(p: int) -> int:
 
 
 def _soft_rank_blocks(x: np.ndarray, tau: float):
-    """Yield ``(lo, hi, s)`` with s = sigmoid((x[lo:hi, None] - x[None, :]) / tau),
-    one block of at most ``_soft_rank_rows(len(x))`` whole rows at a time."""
+    """Yield ``(lo, hi, s, spare)`` with s = sigmoid((x[lo:hi, None] - x[None, :]) /
+    tau), one block of at most ``_soft_rank_rows(len(x))`` whole rows at a time.
+
+    s and ``spare``, scratch of s's shape, are views of the call's two buffers,
+    which the next block overwrites."""
     rows = _soft_rank_rows(len(x))
+    zbuf, sbuf = np.empty((rows, len(x))), np.empty((rows, len(x)))
     for lo in range(0, len(x), rows):
         hi = min(lo + rows, len(x))
-        z = x[lo:hi, None] - x[None, :]
+        z = np.subtract(x[lo:hi, None], x[None, :], out=zbuf[:hi - lo])
         z /= tau
-        yield lo, hi, _sigmoid_stable(z)
+        yield lo, hi, _sigmoid_stable(z, out=sbuf[:hi - lo], work=z), z
 
 
 def soft_rank(a, tau: float) -> Tensor:
@@ -392,7 +405,13 @@ def soft_rank(a, tau: float) -> Tensor:
     blocks instead of keeping them, so time is O(P^2) and memory O(P) per
     block. A block has 128 rows, halved while it would hold more than
     ``SOFT_RANK_BLOCK_ENTRIES`` (2^14) entries, but never fewer than 8: 64
-    rows at P = 190, 32 at P = 496 and 8 from P = 2,048 on.
+    rows at P = 190, 32 at P = 496 and 8 from P = 2,048 on. The forward pass
+    and the backward pass each allocate two rows x P buffers once and reuse
+    them for every block: z is computed in one, and ``_sigmoid_stable``
+    writes s into the other with a branch-free select, taking z itself as
+    its ``work`` (its ``work`` may be its input); the backward pass then
+    builds sprime = s (1 - s) in z's buffer.  The buffers are not shared
+    between calls or kept by the backward closure.
 
     What is guaranteed:
     - The ranks are bit-identical to the dense computation at every P,
@@ -417,15 +436,15 @@ def soft_rank(a, tau: float) -> Tensor:
         raise DataError(f"soft_rank: tau must be finite and > 0, got {tau}")
     x = a.data
     ranks = np.empty_like(x)
-    for lo, hi, s in _soft_rank_blocks(x, tau):
+    for lo, hi, s, _ in _soft_rank_blocks(x, tau):
         ranks[lo:hi] = s.sum(axis=1)
     out = Tensor(ranks)
 
     def backward(g):
         g = np.asarray(g)
         ga = np.empty_like(x)
-        for lo, hi, s in _soft_rank_blocks(x, tau):
-            sprime = np.subtract(1.0, s)
+        for lo, hi, s, spare in _soft_rank_blocks(x, tau):
+            sprime = np.subtract(1.0, s, out=spare)
             sprime *= s  # symmetric: sigma'(z) is even and z_ij = -z_ji
             ga[lo:hi] = (g[lo:hi] * sprime.sum(axis=1) - sprime @ g) / tau
         _accumulate(a, ga)

@@ -351,6 +351,22 @@ def _cover_strata(perm: np.ndarray, labels: list, bounds: dict) -> None:
             labels[d], labels[r] = labels[r], labels[d]
 
 
+def _split_strata(graphs, task_count: int) -> list:
+    """Each graph's label on one task, the stratum ``finetune`` splits by: the
+    task whose smaller class has the fewest known labels, among tasks with
+    both classes (the first on a tie), or task 0 when no task has both.  A
+    missing label is a stratum of its own."""
+    labels = [g.graph_labels if g.graph_labels is not None else (None,) * task_count
+              for g in graphs]
+    minority = {}
+    for t in range(task_count):
+        counts = Counter(lab[t] for lab in labels)
+        if counts[0] and counts[1]:
+            minority[t] = min(counts[0], counts[1])
+    task = min(minority, key=minority.get, default=0)
+    return [lab[task] for lab in labels]
+
+
 def _fold_auc(model: GnnModel, graphs, labels_per_graph) -> float:
     """Mean per-task AUC over tasks with both classes present in the fold, or
     NaN when no task has both; a non-finite score raises ``NumericError``."""
@@ -378,11 +394,13 @@ def finetune(corpus: GraphCorpus, model: GnnModel, epochs: int = 100,
     """Supervised fine-tuning with masked binary cross-entropy over observed
     labels.
 
-    The split is ``split_folds`` stratified by each graph's label tuple, a
-    missing label counting as a value of its own (verified for one task; with
-    several tasks every distinct tuple is a stratum).  The returned
-    parameters are chosen by one of two rules, recorded in
-    ``report.selection``:
+    The split is ``split_folds`` stratified on one task, a missing label
+    counting as a value of its own: the task whose smaller class has the
+    fewest known labels, among tasks with both classes, or task 0 when no task
+    has both.  So valid and test hold both classes of that task under the
+    ``split_folds`` guarantee; other tasks have no such guarantee.  With one
+    task this is the split by its labels.  The returned parameters are chosen
+    by one of two rules, recorded in ``report.selection``:
 
     - ``"valid_auc"``: the first epoch with the highest validation AUC, when
       at least one epoch has a defined validation AUC;
@@ -409,9 +427,8 @@ def finetune(corpus: GraphCorpus, model: GnnModel, epochs: int = 100,
         model = with_head(model, corpus.task_count, derive_seed(seed, "head-init"))
 
     start = time.perf_counter()
-    strata = [g.graph_labels if g.graph_labels is not None else (None,) * corpus.task_count
-              for g in graphs]
-    folds = split_folds(len(graphs), derive_seed(seed, "finetune-split"), strata)
+    folds = split_folds(len(graphs), derive_seed(seed, "finetune-split"),
+                        _split_strata(graphs, corpus.task_count))
 
     def fold_labels(fold: str, epoch: Optional[int]):
         if on_label_read is not None:

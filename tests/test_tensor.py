@@ -174,6 +174,34 @@ class TestSoftRankBlocks:
             tracemalloc.stop()
         assert peak < budget, f"peak {peak} B, 1/16 of a dense P x P array is {budget} B"
 
+    def test_two_block_buffers_per_call(self):
+        # two rows x P buffers reused across blocks, not fresh temporaries per block
+        p = 4096
+        x = np.random.default_rng(15).normal(size=p)
+        g = np.ones(p)
+        budget = 3 * T._soft_rank_rows(p) * p * 8
+        tracemalloc.start()
+        try:
+            _soft_rank_and_grad(x, 0.1, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < budget, f"peak {peak} B, three rows x P blocks are {budget} B"
+
+    def test_two_calls_on_one_tape(self):
+        # P = 190 and 1,000 use 64- and 16-row blocks: neither call's forward or
+        # backward may share buffers with the other's
+        (x1, tau1, g1), (x2, tau2, g2) = _soft_rank_case(190), _soft_rank_case(1000)
+        a1, a2 = T.Tensor(x1, requires_grad=True), T.Tensor(x2, requires_grad=True)
+        with T.tape():
+            r1, r2 = T.soft_rank(a1, tau1), T.soft_rank(a2, tau2)
+            T.backward(T.tsum(r1 * T.Tensor(g1)) + T.tsum(r2 * T.Tensor(g2)))
+        for got, grad, (x, tau, g) in [(r1, a1.grad, (x1, tau1, g1)),
+                                       (r2, a2.grad, (x2, tau2, g2))]:
+            alone_ranks, alone_grad = _soft_rank_and_grad(x, tau, g)
+            assert np.array_equal(got.data, alone_ranks)
+            assert np.array_equal(grad, alone_grad)
+
     @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf, 0.0, -1.0])
     def test_bad_tau_rejected(self, tau):
         with pytest.raises(DataError, match="tau"):
@@ -234,6 +262,17 @@ class TestSigmoid:
         nan = np.isnan(want)
         assert np.array_equal(np.isnan(got), nan) and nan.sum() == 1
         assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+    def test_buffers_give_the_same_bits(self):
+        x = np.array([0.0, -0.0, 1e-300, -1e-300, 700.0, -700.0, 800.0, -800.0,
+                      np.inf, -np.inf, np.nan])
+        want = T._sigmoid_stable(x)
+        out, work = np.full_like(x, 7.0), np.full_like(x, 7.0)
+        assert T._sigmoid_stable(x, out=out, work=work) is out
+        z = x.copy()
+        in_place = T._sigmoid_stable(z, out=np.empty_like(x), work=z)
+        for got in (out, in_place):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestBackward:

@@ -1,11 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
 from graphmgs import tensor as T
+from graphmgs import training
 from graphmgs.config import derive_seed
 from graphmgs.errors import DataError, NumericError
 from graphmgs.fingerprints import make_fingerprints
-from graphmgs.graphs import GraphCorpus, LabeledGraph
+from graphmgs.graphs import GraphCorpus, LabeledGraph, load_corpus
 from graphmgs.models import GnnConfig, infer_attr_sizes, init_model
 from graphmgs.similarity import average_ranks, mgs
 from graphmgs.synthetic import SyntheticSpec, generate_synthetic
@@ -484,6 +487,54 @@ class TestFinetune:
     def test_split_folds_strata_length_checked(self):
         with pytest.raises(DataError, match="strata"):
             split_folds(20, seed=0, strata=[0] * 19)
+
+    def test_one_task_split_by_its_labels(self, tiny_corpus, monkeypatch):
+        seed = 7
+        folds = _finetune_folds(tiny_corpus, seed, monkeypatch)
+        by_tuple = split_folds(len(tiny_corpus.graphs), derive_seed(seed, "finetune-split"),
+                               [g.graph_labels for g in tiny_corpus])
+        for f in ("train", "valid", "test"):
+            assert folds[f].tolist() == by_tuple[f].tolist()
+
+    def test_several_tasks_stratified_on_the_rarest_class(self, tmp_path, monkeypatch):
+        # three tasks with missing labels: most label tuples are rare, but both
+        # classes of the task with the fewest minority labels (task 1's 5
+        # positives) must reach valid and test, which a split by whole label
+        # tuples misses on this corpus
+        rng = np.random.default_rng(1)
+        path = tmp_path / "tasks.jsonl"
+        with open(path, "w", encoding="utf-8") as fh:
+            for i in range(60):
+                labels = [None if rng.uniform() < p_missing else int(rng.uniform() < p_pos)
+                          for p_pos, p_missing in ((0.5, 0.2), (0.15, 0.3), (0.35, 0.4))]
+                n = int(rng.integers(3, 7))
+                fh.write(json.dumps({
+                    "id": f"m{i}", "n": n, "edges": [[k, k + 1] for k in range(n - 1)],
+                    "node_attrs": [[int(a)] for a in rng.integers(0, 3, size=n)],
+                    "edge_attrs": [[0]] * (n - 1), "graph_labels": labels}) + "\n")
+        corpus = load_corpus(path)
+        assert corpus.task_count == 3
+        known = [[g.graph_labels[t] for g in corpus if g.graph_labels[t] is not None]
+                 for t in range(3)]
+        minority = [min(k.count(0), k.count(1)) for k in known]
+        assert minority[1] == min(minority) == 5
+        folds = _finetune_folds(corpus, 0, monkeypatch)
+        for f in ("valid", "test"):
+            assert {corpus.graphs[i].graph_labels[1] for i in folds[f]} >= {0, 1}, f
+
+
+def _finetune_folds(corpus, seed, monkeypatch):
+    """The folds one epoch of ``finetune`` splits ``corpus`` into."""
+    seen = []
+
+    def recording_split(*args):
+        seen.append(split_folds(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(training, "split_folds", recording_split)
+    finetune(corpus, tiny_model(corpus, seed=20, task_count=corpus.task_count),
+             epochs=1, seed=seed)
+    return seen[0]
 
 
 class TestNonFiniteLoss:
