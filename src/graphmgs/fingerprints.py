@@ -2,26 +2,46 @@
 
 All hashing is fixed 64-bit FNV-1a over canonical integer sequences, with
 splitmix64 expanding a feature hash into bit indices, so fingerprints are
-deterministic across runs and platforms.  The scalar ``fnv1a64`` and
-``splitmix64`` are the reference spec; ``fnv1a64_rows`` and
-``splitmix64_rows`` compute the same values over numpy uint64 arrays.
+deterministic across runs and platforms.  ``fnv1a64_rows`` hashes a batch of
+sequences in one call, whole rows of a table or ragged rows of one flat
+array, and ``splitmix64_rows`` draws for a batch of states; the scalar
+specifications they are tested against live with the tests.
+
+Each scheme has one engine that fingerprints a whole batch of graphs; a
+single graph is a batch of one, and a graph's bits never depend on the rest
+of its batch.  Both engines renumber the batch's nodes to global rows and
+build one CSR of its directed edge slots, each with a head node, a tail node
+and a bond code; node and bond attributes are hashed once per batch.
 
 Topological path features (after Rogers & Hahn, "Extended-Connectivity
-Fingerprints", JCIM 2010) come from one engine, ``topological_fingerprints``,
-that walks the simple paths of a whole batch of graphs together; a single
-graph is a batch of one.  Nodes are renumbered to global rows of the batch and
-one CSR lists its directed edge slots, each with a head node, a tail node and
-a bond code; node and bond codes are hashed once per batch.  A path of k edges
-is a row of k slots, and a block is an int32 array of such rows from any
-graphs of the batch.  The walk is depth-first: it extends the next rows of the
-deepest block whose continuations fit in ``PATH_BLOCK_ROWS`` rows, hashes the
-canonical rows of the new block into one (graphs, nbits) bit matrix, adds them
-to each graph's running total and descends.  At most one block per path
+Fingerprints", JCIM 2010) come from ``topological_fingerprints``, which walks
+the simple paths of the batch together.  A path of k edges is a row of k
+slots, and a block is an int32 array of such rows from any graphs of the
+batch.  The walk is depth-first: it extends the next rows of the deepest
+block whose continuations fit in ``PATH_BLOCK_ROWS`` rows, hashes the
+canonical rows of the new block into one (graphs, nbits) bit matrix, adds
+them to each graph's running total and descends.  At most one block per path
 length is alive, so beyond the CSR itself (whose slots are the 1-edge paths)
 memory is O(max_path_len × PATH_BLOCK_ROWS) whatever the batch size or a
 graph's path count; a breadth-first frontier of every k-edge path would grow
-with both.  ``MAX_PATHS_PER_GRAPH`` caps each graph on its
-own: the walk raises as soon as one graph's running total passes it.
+with both.  ``MAX_PATHS_PER_GRAPH`` caps each graph on its own: the walk
+raises as soon as one graph's running total passes it.
+
+Circular (Morgan) features come from ``morgan_fingerprints``.  Each round
+hashes one ragged table with a row per atom: round 0 holds the atom's
+attributes, degree and sorted incident bond codes, and round r its previous
+identifier and its (bond, neighbour identifier) pairs, put in order by one
+``lexsort`` of the slots.  Tables are flat, so a hub's long row costs its
+own length, not that length for every atom.  An atom's environment at round
+r is its radius-r ball, kept as a packed bitset row: a round's balls OR each
+neighbour's previous row in along the slots.  One ``lexsort`` over (graph,
+ball, round, identifier) keeps the first identifier of each distinct ball of
+a graph, and one fancy-index write sets the bits.  Ball rows are padded to
+the largest graph of a run of consecutive graphs, so a run of N nodes holds
+N·⌈n_max/8⌉ bytes for each of the radius + 1 rounds; gathering neighbour rows
+and the sorted copy add about twice that again.  Runs are cut so that a
+round takes at most ``BALL_BLOCK_BYTES``, unless one graph needs more on its
+own, so a large graph pads only the small graphs of its own run.
 """
 
 from __future__ import annotations
@@ -38,46 +58,51 @@ MORGAN = "morgan"
 
 MAX_PATHS_PER_GRAPH = 10 ** 6
 PATH_BLOCK_ROWS = 32768  # path rows per block of the depth-first walk; bounds its memory
+BALL_BLOCK_BYTES = 1 << 20  # ball bitset bytes per round of one Morgan run; bounds its memory
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def fnv1a64(ints) -> int:
-    """FNV-1a over the 8-byte little-endian encoding of each integer."""
-    h = _FNV_OFFSET
-    for value in ints:
-        v = value & _MASK64
-        for _ in range(8):
-            h ^= v & 0xFF
-            h = (h * _FNV_PRIME) & _MASK64
-            v >>= 8
-    return h
+def fnv1a64_rows(codes: np.ndarray, lengths=None) -> np.ndarray:
+    """64-bit FNV-1a of each row of codes, over the 8-byte little-endian
+    encoding of each code.
 
-
-def splitmix64(state: int):
-    """One splitmix64 draw; returns (value, next_state)."""
-    state = (state + 0x9E3779B97F4A7C15) & _MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31), state
-
-
-def fnv1a64_rows(codes: np.ndarray) -> np.ndarray:
-    """``fnv1a64`` of each row of a (rows, k) uint64 array."""
-    octets = np.ascontiguousarray(codes, dtype="<u8").view(np.uint8)
-    h = np.full(len(octets), _FNV_OFFSET, dtype=np.uint64)
+    ``codes`` is a (rows, k) uint64 array, or, with ``lengths``, a flat
+    uint64 array that holds the rows one after another: row i is the next
+    ``lengths[i]`` codes.  A row of no codes hashes to the FNV offset basis.
+    Ragged rows are hashed longest first, so the rows that reach code j are a
+    prefix of that order and code j of all of them is one gather."""
+    if lengths is None:
+        octets = np.ascontiguousarray(codes, dtype="<u8").view(np.uint8)
+        h = np.full(len(octets), _FNV_OFFSET, dtype=np.uint64)
+        columns = (octets[:, j:j + 8] for j in range(0, octets.shape[1], 8))
+    else:
+        lengths = np.asarray(lengths, dtype=np.intp)
+        order = np.argsort(-lengths, kind="stable")
+        starts = (np.cumsum(lengths) - lengths)[order]
+        h = np.full(len(lengths), _FNV_OFFSET, dtype=np.uint64)
+        flat = np.asarray(codes, dtype="<u8")
+        # longer[j]: the rows longer than j
+        longer = len(lengths) - np.cumsum(np.bincount(lengths))[:-1]
+        columns = (flat[starts[:count] + j].view(np.uint8).reshape(count, 8)
+                   for j, count in enumerate(longer.tolist()))
     prime = np.uint64(_FNV_PRIME)
-    for column in octets.T:
-        h ^= column
-        h *= prime
-    return h
+    for column in columns:
+        prefix = h[:len(column)]
+        for octet in column.T:
+            prefix ^= octet
+            prefix *= prime
+    if lengths is None:
+        return h
+    out = np.empty_like(h)
+    out[order] = h
+    return out
 
 
 def splitmix64_rows(state: np.ndarray):
-    """``splitmix64`` of each element of a uint64 array; returns (values, next_states)."""
+    """One splitmix64 draw from each state of a uint64 array; returns (values, next_states)."""
     state = state + np.uint64(0x9E3779B97F4A7C15)
     z = (state ^ (state >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
@@ -91,9 +116,7 @@ class BitFingerprint:
     params: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        n = len(self.bits)
-        if n == 0 or (n & (n - 1)) != 0:
-            raise DataError(f"fingerprint length {n} is not a power of two")
+        _check_nbits(len(self.bits))
 
     @property
     def nbits(self) -> int:
@@ -112,43 +135,58 @@ class BitFingerprint:
         return cls(bits=bits, scheme=scheme, params=tuple(params))
 
 
-def _edge_code(attrs: tuple[int, ...]) -> int:
-    return fnv1a64((len(attrs), *attrs))
+def _check_int(what: str, value, minimum: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise DataError(f"{what} must be an integer >= {minimum}, not {value!r}")
 
 
-def atom_invariants(g: LabeledGraph) -> list[int]:
-    """Per-node 64-bit hash of (node attrs, degree, multiset of incident edge codes)."""
-    deg = g.degrees()
-    incident: list[list[int]] = [[] for _ in range(g.node_count)]
-    for (u, v), eattr in zip(g.edges, g.edge_attrs):
-        code = _edge_code(eattr)
-        incident[u].append(code)
-        incident[v].append(code)
-    out = []
-    for v in range(g.node_count):
-        attrs = g.node_attrs[v]
-        out.append(fnv1a64((len(attrs), *attrs, int(deg[v]), *sorted(incident[v]))))
-    return out
+def _check_nbits(nbits) -> None:
+    _check_int("fingerprint nbits", nbits, 1)
+    if nbits & (nbits - 1):
+        raise DataError(f"fingerprint length {nbits} is not a power of two")
 
 
-def _bond_codes(g: LabeledGraph) -> dict[tuple[int, int], int]:
-    codes = {}
-    for (u, v), eattr in zip(g.edges, g.edge_attrs):
-        code = _edge_code(eattr)
-        codes[(u, v)] = code
-        codes[(v, u)] = code
-    return codes
+def _concat_rows(*parts):
+    """Join ragged tables row by row.  Each part is (flat values, row
+    lengths) with one row per output row; returns the same of the joined rows."""
+    lengths = sum(count for _, count in parts)
+    out = np.empty(int(lengths.sum()), dtype=np.uint64)
+    at = np.cumsum(lengths) - lengths  # where each row's next part goes
+    for values, count in parts:
+        out[np.repeat(at - (np.cumsum(count) - count), count) + np.arange(len(values))] = values
+        at = at + count
+    return out, lengths
+
+
+def _attr_rows(rows):
+    """The rows ``(len(a), *a)`` of the attribute tuples ``a``, as a ragged
+    table; values enter as their 64-bit two's complement."""
+    widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    values = np.fromiter((v & _MASK64 for a in rows for v in a), dtype=np.uint64,
+                         count=int(widths.sum()))
+    return _concat_rows((widths, np.ones_like(widths)), (values, widths))
 
 
 def _attr_codes(rows) -> np.ndarray:
-    """``fnv1a64((len(a), *a))`` of each attribute tuple, one batch per tuple length."""
-    codes = np.empty(len(rows), dtype=np.uint64)
-    widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    for width in np.unique(widths).tolist():
-        at = np.flatnonzero(widths == width)
-        table = np.array([(width, *(v & _MASK64 for v in rows[i])) for i in at], dtype=np.uint64)
-        codes[at] = fnv1a64_rows(table.reshape(len(at), width + 1))
-    return codes
+    """The FNV-1a hash of ``(len(a), *a)`` for each attribute tuple ``a``, in one call."""
+    return fnv1a64_rows(*_attr_rows(rows))
+
+
+def _batch_csr(graphs):
+    """The CSR of a batch, its nodes renumbered to global rows: ``owner[v]``
+    is the graph of node v, and slot s, in order of its head node, runs from
+    ``head[s]`` to ``tail[s]`` over a bond with code ``bond[s]``; the slots of
+    node v are ``indptr[v]:indptr[v + 1]``."""
+    sizes = [g.node_count for g in graphs]
+    owner = np.repeat(np.arange(len(graphs)), sizes)
+    ends = np.array([(u + lo, v + lo) for g, lo in zip(graphs, np.cumsum([0] + sizes).tolist())
+                     for u, v in g.edges], dtype=np.intp).reshape(-1, 2)
+    directed = np.concatenate([ends, ends[:, ::-1]])
+    order = np.argsort(directed[:, 0], kind="stable")
+    head, tail = directed[order].T.copy()
+    bond = np.tile(_attr_codes([a for g in graphs for a in g.edge_attrs]), 2)[order]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(head, minlength=len(owner)))])
+    return owner, head, tail, bond, indptr
 
 
 def topological_fingerprint(g: LabeledGraph, max_path_len: int = 7,
@@ -173,29 +211,18 @@ def topological_fingerprints(graphs, max_path_len: int = 7, nbits: int = 2048,
     running path count passes ``MAX_PATHS_PER_GRAPH`` raises ``DataError``
     naming it, however many paths the batch holds in all.
     """
-    if max_path_len < 1 or bits_per_feature < 1:
-        raise DataError("topological fingerprint: max_path_len and bits_per_feature must be >= 1")
+    _check_int("topological fingerprint: max_path_len", max_path_len, 1)
+    _check_int("topological fingerprint: bits_per_feature", bits_per_feature, 1)
+    _check_nbits(nbits)
     params = (("max_path_len", max_path_len), ("nbits", nbits),
               ("bits_per_feature", bits_per_feature))
-    # built first, so a bad nbits fails before any path is enumerated
-    BitFingerprint(bits=np.zeros(nbits, dtype=bool), scheme=TOPOLOGICAL, params=params)
     graphs = list(graphs)
     bits = np.zeros((len(graphs), nbits), dtype=bool)
-    sizes = [g.node_count for g in graphs]
-    owner = np.repeat(np.arange(len(graphs)), sizes)
-    ends = np.array([(u + lo, v + lo) for g, lo in zip(graphs, np.cumsum([0] + sizes).tolist())
-                     for u, v in g.edges], dtype=np.intp).reshape(-1, 2)
-    # directed edge slots in order of their head node, the batch's CSR: slot s
-    # runs from head[s] to tail[s] over a bond with code bond[s]
-    directed = np.concatenate([ends, ends[:, ::-1]])
-    order = np.argsort(directed[:, 0], kind="stable")
-    head, tail = directed[order].T.copy()
-    bond = np.tile(_attr_codes([a for g in graphs for a in g.edge_attrs]), 2)[order]
+    owner, head, tail, bond, indptr = _batch_csr(graphs)
+    deg = np.diff(indptr)
     # node codes hash the attributes alone: with degrees in them, adding an edge
     # elsewhere would rewrite the encodings of untouched paths and clear bits
     node_code = _attr_codes([a for g in graphs for a in g.node_attrs])
-    deg = np.bincount(head, minlength=len(owner))
-    indptr = np.concatenate([[0], np.cumsum(deg)])
     head_code, tail_code = node_code[head], node_code[tail]
     totals = np.zeros(len(graphs), dtype=np.int64)
     # depth first over blocks of k-edge paths, one int32 row of k slots each.
@@ -281,48 +308,88 @@ def _set_path_bits(bits: np.ndarray, graph: np.ndarray, paths: np.ndarray,
 
 def morgan_fingerprint(g: LabeledGraph, radius: int = 2,
                        nbits: int = 2048) -> BitFingerprint:
-    """Circular fingerprint: iteratively hash each atom's neighborhood out to
-    ``radius`` bonds; duplicate environments (same atom set) keep the earliest
-    round's identifier, ties the smallest; one bit per surviving identifier."""
-    if radius < 0:
-        raise DataError("morgan fingerprint: radius must be >= 0")
-    bits = np.zeros(nbits, dtype=bool)
-    ids = atom_invariants(g)
-    bonds = _bond_codes(g)
-    adj = g.neighbors()
-    envs = [frozenset((v,)) for v in range(g.node_count)]
+    """The fingerprint of one graph: ``morgan_fingerprints`` of a batch of one."""
+    return morgan_fingerprints([g], radius, nbits)[0]
 
-    # environment atom set -> (round, identifier); earliest round wins,
-    # smallest identifier breaks same-round ties (order-free, so the result
-    # is invariant under node relabeling)
-    chosen: dict[frozenset, tuple[int, int]] = {}
 
-    def offer(env: frozenset, rnd: int, ident: int) -> None:
-        prev = chosen.get(env)
-        if prev is None or (rnd, ident) < prev:
-            chosen[env] = (rnd, ident)
+def morgan_fingerprints(graphs, radius: int = 2, nbits: int = 2048) -> list[BitFingerprint]:
+    """Circular fingerprints of a batch of graphs, one per graph.
 
-    for v in range(g.node_count):
-        offer(envs[v], 0, ids[v])
+    Round 0 hashes each atom's attributes, degree and sorted incident bond
+    codes into its identifier; round r hashes r, the atom's identifier and
+    its (bond code, neighbour identifier) pairs in sorted order, from round
+    r - 1.  An atom's environment at round r is its radius-r ball.  Duplicate
+    environments (the same atom set of one graph) keep the earliest round's
+    identifier, the smallest on a tie; that rule is order-free, so the bits
+    are invariant under node relabeling.  Each kept identifier sets bit
+    identifier mod ``nbits``.  Graphs are taken in runs whose ball bitsets
+    fit ``BALL_BLOCK_BYTES`` per round (see the module docstring).
+    """
+    _check_int("morgan fingerprint: radius", radius, 0)
+    _check_nbits(nbits)
+    params = (("radius", radius), ("nbits", nbits))
+    graphs = list(graphs)
+    bits = np.zeros((len(graphs), nbits), dtype=bool)
+    for lo, hi in _ball_blocks([g.node_count for g in graphs]):
+        _set_morgan_bits(bits[lo:hi], graphs[lo:hi], radius)
+    return [BitFingerprint(bits=row, scheme=MORGAN, params=params) for row in bits]
+
+
+def _ball_bytes(nodes: int) -> int:
+    """Bytes of one packed ball row of a graph of ``nodes`` nodes."""
+    return -(-max(nodes, 1) // 8)
+
+
+def _ball_blocks(sizes):
+    """Runs lo:hi of consecutive graphs whose ball rows, padded to the run's
+    largest graph, take at most ``BALL_BLOCK_BYTES``; a graph larger than
+    that runs alone."""
+    lo, nodes, largest = 0, 0, 0
+    for hi, n in enumerate(sizes):
+        if hi > lo and (nodes + n) * _ball_bytes(max(largest, n)) > BALL_BLOCK_BYTES:
+            yield lo, hi
+            lo, nodes, largest = hi, 0, 0
+        nodes, largest = nodes + n, max(largest, n)
+    if lo < len(sizes):
+        yield lo, len(sizes)
+
+
+def _set_morgan_bits(bits: np.ndarray, graphs, radius: int) -> None:
+    """Set the Morgan bits of each graph of a run in its row of ``bits``."""
+    owner, head, tail, bond, indptr = _batch_csr(graphs)
+    n = len(owner)
+    deg = np.diff(indptr)
+    ids = np.empty((radius + 1, n), dtype=np.uint64)
+    # round 0 rows: [len(attrs), *attrs, degree, *sorted incident bond codes]
+    ids[0] = fnv1a64_rows(*_concat_rows(
+        _attr_rows([a for g in graphs for a in g.node_attrs]),
+        (deg, np.ones_like(deg)), (bond[np.lexsort((bond, head))], deg)))
+    # ball rows: bit i of a row marks node i of its graph
+    sizes = np.bincount(owner, minlength=len(graphs))
+    local = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    balls = np.zeros((radius + 1, n, _ball_bytes(int(sizes.max(initial=0)))), dtype=np.uint8)
+    balls[0, np.arange(n), local >> 3] = 1 << (local & 7)
+    linked = deg > 0
     for rnd in range(1, radius + 1):
-        new_ids = []
-        new_envs = []
-        for v in range(g.node_count):
-            pairs = sorted((bonds[(v, u)], ids[u]) for u in adj[v])
-            flat = [rnd, ids[v]]
-            for bond, nid in pairs:
-                flat.extend((bond, nid))
-            ident = fnv1a64(flat)
-            env = envs[v].union(*(envs[u] for u in adj[v])) if adj[v] else envs[v]
-            new_ids.append(ident)
-            new_envs.append(env)
-            offer(env, rnd, ident)
-        ids = new_ids
-        envs = new_envs
-    for _, ident in chosen.values():
-        bits[ident % nbits] = True
-    return BitFingerprint(bits=bits, scheme=MORGAN,
-                          params=(("radius", radius), ("nbits", nbits)))
+        # round r rows: [r, identifier, *sorted (bond, neighbour identifier) pairs]
+        prev = ids[rnd - 1]
+        order = np.lexsort((prev[tail], bond, head))
+        pairs = np.stack([bond[order], prev[tail[order]]], axis=1).ravel()
+        head_part = np.stack([np.full(n, rnd, dtype=np.uint64), prev], axis=1).ravel()
+        ids[rnd] = fnv1a64_rows(*_concat_rows((head_part, np.full(n, 2)), (pairs, 2 * deg)))
+        balls[rnd] = balls[rnd - 1]
+        # slots are grouped by head, so each linked node's slots are one segment
+        balls[rnd, linked] |= np.bitwise_or.reduceat(balls[rnd - 1, tail], indptr[:-1][linked])
+    # earliest round, then smallest identifier, first within each (graph, ball)
+    width = balls.shape[2]
+    ball = balls.reshape(-1, width).view(np.dtype((np.void, width))).ravel()
+    graph = np.tile(owner, radius + 1)
+    ident = ids.ravel()
+    order = np.lexsort((ident, np.repeat(np.arange(radius + 1), n), ball, graph))
+    ball, graph = ball[order], graph[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (graph[1:] != graph[:-1]) | (ball[1:] != ball[:-1])
+    bits[graph[first], ident[order[first]] % np.uint64(bits.shape[1])] = True
 
 
 def make_fingerprints(corpus, scheme: str, **params) -> dict[str, BitFingerprint]:
@@ -331,5 +398,6 @@ def make_fingerprints(corpus, scheme: str, **params) -> dict[str, BitFingerprint
         graphs = list(corpus)
         return dict(zip((g.id for g in graphs), topological_fingerprints(graphs, **params)))
     if scheme == MORGAN:
-        return {g.id: morgan_fingerprint(g, **params) for g in corpus}
+        graphs = list(corpus)
+        return dict(zip((g.id for g in graphs), morgan_fingerprints(graphs, **params)))
     raise DataError(f"unknown bit-fingerprint scheme {scheme!r}")

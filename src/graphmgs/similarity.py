@@ -200,12 +200,6 @@ def _sample_pair_indices(count: int, n_pairs: int, seed: int) -> tuple[np.ndarra
     return rows[pick], cols[pick]
 
 
-def sample_pairs(count: int, n_pairs: int, seed: int) -> list[tuple[int, int]]:
-    """n_pairs distinct unordered index pairs, uniform without replacement."""
-    rows, cols = _sample_pair_indices(count, n_pairs, seed)
-    return list(zip(rows.tolist(), cols.tolist()))
-
-
 def build_pair_set(corpus, encoder: Callable, fingerprints: dict,
                    n_pairs: int, seed: int) -> SimilarityPairSet:
     """Sample graph pairs and score them: structural from fingerprints,

@@ -1,0 +1,110 @@
+"""Scalar specifications: the definitions the batch engines of ``graphmgs``
+are tested against, one value at a time in plain Python."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from graphmgs.similarity import _sample_pair_indices
+
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def fnv1a64(ints) -> int:
+    """FNV-1a over the 8-byte little-endian encoding of each integer."""
+    h = _FNV_OFFSET
+    for value in ints:
+        v = value & _MASK64
+        for _ in range(8):
+            h ^= v & 0xFF
+            h = (h * _FNV_PRIME) & _MASK64
+            v >>= 8
+    return h
+
+
+def splitmix64(state: int):
+    """One splitmix64 draw; returns (value, next_state)."""
+    state = (state + 0x9E3779B97F4A7C15) & _MASK64
+    z = state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31), state
+
+
+def sample_pairs(count: int, n_pairs: int, seed: int) -> list[tuple[int, int]]:
+    """n_pairs distinct unordered index pairs, uniform without replacement."""
+    rows, cols = _sample_pair_indices(count, n_pairs, seed)
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
+def _edge_code(attrs: tuple[int, ...]) -> int:
+    return fnv1a64((len(attrs), *attrs))
+
+
+def atom_invariants(g) -> list[int]:
+    """Per-node 64-bit hash of (node attrs, degree, multiset of incident edge codes)."""
+    deg = g.degrees()
+    incident: list[list[int]] = [[] for _ in range(g.node_count)]
+    for (u, v), eattr in zip(g.edges, g.edge_attrs):
+        code = _edge_code(eattr)
+        incident[u].append(code)
+        incident[v].append(code)
+    out = []
+    for v in range(g.node_count):
+        attrs = g.node_attrs[v]
+        out.append(fnv1a64((len(attrs), *attrs, int(deg[v]), *sorted(incident[v]))))
+    return out
+
+
+def _bond_codes(g) -> dict[tuple[int, int], int]:
+    codes = {}
+    for (u, v), eattr in zip(g.edges, g.edge_attrs):
+        code = _edge_code(eattr)
+        codes[(u, v)] = code
+        codes[(v, u)] = code
+    return codes
+
+
+def morgan_reference(g, radius: int = 2, nbits: int = 2048) -> np.ndarray:
+    """Circular fingerprint bits of one graph, atom by atom: iteratively hash
+    each atom's neighborhood out to ``radius`` bonds; duplicate environments
+    (same atom set) keep the earliest round's identifier, ties the smallest;
+    one bit per surviving identifier."""
+    bits = np.zeros(nbits, dtype=bool)
+    ids = atom_invariants(g)
+    bonds = _bond_codes(g)
+    adj = g.neighbors()
+    envs = [frozenset((v,)) for v in range(g.node_count)]
+
+    # environment atom set -> (round, identifier); earliest round wins,
+    # smallest identifier breaks same-round ties (order-free, so the result
+    # is invariant under node relabeling)
+    chosen: dict[frozenset, tuple[int, int]] = {}
+
+    def offer(env: frozenset, rnd: int, ident: int) -> None:
+        prev = chosen.get(env)
+        if prev is None or (rnd, ident) < prev:
+            chosen[env] = (rnd, ident)
+
+    for v in range(g.node_count):
+        offer(envs[v], 0, ids[v])
+    for rnd in range(1, radius + 1):
+        new_ids = []
+        new_envs = []
+        for v in range(g.node_count):
+            pairs = sorted((bonds[(v, u)], ids[u]) for u in adj[v])
+            flat = [rnd, ids[v]]
+            for bond, nid in pairs:
+                flat.extend((bond, nid))
+            ident = fnv1a64(flat)
+            env = envs[v].union(*(envs[u] for u in adj[v])) if adj[v] else envs[v]
+            new_ids.append(ident)
+            new_envs.append(env)
+            offer(env, rnd, ident)
+        ids = new_ids
+        envs = new_envs
+    for _, ident in chosen.values():
+        bits[ident % nbits] = True
+    return bits

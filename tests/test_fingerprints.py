@@ -8,13 +8,13 @@ import pytest
 
 from graphmgs import fingerprints
 from graphmgs.errors import DataError
-from graphmgs.fingerprints import (BitFingerprint, atom_invariants, fnv1a64,
-                                   fnv1a64_rows, make_fingerprints, morgan_fingerprint,
-                                   splitmix64, splitmix64_rows, topological_fingerprint,
-                                   topological_fingerprints)
+from graphmgs.fingerprints import (BitFingerprint, fnv1a64_rows, make_fingerprints,
+                                   morgan_fingerprint, morgan_fingerprints, splitmix64_rows,
+                                   topological_fingerprint, topological_fingerprints)
 from graphmgs.graphs import LabeledGraph
 
 from conftest import random_attributed_graph
+from spec import atom_invariants, fnv1a64, morgan_reference, splitmix64
 
 
 def molecule(n, edges, node_attrs, edge_attrs, gid="m"):
@@ -85,6 +85,20 @@ class TestHashing:
             assert got.dtype == np.uint64
             assert [int(h) for h in got] == [fnv1a64(int(c) for c in row) for row in codes]
 
+    def test_fnv_ragged_rows_match_scalar(self):
+        # every row length from 0 to k, in shuffled order, as one flat array
+        rng = np.random.default_rng(12)
+        for k in (0, 1, 2, 5, 9):
+            lengths = rng.permutation(np.repeat(np.arange(k + 1), 3))
+            codes = rng.integers(0, 1 << 64, size=int(lengths.sum()), dtype=np.uint64,
+                                 endpoint=False)
+            got = fnv1a64_rows(codes, lengths)
+            assert got.dtype == np.uint64 and len(got) == len(lengths)
+            rows = np.split(codes, np.cumsum(lengths)[:-1])
+            assert [int(h) for h in got] == [fnv1a64(int(c) for c in row) for row in rows]
+            assert all(int(h) == 0xCBF29CE484222325 for h in got[lengths == 0])
+        assert len(fnv1a64_rows(np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=int))) == 0
+
     def test_splitmix_rows_match_scalar(self):
         rng = np.random.default_rng(7)
         states = np.concatenate([
@@ -118,14 +132,36 @@ class TestTopological:
         assert fp.nbits == 256 and fp.popcount() == 0
         assert fp.params == (("max_path_len", 4), ("nbits", 256), ("bits_per_feature", 3))
 
-    @pytest.mark.parametrize("params, match", [
-        (dict(max_path_len=0), ">= 1"), (dict(bits_per_feature=0), ">= 1"),
-        (dict(nbits=100), "power of two")], ids=["max_path_len", "bits_per_feature", "nbits"])
-    def test_bad_params_raise_before_enumeration(self, monkeypatch, params, match):
-        # with a cap of 0, enumerating the first edge would raise about paths
+    @pytest.mark.parametrize("fingerprint, params, match", [
+        (topological_fingerprint, dict(max_path_len=0), ">= 1"),
+        (topological_fingerprint, dict(bits_per_feature=0), ">= 1"),
+        (topological_fingerprint, dict(nbits=100), "power of two"),
+        (topological_fingerprint, dict(max_path_len=2.5), "integer"),
+        (topological_fingerprint, dict(bits_per_feature=True), "integer"),
+        (topological_fingerprint, dict(nbits=-8), ">= 1"),
+        (topological_fingerprint, dict(nbits=0), ">= 1"),
+        (morgan_fingerprint, dict(radius=-1), ">= 0"),
+        (morgan_fingerprint, dict(radius=1.0), "integer"),
+        (morgan_fingerprint, dict(nbits=-8), ">= 1"),
+        (morgan_fingerprint, dict(nbits=0), ">= 1"),
+        (morgan_fingerprint, dict(nbits=100), "power of two"),
+        (morgan_fingerprint, dict(nbits=64.0), "integer")],
+        ids=["max_path_len", "bits_per_feature", "nbits", "max_path_len-float",
+             "bits_per_feature-bool", "nbits-negative", "nbits-zero", "morgan-radius",
+             "morgan-radius-float", "morgan-nbits-negative", "morgan-nbits-zero",
+             "morgan-nbits", "morgan-nbits-float"])
+    def test_bad_params_raise_before_enumeration(self, monkeypatch, fingerprint, params,
+                                                 match):
+        # with a cap of 0, enumerating the first edge would raise about paths,
+        # and no scheme may build the batch's CSR before its checks pass
         monkeypatch.setattr(fingerprints, "MAX_PATHS_PER_GRAPH", 0)
+
+        def no_work(graphs):
+            raise AssertionError("parameters checked after the work began")
+
+        monkeypatch.setattr(fingerprints, "_batch_csr", no_work)
         with pytest.raises(DataError, match=match):
-            topological_fingerprint(complete_graph(5), **params)
+            fingerprint(complete_graph(5), **params)
 
     @pytest.mark.parametrize("uniform", [False, True])
     def test_matches_scalar_reference(self, uniform):
@@ -318,6 +354,93 @@ class TestMorgan:
                               morgan_fingerprint(g, radius=3).bits)
 
 
+def star(n):
+    return molecule(n, [(0, v) for v in range(1, n)], [(6,)] + [(1,)] * (n - 1),
+                    [(v % 2,) for v in range(1, n)], gid=f"star{n}")
+
+
+def special_graphs():
+    """The degenerate shapes a batch must carry: no nodes, one node, no
+    edges, isolated nodes beside edges, and a hub."""
+    return [molecule(0, [], [], [], gid="empty"),
+            star(30),
+            molecule(1, [], [(6,)], [], gid="atom"),
+            molecule(4, [], [(6,), (7,), (8,), (6,)], [], gid="edgeless"),
+            molecule(5, [(1, 3), (3, 4)], [(6,), (7,), (6,), (8,), (6, 1)], [(1,), (2, 0)],
+                     gid="isolated"),
+            molecule(4, [(0, 1), (1, 2), (2, 3), (0, 3)], [(-1,), (2,), (-3,), (0,)],
+                     [(-2,), (1,), (-2,), (0,)], gid="negative")]
+
+
+class TestMorganBatch:
+    """``morgan_fingerprints`` fingerprints a whole batch; each graph's bits
+    are those of the atom-by-atom ``morgan_reference``."""
+
+    @pytest.mark.parametrize("block_bytes", [fingerprints.BALL_BLOCK_BYTES, 8])
+    def test_mixed_batch_matches_reference(self, monkeypatch, block_bytes):
+        # 8 bytes per round split the batch into many runs of a few graphs
+        monkeypatch.setattr(fingerprints, "BALL_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(13)
+        graphs = special_graphs()
+        graphs += [random_attributed_graph(rng, n_min=1, n_max=14) for _ in range(16)]
+        graphs += [random_attributed_graph(rng, n_min=9, n_max=20, attr_sizes=(2,),
+                                           edge_attr_sizes=(1,)) for _ in range(4)]
+        rng.shuffle(graphs)
+        for radius, nbits in ((0, 64), (1, 256), (2, 2048), (3, 4096)):
+            got = morgan_fingerprints(graphs, radius, nbits)
+            assert len(got) == len(graphs)
+            for g, fp in zip(graphs, got):
+                assert fp.params == (("radius", radius), ("nbits", nbits))
+                assert np.array_equal(fp.bits, morgan_reference(g, radius, nbits)), g.id
+        assert morgan_fingerprints([], radius=2) == []
+
+    def test_bits_independent_of_batch(self):
+        rng = np.random.default_rng(14)
+        graphs = special_graphs() + [random_attributed_graph(rng, n_min=1, n_max=12)
+                                     for _ in range(10)]
+        batch = [fp.to_hex() for fp in morgan_fingerprints(graphs, radius=3)]
+        alone = [morgan_fingerprint(g, radius=3).to_hex() for g in graphs]
+        assert batch == alone
+        order = rng.permutation(len(graphs))
+        shuffled = morgan_fingerprints([graphs[i] for i in order], radius=3)
+        assert [fp.to_hex() for fp in shuffled] == [batch[i] for i in order]
+        by_id = make_fingerprints(graphs, "morgan", radius=3)
+        assert [by_id[g.id].to_hex() for g in graphs] == batch
+
+    def test_ball_memory_bounded_by_runs(self, monkeypatch):
+        # a 2,000-node graph has 250-byte ball rows; padded to them, the 300
+        # small graphs around it would double the ball bitsets of the batch
+        rng = np.random.default_rng(15)
+        big = random_attributed_graph(rng, n_min=2000, n_max=2000)
+        small = [random_attributed_graph(rng, n_min=3, n_max=12) for _ in range(300)]
+        batch = small[:150] + [big] + small[150:]
+        radius, row_bytes = 2, 2000 // 8
+        monkeypatch.setattr(fingerprints, "BALL_BLOCK_BYTES", 2000 * row_bytes)
+        tracemalloc.start()
+        try:
+            fps = morgan_fingerprints(batch, radius, nbits=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the run of the large graph alone holds (radius + 1) x 500 kB of
+        # balls; gathering neighbour rows and sorting add less than 3 more
+        assert peak < 4 * (radius + 1) * 2000 * row_bytes
+        assert np.array_equal(fps[150].bits, morgan_fingerprint(big, radius, 64).bits)
+
+
+    def test_hub_rows_not_padded(self):
+        # the hub of a 2,000-node star has rows of 2 x 1,999 codes; padded to
+        # that length, one round's table alone would take 64 MB
+        n = 2000
+        tracemalloc.start()
+        try:
+            morgan_fingerprint(star(n), radius=2, nbits=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 3 * n * (n // 8)
+
+
 GOLDEN = json.loads((Path(__file__).parent / "fingerprint_golden.json").read_text())
 
 
@@ -347,13 +470,12 @@ class TestGolden:
             got = fingerprint(graphs[case["graph"]], **case["params"]).to_hex()
             if not recorded(case, got):
                 mismatched.append((case["graph"], case["params"]))
-        if scheme == "topological":
-            # and the batch engine: all 12 fixtures in one call per parameter set
-            for params in {json.dumps(c["params"], sort_keys=True) for c in cases}:
-                params = json.loads(params)
-                batch = make_fingerprints(list(graphs.values()), scheme, **params)
-                for case in cases:
-                    if case["params"] == params and not recorded(
-                            case, batch[graphs[case["graph"]].id].to_hex()):
-                        mismatched.append((case["graph"], case["params"], "batch"))
+        # and the batch engine: all 12 fixtures in one call per parameter set
+        for params in {json.dumps(c["params"], sort_keys=True) for c in cases}:
+            params = json.loads(params)
+            batch = make_fingerprints(list(graphs.values()), scheme, **params)
+            for case in cases:
+                if case["params"] == params and not recorded(
+                        case, batch[graphs[case["graph"]].id].to_hex()):
+                    mismatched.append((case["graph"], case["params"], "batch"))
         assert not mismatched

@@ -5,12 +5,12 @@ from graphmgs.errors import DataError, NumericError
 from graphmgs.fingerprints import BitFingerprint
 from graphmgs.similarity import (ENCODE_BLOCK_GRAPHS, SimilarityPairSet, average_ranks,
                                  build_pair_set, cosine_pair_sims, cosine_similarity, mgs, pearson,
-                                 sample_pairs, spearman, spectral_distance,
-                                 structural_pair_sims, structural_similarity, tanimoto,
-                                 write_pair_csv)
+                                 spearman, spectral_distance, structural_pair_sims,
+                                 structural_similarity, tanimoto, write_pair_csv)
 from graphmgs.spectral import SpectralFingerprint, spectral_fingerprint
 
 from conftest import random_attributed_graph
+from spec import sample_pairs
 
 
 def bitfp(bits):
