@@ -43,6 +43,16 @@ from .spectral import SpectralFingerprint
 # 2-vCPU host)
 ENCODE_BLOCK_GRAPHS = 8
 
+# embedding width from which build_pair_set encodes its blocks on every worker.
+# Below it an encoder's small matmuls leave it Python-bound, and two threads
+# taking turns on the GIL run slower than one.  MGS of 5,000 pairs over 200
+# graphs of 10-16 nodes (25 blocks), untrained encoders, median ms at 1 -> 2
+# workers on a 2-vCPU AMD EPYC with 1 BLAS thread:
+#   GIN 2x64 6.5 -> 7.7, 2x96 7.8 -> 7.9, 2x128 10.5 -> 9.3, 2x300 27.1 -> 17.6;
+#   GIN 5x64 9.6 -> 10.6, 5x96 13.0 -> 12.3, 5x128 19.0 -> 14.4;
+#   GCN 2x64 6.1 -> 7.0, 2x96 7.5 -> 8.0, 2x128 8.1 -> 7.7, 5x128 13.0 -> 11.1.
+ENCODE_SPLIT_WIDTH = 128
+
 
 def tanimoto(f_i: BitFingerprint, f_j: BitFingerprint) -> float:
     """Intersection over union of set bits; two all-zero vectors count as 1.0."""
@@ -206,7 +216,13 @@ def build_pair_set(corpus, encoder: Callable, fingerprints: dict,
     embedding as cosine similarity of encoder outputs.  ``encoder`` maps a
     list of k graphs to their (k, dim) embedding rows, with one dim for every
     call; it gets the graphs of the sampled pairs in blocks of at most
-    ``ENCODE_BLOCK_GRAPHS``."""
+    ``ENCODE_BLOCK_GRAPHS``.  The first block is encoded alone; when its
+    width is at least ``ENCODE_SPLIT_WIDTH``, the other blocks are split into
+    one run per worker (``tensor._split``).  So ``encoder`` is called
+    concurrently on disjoint blocks and must be safe for that, as
+    ``models.embed_graph`` outside a ``tape()`` block is.  Every call runs in
+    a fresh ``contextvars`` context, so it records on no open tape.  The
+    dimension check then runs over the blocks in block order."""
     graphs = list(corpus)
     missing = [g.id for g in graphs if g.id not in fingerprints]
     if missing:
@@ -216,14 +232,23 @@ def build_pair_set(corpus, encoder: Callable, fingerprints: dict,
     rows, cols = _sample_pair_indices(len(graphs), n_pairs, seed)
     needed, inverse = np.unique(np.concatenate([rows, cols]), return_inverse=True)
     i_pos, j_pos = inverse[:n_pairs], inverse[n_pairs:]
-    chosen, blocks = [graphs[i] for i in needed], []
-    for lo in range(0, len(chosen), ENCODE_BLOCK_GRAPHS):
-        block = chosen[lo:lo + ENCODE_BLOCK_GRAPHS]
-        emb = np.asarray(encoder(block), dtype=np.float64)
-        want = (len(block), (blocks[0] if blocks else emb).shape[-1])
+    chosen = [graphs[i] for i in needed]
+    first, rest = chosen[:ENCODE_BLOCK_GRAPHS], chosen[ENCODE_BLOCK_GRAPHS:]
+
+    def encode(part, lo, hi):
+        return [np.asarray(encoder(part[k:k + ENCODE_BLOCK_GRAPHS]), dtype=np.float64)
+                for k in range(lo, hi, ENCODE_BLOCK_GRAPHS)]
+
+    blocks = T._split(len(first), ENCODE_BLOCK_GRAPHS, lambda lo, hi: encode(first, lo, hi))[0]
+    wide = blocks[0].ndim == 2 and blocks[0].shape[1] >= ENCODE_SPLIT_WIDTH
+    runs = T._split(len(rest), ENCODE_BLOCK_GRAPHS if wide else max(len(rest), 1),
+                    lambda lo, hi: encode(rest, lo, hi))
+    blocks += [emb for run in runs for emb in run]
+    for k, emb in enumerate(blocks):
+        want = (min(ENCODE_BLOCK_GRAPHS, len(chosen) - k * ENCODE_BLOCK_GRAPHS),
+                blocks[0].shape[-1])
         if emb.shape != want:
             raise DataError(f"cosine: dimension mismatch, encoder gave {emb.shape}, not {want}")
-        blocks.append(emb)
     structural = structural_pair_sims([fingerprints[graphs[i].id] for i in needed],
                                       i_pos, j_pos)
     embedding = cosine_pair_sims(np.concatenate(blocks), i_pos, j_pos).data

@@ -7,6 +7,10 @@ recorded, so a forward-only pass needs no switch.  ``backward`` walks the
 innermost open tape once in reverse and then clears it; leaving the block,
 normally or by a raise, drops whatever it still holds.  Each thread (each
 ``contextvars`` context) has its own open tapes.
+
+``soft_rank`` and ``similarity.build_pair_set`` split their work across the
+CPUs the process may run on with ``_split``, which runs each span in a fresh
+context, so no span records on the caller's tape.
 """
 
 from __future__ import annotations
@@ -14,6 +18,9 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -25,16 +32,92 @@ from .errors import DataError
 _open_tape: contextvars.ContextVar[Optional[list]] = contextvars.ContextVar(
     "graphmgs_tape", default=None)
 
+# True inside a ``_split`` span, where a nested ``_split`` runs inline
+_in_span: contextvars.ContextVar[bool] = contextvars.ContextVar(
+    "graphmgs_in_span", default=False)
+# the threads behind ``_split``, made on first use and dropped in a forked child
+_pool: Optional[ThreadPoolExecutor] = None
+_pool_lock = threading.Lock()
+
 # entries of the pairwise sigmoid matrix in one soft-rank block, so that each of
-# the two float64 block buffers a call reuses fits a core's L2 cache: 128 KB up
-# to P = 2,048, beyond which the 8-row floor of ``_soft_rank_rows`` sets the
-# size.  There is no third buffer: the branch-free sigmoid takes its input z
-# as its ``work``.
+# the two float64 block buffers a worker reuses fits its own core's L2 cache:
+# 128 KB up to P = 2,048, beyond which the 8-row floor of ``_soft_rank_rows``
+# sets the size.  There is no third buffer: the branch-free sigmoid takes its
+# input z as its ``work``.
 SOFT_RANK_BLOCK_ENTRIES = 1 << 14
+
+# values from which a soft-rank pass splits its blocks across workers.  Forward
+# plus backward, median of 80 calls at 1 and 2 workers on a 2-vCPU AMD EPYC with
+# 1 BLAS thread: P = 1,035 and 1,128 ran slower split (5.6 -> 5.9 ms, 6.4 -> 6.5
+# ms), P = 1,225 to 1,431 within the noise either way, P = 1,485 faster in 3 of 4
+# such runs (10.8-11.5 -> 8.9-10.9 ms) and P = 1,653 and 2,016 faster in every
+# run (13.3 -> 11.8 ms, 18.4 -> 13.8 ms).  So B = 32 (P = 496) stays inline and
+# B = 64 (2,016) and B = 128 (8,128) split.
+SOFT_RANK_SPLIT_VALUES = 1_485
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+
+
+def _worker_count() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _forget_pool() -> None:
+    """In a forked child: the parent's pool threads do not exist here."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _get_pool() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=max(1, _worker_count() - 1),
+                                       thread_name_prefix="graphmgs")
+        return _pool
+
+
+def _run_span(fn, lo: int, hi: int):
+    """fn(lo, hi) in a fresh context that holds nothing but the in-span mark."""
+    ctx = contextvars.Context()
+    ctx.run(_in_span.set, True)
+    return ctx.run(fn, lo, hi)
+
+
+def _split(n: int, unit: int, fn) -> list:
+    """``[fn(lo, hi) for each span]``: one contiguous span of ``range(n)`` per
+    worker, in order, every span but the last ending at a multiple of ``unit``.
+
+    The calling thread runs the first span and the module's thread pool the
+    others; numpy releases the GIL in the ufuncs and BLAS calls the spans
+    make, so they overlap.  There is one span, run inline, with one worker,
+    with one unit, or inside a span (a nested submit could deadlock a full
+    pool).  Every span runs in a fresh ``contextvars.Context``, so nothing
+    it does records on the caller's tape, whatever the worker count.  All
+    spans finish before the call returns or raises; if spans raise, the
+    first span's exception is raised, as the serial loop would raise it."""
+    units = max(1, -(-n // unit))
+    workers = 1 if _in_span.get() else min(_worker_count(), units)
+    cuts = [min(n, unit * (units * k // workers)) for k in range(workers + 1)]
+    spans = list(zip(cuts[:-1], cuts[1:]))
+    if len(spans) == 1:
+        return [_run_span(fn, 0, n)]
+    pool = _get_pool()
+    futures = [pool.submit(_run_span, fn, lo, hi) for lo, hi in spans[1:]]
+    try:
+        first = _run_span(fn, *spans[0])
+    finally:
+        wait(futures)
+    return [first] + [f.result() for f in futures]
 
 
 @contextlib.contextmanager
@@ -382,19 +465,20 @@ def _soft_rank_rows(p: int) -> int:
     return rows
 
 
-def _soft_rank_blocks(x: np.ndarray, tau: float):
-    """Yield ``(lo, hi, s, spare)`` with s = sigmoid((x[lo:hi, None] - x[None, :]) /
-    tau), one block of at most ``_soft_rank_rows(len(x))`` whole rows at a time.
+def _soft_rank_blocks(x: np.ndarray, tau: float, lo: int, hi: int):
+    """Yield ``(b_lo, b_hi, s, spare)`` with s = sigmoid((x[b_lo:b_hi, None] -
+    x[None, :]) / tau), one block of at most ``_soft_rank_rows(len(x))`` whole
+    rows at a time, over rows lo:hi (lo a multiple of that row count).
 
-    s and ``spare``, scratch of s's shape, are views of the call's two buffers,
-    which the next block overwrites."""
+    s and ``spare``, scratch of s's shape, are views of two buffers of this
+    generator's own, which the next block overwrites."""
     rows = _soft_rank_rows(len(x))
     zbuf, sbuf = np.empty((rows, len(x))), np.empty((rows, len(x)))
-    for lo in range(0, len(x), rows):
-        hi = min(lo + rows, len(x))
-        z = np.subtract(x[lo:hi, None], x[None, :], out=zbuf[:hi - lo])
+    for b_lo in range(lo, hi, rows):
+        b_hi = min(b_lo + rows, hi)
+        z = np.subtract(x[b_lo:b_hi, None], x[None, :], out=zbuf[:b_hi - b_lo])
         z /= tau
-        yield lo, hi, _sigmoid_stable(z, out=sbuf[:hi - lo], work=z), z
+        yield b_lo, b_hi, _sigmoid_stable(z, out=sbuf[:b_hi - b_lo], work=z), z
 
 
 def soft_rank(a, tau: float) -> Tensor:
@@ -405,20 +489,28 @@ def soft_rank(a, tau: float) -> Tensor:
     blocks instead of keeping them, so time is O(P^2) and memory O(P) per
     block. A block has 128 rows, halved while it would hold more than
     ``SOFT_RANK_BLOCK_ENTRIES`` (2^14) entries, but never fewer than 8: 64
-    rows at P = 190, 32 at P = 496 and 8 from P = 2,048 on. The forward pass
-    and the backward pass each allocate two rows x P buffers once and reuse
-    them for every block: z is computed in one, and ``_sigmoid_stable``
+    rows at P = 190, 32 at P = 496 and 8 from P = 2,048 on.
+
+    From ``SOFT_RANK_SPLIT_VALUES`` values on, the forward pass and the
+    backward pass each split the blocks into one contiguous run of whole
+    blocks per worker (``_split``); below it they run inline on the calling
+    thread. Each worker allocates two rows x P buffers once and reuses them
+    for every block of its run: z is computed in one, and ``_sigmoid_stable``
     writes s into the other with a branch-free select, taking z itself as
     its ``work`` (its ``work`` may be its input); the backward pass then
-    builds sprime = s (1 - s) in z's buffer.  The buffers are not shared
-    between calls or kept by the backward closure.
+    builds sprime = s (1 - s) in z's buffer.  So a pass holds two buffers per
+    worker. The buffers are not shared between workers or calls, or kept by
+    the backward closure.
 
     What is guaranteed:
     - The ranks are bit-identical to the dense computation at every P,
       because each row is summed whole inside its block.
-    - The gradient is not always. Its ``sprime @ g`` is a BLAS
-      matrix-vector product whose last-bit rounding can depend on how many
-      rows it is given, in a way that varies with the BLAS build and CPU.
+    - Ranks and gradient do not depend on the worker count: every block has
+      the same rows whichever worker computes it.
+    - The gradient is not always bit-identical to the dense one. Its
+      ``sprime @ g`` is a BLAS matrix-vector product whose last-bit rounding
+      can depend on how many rows it is given, in a way that varies with the
+      BLAS build and CPU.
       Blocks of 1-7 rows (or 12) round differently from 128-row blocks at
       many P. Blocks whose row count is a power of two and at least 8 give
       the bits of 128-row blocks at all but a few odd batch pair counts
@@ -435,18 +527,28 @@ def soft_rank(a, tau: float) -> Tensor:
     if not (np.isfinite(tau) and tau > 0.0):
         raise DataError(f"soft_rank: tau must be finite and > 0, got {tau}")
     x = a.data
+    p = len(x)
+    unit = _soft_rank_rows(p) if p >= SOFT_RANK_SPLIT_VALUES else max(p, 1)
     ranks = np.empty_like(x)
-    for lo, hi, s, _ in _soft_rank_blocks(x, tau):
-        ranks[lo:hi] = s.sum(axis=1)
+
+    def forward(lo, hi):
+        for b_lo, b_hi, s, _ in _soft_rank_blocks(x, tau, lo, hi):
+            ranks[b_lo:b_hi] = s.sum(axis=1)
+
+    _split(p, unit, forward)
     out = Tensor(ranks)
 
     def backward(g):
         g = np.asarray(g)
         ga = np.empty_like(x)
-        for lo, hi, s, spare in _soft_rank_blocks(x, tau):
-            sprime = np.subtract(1.0, s, out=spare)
-            sprime *= s  # symmetric: sigma'(z) is even and z_ij = -z_ji
-            ga[lo:hi] = (g[lo:hi] * sprime.sum(axis=1) - sprime @ g) / tau
+
+        def span(lo, hi):
+            for b_lo, b_hi, s, spare in _soft_rank_blocks(x, tau, lo, hi):
+                sprime = np.subtract(1.0, s, out=spare)
+                sprime *= s  # symmetric: sigma'(z) is even and z_ij = -z_ji
+                ga[b_lo:b_hi] = (g[b_lo:b_hi] * sprime.sum(axis=1) - sprime @ g) / tau
+
+        _split(p, unit, span)
         _accumulate(a, ga)
 
     return _record(out, (a,), backward)

@@ -1,12 +1,16 @@
+import threading
+
 import numpy as np
 import pytest
 
+from graphmgs import tensor as T
 from graphmgs.errors import DataError, NumericError
 from graphmgs.fingerprints import BitFingerprint
-from graphmgs.similarity import (ENCODE_BLOCK_GRAPHS, SimilarityPairSet, average_ranks,
-                                 build_pair_set, cosine_pair_sims, cosine_similarity, mgs, pearson,
-                                 spearman, spectral_distance, structural_pair_sims,
-                                 structural_similarity, tanimoto, write_pair_csv)
+from graphmgs.similarity import (ENCODE_BLOCK_GRAPHS, ENCODE_SPLIT_WIDTH, SimilarityPairSet,
+                                 average_ranks, build_pair_set, cosine_pair_sims,
+                                 cosine_similarity, mgs, pearson, spearman, spectral_distance,
+                                 structural_pair_sims, structural_similarity, tanimoto,
+                                 write_pair_csv)
 from graphmgs.spectral import SpectralFingerprint, spectral_fingerprint
 
 from conftest import random_attributed_graph
@@ -298,6 +302,19 @@ def while_loop_average_ranks(x):
     return ranks
 
 
+def _gin_encoded_corpus(count=40):
+    """A corpus, its fingerprints and an untrained GIN encoder over it, wide
+    enough for ``build_pair_set`` to split its blocks."""
+    from graphmgs.graphs import GraphCorpus
+    from graphmgs.models import GnnConfig, embed_graph, init_model
+    rng = np.random.default_rng(21)
+    corpus = GraphCorpus(graphs=tuple(random_attributed_graph(rng) for _ in range(count)))
+    fps = {g.id: fp for g, fp in zip(corpus, random_fingerprints("morgan", rng, count))}
+    model = init_model(GnnConfig(arch="gin", layers=2, hidden_dim=ENCODE_SPLIT_WIDTH,
+                                 attr_sizes=(4, 2)), seed=0)
+    return corpus, fps, lambda gs: embed_graph(model, gs).data
+
+
 def random_fingerprints(scheme, rng, count=25):
     from graphmgs.fingerprints import morgan_fingerprint, topological_fingerprint
     graphs = [random_attributed_graph(rng, n_min=1, n_max=10) for _ in range(count)]
@@ -386,6 +403,60 @@ class TestPairScorer:
                            fps, n_pairs=66, seed=0)
         with pytest.raises(DataError, match="dimension mismatch"):
             build_pair_set(corpus, lambda gs: np.ones((len(gs) - 1, 3)), fps, n_pairs=66, seed=0)
+
+    @pytest.mark.parametrize("count", [None, 3])
+    def test_same_pair_set_at_any_worker_count(self, workers, count):
+        count = count or T._worker_count()
+        corpus, fps, encoder = _gin_encoded_corpus()
+        workers(1)
+        serial = build_pair_set(corpus, encoder, fps, n_pairs=300, seed=4)
+        workers(count)
+        split = build_pair_set(corpus, encoder, fps, n_pairs=300, seed=4)
+        assert len({g for pair in serial.pair_ids for g in pair}) > 2 * ENCODE_BLOCK_GRAPHS
+        assert split.pair_ids == serial.pair_ids
+        assert split.structural.tobytes() == serial.structural.tobytes()
+        assert split.embedding.tobytes() == serial.embedding.tobytes()
+
+    def test_later_block_dimension_mismatch_same_message(self, workers):
+        corpus, fps, _ = _gin_encoded_corpus()
+        late = {g.id for g in corpus.graphs[-ENCODE_BLOCK_GRAPHS:]}  # in the last blocks
+
+        def encoder(gs):
+            wider = any(g.id in late for g in gs)
+            return np.ones((len(gs), ENCODE_SPLIT_WIDTH + wider))
+
+        messages = []
+        for count in (1, T._worker_count()):
+            workers(count)
+            with pytest.raises(DataError, match="dimension mismatch") as exc:
+                build_pair_set(corpus, encoder, fps, n_pairs=300, seed=4)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("width,threads", [(ENCODE_SPLIT_WIDTH - 1, 1),
+                                               (ENCODE_SPLIT_WIDTH, 2)])
+    def test_only_wide_encoders_split(self, workers, width, threads):
+        workers(2)
+        corpus, fps, _ = _gin_encoded_corpus()
+        seen = set()
+
+        def encoder(gs):
+            seen.add(threading.get_ident())
+            return np.random.default_rng(len(gs)).normal(size=(len(gs), width))
+
+        build_pair_set(corpus, encoder, fps, n_pairs=300, seed=4)
+        assert len(seen) == threads and threading.get_ident() in seen
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_encoder_records_on_no_open_tape(self, workers, count):
+        workers(count)
+        corpus, fps, encoder = _gin_encoded_corpus()
+        x = T.Tensor(np.ones(2), requires_grad=True)
+        with T.tape():
+            T.tsum(x * x)
+            before = T.tape_size()
+            build_pair_set(corpus, encoder, fps, n_pairs=300, seed=4)
+            assert T.tape_size() == before
 
     def test_zero_norm_embedding_rejected_in_evaluation(self):
         from graphmgs.graphs import GraphCorpus

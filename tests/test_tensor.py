@@ -1,5 +1,8 @@
+import contextlib
+import multiprocessing
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -111,6 +114,21 @@ def _soft_rank_case(p):
     return x, tau, g
 
 
+def _soft_rank_peak_bytes(p):
+    """Peak traced bytes of one soft-rank forward and backward over p values."""
+    x = np.random.default_rng(15).normal(size=p)
+    tracemalloc.start()
+    try:
+        _soft_rank_and_grad(x, 0.1, np.ones(p))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _exit_zero_if_same_ranks(x, tau, ranks):
+    sys.exit(0 if np.array_equal(T.soft_rank(T.Tensor(x), tau).data, ranks) else 1)
+
+
 class TestSoftRankBlocks:
     # one partial block, exact multiples of the block, and remainders; then the
     # pair counts B(B-1)/2 of batches of 16, 20, 32, 64 and 128 graphs
@@ -174,19 +192,59 @@ class TestSoftRankBlocks:
             tracemalloc.stop()
         assert peak < budget, f"peak {peak} B, 1/16 of a dense P x P array is {budget} B"
 
-    def test_two_block_buffers_per_call(self):
+    def test_two_block_buffers_per_call(self, workers):
         # two rows x P buffers reused across blocks, not fresh temporaries per block
+        workers(1)
         p = 4096
-        x = np.random.default_rng(15).normal(size=p)
-        g = np.ones(p)
         budget = 3 * T._soft_rank_rows(p) * p * 8
-        tracemalloc.start()
-        try:
-            _soft_rank_and_grad(x, 0.1, g)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = _soft_rank_peak_bytes(p)
         assert peak < budget, f"peak {peak} B, three rows x P blocks are {budget} B"
+
+    def test_two_block_buffers_per_worker(self):
+        # split across W workers, each reuses its own two rows x P buffers
+        w = T._worker_count()
+        p = 4096
+        assert p >= T.SOFT_RANK_SPLIT_VALUES
+        budget = (2 * w + 1) * T._soft_rank_rows(p) * p * 8
+        peak = _soft_rank_peak_bytes(p)
+        assert peak < budget, f"peak {peak} B, {2 * w + 1} rows x P blocks are {budget} B"
+
+    # 4,097 ends in a partial block; 3 workers cut uneven runs of blocks
+    @pytest.mark.parametrize("count", [None, 3])
+    @pytest.mark.parametrize("p", [2016, 4097, 8128])
+    def test_same_bits_at_any_worker_count(self, workers, p, count):
+        assert p >= T.SOFT_RANK_SPLIT_VALUES
+        count = count or T._worker_count()
+        x, tau, g = _soft_rank_case(p)
+        workers(1)
+        serial_ranks, serial_grad = _soft_rank_and_grad(x, tau, g)
+        workers(count)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the workers op by op
+        try:
+            ranks, grad = _soft_rank_and_grad(x, tau, g)
+        finally:
+            sys.setswitchinterval(old)
+        assert np.array_equal(ranks, serial_ranks)
+        assert np.array_equal(grad, serial_grad)
+
+    def test_forked_child_gets_a_fresh_pool(self, workers):
+        # a child forked after the pool ran must not wait on the parent's threads
+        workers(2)
+        x, tau, _ = _soft_rank_case(8128)
+        ranks = T.soft_rank(T.Tensor(x), tau).data
+        assert T._pool is not None
+        child = multiprocessing.get_context("fork").Process(
+            target=_exit_zero_if_same_ranks, args=(x, tau, ranks))
+        forking = (pytest.warns(DeprecationWarning, match="multi-threaded")
+                   if sys.version_info >= (3, 12) else contextlib.nullcontext())
+        with forking:
+            child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
 
     def test_two_calls_on_one_tape(self):
         # P = 190 and 1,000 use 64- and 16-row blocks: neither call's forward or
@@ -206,6 +264,69 @@ class TestSoftRankBlocks:
     def test_bad_tau_rejected(self, tau):
         with pytest.raises(DataError, match="tau"):
             T.soft_rank(T.Tensor([0.0, 1.0, 2.0]), tau)
+
+
+class TestSplit:
+    @pytest.mark.parametrize("n,unit,count", [(100, 8, 2), (100, 8, 3), (17, 4, 5),
+                                              (4097, 8, 2), (9, 1, 4)])
+    def test_spans_tile_at_unit_multiples_in_order(self, workers, n, unit, count):
+        workers(count)
+        spans = T._split(n, unit, lambda lo, hi: (lo, hi))
+        assert len(spans) == min(count, -(-n // unit))
+        assert spans[0][0] == 0 and spans[-1][1] == n
+        assert all(lo < hi and lo % unit == 0 for lo, hi in spans)
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_first_span_error_raised(self, workers, count):
+        # rows 30 and 70 are bad; the later span fails first in time, and every
+        # span still finishes before the call raises
+        workers(count)
+        done = []
+
+        def fn(lo, hi):
+            if lo == 0:
+                time.sleep(0.05)
+            done.append(lo)
+            bad = [r for r in (30, 70) if lo <= r < hi]
+            if bad:
+                raise DataError(f"bad row {bad[0]}")
+            return lo
+
+        with pytest.raises(DataError) as exc:
+            T._split(100, 10, fn)
+        assert str(exc.value) == "bad row 30"
+        assert len(done) == count
+
+    @pytest.mark.parametrize("count,n,unit", [(1, 100, 8), (2, 8, 8), (2, 5, 8), (2, 0, 8)])
+    def test_one_worker_or_unit_runs_inline(self, workers, count, n, unit):
+        workers(count)
+        calls = []
+        T._split(n, unit, lambda lo, hi: calls.append((lo, hi, threading.get_ident())))
+        assert calls == [(0, n, threading.get_ident())]
+        assert T._pool is None
+
+    def test_nested_call_completes(self, workers):
+        # W = 2 gives a one-thread pool: a nested submit from the span on it
+        # would wait on that thread forever
+        workers(2)
+        out = []
+
+        def outer(lo, hi):
+            return T._split(hi - lo, 1, lambda a, b: (lo + a, lo + b))
+
+        caller = threading.Thread(target=lambda: out.append(T._split(8, 4, outer)), daemon=True)
+        caller.start()
+        caller.join(timeout=30)
+        assert not caller.is_alive()
+        assert out == [[[(0, 4)], [(4, 8)]]]
+
+    def test_spans_record_on_no_open_tape(self, workers):
+        workers(2)
+        w = T.Tensor(np.ones(3), requires_grad=True)
+        with T.tape():
+            T._split(4, 1, lambda lo, hi: T.tsum(w * float(lo)))
+            assert T.tape_size() == 0
 
 
 def _add_at(shape, index, g):
