@@ -3,12 +3,35 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DataError
+
+
+def degrees_of(n: int, edges) -> np.ndarray:
+    """Node degrees (int64) of an n-node graph from its edge list."""
+    deg = np.zeros(n, dtype=np.int64)
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    return deg
+
+
+def adjacency_of(n: int, edges) -> np.ndarray:
+    """Dense symmetric 0/1 adjacency matrix (float64) of an n-node graph."""
+    a = np.zeros((n, n), dtype=np.float64)
+    for u, v in edges:
+        a[u, v] = 1.0
+        a[v, u] = 1.0
+    return a
+
+
+def same_label_count(edges, labels) -> int:
+    """Edges whose two endpoints carry equal labels."""
+    return sum(1 for u, v in edges if labels[u] == labels[v])
 
 
 @dataclass(frozen=True)
@@ -54,11 +77,7 @@ class LabeledGraph:
         return len(self.edges)
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.node_count, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return degrees_of(self.node_count, self.edges)
 
     def neighbors(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.node_count)]
@@ -68,11 +87,7 @@ class LabeledGraph:
         return adj
 
     def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.node_count, self.node_count), dtype=np.float64)
-        for u, v in self.edges:
-            a[u, v] = 1.0
-            a[v, u] = 1.0
-        return a
+        return adjacency_of(self.node_count, self.edges)
 
     def permuted(self, perm: Sequence[int]) -> "LabeledGraph":
         """Relabel nodes so old node i becomes new node perm[i]."""
@@ -116,27 +131,22 @@ class GraphCorpus:
     graphs: tuple[LabeledGraph, ...]
     task_count: int = 0
     name: str = ""
-    _index: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        index = {}
+        seen = set()
         for g in self.graphs:
-            if g.id in index:
+            if g.id in seen:
                 raise DataError(f"duplicate graph id {g.id!r}")
-            index[g.id] = g
+            seen.add(g.id)
             if g.graph_labels is not None and len(g.graph_labels) != self.task_count:
                 raise DataError(
                     f"graph {g.id!r}: {len(g.graph_labels)} task labels, corpus has {self.task_count}")
-        object.__setattr__(self, "_index", index)
 
     def __len__(self) -> int:
         return len(self.graphs)
 
     def __iter__(self):
         return iter(self.graphs)
-
-    def by_id(self, graph_id: str) -> LabeledGraph:
-        return self._index[graph_id]
 
 
 def _json_int(value, field: str) -> int:
@@ -224,14 +234,20 @@ def save_corpus(corpus: GraphCorpus, path) -> None:
             fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
 
-def _labels_for_homophily(g: LabeledGraph, label_attr: Optional[int]) -> Sequence[int]:
+def _same_label_edges(g: LabeledGraph, label_attr: Optional[int]) -> int:
+    """Same-label edges of a graph that has edges, by node_labels or by the
+    node-attribute column ``label_attr``."""
+    if label_attr is not None and label_attr < 0:
+        raise DataError(f"label_attr must be >= 0, got {label_attr}")
+    if g.edge_count == 0:
+        raise DataError(f"graph {g.id!r}: homophily undefined (zero edges)")
     if label_attr is not None:
         if not g.node_attrs or any(label_attr >= len(a) for a in g.node_attrs):
             raise DataError(f"graph {g.id!r}: attribute column {label_attr} missing")
-        return [a[label_attr] for a in g.node_attrs]
+        return same_label_count(g.edges, [a[label_attr] for a in g.node_attrs])
     if g.node_labels is None:
         raise DataError(f"graph {g.id!r}: missing node labels")
-    return g.node_labels
+    return same_label_count(g.edges, g.node_labels)
 
 
 def homophily_ratio(g: LabeledGraph, label_attr: Optional[int] = None) -> float:
@@ -240,31 +256,12 @@ def homophily_ratio(g: LabeledGraph, label_attr: Optional[int] = None) -> float:
     By default node_labels are the class source; pass ``label_attr`` to use a
     node-attribute column instead (e.g. atom type on molecular graphs).
     """
-    if g.edge_count == 0:
-        raise DataError(f"graph {g.id!r}: homophily undefined (zero edges)")
-    labels = _labels_for_homophily(g, label_attr)
-    same = sum(1 for u, v in g.edges if labels[u] == labels[v])
-    return same / g.edge_count
+    return _same_label_edges(g, label_attr) / g.edge_count
 
 
-def corpus_homophily(corpus: GraphCorpus, label_attr: Optional[int] = None,
-                     edge_weighted: bool = True) -> float:
-    """Aggregate homophily over a corpus.
-
-    Edge-weighted by default: (total same-label edges) / (total edges).
-    With ``edge_weighted=False`` returns the unweighted mean of per-graph ratios.
-    """
+def corpus_homophily(corpus: GraphCorpus, label_attr: Optional[int] = None) -> float:
+    """Edge-weighted homophily of a corpus: (total same-label edges) / (total edges)."""
     if len(corpus) == 0:
         raise DataError("corpus homophily undefined on empty corpus")
-    if not edge_weighted:
-        ratios = [homophily_ratio(g, label_attr) for g in corpus]
-        return float(sum(ratios) / len(ratios))
-    same_total = 0
-    edge_total = 0
-    for g in corpus:
-        if g.edge_count == 0:
-            raise DataError(f"graph {g.id!r}: homophily undefined (zero edges)")
-        labels = _labels_for_homophily(g, label_attr)
-        same_total += sum(1 for u, v in g.edges if labels[u] == labels[v])
-        edge_total += g.edge_count
-    return same_total / edge_total
+    same_total = sum(_same_label_edges(g, label_attr) for g in corpus)
+    return same_total / sum(g.edge_count for g in corpus)

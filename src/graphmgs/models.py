@@ -22,7 +22,7 @@ import numpy as np
 from . import tensor as T
 from .errors import DataError
 from .graphs import GraphCorpus, LabeledGraph
-from .spectral import SYM_NORMALIZED, laplacian
+from .spectral import normalized_adjacency
 
 ARCHS = ("gcn", "gin", "chebnet", "fagcn", "fcn")
 
@@ -151,23 +151,18 @@ def _input_features(model: GnnModel, graphs) -> T.Tensor:
     return h0
 
 
-def _gcn_propagation(g: LabeledGraph) -> np.ndarray:
-    """Dense D~^{-1/2} (A+I) D~^{-1/2} with self-loops."""
-    a = g.adjacency() + np.eye(g.node_count)
-    d = a.sum(axis=1)
-    dinv = 1.0 / np.sqrt(d)
-    return (dinv[:, None] * a) * dinv[None, :]
+def _cheb_operator(g: LabeledGraph) -> np.ndarray:
+    """ChebNet's 2 L_norm / lambda_max - I with lambda_max fixed at 2, which is
+    -D^{-1/2} A D^{-1/2}; subtracting from 0.0 keeps its zero entries +0.0."""
+    return 0.0 - normalized_adjacency(g.adjacency())
 
 
-def _scaled_laplacian(g: LabeledGraph) -> np.ndarray:
-    """ChebNet's 2 L_norm / lambda_max - I with lambda_max fixed at 2."""
-    return laplacian(g, SYM_NORMALIZED) - np.eye(g.node_count)
-
-
-# the dense per-graph operator each propagating architecture multiplies by; FAGCN's
-# D^{-1/2} A D^{-1/2} (zero rows for isolated nodes) is minus ChebNet's
-_OPERATORS = {"gcn": _gcn_propagation, "gin": LabeledGraph.adjacency,
-              "chebnet": _scaled_laplacian, "fagcn": lambda g: -_scaled_laplacian(g)}
+# the dense per-graph operator each propagating architecture multiplies by: GCN's
+# D~^{-1/2} (A+I) D~^{-1/2}, GIN's A, ChebNet's scaled Laplacian, and FAGCN's
+# D^{-1/2} A D^{-1/2} (zero rows for isolated nodes), which is minus ChebNet's
+_OPERATORS = {"gcn": lambda g: normalized_adjacency(g.adjacency() + np.eye(g.node_count)),
+              "gin": LabeledGraph.adjacency,
+              "chebnet": _cheb_operator, "fagcn": lambda g: -_cheb_operator(g)}
 
 
 def encode_nodes(model: GnnModel, graphs, training: bool = False,

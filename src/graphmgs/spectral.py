@@ -23,20 +23,25 @@ class SpectralFingerprint:
     k: int
 
 
+def normalized_adjacency(a: np.ndarray) -> np.ndarray:
+    """D^{-1/2} A D^{-1/2} of a dense symmetric matrix A whose row sums are D;
+    a row of zero degree (an isolated node) stays zero."""
+    deg = a.sum(axis=1)
+    dinv = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
+    return (dinv[:, None] * a) * dinv[None, :]
+
+
 def laplacian(g: LabeledGraph, kind: str = COMBINATORIAL) -> np.ndarray:
-    """Dense Laplacian: D - A, or I - D^{-1/2} A D^{-1/2} (isolated nodes get
-    a zero D^{-1/2} entry, leaving the identity term)."""
+    """Dense Laplacian: D - A, or I - D^{-1/2} A D^{-1/2} (an isolated node
+    keeps only its identity term)."""
     if kind not in LAPLACIAN_KINDS:
         raise DataError(f"unknown laplacian kind {kind!r}")
     if g.node_count < 1:
         raise DataError(f"graph {g.id!r}: laplacian needs at least one node")
     a = g.adjacency()
-    deg = g.degrees().astype(np.float64)
     if kind == COMBINATORIAL:
-        return np.diag(deg) - a
-    with np.errstate(divide="ignore"):
-        dinv = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
-    return np.eye(g.node_count) - (dinv[:, None] * a) * dinv[None, :]
+        return np.diag(g.degrees().astype(np.float64)) - a
+    return np.eye(g.node_count) - normalized_adjacency(a)
 
 
 def symmetric_eigenvalues(m: np.ndarray) -> np.ndarray:

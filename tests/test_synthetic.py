@@ -1,27 +1,100 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
+import pytest
 
-from graphmgs.synthetic import SPECTRAL_THRESHOLD, SyntheticSpec, generate_synthetic
+from graphmgs.errors import DataError
+from graphmgs.synthetic import TRIANGLE_MOTIF, SyntheticSpec, generate_synthetic
+
+# the corpus specs of the benchmark workloads (perfbench/workloads.py)
+DESK = dict(n_graphs=200, size_min=10, size_max=16, homophily=0.3, label_rule=TRIANGLE_MOTIF)
+WIDE = dict(n_graphs=142, size_min=10, size_max=16, homophily=0.3, label_rule=TRIANGLE_MOTIF,
+            families=40)
+SPECTRAL = dict(n_graphs=300, size_min=16, size_max=32, homophily=0.3,
+                label_rule=TRIANGLE_MOTIF)
+# the jittered tests/test_training.py fixture
+FIXTURE = dict(n_graphs=40, size_min=8, size_max=12, homophily=0.4, label_rule=TRIANGLE_MOTIF,
+               seed=3, families=8, attr_sizes=(4, 6), edge_attr_sizes=(1,),
+               edge_factor_jitter=0.3, member_edge_jitter=0.3)
+SMALL = dict(n_graphs=30, size_min=6, size_max=12, label_rule=TRIANGLE_MOTIF)
+
+# sha256 of each corpus's canonical repr, recorded before the generator was
+# refactored; a change to the generator must leave every existing corpus as is
+GOLDEN = {
+    "desk-0": (dict(DESK, seed=0),
+               "43e35ab7edcf64d0f9d9dd567fbfe71b445bf4b989c10f4ba52ecb65f14a01ad"),
+    "desk-1": (dict(DESK, seed=1),
+               "f5c956bfb796afe860334accc5854edfa8a08cc23eee30e3ed942d8c255a5a7f"),
+    "desk-2": (dict(DESK, seed=2),
+               "bdd8edbe490115d6affa8881529a67453dc1f7400d30496510f1b15d450da3b1"),
+    "wide-0": (dict(WIDE, seed=0),
+               "509687930607661a11b69bbd693dff9f2777639b1dc77c06c3da30e9707b6006"),
+    "wide-1": (dict(WIDE, seed=1),
+               "5c3a488e312825eb7f35063c93afe065fa1dbc5f655a420a03a4dad13239656f"),
+    "wide-2": (dict(WIDE, seed=2),
+               "545335942540988d79cb7a2ca57d3ec6e085c489ae5fb9709b98e822f8253b58"),
+    "spectral-0": (dict(SPECTRAL, seed=0),
+                   "0a14872e4c52804a2603e0316e93ed655c60a44953b4b37a141844a09bd7c55b"),
+    "spectral-1": (dict(SPECTRAL, seed=1),
+                   "45ab9fcaae8a1ccb6ad803e3f7272579763cdc750dd68f63271fa61909772c9f"),
+    "spectral-2": (dict(SPECTRAL, seed=2),
+                   "e02990d19bad058e74b8070f8b49b60b2cbb0912f1297f49a673bad919cf826c"),
+    "fixture": (FIXTURE,
+                "49af36ea8bde51d7b5cbb22fcacb4b5a5282043e82d03643c624b4eb2c93e403"),
+    "h1": (dict(SMALL, homophily=1.0, seed=4),
+           "4bb98d9e208c9da05f6f1646ab247324c76fd83d281d54b004cebd83b5b4c349"),
+    "h0": (dict(SMALL, homophily=0.0, seed=5),
+           "9232c2569b6da3b1a5734e9fce299714e5650d99abb684031a3849956aca7fd6"),
+    "multi-slot": (dict(SMALL, homophily=0.5, seed=6, families=5, attr_sizes=(3, 5, 2),
+                        edge_attr_sizes=(4, 2)),
+                   "b3d403c4032423d0380453484c3f7bce42fea7f8e0f632fc73014653b07a550f"),
+}
 
 
-def lambda_max_oracle(g):
-    """Largest eigenvalue of D - A, built from the edge list."""
-    lap = np.zeros((g.node_count, g.node_count))
-    for u, v in g.edges:
-        lap[u, v] = lap[v, u] = -1.0
-        lap[u, u] += 1.0
-        lap[v, v] += 1.0
-    return float(np.linalg.eigvalsh(lap)[-1])
+def canonical(corpus) -> str:
+    return repr((corpus.name, corpus.task_count, [
+        (g.id, g.node_count, g.edges, g.node_attrs, g.edge_attrs, g.node_labels, g.graph_labels)
+        for g in corpus]))
 
 
-class TestSpectralThresholdLabels:
-    def test_labels_are_lambda_max_at_or_above_median(self):
+@pytest.mark.parametrize("spec,digest", GOLDEN.values(), ids=GOLDEN)
+def test_corpus_matches_golden_digest(spec, digest):
+    corpus = generate_synthetic(SyntheticSpec(**spec))
+    assert hashlib.sha256(canonical(corpus).encode()).hexdigest() == digest
+
+
+def triangle_oracle(g) -> int:
+    """Triangles by brute force over node triples, from the edge list."""
+    edges = set(g.edges)
+    n = g.node_count
+    return sum(1 for a in range(n) for b in range(a + 1, n) for c in range(b + 1, n)
+               if (a, b) in edges and (a, c) in edges and (b, c) in edges)
+
+
+class TestTriangleMotifLabels:
+    def test_labels_are_triangle_count_at_or_above_median(self):
         for seed in range(3):
-            spec = SyntheticSpec(n_graphs=30, size_min=6, size_max=14, homophily=0.4,
-                                 label_rule=SPECTRAL_THRESHOLD, seed=seed, families=6,
-                                 edge_factor_jitter=0.3, member_edge_jitter=0.3)
-            corpus = generate_synthetic(spec)
-            lam = np.asarray([lambda_max_oracle(g) for g in corpus])
-            median = np.median(lam)
+            corpus = generate_synthetic(SyntheticSpec(**dict(FIXTURE, seed=seed)))
+            counts = np.asarray([triangle_oracle(g) for g in corpus])
+            median = np.median(counts)
             labels = [g.graph_labels for g in corpus]
-            assert labels == [(int(x >= median),) for x in lam], f"seed {seed}"
+            assert labels == [(int(c >= median),) for c in counts], f"seed {seed}"
             assert {y for (y,) in labels} == {0, 1}
+
+
+BASE = SyntheticSpec(**FIXTURE)
+
+
+# the values in use (0.0, 0.3, (4, 8), (4, 6), (3,), (1,)) stay valid: the golden specs set them
+@pytest.mark.parametrize("field,value", [
+    ("edge_factor_jitter", float("nan")), ("edge_factor_jitter", -0.1),
+    ("member_edge_jitter", float("nan")), ("member_edge_jitter", -0.1),
+    ("attr_sizes", (4, 0)), ("attr_sizes", ()), ("attr_sizes", (1, 6)),
+    ("edge_attr_sizes", (0,)), ("edge_attr_sizes", (3, -1)),
+    ("label_rule", "spectral_threshold"),
+])
+def test_spec_rejects_degenerate_settings(field, value):
+    with pytest.raises(DataError):
+        replace(BASE, **{field: value})
+

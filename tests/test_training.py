@@ -11,6 +11,7 @@ from graphmgs.fingerprints import make_fingerprints
 from graphmgs.graphs import GraphCorpus, LabeledGraph, load_corpus
 from graphmgs.models import GnnConfig, infer_attr_sizes, init_model
 from graphmgs.similarity import average_ranks, mgs
+from graphmgs.spectral import spectral_fingerprint
 from graphmgs.synthetic import SyntheticSpec, generate_synthetic
 from graphmgs.training import (MIN_STRATUM, FinetuneReport, PgmConfig, SkippedBatch,
                                evaluate_mgs, finetune, pgm_loss, pretrain, roc_auc,
@@ -116,7 +117,8 @@ class TestPgmLoss:
 
     @pytest.mark.parametrize("field, value", [
         ("epochs", -1), ("lr", -1.0), ("lr", 0.0), ("lr", np.nan), ("lr", np.inf),
-        ("holdout_fraction", np.nan), ("holdout_fraction", -0.1), ("holdout_fraction", 1.0)])
+        ("holdout_fraction", np.nan), ("holdout_fraction", -0.1), ("holdout_fraction", 1.0),
+        ("scheme", "spectrum")])
     def test_out_of_range_argument_rejected(self, field, value):
         with pytest.raises(DataError, match=field):
             PgmConfig(**{field: value})
@@ -159,6 +161,17 @@ class TestPretrain:
         model = tiny_model(tiny_corpus, seed=3)
         with pytest.raises(DataError, match="missing"):
             pretrain(tiny_corpus, model, PgmConfig(batch_size=8, epochs=1), partial)
+
+    def test_fingerprints_of_another_scheme_rejected(self, tiny_corpus, tiny_fps):
+        model = tiny_model(tiny_corpus, seed=3)
+        first = tiny_corpus.graphs[0].id
+        with pytest.raises(DataError, match=f"'{first}': topological fingerprint"):
+            pretrain(tiny_corpus, model, PgmConfig(batch_size=8, epochs=0, scheme="morgan"),
+                     tiny_fps)
+        g = tiny_corpus.graphs[5]
+        mixed = dict(tiny_fps, **{g.id: spectral_fingerprint(g, k=4)})
+        with pytest.raises(DataError, match=f"'{g.id}': spectral fingerprint"):
+            pretrain(tiny_corpus, model, PgmConfig(batch_size=8, epochs=1), mixed)
 
     def test_mgs_improves_on_tiny_corpus(self, tiny_corpus, tiny_fps):
         model = tiny_model(tiny_corpus, seed=4)
