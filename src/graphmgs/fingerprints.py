@@ -392,12 +392,12 @@ def _set_morgan_bits(bits: np.ndarray, graphs, radius: int) -> None:
     bits[graph[first], ident[order[first]] % np.uint64(bits.shape[1])] = True
 
 
+_BIT_SCHEMES = {TOPOLOGICAL: topological_fingerprints, MORGAN: morgan_fingerprints}
+
+
 def make_fingerprints(corpus, scheme: str, **params) -> dict[str, BitFingerprint]:
     """Fingerprint every graph in a corpus with one bit scheme."""
-    if scheme == TOPOLOGICAL:
-        graphs = list(corpus)
-        return dict(zip((g.id for g in graphs), topological_fingerprints(graphs, **params)))
-    if scheme == MORGAN:
-        graphs = list(corpus)
-        return dict(zip((g.id for g in graphs), morgan_fingerprints(graphs, **params)))
-    raise DataError(f"unknown bit-fingerprint scheme {scheme!r}")
+    if scheme not in _BIT_SCHEMES:
+        raise DataError(f"unknown bit-fingerprint scheme {scheme!r}")
+    graphs = list(corpus)
+    return dict(zip((g.id for g in graphs), _BIT_SCHEMES[scheme](graphs, **params)))

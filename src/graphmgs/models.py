@@ -13,8 +13,7 @@ fixed number of tape nodes per layer.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -25,6 +24,9 @@ from .graphs import GraphCorpus, LabeledGraph
 from .spectral import normalized_adjacency
 
 ARCHS = ("gcn", "gin", "chebnet", "fagcn", "fcn")
+CHEB_ORDER = 3   # ChebNet terms T_0 .. T_{K-1} per layer
+FAGCN_EPS = 0.3  # FAGCN's weight on the projected input in every layer
+DROPOUT = 0.5    # inverted-dropout rate after every layer but the last, in training
 
 
 @dataclass(frozen=True)
@@ -32,38 +34,15 @@ class GnnConfig:
     arch: str
     layers: int = 5
     hidden_dim: int = 300
-    cheb_order: int = 3
-    fagcn_eps: float = 0.3
-    dropout: float = 0.5
     attr_sizes: tuple[int, ...] = ()
-    task_count: int = 0
 
     def __post_init__(self):
         if self.arch not in ARCHS:
             raise DataError(f"unknown architecture {self.arch!r}")
-        if self.layers < 1 or self.hidden_dim < 1 or self.cheb_order < 1:
-            raise DataError("layers, hidden_dim and cheb_order must be >= 1")
-        if not 0.0 <= self.dropout < 1.0:
-            raise DataError(f"dropout {self.dropout} outside [0,1)")
-        if not math.isfinite(self.fagcn_eps):
-            raise DataError(f"fagcn_eps must be finite, got {self.fagcn_eps}")
+        if self.layers < 1 or self.hidden_dim < 1:
+            raise DataError("layers and hidden_dim must be >= 1")
         if not self.attr_sizes:
             raise DataError("attr_sizes must list one alphabet size per attribute slot")
-
-    def to_dict(self) -> dict:
-        return {
-            "arch": self.arch, "layers": self.layers, "hidden_dim": self.hidden_dim,
-            "cheb_order": self.cheb_order, "fagcn_eps": self.fagcn_eps,
-            "dropout": self.dropout, "attr_sizes": list(self.attr_sizes),
-            "task_count": self.task_count,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GnnConfig":
-        return cls(arch=d["arch"], layers=int(d["layers"]), hidden_dim=int(d["hidden_dim"]),
-                   cheb_order=int(d["cheb_order"]), fagcn_eps=float(d["fagcn_eps"]),
-                   dropout=float(d["dropout"]), attr_sizes=tuple(int(x) for x in d["attr_sizes"]),
-                   task_count=int(d["task_count"]))
 
 
 @dataclass
@@ -99,7 +78,8 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.nd
 
 
 def init_model(config: GnnConfig, seed: int) -> GnnModel:
-    """Seeded parameter initialization (Glorot uniform weights, zero biases)."""
+    """Seeded encoder parameters (Glorot uniform weights, zero biases), with no
+    classification head: ``with_head`` attaches one."""
     rng = np.random.default_rng(seed)
     h = config.hidden_dim
     params: dict[str, T.Tensor] = {}
@@ -121,13 +101,10 @@ def init_model(config: GnnConfig, seed: int) -> GnnModel:
             add(f"layer{l}.w2", _glorot(rng, h, h, (h, h)))
             add(f"layer{l}.b2", np.zeros(h))
         elif config.arch == "chebnet":
-            for k in range(config.cheb_order):
+            for k in range(CHEB_ORDER):
                 add(f"layer{l}.theta{k}", _glorot(rng, h, h, (h, h)))
         elif config.arch == "fagcn":
             add(f"layer{l}.g", rng.uniform(-1.0, 1.0, size=2 * h) / np.sqrt(2 * h))
-    if config.task_count > 0:
-        add("head.w", _glorot(rng, h, config.task_count, (h, config.task_count)))
-        add("head.b", np.zeros(config.task_count))
     return GnnModel(config=config, params=params)
 
 
@@ -176,15 +153,15 @@ def encode_nodes(model: GnnModel, graphs, training: bool = False,
     for g in graphs:
         if g.node_count == 0:
             raise DataError(f"graph {g.id!r}: cannot encode an empty graph")
-    if training and cfg.dropout > 0.0 and rng is None:
+    if training and rng is None:
         raise DataError("training-mode forward with dropout needs an rng")
     offsets = np.cumsum([0] + [g.node_count for g in graphs])
     masks = []
-    if training and cfg.dropout > 0.0:
+    if training:
         # inverted dropout for every layer but the last, drawn graph by graph and
         # layer by layer within a graph: the rng stream of one-at-a-time encoding
-        drawn = [[(rng.random((g.node_count, cfg.hidden_dim)) >= cfg.dropout)
-                  / (1.0 - cfg.dropout) for _ in range(cfg.layers - 1)] for g in graphs]
+        drawn = [[(rng.random((g.node_count, cfg.hidden_dim)) >= DROPOUT)
+                  / (1.0 - DROPOUT) for _ in range(cfg.layers - 1)] for g in graphs]
         masks = [np.concatenate(layer) for layer in zip(*drawn)]
     h = _input_features(model, graphs)
     p = model.params
@@ -205,7 +182,7 @@ def encode_nodes(model: GnnModel, graphs, training: bool = False,
         elif cfg.arch == "chebnet":
             xk_prev, xk = None, h
             out = xk @ p[f"layer{l}.theta0"]
-            for k in range(1, cfg.cheb_order):
+            for k in range(1, CHEB_ORDER):
                 lx = T.block_diag_matmul(ops, offsets, xk)
                 xk_prev, xk = xk, (lx if k == 1 else 2.0 * lx - xk_prev)
                 out = out + xk @ p[f"layer{l}.theta{k}"]
@@ -214,7 +191,7 @@ def encode_nodes(model: GnnModel, graphs, training: bool = False,
             # edge attention tanh(g . [h_i || h_j]) = tanh(g[:h] . h_i + g[h:] . h_j)
             # weights the entry 1/sqrt(d_i d_j) of receiver i and sender j
             scores = h @ T.transpose(T.reshape(p[f"layer{l}.g"], (2, cfg.hidden_dim)))
-            h = cfg.fagcn_eps * h0 + T.block_diag_attention(ops, offsets, scores, h)
+            h = FAGCN_EPS * h0 + T.block_diag_attention(ops, offsets, scores, h)
         if l < len(masks):
             h = h * masks[l]
     return h, offsets
@@ -233,8 +210,8 @@ def embed_graph(model: GnnModel, graphs, training: bool = False,
 
 def classify(model: GnnModel, graphs, training: bool = False,
              rng: Optional[np.random.Generator] = None) -> T.Tensor:
-    """Per-task logits h_G W + b (G x tasks)."""
-    if model.config.task_count < 1 or "head.w" not in model.params:
+    """Per-task logits h_G W + b (G x tasks); ``head.w`` has one column per task."""
+    if "head.w" not in model.params:
         raise DataError("model has no classification head")
     hg = embed_graph(model, graphs, training=training, rng=rng)
     return hg @ model.params["head.w"] + model.params["head.b"]
@@ -250,17 +227,17 @@ def with_head(model: GnnModel, task_count: int, seed: int) -> GnnModel:
     params["head.w"] = T.Tensor(_glorot(rng, h, task_count, (h, task_count)),
                                 requires_grad=True)
     params["head.b"] = T.Tensor(np.zeros(task_count), requires_grad=True)
-    return GnnModel(config=replace(model.config, task_count=task_count), params=params)
+    return GnnModel(config=model.config, params=params)
 
 
-MODEL_CHECKPOINT_VERSION = 1
+MODEL_CHECKPOINT_VERSION = 2
 
 
 def save_model(model: GnnModel, path) -> None:
     """Checkpoint: config header + named parameter tensors (JSON)."""
     payload = {
         "version": MODEL_CHECKPOINT_VERSION,
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "params": {
             name: {"shape": list(p.data.shape), "values": p.data.reshape(-1).tolist()}
             for name, p in model.params.items()
@@ -271,13 +248,34 @@ def save_model(model: GnnModel, path) -> None:
 
 
 def load_model(path) -> GnnModel:
+    """A ``save_model`` checkpoint.  Its parameters must be exactly those that
+    ``init_model`` gives its config, with their shapes, plus an optional head
+    (``head.w`` of shape (hidden_dim, t) and ``head.b`` of shape (t,), t >= 1);
+    anything else, or another version, raises ``DataError``."""
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("version") != MODEL_CHECKPOINT_VERSION:
-        raise DataError(f"model checkpoint version {payload.get('version')!r} unsupported")
-    config = GnnConfig.from_dict(payload["config"])
-    params = {}
-    for name, entry in payload["params"].items():
-        arr = np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
-        params[name] = T.Tensor(arr, requires_grad=True)
-    return GnnModel(config=config, params=params)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"model checkpoint is not JSON: {exc}") from exc
+    version = payload.get("version") if isinstance(payload, dict) else None
+    if version != MODEL_CHECKPOINT_VERSION:
+        raise DataError(f"model checkpoint version {version!r} unsupported")
+    try:
+        fields = payload["config"]
+        config = GnnConfig(**dict(fields, attr_sizes=tuple(fields["attr_sizes"])))
+        want = {name: p.data.shape for name, p in init_model(config, 0).params.items()}
+        arrays = {name: np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
+                  for name, entry in payload["params"].items()}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed model checkpoint: {exc}") from exc
+    got = {name: arr.shape for name, arr in arrays.items()}
+    tasks = got.get("head.b", ())
+    if len(tasks) == 1 and tasks[0] >= 1:
+        want.update({"head.w": (config.hidden_dim, *tasks), "head.b": tasks})
+    if got != want:
+        raise DataError("model checkpoint parameters differ from a "
+                        f"{config.arch} encoder's: missing {sorted(want.keys() - got.keys())}, "
+                        f"unexpected {sorted(got.keys() - want.keys())}, misshapen "
+                        f"{sorted(k for k in want.keys() & got.keys() if want[k] != got[k])}")
+    return GnnModel(config=config, params={
+        name: T.Tensor(arr, requires_grad=True) for name, arr in arrays.items()})

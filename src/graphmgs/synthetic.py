@@ -17,6 +17,7 @@ graph 1 when its triangle count is at least the corpus median.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -90,28 +91,28 @@ def _random_pair(rng: np.random.Generator, n: int) -> Optional[tuple[int, int]]:
     return None if u == v else (min(u, v), max(u, v))
 
 
-def _random_edge(rng: np.random.Generator, edges: set[tuple[int, int]]) -> tuple[int, int]:
-    edge_list = sorted(edges)
-    return edge_list[rng.integers(0, len(edge_list))]
+def _random_edge(rng: np.random.Generator, edges: list[tuple[int, int]]) -> tuple[int, int]:
+    return edges[rng.integers(0, len(edges))]
 
 
-def _move_edge(edges: set[tuple[int, int]], deg: np.ndarray,
+def _move_edge(edges: list[tuple[int, int]], deg: np.ndarray,
                old: Optional[tuple[int, int]] = None,
                new: Optional[tuple[int, int]] = None) -> None:
     """Remove edge ``old`` and add edge ``new`` (either may be None), keeping
-    the degrees ``deg`` current."""
+    the edge list sorted and the degrees ``deg`` current."""
     if old is not None:
-        edges.remove(old)
+        del edges[bisect.bisect_left(edges, old)]
         deg[old[0]] -= 1
         deg[old[1]] -= 1
     if new is not None:
-        edges.add(new)
+        bisect.insort(edges, new)
         deg[new[0]] += 1
         deg[new[1]] += 1
 
 
-def _random_simple_graph(rng: np.random.Generator, n: int, m: int) -> set[tuple[int, int]]:
-    """Connected random graph: random spanning tree plus random extra edges."""
+def _random_simple_graph(rng: np.random.Generator, n: int, m: int) -> list[tuple[int, int]]:
+    """Connected random graph, as a sorted edge list: random spanning tree
+    plus random extra edges."""
     order = rng.permutation(n)
     edges: set[tuple[int, int]] = set()
     for i in range(1, n):
@@ -122,12 +123,12 @@ def _random_simple_graph(rng: np.random.Generator, n: int, m: int) -> set[tuple[
         pair = _random_pair(rng, n)
         if pair is not None:
             edges.add(pair)
-    return edges
+    return sorted(edges)
 
 
 def _rewire_to_homophily(rng: np.random.Generator, n: int,
-                         edges: set[tuple[int, int]], labels: tuple[int, ...],
-                         target: float) -> set[tuple[int, int]]:
+                         edges: list[tuple[int, int]], labels: tuple[int, ...],
+                         target: float) -> list[tuple[int, int]]:
     """Swap edges for non-edges until the same-label edge fraction is within
     HOMOPHILY_TOL of the target; degree >= 1 is preserved."""
     m = len(edges)
@@ -164,9 +165,9 @@ def _rewire_to_homophily(rng: np.random.Generator, n: int,
         f"rewiring failed to reach homophily {target} within {REWIRE_LIMIT} proposals")
 
 
-def _mutate_edges(rng: np.random.Generator, n: int, edges: set[tuple[int, int]],
-                  count: int) -> set[tuple[int, int]]:
-    edges = set(edges)
+def _mutate_edges(rng: np.random.Generator, n: int, edges: list[tuple[int, int]],
+                  count: int) -> list[tuple[int, int]]:
+    edges = list(edges)
     deg = degrees_of(n, edges)
     done = 0
     attempts = 0
@@ -183,9 +184,9 @@ def _mutate_edges(rng: np.random.Generator, n: int, edges: set[tuple[int, int]],
     return edges
 
 
-def _resize_edges(rng: np.random.Generator, n: int, edges: set[tuple[int, int]],
-                  delta: int) -> set[tuple[int, int]]:
-    edges = set(edges)
+def _resize_edges(rng: np.random.Generator, n: int, edges: list[tuple[int, int]],
+                  delta: int) -> list[tuple[int, int]]:
+    edges = list(edges)
     deg = degrees_of(n, edges)
     attempts = 0
     while delta != 0 and attempts < 50 * abs(delta) + 100:
@@ -210,7 +211,7 @@ def _resize_edges(rng: np.random.Generator, n: int, edges: set[tuple[int, int]],
 @dataclass
 class _Family:
     n: int
-    edges: set
+    edges: list
     labels: tuple[int, ...]
     attr_profiles: list
     edge_profiles: list
@@ -265,7 +266,7 @@ def _member_graph(rng: np.random.Generator, spec: SyntheticSpec,
             if rng.random() < ATTR_MUTATION:
                 rest[s] = int(rng.choice(len(profile), p=profile))
         node_attrs.append(tuple([first] + rest))
-    edges = tuple(sorted(edges))
+    edges = tuple(edges)
     edge_attrs = tuple(tuple(int(rng.choice(len(p), p=p)) for p in fam.edge_profiles)
                        for _ in edges)
     return edges, tuple(node_attrs), edge_attrs

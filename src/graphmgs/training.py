@@ -12,7 +12,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Hashable, Optional, Sequence
+from typing import Callable, ClassVar, Hashable, Optional, Sequence
 
 import numpy as np
 
@@ -23,20 +23,18 @@ from .fingerprints import MORGAN, TOPOLOGICAL
 from .graphs import GraphCorpus
 from .models import GnnModel, embed_graph, classify, with_head
 from .similarity import (SimilarityPairSet, average_ranks, build_pair_set,
-                         cosine_pair_sims, mgs, structural_pair_sims, write_pair_csv)
+                         cosine_pair_sims, mgs, structural_pair_sims)
 from .spectral import SpectralFingerprint
 
 SURROGATES = ("softrank", "pearson")
 SPECTRAL = "spectral"
 SCHEMES = (TOPOLOGICAL, MORGAN, SPECTRAL)
+LEARNING_RATE = 1e-3  # the Adam step size of pre-training and fine-tuning
 
 
-def _check_schedule(epochs: int, lr: float) -> None:
-    """The epoch count and Adam step size that pretrain and finetune accept."""
+def _check_epochs(epochs: int) -> None:
     if epochs < 0:
         raise DataError(f"epochs must be >= 0, got {epochs}")
-    if not (math.isfinite(lr) and lr > 0.0):
-        raise DataError(f"lr must be finite and > 0, got {lr}")
 
 
 @dataclass(frozen=True)
@@ -45,11 +43,10 @@ class PgmConfig:
     temperature: float = 0.0       # 0 = auto: 0.05 x IQR of the batch's embedding sims
     batch_size: int = 32
     epochs: int = 100
-    lr: float = 1e-3
     scheme: str = "topological"
     seed: int = 0
-    holdout_fraction: float = 0.1
     eval_pairs: int = 200
+    holdout_fraction: ClassVar[float] = 0.1  # share of the corpus held out of pre-training
 
     def __post_init__(self):
         if self.surrogate not in SURROGATES:
@@ -60,9 +57,7 @@ class PgmConfig:
             raise DataError("batch_size must be >= 3")
         if not (math.isfinite(self.temperature) and self.temperature >= 0.0):
             raise DataError("temperature must be finite and >= 0 (0 selects auto)")
-        if not (math.isfinite(self.holdout_fraction) and 0.0 <= self.holdout_fraction < 1.0):
-            raise DataError(f"holdout_fraction {self.holdout_fraction} outside [0,1)")
-        _check_schedule(self.epochs, self.lr)
+        _check_epochs(self.epochs)
 
 
 @dataclass(frozen=True)
@@ -92,16 +87,8 @@ class TrainReport:
         return len(self.skipped)
 
     def to_dict(self) -> dict:
-        return {
-            "epochs": len(self.losses),
-            "losses": self.losses,
-            "holdout_mgs": self.holdout_mgs,
-            "wall_clock": self.wall_clock,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-            "skipped_batches": self.skipped_batches,
-            "skipped": [asdict(b) for b in self.skipped],
-        }
+        return {"epochs": len(self.losses), **asdict(self),
+                "skipped_batches": self.skipped_batches}
 
 
 def _pearson_of(x: T.Tensor, y_const: np.ndarray) -> T.Tensor:
@@ -194,16 +181,14 @@ def pretrain(corpus: GraphCorpus, model: GnnModel, cfg: PgmConfig,
     train_idx, hold_idx = holdout_split(len(graphs), cfg.holdout_fraction,
                                         derive_seed(cfg.seed, "pretrain-holdout"))
     hold_graphs = [graphs[i] for i in hold_idx]
-    hold_corpus = GraphCorpus(graphs=tuple(hold_graphs), task_count=corpus.task_count,
-                              name=corpus.name)
     n_hold_pairs = min(cfg.eval_pairs, len(hold_graphs) * (len(hold_graphs) - 1) // 2)
 
     params = model.parameters()
-    state = T.AdamState.for_params(params, lr=cfg.lr)
+    state = T.AdamState.for_params(params, lr=LEARNING_RATE)
     shuffle_rng = np.random.default_rng(derive_seed(cfg.seed, "pretrain-shuffle"))
 
     def holdout_mgs() -> float:
-        pairs = _eval_pair_set(hold_corpus, model, fingerprints, n_hold_pairs,
+        pairs = _eval_pair_set(hold_graphs, model, fingerprints, n_hold_pairs,
                                derive_seed(cfg.seed, "pretrain-eval"))
         return mgs(pairs)
 
@@ -236,22 +221,18 @@ def pretrain(corpus: GraphCorpus, model: GnnModel, cfg: PgmConfig,
     return model, report
 
 
-def _eval_pair_set(corpus: GraphCorpus, model: GnnModel, fingerprints: dict,
+def _eval_pair_set(graphs, model: GnnModel, fingerprints: dict,
                    n_pairs: int, seed: int) -> SimilarityPairSet:
     return build_pair_set(
-        corpus, lambda gs: embed_graph(model, gs).data, fingerprints, n_pairs, seed)
+        graphs, lambda gs: embed_graph(model, gs).data, fingerprints, n_pairs, seed)
 
 
 def evaluate_mgs(corpus: GraphCorpus, model: GnnModel, fingerprints: dict,
-                 n_pairs: int = 1000, seed: int = 0,
-                 csv_path=None) -> tuple[float, SimilarityPairSet]:
-    """MGS of a trained (or untrained) encoder over sampled pairs, with
-    optional scatter CSV export."""
+                 n_pairs: int = 1000, seed: int = 0) -> tuple[float, SimilarityPairSet]:
+    """MGS of a trained (or untrained) encoder over sampled pairs, and the
+    scored pairs (``similarity.write_pair_csv`` exports them as a scatter CSV)."""
     pairs = _eval_pair_set(corpus, model, fingerprints, n_pairs, seed)
-    value = mgs(pairs)
-    if csv_path is not None:
-        write_pair_csv(pairs, csv_path)
-    return value, pairs
+    return mgs(pairs), pairs
 
 
 def roc_auc(scores, labels) -> float:
@@ -287,17 +268,7 @@ class FinetuneReport:
     config_hash: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "epochs": len(self.train_losses),
-            "train_losses": self.train_losses,
-            "valid_aucs": self.valid_aucs,
-            "best_epoch": self.best_epoch,
-            "selection": self.selection,
-            "test_auc": self.test_auc,
-            "wall_clock": self.wall_clock,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-        }
+        return {"epochs": len(self.train_losses), **asdict(self)}
 
 
 MIN_STRATUM = 3  # members a stratum needs to be placed in train, valid and test
@@ -400,11 +371,12 @@ def _fold_auc(model: GnnModel, graphs, labels_per_graph) -> float:
 
 
 def finetune(corpus: GraphCorpus, model: GnnModel, epochs: int = 100,
-             lr: float = 1e-3, seed: int = 0, batch_size: int = 32,
+             seed: int = 0, batch_size: int = 32,
              on_label_read: Optional[Callable[[str, Optional[int]], None]] = None,
              ) -> tuple[GnnModel, FinetuneReport]:
     """Supervised fine-tuning with masked binary cross-entropy over observed
-    labels.
+    labels.  A head whose task count is not the corpus's is replaced by a
+    fresh one (``models.with_head``), as is a missing head.
 
     The split is ``split_folds`` stratified on one task, a missing label
     counting as a value of its own: the task whose smaller class has the
@@ -425,7 +397,7 @@ def finetune(corpus: GraphCorpus, model: GnnModel, epochs: int = 100,
     test labels are never touched during training.  The split itself reads
     every graph's labels once, before training, to stratify.
     """
-    _check_schedule(epochs, lr)
+    _check_epochs(epochs)
     if batch_size < 1:
         raise DataError(f"batch_size must be >= 1, got {batch_size}")
     if corpus.task_count < 1:
@@ -435,7 +407,7 @@ def finetune(corpus: GraphCorpus, model: GnnModel, epochs: int = 100,
                   for g in graphs)
     if not has_any:
         raise DataError("finetune: all graph labels are missing")
-    if "head.w" not in model.params or model.config.task_count != corpus.task_count:
+    if "head.w" not in model.params or model.params["head.w"].data.shape[1] != corpus.task_count:
         model = with_head(model, corpus.task_count, derive_seed(seed, "head-init"))
 
     start = time.perf_counter()
@@ -452,10 +424,10 @@ def finetune(corpus: GraphCorpus, model: GnnModel, epochs: int = 100,
         return out
 
     report = FinetuneReport(seed=seed, config_hash=stable_hash(
-        {"epochs": epochs, "lr": lr, "batch_size": batch_size, "seed": seed,
-         "model": model.config.to_dict()}))
+        {"epochs": epochs, "batch_size": batch_size, "seed": seed,
+         "model": asdict(model.config)}))
     params = model.parameters()
-    state = T.AdamState.for_params(params, lr=lr)
+    state = T.AdamState.for_params(params, lr=LEARNING_RATE)
     shuffle_rng = np.random.default_rng(derive_seed(seed, "finetune-shuffle"))
     dropout_rng = np.random.default_rng(derive_seed(seed, "finetune-dropout"))
     best_auc = -np.inf

@@ -3,20 +3,27 @@ outside the standard library and itself.  Nor does it read or set environment
 variables: what it does depends on its arguments and on what it measures, such
 as the CPUs the process may run on, never on a setting outside them.  And every
 field of a configuration class is read somewhere outside the class: a field
-nothing reads would be a setting with no effect."""
+nothing reads would be a setting with no effect.  Every field of the model and
+training configs is also set by some call in the package or the benchmark: a
+field that no caller sets is a constant."""
 
 import ast
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "graphmgs"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "graphmgs"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "graphmgs"}
 ENVIRONMENT = {"environ", "getenv", "putenv"}
 CONFIGS = ("SyntheticSpec", "GnnConfig", "PgmConfig")
+# the tests' gradient checks pin the soft-rank temperature through this field:
+# the automatic one is a constant of the batch, so a finite-difference check
+# across it would also measure the temperature's own change
+UNSET_BY_CALLERS = {"PgmConfig.temperature"}
 
 
-def _trees():
-    modules = sorted(PACKAGE.glob("*.py"))
+def _trees(modules=None):
+    modules = sorted(PACKAGE.glob("*.py")) if modules is None else modules
     assert modules
     return [(path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
             for path in modules]
@@ -81,15 +88,37 @@ def _config_reads(trees, cls: ast.ClassDef) -> set:
     return reads
 
 
+def _config_class(trees, name: str) -> tuple[ast.ClassDef, dict]:
+    """The class and its annotated names, each with its annotation's source."""
+    (cls,) = [node for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) and node.name == name]
+    fields = {stmt.target.id: ast.unparse(stmt.annotation) for stmt in cls.body
+              if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)}
+    assert fields, name
+    return cls, fields
+
+
 def test_every_config_field_is_read():
     trees = [tree for _, tree in _trees()]
     dead = []
     for name in CONFIGS:
-        (cls,) = [node for tree in trees for node in ast.walk(tree)
-                  if isinstance(node, ast.ClassDef) and node.name == name]
-        fields = [stmt.target.id for stmt in cls.body
-                  if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
-        assert fields, name
+        cls, fields = _config_class(trees, name)
         reads = _config_reads(trees, cls)
         dead += [f"{name}.{field}" for field in fields if field not in reads]
     assert not dead
+
+
+def test_every_model_and_training_field_is_set_by_a_caller():
+    trees = [tree for _, tree in _trees()]
+    callers = trees + [tree for _, tree in _trees(sorted((ROOT / "perfbench").glob("*.py")))]
+    unset = []
+    for name in ("GnnConfig", "PgmConfig"):
+        _, fields = _config_class(trees, name)
+        passed = {kw.arg for tree in callers for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                  for kw in node.keywords}
+        unset += [f"{name}.{field}" for field, annotation in fields.items()
+                  if not annotation.startswith("ClassVar") and field not in passed
+                  and f"{name}.{field}" not in UNSET_BY_CALLERS]
+    assert not unset

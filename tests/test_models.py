@@ -1,12 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
 from graphmgs import tensor as T
 from graphmgs.errors import DataError
 from graphmgs.graphs import GraphCorpus, LabeledGraph
-from graphmgs.models import (ARCHS, GnnConfig, classify, embed_graph, encode_nodes,
-                             infer_attr_sizes, init_model, load_model, readout,
-                             save_model, with_head)
+from graphmgs.models import (ARCHS, CHEB_ORDER, FAGCN_EPS, GnnConfig, classify, embed_graph,
+                             encode_nodes, infer_attr_sizes, init_model, load_model,
+                             readout, save_model, with_head)
 from graphmgs.spectral import SYM_NORMALIZED, laplacian
 
 from conftest import finite_difference_check, random_attributed_graph
@@ -14,11 +16,10 @@ from conftest import finite_difference_check, random_attributed_graph
 ATTRS = (4, 2)
 
 
-def small_model(arch, layers=2, hidden=6, task_count=0, cheb_order=3, seed=3):
-    cfg = GnnConfig(arch=arch, layers=layers, hidden_dim=hidden,
-                    cheb_order=cheb_order, dropout=0.0, attr_sizes=ATTRS,
-                    task_count=task_count)
-    return init_model(cfg, seed=seed)
+def small_model(arch, layers=2, hidden=6, task_count=0, seed=3):
+    model = init_model(GnnConfig(arch=arch, layers=layers, hidden_dim=hidden,
+                                 attr_sizes=ATTRS), seed=seed)
+    return with_head(model, task_count, seed) if task_count else model
 
 
 def graph_for(rng):
@@ -80,21 +81,11 @@ class TestLayerFormulas:
         out = encode_nodes(small_model("gcn"), [g])[0].data
         assert np.array_equal(out[0], out[1])
 
-    def test_chebnet_k1_is_structure_free(self):
-        rng = np.random.default_rng(2)
-        g = graph_for(rng)
-        stripped = LabeledGraph(id=g.id, node_count=g.node_count, edges=(),
-                                node_attrs=g.node_attrs, edge_attrs=())
-        model = small_model("chebnet", cheb_order=1)
-        assert np.array_equal(encode_nodes(model, [g])[0].data,
-                              encode_nodes(model, [stripped])[0].data)
-
     def test_chebnet_recurrence_matches_explicit_polynomial(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             g = graph_for(rng)
-            model = small_model("chebnet", layers=1, cheb_order=4,
-                                seed=int(rng.integers(1 << 20)))
+            model = small_model("chebnet", layers=1, seed=int(rng.integers(1 << 20)))
             out = encode_nodes(model, [g])[0].data
             lhat = laplacian(g, SYM_NORMALIZED) - np.eye(g.node_count)
             h = np.zeros((g.node_count, model.config.hidden_dim))
@@ -103,10 +94,10 @@ class TestLayerFormulas:
                 h += table[[attrs[s] for attrs in g.node_attrs]]
             # explicit Chebyshev polynomials via dense powers
             t_mats = [np.eye(g.node_count), lhat]
-            while len(t_mats) < 4:
+            while len(t_mats) < CHEB_ORDER:
                 t_mats.append(2 * lhat @ t_mats[-1] - t_mats[-2])
             acc = np.zeros_like(h)
-            for k in range(4):
+            for k in range(CHEB_ORDER):
                 acc += t_mats[k] @ h @ model.params[f"layer0.theta{k}"].data
             assert np.max(np.abs(out - np.maximum(acc, 0.0))) < 1e-8
 
@@ -117,14 +108,13 @@ class TestLayerFormulas:
         model = small_model("fagcn", layers=2, seed=15)
         out, offsets = encode_nodes(model, graphs)
         p = {name: t.data for name, t in model.params.items()}
-        eps = model.config.fagcn_eps
         for g, lo, hi in zip(graphs, offsets[:-1], offsets[1:]):
             x = sum(p[f"embed.{s}"][[attrs[s] for attrs in g.node_attrs]]
                     for s in range(len(ATTRS)))
             h = h0 = np.maximum(x @ p["proj.w"], 0.0)
             deg = g.degrees()
             for l in range(2):
-                new = eps * h0
+                new = FAGCN_EPS * h0
                 for u, v in g.edges:
                     for i, j in ((u, v), (v, u)):
                         att = np.tanh(p[f"layer{l}.g"] @ np.concatenate([h[i], h[j]]))
@@ -243,7 +233,7 @@ class TestBatching:
 
     @pytest.mark.parametrize("arch", ARCHS)
     def test_training_batch_draws_dropout_like_batches_of_one(self, arch):
-        cfg = GnnConfig(arch=arch, layers=3, hidden_dim=6, dropout=0.5, attr_sizes=ATTRS)
+        cfg = GnnConfig(arch=arch, layers=3, hidden_dim=6, attr_sizes=ATTRS)
         model = init_model(cfg, seed=22)
         graphs = mixed_batch(np.random.default_rng(23))
         batch = embed_graph(model, graphs, training=True, rng=np.random.default_rng(24)).data
@@ -276,14 +266,6 @@ class TestBatching:
             embed_graph(small_model("gin"), [])
 
 
-class TestGnnConfig:
-    @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf])
-    def test_non_finite_fagcn_eps_rejected(self, eps):
-        # a non-finite residual weight would make every FAGCN embedding NaN
-        with pytest.raises(DataError, match="fagcn_eps"):
-            GnnConfig(arch="fagcn", fagcn_eps=eps, attr_sizes=ATTRS)
-
-
 class TestModelCheckpoint:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -306,6 +288,64 @@ class TestModelCheckpoint:
         path.write_text('{"version": 99, "config": {}, "params": {}}', encoding="utf-8")
         with pytest.raises(DataError, match="version"):
             load_model(path)
+
+    def test_version_1_rejected(self, tmp_path):
+        # version 1 stored cheb_order, fagcn_eps, dropout and task_count in its config
+        model = small_model("chebnet", task_count=1)
+        path = tmp_path / "v1.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["version"] = 1
+        payload["config"].update(cheb_order=3, fagcn_eps=0.3, dropout=0.5, task_count=1)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(DataError, match="version 1 unsupported"):
+            load_model(path)
+
+    @pytest.mark.parametrize("case, match", [
+        ("missing-parameter", "missing \\['layer1.theta'\\]"),
+        ("extra-parameter", "unexpected \\['layer2.theta'\\]"),
+        ("head-weights-only", "unexpected \\['head.w'\\]"),
+        ("head-width", "misshapen \\['head.w'\\]"),
+        ("bad-shape", "misshapen \\['embed.0'\\]"),
+        ("shape-and-values-disagree", "malformed"),
+        ("config-key-missing", "malformed"),
+        ("config-key-unknown", "malformed"),
+        ("truncated-json", "not JSON"),
+        ("not-an-object", "version None")])
+    def test_malformed_checkpoint_rejected(self, tmp_path, case, match):
+        model = small_model("gcn", task_count=2)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        params, config = payload["params"], payload["config"]
+        if case == "missing-parameter":
+            del params["layer1.theta"]
+        elif case == "extra-parameter":
+            params["layer2.theta"] = params["layer1.theta"]
+        elif case == "head-weights-only":
+            del params["head.b"]
+        elif case == "head-width":
+            params["head.b"] = {"shape": [3], "values": [0.0] * 3}
+        elif case == "bad-shape":
+            params["embed.0"]["shape"] = params["embed.0"]["shape"][::-1]
+        elif case == "shape-and-values-disagree":
+            params["embed.0"]["values"].pop()
+        elif case == "config-key-missing":
+            del config["attr_sizes"]
+        elif case == "config-key-unknown":
+            config["task_count"] = 2
+        text = json.dumps([payload] if case == "not-an-object" else payload)
+        path.write_text(text[:-1] if case == "truncated-json" else text, encoding="utf-8")
+        with pytest.raises(DataError, match=match):
+            load_model(path)
+
+    def test_headless_roundtrip(self, tmp_path):
+        model = small_model("chebnet")
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.config == model.config
+        assert set(loaded.params) == set(model.params)
 
 
 class TestInferAttrSizes:
