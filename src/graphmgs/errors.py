@@ -1,4 +1,7 @@
-"""Shared exception types, mapped to CLI exit codes."""
+"""Shared exception types, mapped to CLI exit codes, and the shared integer
+setting check."""
+
+import numpy as np
 
 
 class DataError(ValueError):
@@ -7,3 +10,9 @@ class DataError(ValueError):
 
 class NumericError(RuntimeError):
     """Numerical failure: non-convergence, NaN loss, undefined statistic (CLI exit code 3)."""
+
+
+def check_int(what: str, value, minimum: int) -> None:
+    """Raise ``DataError`` unless ``value`` is an integer (not a bool) >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise DataError(f"{what} must be an integer >= {minimum}, not {value!r}")

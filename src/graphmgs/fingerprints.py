@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_int
 from .graphs import LabeledGraph
 
 TOPOLOGICAL = "topological"
@@ -135,13 +135,8 @@ class BitFingerprint:
         return cls(bits=bits, scheme=scheme, params=tuple(params))
 
 
-def _check_int(what: str, value, minimum: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise DataError(f"{what} must be an integer >= {minimum}, not {value!r}")
-
-
 def _check_nbits(nbits) -> None:
-    _check_int("fingerprint nbits", nbits, 1)
+    check_int("fingerprint nbits", nbits, 1)
     if nbits & (nbits - 1):
         raise DataError(f"fingerprint length {nbits} is not a power of two")
 
@@ -211,8 +206,8 @@ def topological_fingerprints(graphs, max_path_len: int = 7, nbits: int = 2048,
     running path count passes ``MAX_PATHS_PER_GRAPH`` raises ``DataError``
     naming it, however many paths the batch holds in all.
     """
-    _check_int("topological fingerprint: max_path_len", max_path_len, 1)
-    _check_int("topological fingerprint: bits_per_feature", bits_per_feature, 1)
+    check_int("topological fingerprint: max_path_len", max_path_len, 1)
+    check_int("topological fingerprint: bits_per_feature", bits_per_feature, 1)
     _check_nbits(nbits)
     params = (("max_path_len", max_path_len), ("nbits", nbits),
               ("bits_per_feature", bits_per_feature))
@@ -325,7 +320,7 @@ def morgan_fingerprints(graphs, radius: int = 2, nbits: int = 2048) -> list[BitF
     identifier mod ``nbits``.  Graphs are taken in runs whose ball bitsets
     fit ``BALL_BLOCK_BYTES`` per round (see the module docstring).
     """
-    _check_int("morgan fingerprint: radius", radius, 0)
+    check_int("morgan fingerprint: radius", radius, 0)
     _check_nbits(nbits)
     params = (("radius", radius), ("nbits", nbits))
     graphs = list(graphs)

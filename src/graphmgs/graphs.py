@@ -13,11 +13,8 @@ from .errors import DataError
 
 def degrees_of(n: int, edges) -> np.ndarray:
     """Node degrees (int64) of an n-node graph from its edge list."""
-    deg = np.zeros(n, dtype=np.int64)
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    return deg
+    ends = np.asarray(edges, dtype=np.int64).reshape(-1)
+    return np.bincount(ends, minlength=n).astype(np.int64, copy=False)
 
 
 def adjacency_of(n: int, edges) -> np.ndarray:

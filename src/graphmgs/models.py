@@ -55,21 +55,17 @@ class GnnModel:
 
 
 def infer_attr_sizes(corpus: GraphCorpus) -> tuple[int, ...]:
-    """Embedding-table sizes: per-slot attribute maximum + 1 across the corpus."""
-    slots: Optional[int] = None
-    maxima: list[int] = []
+    """Embedding-table sizes: per-slot attribute maximum (at least 0) + 1
+    across the corpus."""
+    rows = [attrs for g in corpus for attrs in g.node_attrs]
+    slots = len(rows[0]) if rows else 0
     for g in corpus:
-        for attrs in g.node_attrs:
-            if slots is None:
-                slots = len(attrs)
-                maxima = [0] * slots
-            elif len(attrs) != slots:
-                raise DataError(f"graph {g.id!r}: inconsistent attribute slot count")
-            for s, a in enumerate(attrs):
-                maxima[s] = max(maxima[s], a)
-    if slots is None or slots == 0:
+        if any(len(attrs) != slots for attrs in g.node_attrs):
+            raise DataError(f"graph {g.id!r}: inconsistent attribute slot count")
+    if slots == 0:
         raise DataError("corpus has no node attributes to embed")
-    return tuple(m + 1 for m in maxima)
+    maxima = np.asarray(rows, dtype=np.int64).max(axis=0)
+    return tuple(int(m) + 1 for m in np.maximum(maxima, 0))
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:

@@ -13,6 +13,20 @@ module constants: ``CLASSES`` (2 node classes), ``LABEL_ATTR_NOISE`` (0.1),
 ``ATTR_CONCENTRATION`` (0.4), next to the rewiring bounds ``REWIRE_LIMIT``
 and ``HOMOPHILY_TOL``.  The one label rule, ``triangle_motif``, labels a
 graph 1 when its triangle count is at least the corpus median.
+
+Categorical attributes are drawn by one rule, the one ``Generator.choice``
+follows for a probability vector ``p``: with ``cdf = p.cumsum(); cdf /=
+cdf[-1]``, a draw is ``cdf.searchsorted(u, side="right")`` for one
+``u = rng.random()``.  So each profile's CDF is built once, when its family is
+made, and the draws are those of ``rng.choice(len(p), p=p)``, one for one,
+without the checks and the cumulative sum that call repeats each time.  Draws
+that follow one another with nothing drawn in between (a family's node
+attribute table, a member's edge attribute table) take their uniforms from one
+``rng.random((rows, slots))`` call, which yields the same doubles in row-major
+order.  In the same way, a spanning tree's n - 1 parent picks come from one
+``rng.integers(0, np.arange(1, n))`` call, which yields the draws of the scalar
+calls ``rng.integers(0, i)`` for i = 1 .. n - 1, in order.  The golden corpus
+digests in ``tests/test_synthetic.py`` hold every corpus to its draws.
 """
 
 from __future__ import annotations
@@ -24,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, check_int
 from .graphs import GraphCorpus, LabeledGraph, adjacency_of, degrees_of, same_label_count
 
 TRIANGLE_MOTIF = "triangle_motif"
@@ -64,24 +78,60 @@ class SyntheticSpec:
     member_edge_jitter: float = 0.0
 
     def __post_init__(self):
+        for name, minimum in (("n_graphs", 1), ("size_min", 3), ("size_max", 3),
+                              ("families", 0), ("seed", 0)):
+            check_int(name, getattr(self, name), minimum)
+        for s in (*self.attr_sizes, *self.edge_attr_sizes):
+            check_int("every attribute alphabet size", s, 1)
         if self.label_rule != TRIANGLE_MOTIF:
             raise DataError(f"unknown label rule {self.label_rule!r}")
-        if self.size_min < 3 or self.size_max < self.size_min:
+        if self.size_max < self.size_min:
             raise DataError("graph sizes must satisfy 3 <= size_min <= size_max")
         if not 0.0 <= self.homophily <= 1.0:
             raise DataError(f"homophily target {self.homophily} outside [0,1]")
         if not self.attr_sizes or self.attr_sizes[0] < CLASSES:
             raise DataError("attr_sizes[0] must cover the label classes")
-        if any(s < 1 for s in (*self.attr_sizes, *self.edge_attr_sizes)):
-            raise DataError("every attribute alphabet needs at least one symbol")
         for name in ("edge_factor_jitter", "member_edge_jitter"):
             jitter = getattr(self, name)
             if not (math.isfinite(jitter) and jitter >= 0.0):
                 raise DataError(f"{name} must be finite and >= 0, got {jitter}")
-        if self.n_graphs < 1:
-            raise DataError("n_graphs must be >= 1")
-        if self.families < 0 or self.families > self.n_graphs:
+        if self.families > self.n_graphs:
             raise DataError("families must be in [0, n_graphs]")
+
+
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """The CDF that ``Generator.choice`` builds from the probability vector ``p``."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _profile_cdfs(rng: np.random.Generator, sizes) -> list[np.ndarray]:
+    """The CDF of one Dirichlet attribute profile per alphabet size."""
+    return [_cdf(rng.dirichlet(np.full(s, ATTR_CONCENTRATION))) for s in sizes]
+
+
+def _categorical(cdf: np.ndarray, u):
+    """The symbol(s) ``Generator.choice(len(p), p=p)`` returns for the
+    uniform draw(s) ``u``, given the CDF of ``p`` (see the module docstring)."""
+    return cdf.searchsorted(u, side="right")
+
+
+def _categorical_table(rng: np.random.Generator, cdfs: list[np.ndarray],
+                       rows: int) -> list[list[int]]:
+    """``rows`` rows of one symbol per CDF, the symbols that scalar draws
+    would give row by row, from one ``rng.random`` call."""
+    u = rng.random((rows, len(cdfs)))
+    codes = np.empty(u.shape, dtype=np.int64)
+    for s, cdf in enumerate(cdfs):
+        codes[:, s] = _categorical(cdf, u[:, s])
+    return codes.tolist()
+
+
+def _has_edge(edges: list[tuple[int, int]], e: tuple[int, int]) -> bool:
+    """``e in edges`` for the sorted edge list, by bisection."""
+    i = bisect.bisect_left(edges, e)
+    return i < len(edges) and edges[i] == e
 
 
 def _random_pair(rng: np.random.Generator, n: int) -> Optional[tuple[int, int]]:
@@ -114,11 +164,9 @@ def _random_simple_graph(rng: np.random.Generator, n: int, m: int) -> list[tuple
     """Connected random graph, as a sorted edge list: random spanning tree
     plus random extra edges."""
     order = rng.permutation(n)
-    edges: set[tuple[int, int]] = set()
-    for i in range(1, n):
-        u = int(order[i])
-        v = int(order[rng.integers(0, i)])
-        edges.add((min(u, v), max(u, v)))
+    # node order[i] joins order[j], j drawn from [0, i), for i = 1 .. n-1
+    picks = rng.integers(0, np.arange(1, n))
+    edges = {(min(u, v), max(u, v)) for u, v in zip(order[1:].tolist(), order[picks].tolist())}
     while len(edges) < m:
         pair = _random_pair(rng, n)
         if pair is not None:
@@ -141,7 +189,7 @@ def _rewire_to_homophily(rng: np.random.Generator, n: int,
         if rng.random() < 0.5:
             # full swap: replace (u,v) with a random non-edge
             new = _random_pair(rng, n)
-            if new is None or new in edges or deg[u] == 1 or deg[v] == 1:
+            if new is None or _has_edge(edges, new) or deg[u] == 1 or deg[v] == 1:
                 continue
         else:
             # endpoint rewire: keep b, re-point its edge from a to y; works
@@ -153,7 +201,7 @@ def _rewire_to_homophily(rng: np.random.Generator, n: int,
             if y == b or y == a:
                 continue
             new = (min(b, y), max(b, y))
-            if new in edges:
+            if _has_edge(edges, new):
                 continue
         delta = int(labels[new[0]] == labels[new[1]]) - int(labels[u] == labels[v])
         if abs((same + delta) / m - target) < abs(same / m - target):
@@ -177,7 +225,7 @@ def _mutate_edges(rng: np.random.Generator, n: int, edges: list[tuple[int, int]]
         if deg[u] == 1 or deg[v] == 1:
             continue
         new = _random_pair(rng, n)
-        if new is None or new in edges:
+        if new is None or _has_edge(edges, new):
             continue
         _move_edge(edges, deg, (u, v), new)
         done += 1
@@ -193,7 +241,7 @@ def _resize_edges(rng: np.random.Generator, n: int, edges: list[tuple[int, int]]
         attempts += 1
         if delta > 0:
             new = _random_pair(rng, n)
-            if new is None or new in edges:
+            if new is None or _has_edge(edges, new):
                 continue
             _move_edge(edges, deg, new=new)
             delta -= 1
@@ -213,8 +261,8 @@ class _Family:
     n: int
     edges: list
     labels: tuple[int, ...]
-    attr_profiles: list
-    edge_profiles: list
+    attr_cdfs: list  # slots 1+, see _profile_cdfs
+    edge_cdfs: list
     node_attrs: list
 
 
@@ -234,14 +282,11 @@ def _make_family(rng: np.random.Generator, spec: SyntheticSpec) -> _Family:
         rng.shuffle(shuffled)
         labels = tuple(int(y) for y in shuffled)
         edges = _rewire_to_homophily(rng, n, edges, labels, spec.homophily)
-    attr_profiles = [rng.dirichlet(np.full(s, ATTR_CONCENTRATION))
-                     for s in spec.attr_sizes[1:]]
-    edge_profiles = [rng.dirichlet(np.full(s, ATTR_CONCENTRATION))
-                     for s in spec.edge_attr_sizes]
-    node_attrs = [[int(rng.choice(len(p), p=p)) for p in attr_profiles]
-                  for _ in range(n)]
-    return _Family(n=n, edges=edges, labels=labels, attr_profiles=attr_profiles,
-                   edge_profiles=edge_profiles, node_attrs=node_attrs)
+    attr_cdfs = _profile_cdfs(rng, spec.attr_sizes[1:])
+    edge_cdfs = _profile_cdfs(rng, spec.edge_attr_sizes)
+    node_attrs = _categorical_table(rng, attr_cdfs, n)
+    return _Family(n=n, edges=edges, labels=labels, attr_cdfs=attr_cdfs,
+                   edge_cdfs=edge_cdfs, node_attrs=node_attrs)
 
 
 def _member_graph(rng: np.random.Generator, spec: SyntheticSpec,
@@ -262,14 +307,12 @@ def _member_graph(rng: np.random.Generator, spec: SyntheticSpec,
         else:
             first = fam.labels[v]
         rest = list(fam.node_attrs[v])
-        for s, profile in enumerate(fam.attr_profiles):
+        for s, cdf in enumerate(fam.attr_cdfs):
             if rng.random() < ATTR_MUTATION:
-                rest[s] = int(rng.choice(len(profile), p=profile))
+                rest[s] = int(_categorical(cdf, rng.random()))
         node_attrs.append(tuple([first] + rest))
-    edges = tuple(edges)
-    edge_attrs = tuple(tuple(int(rng.choice(len(p), p=p)) for p in fam.edge_profiles)
-                       for _ in edges)
-    return edges, tuple(node_attrs), edge_attrs
+    edge_attrs = tuple(map(tuple, _categorical_table(rng, fam.edge_cdfs, len(edges))))
+    return tuple(edges), tuple(node_attrs), edge_attrs
 
 
 def _triangle_count(n: int, edges) -> float:

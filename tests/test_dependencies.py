@@ -5,7 +5,9 @@ as the CPUs the process may run on, never on a setting outside them.  And every
 field of a configuration class is read somewhere outside the class: a field
 nothing reads would be a setting with no effect.  Every field of the model and
 training configs is also set by some call in the package or the benchmark: a
-field that no caller sets is a constant."""
+field that no caller sets is a constant.  There is one categorical sampler,
+the per-profile CDF of ``graphmgs.synthetic``: no call passes a probability
+vector to a ``choice`` method."""
 
 import ast
 import sys
@@ -54,6 +56,14 @@ def test_no_environment_access():
             elif isinstance(node, ast.ImportFrom) and node.module == "os":
                 found += [f"{path.name}:{node.lineno}: from os import {alias.name}"
                           for alias in node.names if alias.name in ENVIRONMENT]
+    assert not found
+
+
+def test_one_categorical_sampler():
+    found = [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+             for path, tree in _trees() for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "choice" and any(kw.arg == "p" for kw in node.keywords)]
     assert not found
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from graphmgs.errors import DataError
-from graphmgs.graphs import (GraphCorpus, LabeledGraph, corpus_homophily,
+from graphmgs.graphs import (GraphCorpus, LabeledGraph, corpus_homophily, degrees_of,
                              homophily_ratio, load_corpus, save_corpus)
 
 
@@ -123,6 +123,33 @@ class TestGraphInvariants:
                          edge_attrs=(), graph_labels=(1, 0))
         with pytest.raises(DataError, match="task labels"):
             GraphCorpus(graphs=(g,), task_count=1)
+
+
+def degrees_oracle(n, edges):
+    deg = [0] * n
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    return deg
+
+
+@pytest.mark.parametrize("n,edges", [
+    (0, ()), (1, ()), (4, ()), (3, ((0, 1), (0, 2), (1, 2))), (5, ((0, 4), (1, 4), (3, 4))),
+], ids=["empty", "single-node", "edgeless", "triangle", "star-with-isolated-node"])
+def test_degrees_match_loop_oracle(n, edges):
+    deg = degrees_of(n, edges)
+    assert deg.dtype == np.int64 and deg.shape == (n,)
+    assert deg.tolist() == degrees_oracle(n, edges)
+
+
+def test_degrees_of_random_graphs_match_loop_oracle():
+    rng = np.random.default_rng(2)
+    for _ in range(20):
+        n = int(rng.integers(2, 30))
+        pairs = {(min(u, v), max(u, v)) for u, v in rng.integers(0, n, size=(3 * n, 2)).tolist()
+                 if u != v}
+        edges = sorted(pairs)
+        assert degrees_of(n, edges).tolist() == degrees_oracle(n, edges)
 
 
 class TestHomophily:

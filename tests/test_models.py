@@ -360,6 +360,21 @@ class TestInferAttrSizes:
                 maxima = [max(m, a) for m, a in zip(maxima, attrs)]
         assert sizes == tuple(m + 1 for m in maxima)
 
+    def test_inconsistent_slot_count_rejected(self):
+        graphs = (LabeledGraph(id="two", node_count=1, edges=(), node_attrs=((1, 0),),
+                               edge_attrs=()),
+                  LabeledGraph(id="one", node_count=2, edges=(), node_attrs=((1, 0), (2,)),
+                               edge_attrs=()))
+        with pytest.raises(DataError, match="'one': inconsistent attribute slot count"):
+            infer_attr_sizes(GraphCorpus(graphs=graphs))
+
+    @pytest.mark.parametrize("node_attrs", [(), ((),)], ids=["no-nodes", "no-slots"])
+    def test_no_attributes_rejected(self, node_attrs):
+        g = LabeledGraph(id="g", node_count=len(node_attrs), edges=(), node_attrs=node_attrs,
+                         edge_attrs=())
+        with pytest.raises(DataError, match="no node attributes"):
+            infer_attr_sizes(GraphCorpus(graphs=(g,)))
+
     def test_out_of_range_attr_rejected(self):
         g = LabeledGraph(id="bad", node_count=1, edges=(), node_attrs=((9, 0),),
                          edge_attrs=())
