@@ -8,10 +8,18 @@ and a single graph is a batch of one.  Weight matmuls act on all rows at once
 and each graph's dense propagation operator on its own rows (FAGCN weights its
 operator's entries by edge attention first), so a forward pass records a
 fixed number of tape nodes per layer.
+
+The encoder reads graphs as ``prepare`` gives them: each graph's int64
+attribute rows and its dense operator, both read-only.  Every input check
+runs there, once per graph.  ``encode_nodes``, ``embed_graph`` and
+``classify`` prepare a list of graphs on entry and pass prepared input through,
+so training prepares its corpus once per call and takes batches of it by
+index.  Nothing is cached: prepared input lives as long as its caller holds it.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import asdict, dataclass, field
 from typing import Optional
@@ -19,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .errors import DataError
+from .errors import DataError, check_int
 from .graphs import GraphCorpus, LabeledGraph
 from .spectral import normalized_adjacency
 
@@ -39,10 +47,12 @@ class GnnConfig:
     def __post_init__(self):
         if self.arch not in ARCHS:
             raise DataError(f"unknown architecture {self.arch!r}")
-        if self.layers < 1 or self.hidden_dim < 1:
-            raise DataError("layers and hidden_dim must be >= 1")
+        check_int("layers", self.layers, 1)
+        check_int("hidden_dim", self.hidden_dim, 1)
         if not self.attr_sizes:
             raise DataError("attr_sizes must list one alphabet size per attribute slot")
+        for size in self.attr_sizes:
+            check_int("every attribute alphabet size", size, 1)
 
 
 @dataclass
@@ -55,17 +65,38 @@ class GnnModel:
 
 
 def infer_attr_sizes(corpus: GraphCorpus) -> tuple[int, ...]:
-    """Embedding-table sizes: per-slot attribute maximum (at least 0) + 1
-    across the corpus."""
-    rows = [attrs for g in corpus for attrs in g.node_attrs]
-    slots = len(rows[0]) if rows else 0
-    for g in corpus:
-        if any(len(attrs) != slots for attrs in g.node_attrs):
-            raise DataError(f"graph {g.id!r}: inconsistent attribute slot count")
+    """Embedding-table sizes: per-slot attribute maximum + 1 across the corpus.
+    Every node must have the first node's slot count and no negative attribute."""
+    graphs = [g for g in corpus if g.node_count]
+    slots = len(graphs[0].node_attrs[0]) if graphs else 0
     if slots == 0:
         raise DataError("corpus has no node attributes to embed")
-    maxima = np.asarray(rows, dtype=np.int64).max(axis=0)
-    return tuple(int(m) + 1 for m in np.maximum(maxima, 0))
+    return tuple(int(m) + 1 for m in _attr_table(graphs, (np.inf,) * slots).max(axis=0))
+
+
+def _attr_table(graphs: list, sizes) -> np.ndarray:
+    """The node attributes of ``graphs`` as one read-only int64 table, a row per
+    node in graph order and a column per slot: every graph has nodes, and each
+    node one attribute a per slot s, 0 <= a < sizes[s]."""
+    for g in graphs:
+        if g.node_count == 0:
+            raise DataError(f"graph {g.id!r}: cannot encode an empty graph")
+        for v, attrs in enumerate(g.node_attrs):
+            if len(attrs) != len(sizes):
+                raise DataError(f"graph {g.id!r}: inconsistent attribute slot count: "
+                                f"node {v} has {len(attrs)}, not {len(sizes)}")
+    flat = itertools.chain.from_iterable(attrs for g in graphs for attrs in g.node_attrs)
+    table = np.fromiter(flat, dtype=np.int64).reshape(-1, len(sizes))
+    bad = (table < 0) | (table >= sizes)
+    if bad.any():
+        row, s = np.argwhere(bad)[0]
+        ends = np.cumsum([g.node_count for g in graphs])
+        k = int(np.searchsorted(ends, row, side="right"))
+        g, v = graphs[k], row - ends[k] + graphs[k].node_count
+        raise DataError(f"graph {g.id!r}: node {v} attribute {table[row, s]} out of "
+                        f"embedding range [0, {sizes[s]}) of slot {s}")
+    table.flags.writeable = False
+    return table
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -104,26 +135,6 @@ def init_model(config: GnnConfig, seed: int) -> GnnModel:
     return GnnModel(config=config, params=params)
 
 
-def _input_features(model: GnnModel, graphs) -> T.Tensor:
-    """Stacked rows of summed attribute embeddings, one index_select per slot."""
-    sizes = model.config.attr_sizes
-    idx: list[list[int]] = [[] for _ in sizes]
-    for g in graphs:
-        for v, attrs in enumerate(g.node_attrs):
-            if len(attrs) < len(sizes):
-                raise DataError(f"graph {g.id!r}: node {v} missing attribute slot {len(attrs)}")
-            for s, size in enumerate(sizes):
-                if attrs[s] >= size:
-                    raise DataError(
-                        f"graph {g.id!r}: attribute {attrs[s]} out of embedding range {size}")
-                idx[s].append(attrs[s])
-    h0 = None
-    for s, rows in enumerate(idx):
-        looked = T.index_select(model.params[f"embed.{s}"], np.asarray(rows))
-        h0 = looked if h0 is None else h0 + looked
-    return h0
-
-
 def _cheb_operator(g: LabeledGraph) -> np.ndarray:
     """ChebNet's 2 L_norm / lambda_max - I with lambda_max fixed at 2, which is
     -D^{-1/2} A D^{-1/2}; subtracting from 0.0 keeps its zero entries +0.0."""
@@ -138,30 +149,51 @@ _OPERATORS = {"gcn": lambda g: normalized_adjacency(g.adjacency() + np.eye(g.nod
               "chebnet": _cheb_operator, "fagcn": lambda g: -_cheb_operator(g)}
 
 
+def prepare(config: GnnConfig, graphs) -> list[tuple]:
+    """The encoder's input for ``config``: each graph becomes the pair of its rows
+    of ``_attr_table`` and its read-only operator from ``_OPERATORS`` (None for
+    FCN), and a pair prepared before, for the same config, passes through.  Every
+    input check runs here: an empty batch, an empty graph, a node with another
+    slot count and an attribute outside its embedding table raise ``DataError``."""
+    batch = list(graphs)
+    if not batch:
+        raise DataError("cannot encode an empty batch of graphs")
+    raw = [k for k, g in enumerate(batch) if isinstance(g, LabeledGraph)]
+    fresh = [batch[k] for k in raw]
+    table = _attr_table(fresh, config.attr_sizes)
+    blocks = np.split(table, np.cumsum([g.node_count for g in fresh]))
+    for k, g, rows in zip(raw, fresh, blocks):
+        op = _OPERATORS[config.arch](g) if config.arch in _OPERATORS else None
+        if op is not None:
+            op.flags.writeable = False
+        batch[k] = rows, op
+    return batch
+
+
 def encode_nodes(model: GnnModel, graphs, training: bool = False,
                  rng: Optional[np.random.Generator] = None) -> tuple[T.Tensor, np.ndarray]:
-    """Stacked node embeddings (N x hidden) of a batch of graphs after the full
-    layer stack, and the G + 1 ``offsets`` that bound each graph's rows."""
+    """Stacked node embeddings (N x hidden) of a batch of graphs, or of its
+    ``prepare``d input, after the full layer stack, and the G + 1 ``offsets``
+    that bound each graph's rows."""
     cfg = model.config
-    graphs = list(graphs)
-    if not graphs:
-        raise DataError("cannot encode an empty batch of graphs")
-    for g in graphs:
-        if g.node_count == 0:
-            raise DataError(f"graph {g.id!r}: cannot encode an empty graph")
+    batch = prepare(cfg, graphs)
     if training and rng is None:
         raise DataError("training-mode forward with dropout needs an rng")
-    offsets = np.cumsum([0] + [g.node_count for g in graphs])
+    offsets = np.cumsum([0] + [len(rows) for rows, _ in batch])
     masks = []
     if training:
         # inverted dropout for every layer but the last, drawn graph by graph and
         # layer by layer within a graph: the rng stream of one-at-a-time encoding
-        drawn = [[(rng.random((g.node_count, cfg.hidden_dim)) >= DROPOUT)
-                  / (1.0 - DROPOUT) for _ in range(cfg.layers - 1)] for g in graphs]
+        drawn = [[(rng.random((len(rows), cfg.hidden_dim)) >= DROPOUT)
+                  / (1.0 - DROPOUT) for _ in range(cfg.layers - 1)] for rows, _ in batch]
         masks = [np.concatenate(layer) for layer in zip(*drawn)]
-    h = _input_features(model, graphs)
     p = model.params
-    ops = [_OPERATORS[cfg.arch](g) for g in graphs] if cfg.arch in _OPERATORS else None
+    # summed attribute embeddings, one index_select per slot
+    attrs = np.concatenate([rows for rows, _ in batch])
+    h = T.index_select(p["embed.0"], attrs[:, 0])
+    for s in range(1, len(cfg.attr_sizes)):
+        h = h + T.index_select(p[f"embed.{s}"], attrs[:, s])
+    ops = [op for _, op in batch]
     if cfg.arch == "fagcn":
         # residual propagation around a projected input; isolated rows stay eps*h0
         h = h0 = T.relu(h @ p["proj.w"])
@@ -215,8 +247,7 @@ def classify(model: GnnModel, graphs, training: bool = False,
 
 def with_head(model: GnnModel, task_count: int, seed: int) -> GnnModel:
     """Attach (or replace) a linear head, keeping encoder parameters shared."""
-    if task_count < 1:
-        raise DataError("task_count must be >= 1 for a classification head")
+    check_int("task_count", task_count, 1)
     rng = np.random.default_rng(seed)
     h = model.config.hidden_dim
     params = dict(model.params)

@@ -32,13 +32,12 @@ digests in ``tests/test_synthetic.py`` hold every corpus to its draws.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import DataError, NumericError, check_int
+from .errors import DataError, NumericError, check_int, check_real
 from .graphs import GraphCorpus, LabeledGraph, adjacency_of, degrees_of, same_label_count
 
 TRIANGLE_MOTIF = "triangle_motif"
@@ -87,14 +86,11 @@ class SyntheticSpec:
             raise DataError(f"unknown label rule {self.label_rule!r}")
         if self.size_max < self.size_min:
             raise DataError("graph sizes must satisfy 3 <= size_min <= size_max")
-        if not 0.0 <= self.homophily <= 1.0:
-            raise DataError(f"homophily target {self.homophily} outside [0,1]")
+        check_real("homophily", self.homophily, 0.0, 1.0)
         if not self.attr_sizes or self.attr_sizes[0] < CLASSES:
             raise DataError("attr_sizes[0] must cover the label classes")
         for name in ("edge_factor_jitter", "member_edge_jitter"):
-            jitter = getattr(self, name)
-            if not (math.isfinite(jitter) and jitter >= 0.0):
-                raise DataError(f"{name} must be finite and >= 0, got {jitter}")
+            check_real(name, getattr(self, name), 0.0)
         if self.families > self.n_graphs:
             raise DataError("families must be in [0, n_graphs]")
 

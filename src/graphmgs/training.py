@@ -8,7 +8,6 @@ Spearman or a plain Pearson surrogate.
 
 from __future__ import annotations
 
-import math
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -18,10 +17,10 @@ import numpy as np
 
 from . import tensor as T
 from .config import derive_seed, stable_hash
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, check_int, check_real
 from .fingerprints import MORGAN, TOPOLOGICAL
 from .graphs import GraphCorpus
-from .models import GnnModel, embed_graph, classify, with_head
+from .models import GnnModel, embed_graph, classify, prepare, with_head
 from .similarity import (SimilarityPairSet, average_ranks, build_pair_set,
                          cosine_pair_sims, mgs, structural_pair_sims)
 from .spectral import SpectralFingerprint
@@ -30,11 +29,6 @@ SURROGATES = ("softrank", "pearson")
 SPECTRAL = "spectral"
 SCHEMES = (TOPOLOGICAL, MORGAN, SPECTRAL)
 LEARNING_RATE = 1e-3  # the Adam step size of pre-training and fine-tuning
-
-
-def _check_epochs(epochs: int) -> None:
-    if epochs < 0:
-        raise DataError(f"epochs must be >= 0, got {epochs}")
 
 
 @dataclass(frozen=True)
@@ -53,11 +47,9 @@ class PgmConfig:
             raise DataError(f"unknown surrogate {self.surrogate!r}")
         if self.scheme not in SCHEMES:
             raise DataError(f"unknown fingerprint scheme {self.scheme!r}")
-        if self.batch_size < 3:
-            raise DataError("batch_size must be >= 3")
-        if not (math.isfinite(self.temperature) and self.temperature >= 0.0):
-            raise DataError("temperature must be finite and >= 0 (0 selects auto)")
-        _check_epochs(self.epochs)
+        for name, minimum in (("batch_size", 3), ("epochs", 0), ("seed", 0), ("eval_pairs", 2)):
+            check_int(name, getattr(self, name), minimum)
+        check_real("temperature (0 selects auto)", self.temperature, 0.0)
 
 
 @dataclass(frozen=True)
@@ -182,21 +174,21 @@ def pretrain(corpus: GraphCorpus, model: GnnModel, cfg: PgmConfig,
                                         derive_seed(cfg.seed, "pretrain-holdout"))
     hold_graphs = [graphs[i] for i in hold_idx]
     n_hold_pairs = min(cfg.eval_pairs, len(hold_graphs) * (len(hold_graphs) - 1) // 2)
+    if n_hold_pairs < 2:  # before any step changes the caller's model
+        raise DataError(f"pre-training holds out {len(hold_graphs)} of {len(graphs)} graphs: "
+                        f"{n_hold_pairs} pair, but the held-out MGS needs at least 2")
 
     params = model.parameters()
     state = T.AdamState.for_params(params, lr=LEARNING_RATE)
     shuffle_rng = np.random.default_rng(derive_seed(cfg.seed, "pretrain-shuffle"))
-
-    def holdout_mgs() -> float:
-        pairs = _eval_pair_set(hold_graphs, model, fingerprints, n_hold_pairs,
-                               derive_seed(cfg.seed, "pretrain-eval"))
-        return mgs(pairs)
+    inputs = prepare(model.config, graphs)
 
     for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(train_idx)
         batch_losses = []
         for position, lo in enumerate(range(0, len(order), cfg.batch_size)):
-            batch = [graphs[i] for i in order[lo:lo + cfg.batch_size]]
+            picks = order[lo:lo + cfg.batch_size]
+            batch = [graphs[i] for i in picks]
             if len(batch) < 3:
                 continue
             structural = structural_pair_sims([fingerprints[g.id] for g in batch],
@@ -204,7 +196,8 @@ def pretrain(corpus: GraphCorpus, model: GnnModel, cfg: PgmConfig,
             T.zero_grads(params)
             with T.tape():
                 try:
-                    loss = pgm_loss(embed_graph(model, batch), structural, cfg)
+                    loss = pgm_loss(embed_graph(model, [inputs[i] for i in picks]),
+                                    structural, cfg)
                 except NumericError as exc:
                     report.skipped.append(SkippedBatch(
                         epoch, position, tuple(g.id for g in batch), str(exc)))
@@ -216,22 +209,27 @@ def pretrain(corpus: GraphCorpus, model: GnnModel, cfg: PgmConfig,
             T.adam_step(params, state)
             batch_losses.append(loss.item())
         report.losses.append(float(np.mean(batch_losses)) if batch_losses else float("nan"))
-        report.holdout_mgs.append(holdout_mgs())
+        report.holdout_mgs.append(mgs(_eval_pair_set(
+            hold_graphs, [inputs[i] for i in hold_idx], model, fingerprints, n_hold_pairs,
+            derive_seed(cfg.seed, "pretrain-eval"))))
     report.wall_clock = time.perf_counter() - start
     return model, report
 
 
-def _eval_pair_set(graphs, model: GnnModel, fingerprints: dict,
+def _eval_pair_set(graphs, inputs: list, model: GnnModel, fingerprints: dict,
                    n_pairs: int, seed: int) -> SimilarityPairSet:
-    return build_pair_set(
-        graphs, lambda gs: embed_graph(model, gs).data, fingerprints, n_pairs, seed)
+    """The pair set of ``graphs``, encoded from ``inputs``, their prepared input."""
+    by_id = {g.id: x for g, x in zip(graphs, inputs)}
+    return build_pair_set(graphs, lambda gs: embed_graph(model, [by_id[g.id] for g in gs]).data,
+                          fingerprints, n_pairs, seed)
 
 
 def evaluate_mgs(corpus: GraphCorpus, model: GnnModel, fingerprints: dict,
                  n_pairs: int = 1000, seed: int = 0) -> tuple[float, SimilarityPairSet]:
     """MGS of a trained (or untrained) encoder over sampled pairs, and the
     scored pairs (``similarity.write_pair_csv`` exports them as a scatter CSV)."""
-    pairs = _eval_pair_set(corpus, model, fingerprints, n_pairs, seed)
+    pairs = _eval_pair_set(corpus, prepare(model.config, corpus), model, fingerprints,
+                           n_pairs, seed)
     return mgs(pairs), pairs
 
 
@@ -397,9 +395,8 @@ def finetune(corpus: GraphCorpus, model: GnnModel, epochs: int = 100,
     test labels are never touched during training.  The split itself reads
     every graph's labels once, before training, to stratify.
     """
-    _check_epochs(epochs)
-    if batch_size < 1:
-        raise DataError(f"batch_size must be >= 1, got {batch_size}")
+    check_int("epochs", epochs, 0)
+    check_int("batch_size", batch_size, 1)
     if corpus.task_count < 1:
         raise DataError("finetune needs a corpus with graph labels")
     graphs = list(corpus)
@@ -413,6 +410,7 @@ def finetune(corpus: GraphCorpus, model: GnnModel, epochs: int = 100,
     start = time.perf_counter()
     folds = split_folds(len(graphs), derive_seed(seed, "finetune-split"),
                         _split_strata(graphs, corpus.task_count))
+    inputs = prepare(model.config, graphs)
 
     def fold_labels(fold: str, epoch: Optional[int]):
         if on_label_read is not None:
@@ -449,7 +447,7 @@ def finetune(corpus: GraphCorpus, model: GnnModel, epochs: int = 100,
             masks = [[0.0 if l is None else 1.0 for l in lab] for lab in labs]
             T.zero_grads(params)
             with T.tape():
-                logits = classify(model, [graphs[folds["train"][k]] for k in picks],
+                logits = classify(model, [inputs[folds["train"][k]] for k in picks],
                                   training=True, rng=dropout_rng)
                 loss = T.bce_with_logits(logits, np.asarray(targets), np.asarray(masks))
                 if not np.isfinite(loss.item()):
@@ -459,7 +457,7 @@ def finetune(corpus: GraphCorpus, model: GnnModel, epochs: int = 100,
             epoch_losses.append(loss.item())
         report.train_losses.append(float(np.mean(epoch_losses)) if epoch_losses else float("nan"))
         # NaN when the valid fold is single-class: no signal this epoch
-        valid_auc = _fold_auc(model, [graphs[i] for i in folds["valid"]],
+        valid_auc = _fold_auc(model, [inputs[i] for i in folds["valid"]],
                               fold_labels("valid", epoch))
         report.valid_aucs.append(valid_auc)
         if valid_auc > best_auc:
@@ -473,7 +471,7 @@ def finetune(corpus: GraphCorpus, model: GnnModel, epochs: int = 100,
         for name, p in model.params.items():
             p.data = best_params[name]
         report.best_epoch, report.selection = best_epoch, "valid_auc"
-    report.test_auc = _fold_auc(model, [graphs[i] for i in folds["test"]],
+    report.test_auc = _fold_auc(model, [inputs[i] for i in folds["test"]],
                                 fold_labels("test", None))
     if np.isnan(report.test_auc):
         raise NumericError("AUC undefined: no task has both classes in the test fold")

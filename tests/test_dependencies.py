@@ -7,7 +7,10 @@ nothing reads would be a setting with no effect.  Every field of the model and
 training configs is also set by some call in the package or the benchmark: a
 field that no caller sets is a constant.  There is one categorical sampler,
 the per-profile CDF of ``graphmgs.synthetic``: no call passes a probability
-vector to a ``choice`` method."""
+vector to a ``choice`` method.  And the encoder's input is built in one place:
+``models.py`` reads node attributes and calls into ``_OPERATORS`` only in
+``prepare``, its attribute reader and ``infer_attr_sizes``, and ``training.py``
+reads no node attributes, so no forward pass rebuilds what ``prepare`` built."""
 
 import ast
 import sys
@@ -22,6 +25,8 @@ CONFIGS = ("SyntheticSpec", "GnnConfig", "PgmConfig")
 # the automatic one is a constant of the batch, so a finite-difference check
 # across it would also measure the temperature's own change
 UNSET_BY_CALLERS = {"PgmConfig.temperature"}
+# the functions of models.py that may read node attributes or build operators
+INPUT_BUILDERS = {"prepare", "_attr_table", "infer_attr_sizes"}
 
 
 def _trees(modules=None):
@@ -64,6 +69,20 @@ def test_one_categorical_sampler():
              for path, tree in _trees() for node in ast.walk(tree)
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr == "choice" and any(kw.arg == "p" for kw in node.keywords)]
+    assert not found
+
+
+def test_encoder_input_built_in_one_place():
+    found = []
+    for path, tree in _trees([PACKAGE / "models.py", PACKAGE / "training.py"]):
+        allowed = INPUT_BUILDERS if path.name == "models.py" else set()
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or fn.name in allowed:
+                continue
+            found += [f"{path.name}:{node.lineno}: {fn.name} reads {ast.unparse(node)}"
+                      for node in ast.walk(fn)
+                      if (isinstance(node, ast.Attribute) and node.attr == "node_attrs")
+                      or (isinstance(node, ast.Name) and node.id == "_OPERATORS")]
     assert not found
 
 

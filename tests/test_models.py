@@ -205,6 +205,19 @@ class TestReadoutAndHead:
         model = with_head(small_model("gcn"), task_count=4, seed=0)
         assert classify(model, [graph_for(rng)]).data[0].shape == (4,)
 
+    @pytest.mark.parametrize("task_count", [0, 2.0, True])
+    def test_with_head_task_count_checked(self, task_count):
+        with pytest.raises(DataError, match="task_count must be an integer >= 1"):
+            with_head(small_model("gcn"), task_count, seed=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("arch", "gat"), ("layers", 0), ("layers", 1.5), ("hidden_dim", True), ("hidden_dim", 0),
+    ("attr_sizes", ()), ("attr_sizes", (4, 0)), ("attr_sizes", (4, 2.5))])
+def test_config_rejects_bad_settings(field, value):
+    with pytest.raises(DataError):
+        GnnConfig(**{"arch": "gcn", "attr_sizes": ATTRS, field: value})
+
 
 class TestGradients:
     @pytest.mark.parametrize("arch", ["gcn", "gin", "chebnet", "fagcn", "fcn"])
@@ -365,8 +378,10 @@ class TestInferAttrSizes:
                                edge_attrs=()),
                   LabeledGraph(id="one", node_count=2, edges=(), node_attrs=((1, 0), (2,)),
                                edge_attrs=()))
-        with pytest.raises(DataError, match="'one': inconsistent attribute slot count"):
+        with pytest.raises(DataError, match="'one': inconsistent attribute slot count: node 1"):
             infer_attr_sizes(GraphCorpus(graphs=graphs))
+        with pytest.raises(DataError, match="'one': inconsistent attribute slot count: node 1"):
+            encode_nodes(small_model("gin"), graphs)
 
     @pytest.mark.parametrize("node_attrs", [(), ((),)], ids=["no-nodes", "no-slots"])
     def test_no_attributes_rejected(self, node_attrs):
@@ -376,8 +391,24 @@ class TestInferAttrSizes:
             infer_attr_sizes(GraphCorpus(graphs=(g,)))
 
     def test_out_of_range_attr_rejected(self):
-        g = LabeledGraph(id="bad", node_count=1, edges=(), node_attrs=((9, 0),),
-                         edge_attrs=())
+        # the encoder bounds each slot by its table size, and both readers reject
+        # a negative attribute; each error names the graph and the node
         model = small_model("gcn")
-        with pytest.raises(DataError, match="embedding range"):
-            encode_nodes(model, [g])
+        good = LabeledGraph(id="good", node_count=3, edges=((0, 1),),
+                            node_attrs=((0, 0), (3, 1), (2, 1)), edge_attrs=((0,),))
+
+        def encode(g):
+            encode_nodes(model, [good, g])
+
+        def infer(g):
+            infer_attr_sizes(GraphCorpus(graphs=(good, g)))
+
+        for bad, value, readers in [((9, 0), 9, [encode]), ((0, 2), 2, [encode]),
+                                    ((-1, 0), -1, [encode, infer]),
+                                    ((0, -1), -1, [encode, infer])]:
+            g = LabeledGraph(id="bad", node_count=2, edges=(), node_attrs=((1, 1), bad),
+                             edge_attrs=())
+            for read in readers:
+                with pytest.raises(DataError, match=f"graph 'bad': node 1 attribute {value} "
+                                                    "out of embedding range"):
+                    read(g)

@@ -109,6 +109,9 @@ BASE = SyntheticSpec(**FIXTURE)
     ("size_max", False), ("families", 2.0), ("families", True), ("seed", 1.5),
     ("seed", True), ("seed", -1), ("attr_sizes", (4, 2.5)), ("attr_sizes", (4.0, 6)),
     ("edge_attr_sizes", (True,)), ("edge_attr_sizes", (3.0,)),
+    # homophily and the jitters are finite reals, never bools or strings
+    ("homophily", True), ("homophily", "0.3"), ("homophily", float("nan")), ("homophily", 1.5),
+    ("edge_factor_jitter", True), ("member_edge_jitter", "0.1"),
 ])
 def test_spec_rejects_degenerate_settings(field, value):
     with pytest.raises(DataError):

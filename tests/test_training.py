@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from graphmgs.config import derive_seed
 from graphmgs.errors import DataError, NumericError
 from graphmgs.fingerprints import make_fingerprints
 from graphmgs.graphs import GraphCorpus, LabeledGraph, load_corpus
-from graphmgs.models import GnnConfig, infer_attr_sizes, init_model, with_head
+from graphmgs.models import ARCHS, GnnConfig, embed_graph, infer_attr_sizes, init_model, with_head
 from graphmgs.similarity import average_ranks, mgs, write_pair_csv
 from graphmgs.spectral import spectral_fingerprint
 from graphmgs.synthetic import SyntheticSpec, generate_synthetic
@@ -115,7 +116,10 @@ class TestPgmLoss:
         with pytest.raises(DataError, match="temperature"):
             PgmConfig(temperature=temperature)
 
-    @pytest.mark.parametrize("field, value", [("epochs", -1), ("scheme", "spectrum")])
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", -1), ("scheme", "spectrum"), ("temperature", True), ("temperature", "0.1"),
+        ("batch_size", 8.5), ("batch_size", 2), ("epochs", 1.5), ("seed", -1), ("seed", True),
+        ("eval_pairs", 1), ("eval_pairs", 2.0)])
     def test_out_of_range_argument_rejected(self, field, value):
         with pytest.raises(DataError, match=field):
             PgmConfig(**{field: value})
@@ -231,6 +235,19 @@ class TestPretrain:
         assert record["skipped"] == [{"epoch": 1, "position": 1, "graph_ids": batches[1],
                                       "reason": report.skipped[0].reason}]
 
+    def test_too_few_held_out_pairs_rejected_before_any_step(self, tiny_corpus, tiny_fps):
+        # 25 graphs hold out 2, which make 1 pair; 26 hold out 3
+        small = GraphCorpus(graphs=tiny_corpus.graphs[:25], task_count=1)
+        model = tiny_model(small, seed=14)
+        before = {k: p.data.copy() for k, p in model.params.items()}
+        with pytest.raises(DataError, match="holds out 2 of 25 graphs: 1 pair"):
+            pretrain(small, model, PgmConfig(batch_size=8, epochs=1, seed=0), tiny_fps)
+        for k, p in model.params.items():
+            assert p.data.tobytes() == before[k].tobytes()
+        _, report = pretrain(GraphCorpus(graphs=tiny_corpus.graphs[:26], task_count=1), model,
+                             PgmConfig(batch_size=8, epochs=1, seed=0), tiny_fps)
+        assert len(report.holdout_mgs) == 1
+
 
 class TestEvaluateMgs:
     def test_identity_encoder_crafted_corpus(self):
@@ -327,7 +344,8 @@ class TestFinetune:
             finetune(corpus, tiny_model(corpus, seed=10), epochs=1, seed=0)
 
     @pytest.mark.parametrize("field, value", [
-        ("epochs", -2), ("batch_size", 0), ("batch_size", -3)])
+        ("epochs", -2), ("batch_size", 0), ("batch_size", -3), ("batch_size", 2.5),
+        ("epochs", 1.5)])
     def test_out_of_range_argument_rejected(self, tiny_corpus, field, value):
         model = tiny_model(tiny_corpus, seed=11, task_count=1)
         with pytest.raises(DataError, match=field):
@@ -543,6 +561,46 @@ def _finetune_folds(corpus, seed, monkeypatch):
     finetune(corpus, tiny_model(corpus, seed=20, task_count=corpus.task_count),
              epochs=1, seed=seed)
     return seen[0]
+
+
+# pre-training, fine-tuning and MGS outputs of every architecture on the tiny
+# corpus, recorded when each forward pass still built its own inputs
+PIPELINE_GOLDEN = json.loads((Path(__file__).parent / "pipeline_golden.json").read_text())
+
+
+class TestPreparedInput:
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_outputs_match_recorded(self, tiny_corpus, tiny_fps, arch):
+        model = init_model(GnnConfig(arch=arch, layers=2, hidden_dim=8,
+                                     attr_sizes=infer_attr_sizes(tiny_corpus)), seed=21)
+        model, pre = pretrain(tiny_corpus, model,
+                              PgmConfig(batch_size=8, epochs=2, seed=22, eval_pairs=5), tiny_fps)
+        model, ft = finetune(tiny_corpus, model, epochs=2, seed=23, batch_size=8)
+        score, _ = evaluate_mgs(tiny_corpus, model, tiny_fps, n_pairs=60, seed=24)
+        got = {"pretrain_losses": pre.losses, "holdout_mgs": pre.holdout_mgs,
+               "train_losses": ft.train_losses, "valid_aucs": ft.valid_aucs,
+               "test_auc": ft.test_auc, "mgs": score,
+               "embeddings": embed_graph(model, tiny_corpus.graphs[:3]).data}
+        assert got.keys() == PIPELINE_GOLDEN[arch].keys()
+        for key, want in PIPELINE_GOLDEN[arch].items():
+            # a tolerance, not exact bits: BLAS rounding differs across hosts
+            np.testing.assert_allclose(got[key], want, rtol=0, atol=1e-12, err_msg=key)
+
+    def test_each_graph_prepared_once_per_call(self, tiny_corpus, tiny_fps, monkeypatch):
+        from graphmgs import models
+
+        built = []
+        gin = models._OPERATORS["gin"]
+        monkeypatch.setitem(models._OPERATORS, "gin", lambda g: built.append(g.id) or gin(g))
+        model = tiny_model(tiny_corpus, seed=25, task_count=1)
+        ids = sorted(g.id for g in tiny_corpus)
+        for call in (lambda: pretrain(tiny_corpus, model, PgmConfig(batch_size=8, epochs=3),
+                                      tiny_fps),
+                     lambda: finetune(tiny_corpus, model, epochs=3, seed=0, batch_size=8),
+                     lambda: evaluate_mgs(tiny_corpus, model, tiny_fps, n_pairs=100)):
+            built.clear()
+            call()
+            assert sorted(built) == ids
 
 
 class TestNonFiniteLoss:
