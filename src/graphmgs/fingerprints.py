@@ -4,8 +4,9 @@ All hashing is fixed 64-bit FNV-1a over canonical integer sequences, with
 splitmix64 expanding a feature hash into bit indices, so fingerprints are
 deterministic across runs and platforms.  ``fnv1a64_rows`` hashes a batch of
 sequences in one call, whole rows of a table or ragged rows of one flat
-array, and ``splitmix64_rows`` draws for a batch of states; the scalar
-specifications they are tested against live with the tests.
+array, each from the offset basis or from a given state, and
+``splitmix64_rows`` draws for a batch of states; the scalar specifications
+they are tested against live with the tests.
 
 Each scheme has one engine that fingerprints a whole batch of graphs; a
 single graph is a batch of one, and a graph's bits never depend on the rest
@@ -17,15 +18,23 @@ Topological path features (after Rogers & Hahn, "Extended-Connectivity
 Fingerprints", JCIM 2010) come from ``topological_fingerprints``, which walks
 the simple paths of the batch together.  A path of k edges is a row of k
 slots, and a block is an int32 array of such rows from any graphs of the
-batch.  The walk is depth-first: it extends the next rows of the deepest
-block whose continuations fit in ``PATH_BLOCK_ROWS`` rows, hashes the
-canonical rows of the new block into one (graphs, nbits) bit matrix, adds
-them to each graph's running total and descends.  At most one block per path
-length is alive, so beyond the CSR itself (whose slots are the 1-edge paths)
-memory is O(max_path_len × PATH_BLOCK_ROWS) whatever the batch size or a
-graph's path count; a breadth-first frontier of every k-edge path would grow
-with both.  ``MAX_PATHS_PER_GRAPH`` caps each graph on its own: the walk
-raises as soon as one graph's running total passes it.
+batch, with the FNV-1a state of each row's forward encoding.  A 1-edge row
+hashes its (head code, bond, tail code) once; a longer row continues the
+state of the row it extends over the (bond, tail code) of its new slot, so
+an extension hashes two codes, not its whole path.  Each undirected path is
+two directed rows, and the one hashed is the row whose forward encoding is
+lexicographically below its reverse (of a palindrome, the row whose first
+node is below its last), so its state is the hash of the smaller encoding.
+The walk is depth-first: it extends the next rows of the deepest block whose
+continuations fit in ``PATH_BLOCK_ROWS`` rows, hashes the canonical rows of
+the new block into one (graphs, nbits) bit matrix, adds them to each graph's
+running total and descends.  At most one block per path length is alive, so
+beyond the CSR itself (whose slots are the 1-edge paths) memory is
+O(max_path_len × PATH_BLOCK_ROWS) rows, each 4 bytes per slot plus 8 bytes
+of state, whatever the batch size or a graph's path count; a breadth-first
+frontier of every k-edge path would grow with both.  ``MAX_PATHS_PER_GRAPH``
+caps each graph on its own: the walk raises as soon as one graph's running
+total passes it.
 
 Circular (Morgan) features come from ``morgan_fingerprints``.  Each round
 hashes one ragged table with a row per atom: round 0 holds the atom's
@@ -65,24 +74,29 @@ _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def fnv1a64_rows(codes: np.ndarray, lengths=None) -> np.ndarray:
+def fnv1a64_rows(codes: np.ndarray, lengths=None, start=None) -> np.ndarray:
     """64-bit FNV-1a of each row of codes, over the 8-byte little-endian
     encoding of each code.
 
     ``codes`` is a (rows, k) uint64 array, or, with ``lengths``, a flat
     uint64 array that holds the rows one after another: row i is the next
-    ``lengths[i]`` codes.  A row of no codes hashes to the FNV offset basis.
-    Ragged rows are hashed longest first, so the rows that reach code j are a
-    prefix of that order and code j of all of them is one gather."""
+    ``lengths[i]`` codes.  Row i continues from the state ``start[i]``, by
+    default the FNV offset basis, so hashing the tail of a sequence from the
+    state of its head gives the hash of the whole; a row of no codes hashes
+    to its start.  Ragged rows are hashed longest first, so the rows that
+    reach code j are a prefix of that order and code j of all of them is one
+    gather."""
     if lengths is None:
         octets = np.ascontiguousarray(codes, dtype="<u8").view(np.uint8)
-        h = np.full(len(octets), _FNV_OFFSET, dtype=np.uint64)
+        h = (np.full(len(octets), _FNV_OFFSET, dtype=np.uint64) if start is None
+             else np.array(start, dtype=np.uint64))
         columns = (octets[:, j:j + 8] for j in range(0, octets.shape[1], 8))
     else:
         lengths = np.asarray(lengths, dtype=np.intp)
         order = np.argsort(-lengths, kind="stable")
         starts = (np.cumsum(lengths) - lengths)[order]
-        h = np.full(len(lengths), _FNV_OFFSET, dtype=np.uint64)
+        h = (np.full(len(lengths), _FNV_OFFSET, dtype=np.uint64) if start is None
+             else np.asarray(start, dtype=np.uint64)[order])
         flat = np.asarray(codes, dtype="<u8")
         # longer[j]: the rows longer than j
         longer = len(lengths) - np.cumsum(np.bincount(lengths))[:-1]
@@ -198,13 +212,17 @@ def topological_fingerprints(graphs, max_path_len: int = 7, nbits: int = 2048,
 
     The paths of all graphs are walked together (see the module docstring):
     a block holds paths of one length from any graphs, one row of directed
-    edge slots each, and depth-first order keeps one block per length alive.
-    A path is canonicalized as the lexicographically smaller of its two
-    directional encodings (alternating attribute-only node codes and bond
-    codes); the canonical hash seeds splitmix64, which picks
-    ``bits_per_feature`` indices.  The cap is per graph: the first graph whose
-    running path count passes ``MAX_PATHS_PER_GRAPH`` raises ``DataError``
-    naming it, however many paths the batch holds in all.
+    edge slots each, and depth-first order keeps one block per length alive,
+    so memory is O(max_path_len × PATH_BLOCK_ROWS).  A path is canonicalized
+    as the lexicographically smaller of its two directional encodings
+    (alternating attribute-only node codes and bond codes).  Each row carries
+    the FNV-1a state of its forward encoding, continued from its parent's
+    over two codes; a path is hashed from its row whose forward encoding is
+    the smaller one, or, for a palindrome, whose first node is below its
+    last.  That hash seeds splitmix64, which picks ``bits_per_feature``
+    indices.  The cap is per graph: the first graph whose running path count
+    passes ``MAX_PATHS_PER_GRAPH`` raises ``DataError`` naming it, however
+    many paths the batch holds in all.
     """
     check_int("topological fingerprint: max_path_len", max_path_len, 1)
     check_int("topological fingerprint: bits_per_feature", bits_per_feature, 1)
@@ -219,49 +237,59 @@ def topological_fingerprints(graphs, max_path_len: int = 7, nbits: int = 2048,
     # elsewhere would rewrite the encodings of untouched paths and clear bits
     node_code = _attr_codes([a for g in graphs for a in g.node_attrs])
     head_code, tail_code = node_code[head], node_code[tail]
+    # the (bond, tail code) of each slot: what a path continued over it hashes next
+    step = np.stack([bond, tail_code], axis=1)
     totals = np.zeros(len(graphs), dtype=np.int64)
-    # depth first over blocks of k-edge paths, one int32 row of k slots each.
-    # An entry holds a block, the running count of its rows' continuations
-    # (from 0) and the rows extended so far; each step extends the next rows
-    # whose continuations fit in PATH_BLOCK_ROWS, so the stack holds fewer
-    # than max_path_len blocks whatever the batch size or the path count.
+    # depth first over blocks of k-edge paths, one int32 row of k slots each,
+    # with the FNV state of each row's forward codes.  An entry holds a block,
+    # its states, the running count of its rows' continuations (from 0) and
+    # the rows extended so far; each step extends the next rows whose
+    # continuations fit in PATH_BLOCK_ROWS, so the stack holds fewer than
+    # max_path_len blocks whatever the batch size or the path count.
     stack = []
 
-    def push(paths: np.ndarray) -> None:
+    def push(paths: np.ndarray, state: np.ndarray) -> None:
         # every undirected path appears twice; the copy whose first node is
-        # below its last is counted and hashed
-        canonical = paths[head[paths[:, 0]] < tail[paths[:, -1]]]
-        graph = owner[head[canonical[:, 0]]]
-        totals[:] += np.bincount(graph, minlength=len(graphs))
+        # below its last is counted
+        first = head[paths[:, 0]]
+        graph = owner[first]
+        counted = first < tail[paths[:, -1]]
+        totals[:] += np.bincount(graph[counted], minlength=len(graphs))
         over = np.flatnonzero(totals > MAX_PATHS_PER_GRAPH)
         if len(over):
             raise DataError(f"graph {graphs[over[0]].id!r}: "
                             f"more than {MAX_PATHS_PER_GRAPH} simple paths")
-        _set_path_bits(bits, graph, canonical, head_code, tail_code, bond, bits_per_feature)
+        hashed = _hashed_rows(paths, counted, head_code, tail_code, bond)
+        graph, draw_state = graph[hashed], state[hashed]
+        for _ in range(bits_per_feature):
+            draw, draw_state = splitmix64_rows(draw_state)
+            bits[graph, draw % np.uint64(nbits)] = True
         if paths.shape[1] < max_path_len:
             # the edge back to the previous node never continues a simple path
             reach = np.concatenate([[0], np.cumsum(deg[tail[paths[:, -1]]] - 1)])
-            stack.append([paths, reach, 0])
+            stack.append([paths, state, reach, 0])
 
-    push(np.arange(len(head), dtype=np.int32)[:, None])
+    push(np.arange(len(head), dtype=np.int32)[:, None],
+         fnv1a64_rows(np.stack([head_code, bond, tail_code], axis=1)))
     while stack:
         top = stack[-1]
-        paths, reach, lo = top
+        paths, state, reach, lo = top
         if lo == len(paths):
             stack.pop()
             continue
         # at least one row, even when its continuations alone exceed the block
         hi = max(lo + 1, int(np.searchsorted(reach, reach[lo] + PATH_BLOCK_ROWS, "right")) - 1)
-        top[2] = hi
-        longer = _extend_paths(paths[lo:hi], indptr, head, tail)
+        top[3] = hi
+        longer, parent = _extend_paths(paths[lo:hi], indptr, head, tail)
         if len(longer):
-            push(longer)
+            push(longer, fnv1a64_rows(step[longer[:, -1]], start=state[lo + parent]))
     return [BitFingerprint(bits=row, scheme=TOPOLOGICAL, params=params) for row in bits]
 
 
 def _extend_paths(paths: np.ndarray, indptr: np.ndarray, head: np.ndarray,
-                  tail: np.ndarray) -> np.ndarray:
-    """Every simple path that continues a row of ``paths`` by one more slot."""
+                  tail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every simple path that continues a row of ``paths`` by one more slot,
+    and the row of ``paths`` that each one continues."""
     last = tail[paths[:, -1]]
     start = indptr[last]
     count = indptr[last + 1] - start
@@ -274,31 +302,35 @@ def _extend_paths(paths: np.ndarray, indptr: np.ndarray, head: np.ndarray,
     keep = head[paths[row, 0]] != nxt
     for column in paths.T[:-1]:
         keep &= tail[column[row]] != nxt
-    out = np.empty((int(keep.sum()), paths.shape[1] + 1), dtype=paths.dtype)
-    out[:, :-1] = paths[row[keep]]
+    parent = row[keep]
+    out = np.empty((len(parent), paths.shape[1] + 1), dtype=paths.dtype)
+    out[:, :-1] = paths[parent]
     out[:, -1] = slot[keep]
-    return out
+    return out, parent
 
 
-def _set_path_bits(bits: np.ndarray, graph: np.ndarray, paths: np.ndarray,
-                   head_code: np.ndarray, tail_code: np.ndarray, bond: np.ndarray,
-                   bits_per_feature: int) -> None:
-    """Hash the canonical encoding of each path into its graph's row of ``bits``."""
-    rows = np.arange(len(paths))
-    forward = np.empty((len(paths), 2 * paths.shape[1] + 1), dtype=np.uint64)
-    forward[:, 0] = head_code[paths[:, 0]]
-    forward[:, 1::2] = bond[paths]
-    forward[:, 2::2] = tail_code[paths]
-    backward = forward[:, ::-1]
-    # the first column where the directions differ decides; a palindrome
-    # differs nowhere, argmax gives column 0 and forward is kept
-    first = (forward != backward).argmax(axis=1)
-    flip = backward[rows, first] < forward[rows, first]
-    forward[flip] = backward[flip]
-    state = fnv1a64_rows(forward)
-    for _ in range(bits_per_feature):
-        draw, state = splitmix64_rows(state)
-        bits[graph, draw % np.uint64(bits.shape[1])] = True
+def _hashed_rows(paths: np.ndarray, counted: np.ndarray, head_code: np.ndarray,
+                 tail_code: np.ndarray, bond: np.ndarray) -> np.ndarray:
+    """Which rows of ``paths`` hash their undirected path: a row whose forward
+    codes are lexicographically below its reverse, and the ``counted`` row of
+    a palindrome.  Either way the hash is FNV-1a of the smaller of the path's
+    two encodings, and each undirected path is hashed from one of its rows.
+
+    Code p of the reverse is code 2k - p of the forward encoding: node i
+    against node k - i, then the bond of slot i against the bond of slot
+    k - 1 - i.  Only rows still tied take the next comparison, and most are
+    decided at p = 0 by their end nodes."""
+    k = paths.shape[1]
+    a, b = head_code[paths[:, 0]], tail_code[paths[:, -1]]
+    hashed = a < b
+    tied = np.flatnonzero(a == b)
+    for p in range(1, k):
+        near, far = paths[tied, p // 2], paths[tied, k - 1 - p // 2]
+        a, b = (bond[near], bond[far]) if p % 2 else (head_code[near], tail_code[far])
+        hashed[tied[a < b]] = True
+        tied = tied[a == b]
+    hashed[tied] = counted[tied]
+    return hashed
 
 
 def morgan_fingerprint(g: LabeledGraph, radius: int = 2,

@@ -213,9 +213,10 @@ def _sample_pair_indices(count: int, n_pairs: int, seed: int) -> tuple[np.ndarra
 def build_pair_set(corpus, encoder: Callable, fingerprints: dict,
                    n_pairs: int, seed: int) -> SimilarityPairSet:
     """Sample graph pairs and score them: structural from fingerprints,
-    embedding as cosine similarity of encoder outputs.  ``encoder`` maps a
-    list of k graphs to their (k, dim) embedding rows, with one dim for every
-    call; it gets the graphs of the sampled pairs in blocks of at most
+    embedding as cosine similarity of encoder outputs.  ``encoder`` maps an
+    int array of k positions in ``list(corpus)`` to the (k, dim) embedding
+    rows of those graphs, with one dim for every call; it gets the positions
+    of the graphs of the sampled pairs, ascending, in blocks of at most
     ``ENCODE_BLOCK_GRAPHS``.  The first block is encoded alone; when its
     width is at least ``ENCODE_SPLIT_WIDTH``, the other blocks are split into
     one run per worker (``tensor._split``).  So ``encoder`` is called
@@ -232,8 +233,7 @@ def build_pair_set(corpus, encoder: Callable, fingerprints: dict,
     rows, cols = _sample_pair_indices(len(graphs), n_pairs, seed)
     needed, inverse = np.unique(np.concatenate([rows, cols]), return_inverse=True)
     i_pos, j_pos = inverse[:n_pairs], inverse[n_pairs:]
-    chosen = [graphs[i] for i in needed]
-    first, rest = chosen[:ENCODE_BLOCK_GRAPHS], chosen[ENCODE_BLOCK_GRAPHS:]
+    first, rest = needed[:ENCODE_BLOCK_GRAPHS], needed[ENCODE_BLOCK_GRAPHS:]
 
     def encode(part, lo, hi):
         return [np.asarray(encoder(part[k:k + ENCODE_BLOCK_GRAPHS]), dtype=np.float64)
@@ -245,7 +245,7 @@ def build_pair_set(corpus, encoder: Callable, fingerprints: dict,
                     lambda lo, hi: encode(rest, lo, hi))
     blocks += [emb for run in runs for emb in run]
     for k, emb in enumerate(blocks):
-        want = (min(ENCODE_BLOCK_GRAPHS, len(chosen) - k * ENCODE_BLOCK_GRAPHS),
+        want = (min(ENCODE_BLOCK_GRAPHS, len(needed) - k * ENCODE_BLOCK_GRAPHS),
                 blocks[0].shape[-1])
         if emb.shape != want:
             raise DataError(f"cosine: dimension mismatch, encoder gave {emb.shape}, not {want}")

@@ -219,8 +219,8 @@ def pretrain(corpus: GraphCorpus, model: GnnModel, cfg: PgmConfig,
 def _eval_pair_set(graphs, inputs: list, model: GnnModel, fingerprints: dict,
                    n_pairs: int, seed: int) -> SimilarityPairSet:
     """The pair set of ``graphs``, encoded from ``inputs``, their prepared input."""
-    by_id = {g.id: x for g, x in zip(graphs, inputs)}
-    return build_pair_set(graphs, lambda gs: embed_graph(model, [by_id[g.id] for g in gs]).data,
+    return build_pair_set(graphs,
+                          lambda picks: embed_graph(model, [inputs[i] for i in picks]).data,
                           fingerprints, n_pairs, seed)
 
 

@@ -99,6 +99,28 @@ class TestHashing:
             assert all(int(h) == 0xCBF29CE484222325 for h in got[lengths == 0])
         assert len(fnv1a64_rows(np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=int))) == 0
 
+    def test_fnv_rows_chain_from_a_start_state(self):
+        # hashing the codes after j from the state of the first j gives the
+        # hash of the whole row; the state of no codes is the offset basis
+        rng = np.random.default_rng(13)
+        for width in (1, 2, 5, 15):
+            codes = rng.integers(0, 1 << 64, size=(97, width), dtype=np.uint64,
+                                 endpoint=False)
+            whole = fnv1a64_rows(codes)
+            for j in range(width + 1):
+                head = fnv1a64_rows(codes[:, :j])
+                if j == 0:
+                    assert np.all(head == np.uint64(0xCBF29CE484222325))
+                assert np.array_equal(fnv1a64_rows(codes[:, j:], start=head), whole)
+        lengths = rng.integers(0, 4, size=50)
+        flat = rng.integers(0, 1 << 64, size=int(lengths.sum()), dtype=np.uint64,
+                            endpoint=False)
+        start = rng.integers(0, 1 << 64, size=50, dtype=np.uint64, endpoint=False)
+        rows = np.split(flat, np.cumsum(lengths)[:-1])
+        assert np.array_equal(fnv1a64_rows(flat, lengths, start=start),
+                              [fnv1a64_rows(r[None, :], start=s[None])[0]
+                               for r, s in zip(rows, start)])
+
     def test_splitmix_rows_match_scalar(self):
         rng = np.random.default_rng(7)
         states = np.concatenate([
@@ -186,6 +208,30 @@ class TestTopological:
             expected[draw % (1 << 16)] = True
         got = topological_fingerprint(g, max_path_len=2, nbits=1 << 16, bits_per_feature=1)
         assert np.array_equal(got.bits, expected)
+
+    @pytest.mark.parametrize("inner", [(1, 2), (2, 1)])
+    def test_direction_tie_broken_at_middle(self, inner):
+        # A-B-C-B-A with equal outer bonds: the 4-edge path's two directions
+        # agree up to the bonds beside C, the last code before the middle
+        g = molecule(5, [(0, 1), (1, 2), (2, 3), (3, 4)], [(6,), (7,), (8,), (7,), (6,)],
+                     [(0,), inner[:1], inner[1:], (0,)])
+        got = topological_fingerprint(g, max_path_len=4, nbits=1 << 16)
+        assert np.array_equal(got.bits, reference_topological_bits(g, 4, 1 << 16, 2))
+
+    def test_paths_hashed_by_extension(self, monkeypatch):
+        # each extension continues its parent's FNV state over (bond, node
+        # code); hashing whole paths again would pass 2k + 1 codes per row
+        widths = []
+
+        def recording(codes, lengths=None, start=None):
+            if lengths is None:
+                widths.append(np.shape(codes)[1])
+            return fnv1a64_rows(codes, lengths, start)
+
+        monkeypatch.setattr(fingerprints, "fnv1a64_rows", recording)
+        topological_fingerprints([complete_graph(6), complete_graph(4, gid="k4")],
+                                 max_path_len=7)
+        assert widths and max(widths) <= 3
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)

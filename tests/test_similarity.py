@@ -208,8 +208,9 @@ class TestMgs:
         fps = make_fingerprints(corpus, "morgan", radius=2)
         embs = {g.id: rng.normal(size=4) for g in corpus}
         embs[corpus.graphs[5].id][:] = np.nan
-        pairs = build_pair_set(corpus, lambda gs: np.stack([embs[g.id] for g in gs]), fps,
-                               n_pairs=200, seed=1)
+        pairs = build_pair_set(corpus,
+                               lambda picks: np.stack([embs[corpus.graphs[i].id] for i in picks]),
+                               fps, n_pairs=200, seed=1)
         assert np.isnan(pairs.embedding).any()
         with pytest.raises(NumericError, match="non-finite"):
             mgs(pairs)
@@ -230,7 +231,9 @@ class TestBuildPairSet:
     def test_exhaustive_three_graphs(self):
         corpus = self._tiny_corpus()
         fps = self._fps(corpus)
-        pairs = build_pair_set(corpus, lambda gs: np.stack([np.ones(4) + g.node_count for g in gs]),
+        pairs = build_pair_set(corpus,
+                               lambda picks: np.stack([np.ones(4) + corpus.graphs[i].node_count
+                                                       for i in picks]),
                                fps, n_pairs=3, seed=0)
         assert len(pairs.structural) == 3
         assert len(set(pairs.pair_ids)) == 3
@@ -238,14 +241,14 @@ class TestBuildPairSet:
     def test_too_many_pairs(self):
         corpus = self._tiny_corpus()
         with pytest.raises(DataError, match="cannot sample"):
-            build_pair_set(corpus, lambda gs: np.ones((len(gs), 4)), self._fps(corpus),
+            build_pair_set(corpus, lambda picks: np.ones((len(picks), 4)), self._fps(corpus),
                            n_pairs=4, seed=0)
 
     @pytest.mark.parametrize("n_pairs", [0, 1])
     def test_fewer_than_two_pairs_rejected(self, n_pairs):
         corpus = self._tiny_corpus()
         with pytest.raises(DataError, match="at least 2 pairs"):
-            build_pair_set(corpus, lambda gs: np.ones((len(gs), 4)), self._fps(corpus),
+            build_pair_set(corpus, lambda picks: np.ones((len(picks), 4)), self._fps(corpus),
                            n_pairs=n_pairs, seed=0)
 
     def test_seed_determinism(self):
@@ -263,7 +266,8 @@ class TestBuildPairSet:
         corpus = GraphCorpus(graphs=(g1, g2, g3))
         fps = self._fps(corpus)
         pairs = build_pair_set(corpus,
-                               lambda gs: np.asarray([[1.0, g.node_attrs[0][0]] for g in gs]),
+                               lambda picks: np.asarray([[1.0, corpus.graphs[i].node_attrs[0][0]]
+                                                         for i in picks]),
                                fps, n_pairs=3, seed=1)
         by_id = dict(zip(pairs.pair_ids, pairs.structural))
         assert by_id[("t1", "t2")] == 1.0
@@ -277,7 +281,9 @@ class TestBuildPairSet:
     def test_csv_export(self, tmp_path):
         corpus = self._tiny_corpus()
         fps = self._fps(corpus)
-        pairs = build_pair_set(corpus, lambda gs: np.stack([np.ones(4) + g.node_count for g in gs]),
+        pairs = build_pair_set(corpus,
+                               lambda picks: np.stack([np.ones(4) + corpus.graphs[i].node_count
+                                                       for i in picks]),
                                fps, n_pairs=3, seed=0)
         path = tmp_path / "pairs.csv"
         write_pair_csv(pairs, path)
@@ -312,7 +318,7 @@ def _gin_encoded_corpus(count=40):
     fps = {g.id: fp for g, fp in zip(corpus, random_fingerprints("morgan", rng, count))}
     model = init_model(GnnConfig(arch="gin", layers=2, hidden_dim=ENCODE_SPLIT_WIDTH,
                                  attr_sizes=(4, 2)), seed=0)
-    return corpus, fps, lambda gs: embed_graph(model, gs).data
+    return corpus, fps, lambda picks: embed_graph(model, [corpus.graphs[i] for i in picks]).data
 
 
 def random_fingerprints(scheme, rng, count=25):
@@ -363,9 +369,9 @@ class TestPairScorer:
         embs = {g.id: rng.normal(size=5) for g in corpus}
         calls = []
 
-        def encoder(gs):
-            calls.append([g.id for g in gs])
-            return np.stack([embs[g.id] for g in gs])
+        def encoder(picks):
+            calls.append([corpus.graphs[i].id for i in picks])
+            return np.stack([embs[corpus.graphs[i].id] for i in picks])
 
         pairs = build_pair_set(corpus, encoder, fps, n_pairs=120, seed=3)
         # the graphs the pairs involve, once each, in blocks of at most ENCODE_BLOCK_GRAPHS
@@ -399,10 +405,12 @@ class TestPairScorer:
         fps = {g.id: fp for g, fp in zip(corpus, random_fingerprints("morgan", rng, 12))}
         first = corpus.graphs[0]  # its block gets 2-dim rows, the next block 3-dim ones
         with pytest.raises(DataError, match="dimension mismatch"):
-            build_pair_set(corpus, lambda gs: np.ones((len(gs), 2 if gs[0] is first else 3)),
+            build_pair_set(corpus, lambda picks: np.ones(
+                               (len(picks), 2 if corpus.graphs[picks[0]] is first else 3)),
                            fps, n_pairs=66, seed=0)
         with pytest.raises(DataError, match="dimension mismatch"):
-            build_pair_set(corpus, lambda gs: np.ones((len(gs) - 1, 3)), fps, n_pairs=66, seed=0)
+            build_pair_set(corpus, lambda picks: np.ones((len(picks) - 1, 3)), fps, n_pairs=66,
+                           seed=0)
 
     @pytest.mark.parametrize("count", [None, 3])
     def test_same_pair_set_at_any_worker_count(self, workers, count):
@@ -421,9 +429,9 @@ class TestPairScorer:
         corpus, fps, _ = _gin_encoded_corpus()
         late = {g.id for g in corpus.graphs[-ENCODE_BLOCK_GRAPHS:]}  # in the last blocks
 
-        def encoder(gs):
-            wider = any(g.id in late for g in gs)
-            return np.ones((len(gs), ENCODE_SPLIT_WIDTH + wider))
+        def encoder(picks):
+            wider = any(corpus.graphs[i].id in late for i in picks)
+            return np.ones((len(picks), ENCODE_SPLIT_WIDTH + wider))
 
         messages = []
         for count in (1, T._worker_count()):
@@ -440,9 +448,9 @@ class TestPairScorer:
         corpus, fps, _ = _gin_encoded_corpus()
         seen = set()
 
-        def encoder(gs):
+        def encoder(picks):
             seen.add(threading.get_ident())
-            return np.random.default_rng(len(gs)).normal(size=(len(gs), width))
+            return np.random.default_rng(len(picks)).normal(size=(len(picks), width))
 
         build_pair_set(corpus, encoder, fps, n_pairs=300, seed=4)
         assert len(seen) == threads and threading.get_ident() in seen
@@ -465,8 +473,9 @@ class TestPairScorer:
         fps = {g.id: fp for g, fp in zip(corpus, random_fingerprints("morgan", rng, 6))}
         zero_id = corpus.graphs[2].id
         with pytest.raises(NumericError, match="zero-norm"):
-            build_pair_set(corpus, lambda gs: np.asarray([np.zeros(3) if g.id == zero_id
-                                                          else np.ones(3) for g in gs]),
+            build_pair_set(corpus, lambda picks: np.asarray(
+                               [np.zeros(3) if corpus.graphs[i].id == zero_id else np.ones(3)
+                                for i in picks]),
                            fps, n_pairs=15, seed=0)
 
 

@@ -262,8 +262,8 @@ class TestEvaluateMgs:
         fps = make_fingerprints(corpus, "topological", max_path_len=2)
         model = tiny_model(corpus, seed=6)
 
-        def encoder(graphs):
-            return np.stack([fps[g.id].bits.astype(float) for g in graphs])
+        def encoder(picks):
+            return np.stack([fps[corpus.graphs[i].id].bits.astype(float) for i in picks])
 
         from graphmgs.similarity import build_pair_set
         pairs = build_pair_set(corpus, encoder, fps, n_pairs=6, seed=0)
