@@ -1,4 +1,8 @@
-"""Molecular bit-vector fingerprints: path-based topological and circular (Morgan).
+"""Fingerprints.  ``SCHEMES`` maps the three scheme names to their engines:
+path-based ``topological`` and circular ``morgan`` bits (below) and
+``spectral`` eigenvalues (``spectral.py``); ``make_fingerprints`` serves all
+three.  A fingerprint's ``kind``, (scheme, params, nbits or k), says what it
+can be compared with (``similarity.check_comparable``).
 
 All hashing is fixed 64-bit FNV-1a over canonical integer sequences, with
 splitmix64 expanding a feature hash into bit indices, so fingerprints are
@@ -8,7 +12,7 @@ array, each from the offset basis or from a given state, and
 ``splitmix64_rows`` draws for a batch of states; the scalar specifications
 they are tested against live with the tests.
 
-Each scheme has one engine that fingerprints a whole batch of graphs; a
+Each bit scheme has one engine that fingerprints a whole batch of graphs; a
 single graph is a batch of one, and a graph's bits never depend on the rest
 of its batch.  Both engines renumber the batch's nodes to global rows and
 build one CSR of its directed edge slots, each with a head node, a tail node
@@ -61,6 +65,7 @@ import numpy as np
 
 from .errors import DataError, check_int
 from .graphs import LabeledGraph
+from .spectral import SPECTRAL, spectral_fingerprint
 
 TOPOLOGICAL = "topological"
 MORGAN = "morgan"
@@ -135,6 +140,10 @@ class BitFingerprint:
     @property
     def nbits(self) -> int:
         return len(self.bits)
+
+    @property
+    def kind(self) -> tuple:
+        return self.scheme, self.params, self.nbits
 
     def popcount(self) -> int:
         return int(np.count_nonzero(self.bits))
@@ -419,12 +428,14 @@ def _set_morgan_bits(bits: np.ndarray, graphs, radius: int) -> None:
     bits[graph[first], ident[order[first]] % np.uint64(bits.shape[1])] = True
 
 
-_BIT_SCHEMES = {TOPOLOGICAL: topological_fingerprints, MORGAN: morgan_fingerprints}
+SCHEMES = {TOPOLOGICAL: topological_fingerprints, MORGAN: morgan_fingerprints,
+           SPECTRAL: lambda graphs, **params: [spectral_fingerprint(g, **params)
+                                               for g in graphs]}
 
 
-def make_fingerprints(corpus, scheme: str, **params) -> dict[str, BitFingerprint]:
-    """Fingerprint every graph in a corpus with one bit scheme."""
-    if scheme not in _BIT_SCHEMES:
-        raise DataError(f"unknown bit-fingerprint scheme {scheme!r}")
+def make_fingerprints(corpus, scheme: str, **params) -> dict:
+    """Fingerprint every graph in a corpus with one scheme of ``SCHEMES``."""
+    if scheme not in SCHEMES:
+        raise DataError(f"unknown fingerprint scheme {scheme!r}")
     graphs = list(corpus)
-    return dict(zip((g.id for g in graphs), _BIT_SCHEMES[scheme](graphs, **params)))
+    return dict(zip((g.id for g in graphs), SCHEMES[scheme](graphs, **params)))

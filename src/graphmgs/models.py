@@ -12,9 +12,10 @@ fixed number of tape nodes per layer.
 The encoder reads graphs as ``prepare`` gives them: each graph's int64
 attribute rows and its dense operator, both read-only.  Every input check
 runs there, once per graph.  ``encode_nodes``, ``embed_graph`` and
-``classify`` prepare a list of graphs on entry and pass prepared input through,
-so training prepares its corpus once per call and takes batches of it by
-index.  Nothing is cached: prepared input lives as long as its caller holds it.
+``classify`` prepare a list of graphs on entry and pass input prepared for
+their config through, so training prepares its corpus once per call and takes
+batches of it by index.  Nothing is cached: prepared input lives as long as
+its caller holds it.
 """
 
 from __future__ import annotations
@@ -150,15 +151,19 @@ _OPERATORS = {"gcn": lambda g: normalized_adjacency(g.adjacency() + np.eye(g.nod
 
 
 def prepare(config: GnnConfig, graphs) -> list[tuple]:
-    """The encoder's input for ``config``: each graph becomes the pair of its rows
-    of ``_attr_table`` and its read-only operator from ``_OPERATORS`` (None for
-    FCN), and a pair prepared before, for the same config, passes through.  Every
-    input check runs here: an empty batch, an empty graph, a node with another
-    slot count and an attribute outside its embedding table raise ``DataError``."""
+    """The encoder's input for ``config``: each graph becomes the triple of
+    ``config``, its rows of ``_attr_table`` and its read-only operator from
+    ``_OPERATORS`` (None for FCN); a triple made for ``config`` passes through,
+    and one made for another config raises ``DataError``.  Every input check
+    runs here: an empty batch, an empty graph, a node with another slot count
+    and an attribute outside its embedding table raise ``DataError``."""
     batch = list(graphs)
     if not batch:
         raise DataError("cannot encode an empty batch of graphs")
     raw = [k for k, g in enumerate(batch) if isinstance(g, LabeledGraph)]
+    for k, item in enumerate(batch):
+        if not isinstance(item, LabeledGraph) and item[0] != config:
+            raise DataError(f"batch position {k}: input prepared for {item[0]}, not {config}")
     fresh = [batch[k] for k in raw]
     table = _attr_table(fresh, config.attr_sizes)
     blocks = np.split(table, np.cumsum([g.node_count for g in fresh]))
@@ -166,7 +171,7 @@ def prepare(config: GnnConfig, graphs) -> list[tuple]:
         op = _OPERATORS[config.arch](g) if config.arch in _OPERATORS else None
         if op is not None:
             op.flags.writeable = False
-        batch[k] = rows, op
+        batch[k] = config, rows, op
     return batch
 
 
@@ -179,21 +184,21 @@ def encode_nodes(model: GnnModel, graphs, training: bool = False,
     batch = prepare(cfg, graphs)
     if training and rng is None:
         raise DataError("training-mode forward with dropout needs an rng")
-    offsets = np.cumsum([0] + [len(rows) for rows, _ in batch])
+    offsets = np.cumsum([0] + [len(rows) for _, rows, _ in batch])
     masks = []
     if training:
         # inverted dropout for every layer but the last, drawn graph by graph and
         # layer by layer within a graph: the rng stream of one-at-a-time encoding
         drawn = [[(rng.random((len(rows), cfg.hidden_dim)) >= DROPOUT)
-                  / (1.0 - DROPOUT) for _ in range(cfg.layers - 1)] for rows, _ in batch]
+                  / (1.0 - DROPOUT) for _ in range(cfg.layers - 1)] for _, rows, _ in batch]
         masks = [np.concatenate(layer) for layer in zip(*drawn)]
     p = model.params
     # summed attribute embeddings, one index_select per slot
-    attrs = np.concatenate([rows for rows, _ in batch])
+    attrs = np.concatenate([rows for _, rows, _ in batch])
     h = T.index_select(p["embed.0"], attrs[:, 0])
     for s in range(1, len(cfg.attr_sizes)):
         h = h + T.index_select(p[f"embed.{s}"], attrs[:, s])
-    ops = [op for _, op in batch]
+    ops = [op for _, _, op in batch]
     if cfg.arch == "fagcn":
         # residual propagation around a projected input; isolated rows stay eps*h0
         h = h0 = T.relu(h @ p["proj.w"])

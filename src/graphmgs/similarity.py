@@ -9,21 +9,25 @@ pairs, for MGS):
   matrix of the 0/1 bit rows in float64 (exact: every count is at most
   ``nbits`` < 2**53); spectral scores are ``-sum((L[i] - L[j])**2)`` over
   gathered eigenvalue rows.  Both are bit-identical to the scalar
-  ``structural_similarity``; the expansion |a|^2 + |b|^2 - 2ab is not, so it
-  is not used.
+  ``tanimoto`` and ``spectral_distance`` in ``tests/spec.py``; the expansion
+  |a|^2 + |b|^2 - 2ab is not, so it is not used.
 - ``cosine_pair_sims`` is a Tensor op on one (n, dim) embedding matrix:
   normalise its rows, take their Gram matrix, gather the pairs.  Pre-training
   differentiates through it inside a ``tape()`` block; evaluation calls it
-  outside any block, where nothing is recorded.  It agrees
-  with the scalar ``cosine_similarity`` to about 1e-15, not bit for bit.
+  outside any block, where nothing is recorded.  It agrees with the scalar
+  ``cosine`` in ``tests/spec.py`` to about 1e-15, not bit for bit.
+
+A score between fingerprints of two kinds (scheme, params, length) has no
+meaning, so ``check_comparable`` rejects them: in ``structural_pair_sims``,
+in ``build_pair_set`` before any encoding, and in ``training.pretrain``
+before any step.  ``structural_similarity`` and ``cosine_similarity`` are a
+batch of one pair.
 
 Memory is O(distinct graphs ** 2) for the Gram matrices, plus the stacked
 rows (distinct graphs x nbits or x embedding dim).  Gathering the two
 embedding rows of every pair instead would hold 2 x pairs x dim floats:
 96 MB for 20,000 pairs of 300-dim embeddings, against 0.7 MB for the Gram
-matrix of 300 graphs.  The scalar ``tanimoto``, ``spectral_distance``,
-``structural_similarity`` and ``cosine_similarity`` stay as the
-specification the pair scorers are tested against.
+matrix of 300 graphs.
 """
 
 from __future__ import annotations
@@ -35,8 +39,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import DataError, NumericError
-from .fingerprints import BitFingerprint
-from .spectral import SpectralFingerprint
+from .spectral import SPECTRAL
 
 # graphs per encoder call in build_pair_set: on spectral-eval, blocks of 32 read the
 # same peak RSS as 8 and a slower mgs_eval_s (1.61 s against 1.39 s, 3 runs each on a
@@ -52,38 +55,6 @@ ENCODE_BLOCK_GRAPHS = 8
 #   GIN 5x64 9.6 -> 10.6, 5x96 13.0 -> 12.3, 5x128 19.0 -> 14.4;
 #   GCN 2x64 6.1 -> 7.0, 2x96 7.5 -> 8.0, 2x128 8.1 -> 7.7, 5x128 13.0 -> 11.1.
 ENCODE_SPLIT_WIDTH = 128
-
-
-def tanimoto(f_i: BitFingerprint, f_j: BitFingerprint) -> float:
-    """Intersection over union of set bits; two all-zero vectors count as 1.0."""
-    if f_i.nbits != f_j.nbits:
-        raise DataError(f"tanimoto: length mismatch {f_i.nbits} vs {f_j.nbits}")
-    common = int(np.count_nonzero(f_i.bits & f_j.bits))
-    total = f_i.popcount() + f_j.popcount()
-    if total == 0:
-        return 1.0
-    return common / (total - common)
-
-
-def spectral_distance(l_i: SpectralFingerprint, l_j: SpectralFingerprint) -> float:
-    """Squared Euclidean distance between two eigenvalue fingerprints."""
-    if l_i.k != l_j.k:
-        raise DataError(f"spectral distance: k mismatch {l_i.k} vs {l_j.k}")
-    a = np.asarray(l_i.eigenvalues)
-    b = np.asarray(l_j.eigenvalues)
-    return float(np.sum((a - b) ** 2))
-
-
-def cosine_similarity(h_i, h_j) -> float:
-    a = np.asarray(h_i, dtype=np.float64).reshape(-1)
-    b = np.asarray(h_j, dtype=np.float64).reshape(-1)
-    if a.shape != b.shape:
-        raise DataError(f"cosine: dimension mismatch {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise NumericError("undefined cosine: zero-norm vector")
-    return float(np.dot(a, b) / (na * nb))
 
 
 def average_ranks(x) -> np.ndarray:
@@ -152,37 +123,29 @@ def mgs(pairs: SimilarityPairSet) -> float:
     return spearman(pairs.structural, pairs.embedding)
 
 
-def structural_similarity(fp_i, fp_j) -> float:
-    """Orientation-consistent structural similarity: Tanimoto for bit schemes,
-    negated squared spectral distance for eigenvalue fingerprints."""
-    if isinstance(fp_i, BitFingerprint) and isinstance(fp_j, BitFingerprint):
-        return tanimoto(fp_i, fp_j)
-    if isinstance(fp_i, SpectralFingerprint) and isinstance(fp_j, SpectralFingerprint):
-        return -spectral_distance(fp_i, fp_j)
-    raise DataError("structural similarity: mixed fingerprint schemes")
+def check_comparable(fps) -> None:
+    """Raise ``DataError``, naming two kinds, unless ``fps`` are of one kind."""
+    kinds = list(dict.fromkeys(fp.kind for fp in fps))
+    if len(kinds) > 1:
+        first, other = (f"{scheme}({', '.join(f'{k}={v}' for k, v in params)}) "
+                        f"of length {length}" for scheme, params, length in kinds[:2])
+        raise DataError(f"fingerprints of different kinds cannot be compared: "
+                        f"{first} and {other}")
 
 
 def structural_pair_sims(fps: Sequence, rows, cols) -> np.ndarray:
-    """``structural_similarity(fps[rows[k]], fps[cols[k]])`` for every k,
-    bit for bit, from one stacked matrix of ``fps``."""
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    if all(isinstance(f, BitFingerprint) for f in fps):
-        nbits = sorted({f.nbits for f in fps})
-        if len(nbits) > 1:
-            raise DataError(f"tanimoto: length mismatch {nbits}")
-        bits = np.stack([f.bits for f in fps]).astype(np.float64)
-        counts = bits.sum(axis=1)
-        common = (bits @ bits.T)[rows, cols]
-        union = counts[rows] + counts[cols] - common
-        return np.divide(common, union, out=np.ones_like(common), where=union > 0)
-    if all(isinstance(f, SpectralFingerprint) for f in fps):
-        ks = sorted({f.k for f in fps})
-        if len(ks) > 1:
-            raise DataError(f"spectral distance: k mismatch {ks}")
+    """Tanimoto (1.0 for two all-zero vectors) or negated squared spectral
+    distance of ``fps[rows[k]]`` and ``fps[cols[k]]`` for every k, from one
+    stacked matrix of ``fps``, which must be of one kind."""
+    check_comparable(fps)
+    if fps[0].scheme == SPECTRAL:
         eig = np.asarray([f.eigenvalues for f in fps], dtype=np.float64)
         return -np.sum((eig[rows] - eig[cols]) ** 2, axis=1)
-    raise DataError("structural similarity: mixed fingerprint schemes")
+    bits = np.stack([f.bits for f in fps]).astype(np.float64)
+    counts = bits.sum(axis=1)
+    common = (bits @ bits.T)[rows, cols]
+    union = counts[rows] + counts[cols] - common
+    return np.divide(common, union, out=np.ones_like(common), where=union > 0)
 
 
 def cosine_pair_sims(embeddings, rows, cols) -> T.Tensor:
@@ -197,6 +160,17 @@ def cosine_pair_sims(embeddings, rows, cols) -> T.Tensor:
         raise NumericError("undefined cosine: zero-norm embedding")
     normed = e / norms
     return T.gather2d(normed @ T.transpose(normed), rows, cols)
+
+
+def structural_similarity(fp_i, fp_j) -> float:
+    return float(structural_pair_sims([fp_i, fp_j], [0], [1])[0])
+
+
+def cosine_similarity(h_i, h_j) -> float:
+    a, b = np.ravel(h_i), np.ravel(h_j)
+    if a.shape != b.shape:
+        raise DataError(f"cosine: dimension mismatch {a.shape} vs {b.shape}")
+    return float(cosine_pair_sims(np.stack([a, b]), [0], [1]).data[0])
 
 
 def _sample_pair_indices(count: int, n_pairs: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -228,6 +202,7 @@ def build_pair_set(corpus, encoder: Callable, fingerprints: dict,
     missing = [g.id for g in graphs if g.id not in fingerprints]
     if missing:
         raise DataError(f"fingerprints missing for graphs: {missing[:5]}")
+    check_comparable([fingerprints[g.id] for g in graphs])
     if n_pairs < 2:
         raise DataError("pair set: need at least 2 pairs")
     rows, cols = _sample_pair_indices(len(graphs), n_pairs, seed)

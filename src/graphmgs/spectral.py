@@ -1,8 +1,11 @@
-"""Graph Laplacians, their eigenvalues, and eigenvalue fingerprints."""
+"""Graph Laplacians, their eigenvalues, and eigenvalue fingerprints: the
+``spectral`` scheme of ``fingerprints.SCHEMES`` (Wilson & Zhu, Pattern
+Recognition 2008), whose scalar distance oracle is in ``tests/spec.py``."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -12,15 +15,22 @@ from .graphs import LabeledGraph
 COMBINATORIAL = "combinatorial"
 SYM_NORMALIZED = "sym_normalized"
 LAPLACIAN_KINDS = (COMBINATORIAL, SYM_NORMALIZED)
+SPECTRAL = "spectral"
 
 
 @dataclass(frozen=True)
 class SpectralFingerprint:
     """Top-k Laplacian eigenvalues, descending, zero-padded when the graph
-    has fewer than k nodes."""
+    has fewer than k nodes; ``params`` are the settings that made it."""
 
     eigenvalues: tuple[float, ...]
     k: int
+    params: tuple[tuple[str, object], ...] = ()
+    scheme: ClassVar[str] = SPECTRAL
+
+    @property
+    def kind(self) -> tuple:
+        return self.scheme, self.params, self.k
 
 
 def normalized_adjacency(a: np.ndarray) -> np.ndarray:
@@ -66,4 +76,5 @@ def spectral_fingerprint(g: LabeledGraph, k: int,
     eig = symmetric_eigenvalues(laplacian(g, kind))
     top = np.maximum(eig[::-1][:k], 0.0)
     values = list(top) + [0.0] * (k - len(top))
-    return SpectralFingerprint(eigenvalues=tuple(float(v) for v in values), k=k)
+    return SpectralFingerprint(eigenvalues=tuple(float(v) for v in values), k=k,
+                               params=(("k", k), ("kind", kind)))

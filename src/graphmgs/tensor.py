@@ -55,6 +55,7 @@ SOFT_RANK_BLOCK_ENTRIES = 1 << 14
 # B = 64 (2,016) and B = 128 (8,128) split.
 SOFT_RANK_SPLIT_VALUES = 1_485
 
+ADAM_LEARNING_RATE = 1e-3
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
@@ -606,17 +607,14 @@ def tape_size() -> int:
 class AdamState:
     """Adam moment buffers for an ordered parameter list."""
 
-    lr: float = 1e-3
     t: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
 
     @classmethod
-    def for_params(cls, params: Sequence[Tensor], lr: float = 1e-3) -> "AdamState":
-        state = cls(lr=lr)
-        state.m = [np.zeros_like(p.data) for p in params]
-        state.v = [np.zeros_like(p.data) for p in params]
-        return state
+    def for_params(cls, params: Sequence[Tensor]) -> "AdamState":
+        return cls(m=[np.zeros_like(p.data) for p in params],
+                   v=[np.zeros_like(p.data) for p in params])
 
 
 def adam_step(params: Sequence[Tensor], state: AdamState) -> Sequence[Tensor]:
@@ -636,7 +634,7 @@ def adam_step(params: Sequence[Tensor], state: AdamState) -> Sequence[Tensor]:
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
+        p.data -= ADAM_LEARNING_RATE * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
     return params
 
 

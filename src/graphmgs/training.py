@@ -18,17 +18,13 @@ import numpy as np
 from . import tensor as T
 from .config import derive_seed, stable_hash
 from .errors import DataError, NumericError, check_int, check_real
-from .fingerprints import MORGAN, TOPOLOGICAL
+from .fingerprints import SCHEMES, TOPOLOGICAL
 from .graphs import GraphCorpus
 from .models import GnnModel, embed_graph, classify, prepare, with_head
-from .similarity import (SimilarityPairSet, average_ranks, build_pair_set,
+from .similarity import (SimilarityPairSet, average_ranks, build_pair_set, check_comparable,
                          cosine_pair_sims, mgs, structural_pair_sims)
-from .spectral import SpectralFingerprint
 
 SURROGATES = ("softrank", "pearson")
-SPECTRAL = "spectral"
-SCHEMES = (TOPOLOGICAL, MORGAN, SPECTRAL)
-LEARNING_RATE = 1e-3  # the Adam step size of pre-training and fine-tuning
 
 
 @dataclass(frozen=True)
@@ -37,7 +33,7 @@ class PgmConfig:
     temperature: float = 0.0       # 0 = auto: 0.05 x IQR of the batch's embedding sims
     batch_size: int = 32
     epochs: int = 100
-    scheme: str = "topological"
+    scheme: str = TOPOLOGICAL
     seed: int = 0
     eval_pairs: int = 200
     holdout_fraction: ClassVar[float] = 0.1  # share of the corpus held out of pre-training
@@ -154,17 +150,17 @@ def pretrain(corpus: GraphCorpus, model: GnnModel, cfg: PgmConfig,
     held-out MGS is evaluated on a fixed pair sample of unseen graphs.  A
     batch whose loss is undefined (``NumericError``) takes no step and is
     recorded in ``report.skipped``; a trailing batch of fewer than 3 graphs
-    is left out.  Every fingerprint must be of ``cfg.scheme``."""
+    is left out.  Every fingerprint must be of ``cfg.scheme``, and all of
+    one kind (``similarity.check_comparable``)."""
     missing = [g.id for g in corpus if g.id not in fingerprints]
     if missing:
         raise DataError(f"fingerprints missing for graphs: {missing[:5]}")
-    for g in corpus:
-        fp = fingerprints[g.id]
-        scheme = SPECTRAL if isinstance(fp, SpectralFingerprint) else fp.scheme
-        if scheme != cfg.scheme:
-            raise DataError(f"graph {g.id!r}: {scheme} fingerprint, but the config's "
-                            f"scheme is {cfg.scheme!r}")
     graphs = list(corpus)
+    for g in graphs:
+        if fingerprints[g.id].scheme != cfg.scheme:
+            raise DataError(f"graph {g.id!r}: {fingerprints[g.id].scheme} fingerprint, but "
+                            f"the config's scheme is {cfg.scheme!r}")
+    check_comparable([fingerprints[g.id] for g in graphs])
     report = TrainReport(seed=cfg.seed, config_hash=stable_hash(vars(cfg)))
     if cfg.epochs == 0:
         return model, report
@@ -179,7 +175,7 @@ def pretrain(corpus: GraphCorpus, model: GnnModel, cfg: PgmConfig,
                         f"{n_hold_pairs} pair, but the held-out MGS needs at least 2")
 
     params = model.parameters()
-    state = T.AdamState.for_params(params, lr=LEARNING_RATE)
+    state = T.AdamState.for_params(params)
     shuffle_rng = np.random.default_rng(derive_seed(cfg.seed, "pretrain-shuffle"))
     inputs = prepare(model.config, graphs)
 
@@ -425,7 +421,7 @@ def finetune(corpus: GraphCorpus, model: GnnModel, epochs: int = 100,
         {"epochs": epochs, "batch_size": batch_size, "seed": seed,
          "model": asdict(model.config)}))
     params = model.parameters()
-    state = T.AdamState.for_params(params, lr=LEARNING_RATE)
+    state = T.AdamState.for_params(params)
     shuffle_rng = np.random.default_rng(derive_seed(seed, "finetune-shuffle"))
     dropout_rng = np.random.default_rng(derive_seed(seed, "finetune-dropout"))
     best_auc = -np.inf

@@ -33,6 +33,37 @@ def splitmix64(state: int):
     return z ^ (z >> 31), state
 
 
+def tanimoto(f_i, f_j) -> float:
+    """Intersection over union of set bits; two all-zero vectors count as 1.0."""
+    common = int(np.count_nonzero(f_i.bits & f_j.bits))
+    total = f_i.popcount() + f_j.popcount()
+    if total == 0:
+        return 1.0
+    return common / (total - common)
+
+
+def spectral_distance(l_i, l_j) -> float:
+    """Squared Euclidean distance between two eigenvalue fingerprints."""
+    a = np.asarray(l_i.eigenvalues)
+    b = np.asarray(l_j.eigenvalues)
+    return float(np.sum((a - b) ** 2))
+
+
+def structural(fp_i, fp_j) -> float:
+    """Tanimoto of two bit fingerprints, negated spectral distance of two
+    eigenvalue fingerprints."""
+    if hasattr(fp_i, "eigenvalues"):
+        return -spectral_distance(fp_i, fp_j)
+    return tanimoto(fp_i, fp_j)
+
+
+def cosine(h_i, h_j) -> float:
+    """Cosine of the angle between two vectors."""
+    a = np.asarray(h_i, dtype=np.float64).reshape(-1)
+    b = np.asarray(h_j, dtype=np.float64).reshape(-1)
+    return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+
 def sample_pairs(count: int, n_pairs: int, seed: int) -> list[tuple[int, int]]:
     """n_pairs distinct unordered index pairs, uniform without replacement."""
     rows, cols = _sample_pair_indices(count, n_pairs, seed)

@@ -10,11 +10,16 @@ the per-profile CDF of ``graphmgs.synthetic``: no call passes a probability
 vector to a ``choice`` method.  And the encoder's input is built in one place:
 ``models.py`` reads node attributes and calls into ``_OPERATORS`` only in
 ``prepare``, its attribute reader and ``infer_attr_sizes``, and ``training.py``
-reads no node attributes, so no forward pass rebuilds what ``prepare`` built."""
+reads no node attributes, so no forward pass rebuilds what ``prepare`` built.
+The fingerprint schemes are named in one place: only ``fingerprints.py`` and
+``spectral.py`` spell a scheme name, and ``training.py`` neither imports from
+``spectral`` nor tells fingerprints apart by their class."""
 
 import ast
 import sys
 from pathlib import Path
+
+from graphmgs.fingerprints import SCHEMES
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "graphmgs"
@@ -27,6 +32,8 @@ CONFIGS = ("SyntheticSpec", "GnnConfig", "PgmConfig")
 UNSET_BY_CALLERS = {"PgmConfig.temperature"}
 # the functions of models.py that may read node attributes or build operators
 INPUT_BUILDERS = {"prepare", "_attr_table", "infer_attr_sizes"}
+# the modules that define the scheme names; every other module imports them
+SCHEME_NAMERS = {"fingerprints.py", "spectral.py"}
 
 
 def _trees(modules=None):
@@ -83,6 +90,20 @@ def test_encoder_input_built_in_one_place():
                       for node in ast.walk(fn)
                       if (isinstance(node, ast.Attribute) and node.attr == "node_attrs")
                       or (isinstance(node, ast.Name) and node.id == "_OPERATORS")]
+    assert not found
+
+
+def test_schemes_named_in_one_place():
+    found = [f"{path.name}:{node.lineno}: {node.value!r}" for path, tree in _trees()
+             if path.name not in SCHEME_NAMERS for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and node.value in SCHEMES]
+    for path, tree in _trees([PACKAGE / "training.py"]):
+        found += [f"{path.name}:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+                  if (isinstance(node, ast.ImportFrom) and node.level == 1
+                      and node.module == "spectral")
+                  or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and node.func.id == "isinstance")]
     assert not found
 
 

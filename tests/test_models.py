@@ -8,7 +8,7 @@ from graphmgs.errors import DataError
 from graphmgs.graphs import GraphCorpus, LabeledGraph
 from graphmgs.models import (ARCHS, CHEB_ORDER, FAGCN_EPS, GnnConfig, classify, embed_graph,
                              encode_nodes, infer_attr_sizes, init_model, load_model,
-                             readout, save_model, with_head)
+                             prepare, readout, save_model, with_head)
 from graphmgs.spectral import SYM_NORMALIZED, laplacian
 
 from conftest import finite_difference_check, random_attributed_graph
@@ -277,6 +277,16 @@ class TestBatching:
     def test_empty_batch_rejected(self):
         with pytest.raises(DataError, match="empty batch"):
             embed_graph(small_model("gin"), [])
+
+    @pytest.mark.parametrize("other", ["gin", "fcn"])
+    def test_input_prepared_for_another_config_rejected(self, other):
+        graphs = mixed_batch(np.random.default_rng(27))
+        gcn = small_model("gcn")
+        own = prepare(gcn.config, graphs)
+        assert embed_graph(gcn, own).data.tobytes() == embed_graph(gcn, graphs).data.tobytes()
+        foreign = prepare(small_model(other).config, graphs)
+        with pytest.raises(DataError, match=f"position 1: input prepared for .*'{other}'"):
+            embed_graph(gcn, [own[0], foreign[1]] + own[2:])
 
 
 class TestModelCheckpoint:

@@ -8,13 +8,12 @@ from graphmgs.errors import DataError, NumericError
 from graphmgs.fingerprints import BitFingerprint
 from graphmgs.similarity import (ENCODE_BLOCK_GRAPHS, ENCODE_SPLIT_WIDTH, SimilarityPairSet,
                                  average_ranks, build_pair_set, cosine_pair_sims,
-                                 cosine_similarity, mgs, pearson, spearman, spectral_distance,
-                                 structural_pair_sims, structural_similarity, tanimoto,
-                                 write_pair_csv)
+                                 cosine_similarity, mgs, pearson, spearman,
+                                 structural_pair_sims, structural_similarity, write_pair_csv)
 from graphmgs.spectral import SpectralFingerprint, spectral_fingerprint
 
 from conftest import random_attributed_graph
-from spec import sample_pairs
+from spec import cosine, sample_pairs, structural
 
 
 def bitfp(bits):
@@ -44,23 +43,23 @@ def rank_then_pearson_oracle(x, y):
 class TestTanimoto:
     def test_identical(self):
         f = bitfp([1, 0, 1, 0])
-        assert tanimoto(f, f) == 1.0
+        assert structural_similarity(f, f) == 1.0
 
     def test_partial_overlap(self):
         a, b = bitfp([1, 1, 0, 0]), bitfp([1, 0, 1, 0])
-        assert tanimoto(a, b) == pytest.approx(1 / 3)
+        assert structural_similarity(a, b) == pytest.approx(1 / 3)
 
     def test_disjoint(self):
         a, b = bitfp([1, 1, 0, 0]), bitfp([0, 0, 1, 1])
-        assert tanimoto(a, b) == 0.0
+        assert structural_similarity(a, b) == 0.0
 
     def test_both_zero_convention(self):
         z = bitfp([0, 0, 0, 0])
-        assert tanimoto(z, z) == 1.0
+        assert structural_similarity(z, z) == 1.0
 
     def test_length_mismatch(self):
-        with pytest.raises(DataError):
-            tanimoto(bitfp([1, 0]), bitfp([1, 0, 0, 0]))
+        with pytest.raises(DataError, match=r"length 2 and topological\(\) of length 4"):
+            structural_similarity(bitfp([1, 0]), bitfp([1, 0, 0, 0]))
 
     def test_tanimoto_matches_set_oracle_random(self):
         rng = np.random.default_rng(0)
@@ -69,35 +68,35 @@ class TestTanimoto:
             b = bitfp(rng.random(32) > 0.6)
             sa, sb = set(np.flatnonzero(a.bits)), set(np.flatnonzero(b.bits))
             expected = len(sa & sb) / len(sa | sb) if sa | sb else 1.0
-            assert tanimoto(a, b) == expected
+            assert structural_similarity(a, b) == expected
 
     def test_symmetry(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             a = bitfp(rng.random(16) > 0.5)
             b = bitfp(rng.random(16) > 0.5)
-            assert tanimoto(a, b) == tanimoto(b, a)
+            assert structural_similarity(a, b) == structural_similarity(b, a)
 
 
 class TestSpectralDistance:
     def test_identical(self):
         f = SpectralFingerprint(eigenvalues=(3.0, 2.0), k=2)
-        assert spectral_distance(f, f) == 0.0
+        assert -structural_similarity(f, f) == 0.0
 
     def test_squared_euclidean(self):
         a = SpectralFingerprint(eigenvalues=(3.0, 3.0), k=2)
         b = SpectralFingerprint(eigenvalues=(4.0, 2.0), k=2)
-        assert spectral_distance(a, b) == pytest.approx(2.0)
+        assert -structural_similarity(a, b) == pytest.approx(2.0)
 
     def test_padding_case(self):
         a = SpectralFingerprint(eigenvalues=(0.0, 0.0), k=2)
         b = SpectralFingerprint(eigenvalues=(2.0, 0.0), k=2)
-        assert spectral_distance(a, b) == pytest.approx(4.0)
+        assert -structural_similarity(a, b) == pytest.approx(4.0)
 
     def test_k_mismatch(self):
-        with pytest.raises(DataError):
-            spectral_distance(SpectralFingerprint((1.0,), 1),
-                              SpectralFingerprint((1.0, 0.0), 2))
+        with pytest.raises(DataError, match=r"length 1 and spectral\(\) of length 2"):
+            structural_similarity(SpectralFingerprint((1.0,), 1),
+                                  SpectralFingerprint((1.0, 0.0), 2))
 
 
 class TestCosine:
@@ -274,7 +273,7 @@ class TestBuildPairSet:
         assert max(by_id.values()) == by_id[("t1", "t2")]
 
     def test_mixed_schemes_rejected(self):
-        with pytest.raises(DataError, match="mixed"):
+        with pytest.raises(DataError, match=r"topological\(\) of length 2 and spectral\(\)"):
             structural_similarity(bitfp([1, 0]),
                                   SpectralFingerprint((1.0,), 1))
 
@@ -330,7 +329,7 @@ def random_fingerprints(scheme, rng, count=25):
         fps = [morgan_fingerprint(g, radius=2, nbits=256) for g in graphs]
     else:
         fps = [topological_fingerprint(g, max_path_len=4, nbits=256) for g in graphs]
-    zero = BitFingerprint(bits=np.zeros(256, dtype=bool), scheme=scheme, params=())
+    zero = BitFingerprint(bits=np.zeros(256, dtype=bool), scheme=scheme, params=fps[0].params)
     return fps + [zero, zero]
 
 
@@ -345,7 +344,7 @@ class TestPairScorer:
             z = len(fps) - 1
             rows = np.append(rows, [z, z, z - 1])
             cols = np.append(cols, [z - 1, z, z - 1])
-        expected = [structural_similarity(fps[i], fps[j]) for i, j in zip(rows, cols)]
+        expected = [structural(fps[i], fps[j]) for i, j in zip(rows, cols)]
         got = structural_pair_sims(fps, rows, cols)
         assert got.tobytes() == np.asarray(expected).tobytes()
         if scheme != "spectral":
@@ -356,8 +355,7 @@ class TestPairScorer:
         embs = [rng.normal(size=7) * 10.0 ** rng.uniform(-3, 3) for _ in range(30)]
         rows = rng.integers(0, 30, size=500)
         cols = rng.integers(0, 30, size=500)
-        expected = np.asarray([cosine_similarity(embs[i], embs[j])
-                               for i, j in zip(rows, cols)])
+        expected = np.asarray([cosine(embs[i], embs[j]) for i, j in zip(rows, cols)])
         got = cosine_pair_sims(embs, rows, cols).data
         assert np.max(np.abs(got - expected)) < 1e-12
 
@@ -380,22 +378,22 @@ class TestPairScorer:
         graphs = list(corpus)
         idx = sample_pairs(len(graphs), 120, seed=3)
         assert pairs.pair_ids == tuple((graphs[i].id, graphs[j].id) for i, j in idx)
-        expected = [structural_similarity(fps[a], fps[b]) for a, b in pairs.pair_ids]
+        expected = [structural(fps[a], fps[b]) for a, b in pairs.pair_ids]
         assert pairs.structural.tobytes() == np.asarray(expected).tobytes()
-        cos = [cosine_similarity(embs[a], embs[b]) for a, b in pairs.pair_ids]
+        cos = [cosine(embs[a], embs[b]) for a, b in pairs.pair_ids]
         assert np.max(np.abs(pairs.embedding - cos)) < 1e-12
 
     def test_mixed_schemes_rejected(self):
-        with pytest.raises(DataError, match="mixed"):
+        with pytest.raises(DataError, match=r"topological\(\) of length 2 and spectral\(\)"):
             structural_pair_sims([bitfp([1, 0]), SpectralFingerprint((1.0,), 1)], [0], [1])
 
     def test_nbits_mismatch_rejected(self):
-        with pytest.raises(DataError, match="length mismatch"):
+        with pytest.raises(DataError, match=r"length 2 and topological\(\) of length 4"):
             structural_pair_sims([bitfp([1, 0]), bitfp([1, 0, 0, 0])], [0], [1])
 
     def test_k_mismatch_rejected(self):
         fps = [SpectralFingerprint((1.0,), 1), SpectralFingerprint((1.0, 0.0), 2)]
-        with pytest.raises(DataError, match="k mismatch"):
+        with pytest.raises(DataError, match=r"length 1 and spectral\(\) of length 2"):
             structural_pair_sims(fps, [0], [1])
 
     def test_dimension_mismatch_rejected(self):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from graphmgs.errors import DataError
+from graphmgs.fingerprints import make_fingerprints
 from graphmgs.graphs import LabeledGraph
 from graphmgs.spectral import (COMBINATORIAL, SYM_NORMALIZED, laplacian,
                                spectral_fingerprint, symmetric_eigenvalues)
@@ -153,3 +154,17 @@ class TestSpectralFingerprint:
     def test_k_validated(self):
         with pytest.raises(DataError):
             spectral_fingerprint(complete_graph(3), k=0)
+
+    @pytest.mark.parametrize("kind", [COMBINATORIAL, SYM_NORMALIZED])
+    def test_make_fingerprints_matches_per_graph(self, kind):
+        rng = np.random.default_rng(9)
+        graphs = [random_attributed_graph(rng, n_min=1, n_max=10) for _ in range(30)]
+        fps = make_fingerprints(graphs, "spectral", k=6, kind=kind)
+        assert list(fps) == [g.id for g in graphs]
+        for g in graphs:
+            want = spectral_fingerprint(g, k=6, kind=kind)
+            assert fps[g.id] == want
+            assert (np.asarray(fps[g.id].eigenvalues).tobytes()
+                    == np.asarray(want.eigenvalues).tobytes())
+            assert fps[g.id].scheme == "spectral"
+            assert fps[g.id].params == (("k", 6), ("kind", kind))

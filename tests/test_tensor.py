@@ -596,7 +596,7 @@ class TestDeterminism:
 class TestAdam:
     def test_single_step_closed_form(self):
         p = T.Tensor(np.zeros(1), requires_grad=True)
-        state = T.AdamState.for_params([p], lr=1e-3)
+        state = T.AdamState.for_params([p])
         p.grad = np.ones(1)
         T.adam_step([p], state)
         # m-hat = 1, v-hat = 1 after bias correction
@@ -611,7 +611,7 @@ class TestAdam:
 
     def test_two_steps_match_hand_recurrence(self):
         p = T.Tensor(np.zeros(1), requires_grad=True)
-        state = T.AdamState.for_params([p], lr=1e-3)
+        state = T.AdamState.for_params([p])
         p.grad = np.ones(1)
         T.adam_step([p], state)
         T.adam_step([p], state)

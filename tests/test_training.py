@@ -12,13 +12,14 @@ from graphmgs.fingerprints import make_fingerprints
 from graphmgs.graphs import GraphCorpus, LabeledGraph, load_corpus
 from graphmgs.models import ARCHS, GnnConfig, embed_graph, infer_attr_sizes, init_model, with_head
 from graphmgs.similarity import average_ranks, mgs, write_pair_csv
-from graphmgs.spectral import spectral_fingerprint
+from graphmgs.spectral import COMBINATORIAL, SYM_NORMALIZED, spectral_fingerprint
 from graphmgs.synthetic import SyntheticSpec, generate_synthetic
 from graphmgs.training import (MIN_STRATUM, FinetuneReport, PgmConfig, SkippedBatch,
                                evaluate_mgs, finetune, pgm_loss, pretrain, roc_auc,
                                split_folds)
 
 from conftest import finite_difference_check
+from spec import cosine, structural
 
 
 @pytest.fixture(scope="module")
@@ -126,11 +127,10 @@ class TestPgmLoss:
 
 
 def _pair_cosines(embs):
-    from graphmgs.similarity import cosine_similarity
     out = []
     for i in range(len(embs.data)):
         for j in range(i + 1, len(embs.data)):
-            out.append(cosine_similarity(embs.data[i], embs.data[j]))
+            out.append(cosine(embs.data[i], embs.data[j]))
     return np.asarray(out)
 
 
@@ -174,6 +174,24 @@ class TestPretrain:
         with pytest.raises(DataError, match=f"'{g.id}': spectral fingerprint"):
             pretrain(tiny_corpus, model, PgmConfig(batch_size=8, epochs=1), mixed)
 
+    @pytest.mark.parametrize("params, match", [
+        (dict(max_path_len=3), r"max_path_len=4, .* and topological\(max_path_len=3, "),
+        (dict(max_path_len=4, nbits=1024), r"of length 2048 and .* of length 1024")],
+        ids=["max_path_len", "nbits"])
+    def test_mixed_kinds_rejected_before_any_step(self, tiny_corpus, tiny_fps, params, match):
+        # the odd graph is held out, so no training batch would hold two kinds
+        cfg = PgmConfig(batch_size=8, epochs=1, seed=0)
+        _, hold = training.holdout_split(len(tiny_corpus.graphs), cfg.holdout_fraction,
+                                         derive_seed(cfg.seed, "pretrain-holdout"))
+        odd = tiny_corpus.graphs[max(hold)]
+        mixed = dict(tiny_fps, **make_fingerprints([odd], "topological", **params))
+        model = tiny_model(tiny_corpus, seed=3)
+        before = {k: p.data.copy() for k, p in model.params.items()}
+        with pytest.raises(DataError, match=match):
+            pretrain(tiny_corpus, model, cfg, mixed)
+        for k, p in model.params.items():
+            assert p.data.tobytes() == before[k].tobytes()
+
     def test_mgs_improves_on_tiny_corpus(self, tiny_corpus, tiny_fps):
         model = tiny_model(tiny_corpus, seed=4)
         init, _ = evaluate_mgs(tiny_corpus, model, tiny_fps, n_pairs=100, seed=5)
@@ -196,8 +214,7 @@ class TestPretrain:
         matrix = run()
 
         def scalar_loop(fps, rows, cols):
-            return np.asarray([similarity.structural_similarity(fps[i], fps[j])
-                               for i, j in zip(rows, cols)])
+            return np.asarray([structural(fps[i], fps[j]) for i, j in zip(rows, cols)])
 
         monkeypatch.setattr(training, "structural_pair_sims", scalar_loop)
         monkeypatch.setattr(similarity, "structural_pair_sims", scalar_loop)
@@ -282,6 +299,26 @@ class TestEvaluateMgs:
         _, pairs = evaluate_mgs(tiny_corpus, model, tiny_fps, n_pairs=30, seed=4)
         write_pair_csv(pairs, path)
         assert len(path.read_text().splitlines()) == 31
+
+    @pytest.mark.parametrize("first, second, match", [
+        (("topological", dict(max_path_len=4)), ("morgan", dict(radius=2)),
+         r"topological\(max_path_len=4, .* and morgan\(radius=2, "),
+        (("topological", dict(max_path_len=4)), ("topological", dict(max_path_len=3)),
+         r"max_path_len=4, .* and topological\(max_path_len=3, "),
+        (("spectral", dict(k=6, kind=COMBINATORIAL)),
+         ("spectral", dict(k=6, kind=SYM_NORMALIZED)),
+         r"kind=combinatorial\) .* and spectral\(k=6, kind=sym_normalized\)")],
+        ids=["topological-morgan", "max_path_len", "laplacian_kind"])
+    def test_mixed_kinds_rejected_before_encoding(self, tiny_corpus, monkeypatch,
+                                                  first, second, match):
+        encoded = []
+        monkeypatch.setattr(training, "embed_graph", lambda *args: encoded.append(args))
+        half = len(tiny_corpus.graphs) // 2
+        fps = {**make_fingerprints(tiny_corpus.graphs[:half], first[0], **first[1]),
+               **make_fingerprints(tiny_corpus.graphs[half:], second[0], **second[1])}
+        with pytest.raises(DataError, match=match):
+            evaluate_mgs(tiny_corpus, tiny_model(tiny_corpus, seed=7), fps, n_pairs=50, seed=3)
+        assert encoded == []
 
     def test_nan_embeddings_rejected(self, tiny_corpus, tiny_fps):
         model = tiny_model(tiny_corpus, seed=9)
