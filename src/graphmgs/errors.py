@@ -1,5 +1,5 @@
-"""Shared exception types, mapped to CLI exit codes, and the shared integer
-and real setting checks."""
+"""The package's two exception types, for bad input and for numerical
+failure, and the shared integer and real setting checks."""
 
 import math
 import numbers
@@ -8,11 +8,11 @@ import numpy as np
 
 
 class DataError(ValueError):
-    """Malformed or inconsistent input data (CLI exit code 2)."""
+    """Malformed or inconsistent input data."""
 
 
 class NumericError(RuntimeError):
-    """Numerical failure: non-convergence, NaN loss, undefined statistic (CLI exit code 3)."""
+    """Numerical failure: non-convergence, NaN loss, undefined statistic."""
 
 
 def check_int(what: str, value, minimum: int) -> None:

@@ -41,11 +41,13 @@ caps each graph on its own: the walk raises as soon as one graph's running
 total passes it.
 
 Circular (Morgan) features come from ``morgan_fingerprints``.  Each round
-hashes one ragged table with a row per atom: round 0 holds the atom's
-attributes, degree and sorted incident bond codes, and round r its previous
-identifier and its (bond, neighbour identifier) pairs, put in order by one
-``lexsort`` of the slots.  Tables are flat, so a hub's long row costs its
-own length, not that length for every atom.  An atom's environment at round
+hashes one sequence per atom, in a few ``fnv1a64_rows`` calls that each
+continue the states of the last: round 0 continues the atom's attribute
+code over its degree and then over its sorted incident bond codes, and
+round r hashes r and the atom's previous identifier and continues over its
+(bond, neighbour identifier) pairs, put in order by one ``lexsort`` of the
+slots.  The ragged parts are flat, so a hub's long row costs its own
+length, not that length for every atom.  An atom's environment at round
 r is its radius-r ball, kept as a packed bitset row: a round's balls OR each
 neighbour's previous row in along the slots.  One ``lexsort`` over (graph,
 ball, round, identifier) keeps the first identifier of each distinct ball of
@@ -151,12 +153,6 @@ class BitFingerprint:
     def to_hex(self) -> str:
         return bytes(np.packbits(self.bits.astype(np.uint8))).hex()
 
-    @classmethod
-    def from_hex(cls, hex_bits: str, nbits: int, scheme: str, params) -> "BitFingerprint":
-        raw = np.frombuffer(bytes.fromhex(hex_bits), dtype=np.uint8)
-        bits = np.unpackbits(raw)[:nbits].astype(bool)
-        return cls(bits=bits, scheme=scheme, params=tuple(params))
-
 
 def _check_nbits(nbits) -> None:
     check_int("fingerprint nbits", nbits, 1)
@@ -164,30 +160,15 @@ def _check_nbits(nbits) -> None:
         raise DataError(f"fingerprint length {nbits} is not a power of two")
 
 
-def _concat_rows(*parts):
-    """Join ragged tables row by row.  Each part is (flat values, row
-    lengths) with one row per output row; returns the same of the joined rows."""
-    lengths = sum(count for _, count in parts)
-    out = np.empty(int(lengths.sum()), dtype=np.uint64)
-    at = np.cumsum(lengths) - lengths  # where each row's next part goes
-    for values, count in parts:
-        out[np.repeat(at - (np.cumsum(count) - count), count) + np.arange(len(values))] = values
-        at = at + count
-    return out, lengths
-
-
-def _attr_rows(rows):
-    """The rows ``(len(a), *a)`` of the attribute tuples ``a``, as a ragged
-    table; values enter as their 64-bit two's complement."""
+def _attr_codes(rows) -> np.ndarray:
+    """The FNV-1a hash of ``(len(a), *a)`` for each attribute tuple ``a``, in
+    one call: each width is hashed as a row of one code, and its state is
+    continued over the tuple's values, which enter as their 64-bit two's
+    complement."""
     widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
     values = np.fromiter((v & _MASK64 for a in rows for v in a), dtype=np.uint64,
                          count=int(widths.sum()))
-    return _concat_rows((widths, np.ones_like(widths)), (values, widths))
-
-
-def _attr_codes(rows) -> np.ndarray:
-    """The FNV-1a hash of ``(len(a), *a)`` for each attribute tuple ``a``, in one call."""
-    return fnv1a64_rows(*_attr_rows(rows))
+    return fnv1a64_rows(values, widths, start=fnv1a64_rows(widths[:, None]))
 
 
 def _batch_csr(graphs):
@@ -396,10 +377,10 @@ def _set_morgan_bits(bits: np.ndarray, graphs, radius: int) -> None:
     n = len(owner)
     deg = np.diff(indptr)
     ids = np.empty((radius + 1, n), dtype=np.uint64)
-    # round 0 rows: [len(attrs), *attrs, degree, *sorted incident bond codes]
-    ids[0] = fnv1a64_rows(*_concat_rows(
-        _attr_rows([a for g in graphs for a in g.node_attrs]),
-        (deg, np.ones_like(deg)), (bond[np.lexsort((bond, head))], deg)))
+    # round 0 hashes [len(attrs), *attrs, degree, *sorted incident bond codes]:
+    # the attribute code's state, continued over the degree, then the bonds
+    ids[0] = fnv1a64_rows(bond[np.lexsort((bond, head))], deg, start=fnv1a64_rows(
+        deg[:, None], start=_attr_codes([a for g in graphs for a in g.node_attrs])))
     # ball rows: bit i of a row marks node i of its graph
     sizes = np.bincount(owner, minlength=len(graphs))
     local = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
@@ -407,12 +388,13 @@ def _set_morgan_bits(bits: np.ndarray, graphs, radius: int) -> None:
     balls[0, np.arange(n), local >> 3] = 1 << (local & 7)
     linked = deg > 0
     for rnd in range(1, radius + 1):
-        # round r rows: [r, identifier, *sorted (bond, neighbour identifier) pairs]
+        # round r hashes [r, identifier, *sorted (bond, neighbour identifier)
+        # pairs]: the state of [r, identifier], continued over the pairs
         prev = ids[rnd - 1]
         order = np.lexsort((prev[tail], bond, head))
         pairs = np.stack([bond[order], prev[tail[order]]], axis=1).ravel()
-        head_part = np.stack([np.full(n, rnd, dtype=np.uint64), prev], axis=1).ravel()
-        ids[rnd] = fnv1a64_rows(*_concat_rows((head_part, np.full(n, 2)), (pairs, 2 * deg)))
+        ids[rnd] = fnv1a64_rows(pairs, 2 * deg, start=fnv1a64_rows(
+            np.stack([np.full(n, rnd, dtype=np.uint64), prev], axis=1)))
         balls[rnd] = balls[rnd - 1]
         # slots are grouped by head, so each linked node's slots are one segment
         balls[rnd, linked] |= np.bitwise_or.reduceat(balls[rnd - 1, tail], indptr[:-1][linked])

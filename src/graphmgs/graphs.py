@@ -68,6 +68,9 @@ class LabeledGraph:
             raise DataError(f"graph {self.id!r}: edge_attrs length != edge count")
         if self.node_labels is not None and len(self.node_labels) != self.node_count:
             raise DataError(f"graph {self.id!r}: node_labels length != node_count")
+        for y in self.graph_labels or ():
+            if y not in (0, 1, None):
+                raise DataError(f"graph {self.id!r}: graph label {y!r} not in {{0, 1, None}}")
 
     @property
     def edge_count(self) -> int:
@@ -175,12 +178,12 @@ def _graph_from_record(rec: dict, line_no: int) -> LabeledGraph:
                                  for y in rec["graph_labels"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"line {line_no}: malformed graph record ({exc})") from exc
-    for y in graph_labels or ():
-        if y not in (0, 1, None):
-            raise DataError(f"line {line_no}: graph label {y} not in {{0,1,null}}")
-    return LabeledGraph(id=gid, node_count=n, edges=edges, node_attrs=node_attrs,
-                        edge_attrs=edge_attrs, node_labels=node_labels,
-                        graph_labels=graph_labels)
+    try:
+        return LabeledGraph(id=gid, node_count=n, edges=edges, node_attrs=node_attrs,
+                            edge_attrs=edge_attrs, node_labels=node_labels,
+                            graph_labels=graph_labels)
+    except DataError as exc:
+        raise DataError(f"line {line_no}: {exc}") from exc
 
 
 def load_corpus(path, name: str = "") -> GraphCorpus:

@@ -132,7 +132,9 @@ def init_model(config: GnnConfig, seed: int) -> GnnModel:
             for k in range(CHEB_ORDER):
                 add(f"layer{l}.theta{k}", _glorot(rng, h, h, (h, h)))
         elif config.arch == "fagcn":
-            add(f"layer{l}.g", rng.uniform(-1.0, 1.0, size=2 * h) / np.sqrt(2 * h))
+            # attention g in R^{2h} as the (h, 2) matrix [g[:h], g[h:]]: receiver, sender
+            add(f"layer{l}.g",
+                (rng.uniform(-1.0, 1.0, size=2 * h) / np.sqrt(2 * h)).reshape(2, h).T.copy())
     return GnnModel(config=config, params=params)
 
 
@@ -221,9 +223,9 @@ def encode_nodes(model: GnnModel, graphs, training: bool = False,
                 out = out + xk @ p[f"layer{l}.theta{k}"]
             h = T.relu(out)
         else:
-            # edge attention tanh(g . [h_i || h_j]) = tanh(g[:h] . h_i + g[h:] . h_j)
+            # edge attention tanh(g . [h_i || h_j]) = tanh(G[:, 0] . h_i + G[:, 1] . h_j)
             # weights the entry 1/sqrt(d_i d_j) of receiver i and sender j
-            scores = h @ T.transpose(T.reshape(p[f"layer{l}.g"], (2, cfg.hidden_dim)))
+            scores = h @ p[f"layer{l}.g"]
             h = FAGCN_EPS * h0 + T.block_diag_attention(ops, offsets, scores, h)
         if l < len(masks):
             h = h * masks[l]

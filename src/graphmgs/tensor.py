@@ -358,16 +358,6 @@ def transpose(a) -> Tensor:
     return _record(out, (a,), backward)
 
 
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(a.data.reshape(shape))
-
-    def backward(g):
-        _accumulate(a, np.asarray(g).reshape(a.data.shape))
-
-    return _record(out, (a,), backward)
-
-
 def gather2d(a, rows, cols) -> Tensor:
     """out[k] = a[rows[k], cols[k]] for a 2-D tensor."""
     a = as_tensor(a)

@@ -85,8 +85,6 @@ def _pearson_of(x: T.Tensor, y_const: np.ndarray) -> T.Tensor:
     if float(np.var(x.data)) < 1e-30:
         raise NumericError("pgm loss undefined: constant embedding similarities")
     sy = float(np.sqrt(np.sum((y - y.mean()) ** 2)))
-    if sy == 0.0:
-        raise NumericError("pgm loss undefined: zero rank variance in structural similarities")
     dx = x - T.tsum(x) / len(x.data)
     dy = (y - y.mean()) / sy
     num = T.tsum(dx * dy)
@@ -328,39 +326,37 @@ def _cover_strata(perm: np.ndarray, labels: list, bounds: dict) -> None:
             labels[d], labels[r] = labels[r], labels[d]
 
 
-def _split_strata(graphs, task_count: int) -> list:
-    """Each graph's label on one task, the stratum ``finetune`` splits by: the
-    task whose smaller class has the fewest known labels, among tasks with
-    both classes (the first on a tie), or task 0 when no task has both.  A
-    missing label is a stratum of its own."""
-    labels = [g.graph_labels if g.graph_labels is not None else (None,) * task_count
-              for g in graphs]
-    minority = {}
-    for t in range(task_count):
-        counts = Counter(lab[t] for lab in labels)
-        if counts[0] and counts[1]:
-            minority[t] = min(counts[0], counts[1])
-    task = min(minority, key=minority.get, default=0)
-    return [lab[task] for lab in labels]
+def _label_table(graphs, task_count: int) -> np.ndarray:
+    """The (graphs, tasks) int64 table of graph labels, -1 where one is missing."""
+    table = np.full((len(graphs), task_count), -1, dtype=np.int64)
+    for row, g in zip(table, graphs):
+        if g.graph_labels is not None:
+            row[:] = [-1 if y is None else y for y in g.graph_labels]
+    return table
 
 
-def _fold_auc(model: GnnModel, graphs, labels_per_graph) -> float:
+def _split_strata(labels: np.ndarray) -> list:
+    """Each graph's label on one task of a label table, the stratum
+    ``finetune`` splits by: the task whose smaller class has the fewest known
+    labels, among tasks with both classes (the first on a tie), or task 0 when
+    no task has both.  A missing label (-1) is a stratum of its own."""
+    minority = np.minimum((labels == 0).sum(axis=0), (labels == 1).sum(axis=0))
+    # a task with both classes has a minority below the graph count
+    return labels[:, np.argmin(np.where(minority > 0, minority, len(labels)))].tolist()
+
+
+def _fold_auc(model: GnnModel, inputs, labels: np.ndarray) -> float:
     """Mean per-task AUC over tasks with both classes present in the fold, or
-    NaN when no task has both; a non-finite score raises ``NumericError``."""
-    scores = classify(model, graphs).data
+    NaN when no task has both; a non-finite score raises ``NumericError``.
+    ``labels`` is the fold's rows of the label table."""
+    scores = classify(model, inputs).data
     if not np.all(np.isfinite(scores)):
         raise NumericError("AUC undefined: non-finite score")
-    tasks = scores.shape[1]
     aucs = []
-    for t in range(tasks):
-        y = np.asarray([lab[t] if lab[t] is not None else -1 for lab in labels_per_graph])
+    for t, y in enumerate(labels.T):
         known = y >= 0
-        if known.sum() < 2:
-            continue
-        yt = y[known]
-        if len(np.unique(yt)) < 2:
-            continue
-        aucs.append(roc_auc(scores[known, t], yt))
+        if np.unique(y[known]).size == 2:
+            aucs.append(roc_auc(scores[known, t], y[known]))
     return float(np.mean(aucs)) if aucs else float("nan")
 
 
@@ -396,26 +392,21 @@ def finetune(corpus: GraphCorpus, model: GnnModel, epochs: int = 100,
     if corpus.task_count < 1:
         raise DataError("finetune needs a corpus with graph labels")
     graphs = list(corpus)
-    has_any = any(g.graph_labels is not None and any(l is not None for l in g.graph_labels)
-                  for g in graphs)
-    if not has_any:
+    labels = _label_table(graphs, corpus.task_count)
+    if not (labels >= 0).any():
         raise DataError("finetune: all graph labels are missing")
     if "head.w" not in model.params or model.params["head.w"].data.shape[1] != corpus.task_count:
         model = with_head(model, corpus.task_count, derive_seed(seed, "head-init"))
 
     start = time.perf_counter()
     folds = split_folds(len(graphs), derive_seed(seed, "finetune-split"),
-                        _split_strata(graphs, corpus.task_count))
+                        _split_strata(labels))
     inputs = prepare(model.config, graphs)
 
-    def fold_labels(fold: str, epoch: Optional[int]):
+    def fold_labels(fold: str, epoch: Optional[int]) -> np.ndarray:
         if on_label_read is not None:
             on_label_read(fold, epoch)
-        out = []
-        for i in folds[fold]:
-            labs = graphs[i].graph_labels
-            out.append(labs if labs is not None else (None,) * corpus.task_count)
-        return out
+        return labels[folds[fold]]
 
     report = FinetuneReport(seed=seed, config_hash=stable_hash(
         {"epochs": epochs, "batch_size": batch_size, "seed": seed,
@@ -433,19 +424,18 @@ def finetune(corpus: GraphCorpus, model: GnnModel, epochs: int = 100,
         train_labels = fold_labels("train", epoch)
         epoch_losses = []
         for lo in range(0, len(order), batch_size):
+            picks = order[lo:lo + batch_size]
             # all-missing graphs contribute nothing
-            picks = [k for k in order[lo:lo + batch_size]
-                     if any(l is not None for l in train_labels[k])]
-            if not picks:
+            picks = picks[(train_labels[picks] >= 0).any(axis=1)]
+            if not len(picks):
                 continue
-            labs = [train_labels[k] for k in picks]
-            targets = [[0.0 if l is None else float(l) for l in lab] for lab in labs]
-            masks = [[0.0 if l is None else 1.0 for l in lab] for lab in labs]
+            rows = train_labels[picks]
+            known = rows >= 0
             T.zero_grads(params)
             with T.tape():
                 logits = classify(model, [inputs[folds["train"][k]] for k in picks],
                                   training=True, rng=dropout_rng)
-                loss = T.bce_with_logits(logits, np.asarray(targets), np.asarray(masks))
+                loss = T.bce_with_logits(logits, np.where(known, rows, 0), known)
                 if not np.isfinite(loss.item()):
                     raise NumericError("NaN/inf fine-tuning loss")
                 T.backward(loss)

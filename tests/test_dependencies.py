@@ -11,6 +11,9 @@ vector to a ``choice`` method.  And the encoder's input is built in one place:
 ``models.py`` reads node attributes and calls into ``_OPERATORS`` only in
 ``prepare``, its attribute reader and ``infer_attr_sizes``, and ``training.py``
 reads no node attributes, so no forward pass rebuilds what ``prepare`` built.
+Fine-tuning reads graph labels in one place: in ``training.py`` only
+``_label_table`` reads ``graph_labels``, so every other reader takes its rows
+of the one label table.
 The fingerprint schemes are named in one place: only ``fingerprints.py`` and
 ``spectral.py`` spell a scheme name, and ``training.py`` neither imports from
 ``spectral`` nor tells fingerprints apart by their class."""
@@ -90,6 +93,15 @@ def test_encoder_input_built_in_one_place():
                       for node in ast.walk(fn)
                       if (isinstance(node, ast.Attribute) and node.attr == "node_attrs")
                       or (isinstance(node, ast.Name) and node.id == "_OPERATORS")]
+    assert not found
+
+
+def test_graph_labels_read_in_one_place():
+    found = [f"{path.name}:{node.lineno}: {fn.name} reads {ast.unparse(node)}"
+             for path, tree in _trees([PACKAGE / "training.py"]) for fn in ast.walk(tree)
+             if isinstance(fn, ast.FunctionDef) and fn.name != "_label_table"
+             for node in ast.walk(fn)
+             if isinstance(node, ast.Attribute) and node.attr == "graph_labels"]
     assert not found
 
 

@@ -134,13 +134,6 @@ class TestHashing:
             expected = [s for _, s in pairs]
             assert [int(s) for s in states] == expected
 
-    def test_hex_roundtrip(self):
-        rng = np.random.default_rng(0)
-        bits = rng.random(256) > 0.8
-        fp = BitFingerprint(bits=bits, scheme="morgan", params=(("radius", 2),))
-        back = BitFingerprint.from_hex(fp.to_hex(), 256, "morgan", fp.params)
-        assert np.array_equal(back.bits, bits)
-
 
 class TestTopological:
     def test_single_node_all_zero(self):

@@ -67,6 +67,13 @@ class TestLoadCorpus:
         with pytest.raises(DataError, match="line 2"):
             load_corpus(path)
 
+    def test_graph_label_outside_binary_rejected(self, tmp_path):
+        record = dict(json.loads(TRIANGLE_LINE), id="bad", graph_labels=[2])
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match="line 1: .*graph label 2"):
+            load_corpus(path)
+
     def test_integer_id_loads_as_decimal_string(self, tmp_path):
         path = tmp_path / "int_id.jsonl"
         path.write_text(json.dumps(dict(json.loads(TRIANGLE_LINE), id=7)) + "\n",
@@ -117,6 +124,13 @@ class TestGraphInvariants:
     def test_label_length_checked(self):
         with pytest.raises(DataError, match="node_labels"):
             make_graph(labels=(0, 1))
+
+    @pytest.mark.parametrize("labels", [(2,), (0, -1), (None, 2)])
+    def test_graph_label_outside_binary_rejected(self, labels):
+        # a label other than 0, 1 or missing would enter fine-tuning's BCE as a target
+        with pytest.raises(DataError, match=f"graph 'x': graph label {labels[-1]}"):
+            LabeledGraph(id="x", node_count=1, edges=(), node_attrs=((0,),),
+                         edge_attrs=(), graph_labels=labels)
 
     def test_task_count_mismatch(self):
         g = LabeledGraph(id="x", node_count=1, edges=(), node_attrs=((0,),),

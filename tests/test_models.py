@@ -103,7 +103,8 @@ class TestLayerFormulas:
 
     def test_fagcn_matches_edge_formula(self):
         # per-edge oracle: h'_i = eps h0_i + sum over neighbours j of
-        # tanh(g . [h_i || h_j]) / sqrt(d_i d_j) h_j, on both directions of each edge
+        # tanh(G[:, 0] . h_i + G[:, 1] . h_j) / sqrt(d_i d_j) h_j, on both directions
+        # of each edge, where the (h, 2) matrix G holds g in R^{2h}
         graphs = mixed_batch(np.random.default_rng(14))
         model = small_model("fagcn", layers=2, seed=15)
         out, offsets = encode_nodes(model, graphs)
@@ -114,10 +115,11 @@ class TestLayerFormulas:
             h = h0 = np.maximum(x @ p["proj.w"], 0.0)
             deg = g.degrees()
             for l in range(2):
+                g_mat = p[f"layer{l}.g"]
                 new = FAGCN_EPS * h0
                 for u, v in g.edges:
                     for i, j in ((u, v), (v, u)):
-                        att = np.tanh(p[f"layer{l}.g"] @ np.concatenate([h[i], h[j]]))
+                        att = np.tanh(g_mat[:, 0] @ h[i] + g_mat[:, 1] @ h[j])
                         new[i] = new[i] + att / np.sqrt(deg[i] * deg[j]) * h[j]
                 h = new
             assert np.max(np.abs(out.data[lo:hi] - h)) < 1e-12, g.id

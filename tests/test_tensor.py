@@ -564,8 +564,7 @@ class TestGradChecksAllOps:
                     T.block_diag_attention(zeroed, offsets, S, A) * C), [S, A]),
                 "sum_keepdims": (lambda: T.tsum(T.tsum(A, axis=1, keepdims=True) * w), [A]),
                 "index_select": (lambda: T.tsum(T.index_select(A, idx) * wi), [A]),
-                "reshape_gather": (lambda: T.tsum(T.gather2d(
-                    T.reshape(A, (n, m)), [0, 1], [1, 0])), [A]),
+                "gather2d": (lambda: T.tsum(T.gather2d(A, [0, 1], [1, 0])), [A]),
                 "bce": (lambda: T.bce_with_logits(A, bce_targets, bce_mask), [A]),
             }
             for name, (fn, tensors) in cases.items():
