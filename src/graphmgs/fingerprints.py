@@ -147,9 +147,6 @@ class BitFingerprint:
     def kind(self) -> tuple:
         return self.scheme, self.params, self.nbits
 
-    def popcount(self) -> int:
-        return int(np.count_nonzero(self.bits))
-
     def to_hex(self) -> str:
         return bytes(np.packbits(self.bits.astype(np.uint8))).hex()
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -79,49 +79,8 @@ class LabeledGraph:
     def degrees(self) -> np.ndarray:
         return degrees_of(self.node_count, self.edges)
 
-    def neighbors(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.node_count)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
-
     def adjacency(self) -> np.ndarray:
         return adjacency_of(self.node_count, self.edges)
-
-    def permuted(self, perm: Sequence[int]) -> "LabeledGraph":
-        """Relabel nodes so old node i becomes new node perm[i]."""
-        perm = list(perm)
-        if sorted(perm) != list(range(self.node_count)):
-            raise DataError(f"graph {self.id!r}: invalid permutation")
-        new_attrs = [()] * self.node_count
-        for i, a in enumerate(self.node_attrs):
-            new_attrs[perm[i]] = a
-        new_labels = None
-        if self.node_labels is not None:
-            lab = [0] * self.node_count
-            for i, y in enumerate(self.node_labels):
-                lab[perm[i]] = y
-            new_labels = tuple(lab)
-        order = sorted(range(len(self.edges)),
-                       key=lambda k: (min(perm[self.edges[k][0]], perm[self.edges[k][1]]),
-                                      max(perm[self.edges[k][0]], perm[self.edges[k][1]])))
-        new_edges = []
-        new_eattrs = []
-        for k in order:
-            u, v = self.edges[k]
-            pu, pv = perm[u], perm[v]
-            new_edges.append((min(pu, pv), max(pu, pv)))
-            new_eattrs.append(self.edge_attrs[k])
-        return LabeledGraph(
-            id=self.id,
-            node_count=self.node_count,
-            edges=tuple(new_edges),
-            node_attrs=tuple(new_attrs),
-            edge_attrs=tuple(new_eattrs),
-            node_labels=new_labels,
-            graph_labels=self.graph_labels,
-        )
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,11 @@ runs there, once per graph.  ``encode_nodes``, ``embed_graph`` and
 their config through, so training prepares its corpus once per call and takes
 batches of it by index.  Nothing is cached: prepared input lives as long as
 its caller holds it.
+
+``embed_rows`` encodes any number of graphs forward only, for MGS evaluation,
+and decides how: in blocks of ``ENCODE_BLOCK_GRAPHS`` and, for a wide encoder,
+across workers.  Each block is computed as it would be on one thread, so its
+rows do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -36,6 +41,21 @@ ARCHS = ("gcn", "gin", "chebnet", "fagcn", "fcn")
 CHEB_ORDER = 3   # ChebNet terms T_0 .. T_{K-1} per layer
 FAGCN_EPS = 0.3  # FAGCN's weight on the projected input in every layer
 DROPOUT = 0.5    # inverted-dropout rate after every layer but the last, in training
+
+# graphs per embed_graph call in embed_rows: on spectral-eval, blocks of 32 read the
+# same peak RSS as 8 and a slower mgs_eval_s (1.61 s against 1.39 s, 3 runs each on a
+# 2-vCPU host)
+ENCODE_BLOCK_GRAPHS = 8
+
+# embedding width from which embed_rows encodes its blocks on every worker.
+# Below it an encoder's small matmuls leave it Python-bound, and two threads
+# taking turns on the GIL run slower than one.  MGS of 5,000 pairs over 200
+# graphs of 10-16 nodes (25 blocks), untrained encoders, median ms at 1 -> 2
+# workers on a 2-vCPU AMD EPYC with 1 BLAS thread:
+#   GIN 2x64 6.5 -> 7.7, 2x96 7.8 -> 7.9, 2x128 10.5 -> 9.3, 2x300 27.1 -> 17.6;
+#   GIN 5x64 9.6 -> 10.6, 5x96 13.0 -> 12.3, 5x128 19.0 -> 14.4;
+#   GCN 2x64 6.1 -> 7.0, 2x96 7.5 -> 8.0, 2x128 8.1 -> 7.7, 5x128 13.0 -> 11.1.
+ENCODE_SPLIT_WIDTH = 128
 
 
 @dataclass(frozen=True)
@@ -241,6 +261,23 @@ def embed_graph(model: GnnModel, graphs, training: bool = False,
                 rng: Optional[np.random.Generator] = None) -> T.Tensor:
     """Graph embeddings (G x hidden) of a batch."""
     return readout(*encode_nodes(model, graphs, training=training, rng=rng))
+
+
+def embed_rows(model: GnnModel, graphs) -> np.ndarray:
+    """Forward-only graph embeddings (G x hidden) of a list of graphs, or of
+    its ``prepare``d input: ``embed_graph`` over blocks of at most
+    ``ENCODE_BLOCK_GRAPHS``.  From ``ENCODE_SPLIT_WIDTH`` up the blocks are
+    split into one run of whole blocks per worker (``tensor._split``); below
+    it they run as one run on the calling thread.  Every run has a fresh
+    ``contextvars`` context, so it records on no open tape."""
+    batch = prepare(model.config, graphs)
+    unit = ENCODE_BLOCK_GRAPHS if model.config.hidden_dim >= ENCODE_SPLIT_WIDTH else len(batch)
+
+    def run(lo, hi):
+        return [embed_graph(model, batch[k:k + ENCODE_BLOCK_GRAPHS]).data
+                for k in range(lo, hi, ENCODE_BLOCK_GRAPHS)]
+
+    return np.concatenate([emb for part in T._split(len(batch), unit, run) for emb in part])
 
 
 def classify(model: GnnModel, graphs, training: bool = False,

@@ -23,6 +23,10 @@ in ``build_pair_set`` before any encoding, and in ``training.pretrain``
 before any step.  ``structural_similarity`` and ``cosine_similarity`` are a
 batch of one pair.
 
+``build_pair_set`` asks its encoder once for the embedding rows of the graphs
+its pairs use.  How they are encoded, in blocks and on which workers, is the
+encoder's affair (``models.embed_rows``), so nothing here runs on threads.
+
 Memory is O(distinct graphs ** 2) for the Gram matrices, plus the stacked
 rows (distinct graphs x nbits or x embedding dim).  Gathering the two
 embedding rows of every pair instead would hold 2 x pairs x dim floats:
@@ -38,24 +42,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import tensor as T
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, check_int
 from .spectral import SPECTRAL
-
-# graphs per encoder call in build_pair_set: on spectral-eval, blocks of 32 read the
-# same peak RSS as 8 and a slower mgs_eval_s (1.61 s against 1.39 s, 3 runs each on a
-# 2-vCPU host)
-ENCODE_BLOCK_GRAPHS = 8
-
-# embedding width from which build_pair_set encodes its blocks on every worker.
-# Below it an encoder's small matmuls leave it Python-bound, and two threads
-# taking turns on the GIL run slower than one.  MGS of 5,000 pairs over 200
-# graphs of 10-16 nodes (25 blocks), untrained encoders, median ms at 1 -> 2
-# workers on a 2-vCPU AMD EPYC with 1 BLAS thread:
-#   GIN 2x64 6.5 -> 7.7, 2x96 7.8 -> 7.9, 2x128 10.5 -> 9.3, 2x300 27.1 -> 17.6;
-#   GIN 5x64 9.6 -> 10.6, 5x96 13.0 -> 12.3, 5x128 19.0 -> 14.4;
-#   GCN 2x64 6.1 -> 7.0, 2x96 7.5 -> 8.0, 2x128 8.1 -> 7.7, 5x128 13.0 -> 11.1.
-ENCODE_SPLIT_WIDTH = 128
-
 
 def average_ranks(x) -> np.ndarray:
     """1-based ranks, ties averaged over the positions they span (each NaN
@@ -187,46 +175,27 @@ def _sample_pair_indices(count: int, n_pairs: int, seed: int) -> tuple[np.ndarra
 def build_pair_set(corpus, encoder: Callable, fingerprints: dict,
                    n_pairs: int, seed: int) -> SimilarityPairSet:
     """Sample graph pairs and score them: structural from fingerprints,
-    embedding as cosine similarity of encoder outputs.  ``encoder`` maps an
-    int array of k positions in ``list(corpus)`` to the (k, dim) embedding
-    rows of those graphs, with one dim for every call; it gets the positions
-    of the graphs of the sampled pairs, ascending, in blocks of at most
-    ``ENCODE_BLOCK_GRAPHS``.  The first block is encoded alone; when its
-    width is at least ``ENCODE_SPLIT_WIDTH``, the other blocks are split into
-    one run per worker (``tensor._split``).  So ``encoder`` is called
-    concurrently on disjoint blocks and must be safe for that, as
-    ``models.embed_graph`` outside a ``tape()`` block is.  Every call runs in
-    a fresh ``contextvars`` context, so it records on no open tape.  The
-    dimension check then runs over the blocks in block order."""
+    embedding as cosine similarity of encoder outputs.  ``encoder`` is called
+    once, with the int array of the ascending positions in ``list(corpus)``
+    of the graphs the sampled pairs use, and returns their embedding rows,
+    one per position."""
+    check_int("n_pairs (a pair set needs at least 2 pairs)", n_pairs, 2)
+    check_int("pair sampling seed", seed, 0)
     graphs = list(corpus)
     missing = [g.id for g in graphs if g.id not in fingerprints]
     if missing:
         raise DataError(f"fingerprints missing for graphs: {missing[:5]}")
     check_comparable([fingerprints[g.id] for g in graphs])
-    if n_pairs < 2:
-        raise DataError("pair set: need at least 2 pairs")
     rows, cols = _sample_pair_indices(len(graphs), n_pairs, seed)
     needed, inverse = np.unique(np.concatenate([rows, cols]), return_inverse=True)
+    embeddings = np.asarray(encoder(needed), dtype=np.float64)
+    if embeddings.shape[:1] != needed.shape:
+        raise DataError(f"cosine: dimension mismatch, encoder gave {embeddings.shape} "
+                        f"for {len(needed)} graphs")
     i_pos, j_pos = inverse[:n_pairs], inverse[n_pairs:]
-    first, rest = needed[:ENCODE_BLOCK_GRAPHS], needed[ENCODE_BLOCK_GRAPHS:]
-
-    def encode(part, lo, hi):
-        return [np.asarray(encoder(part[k:k + ENCODE_BLOCK_GRAPHS]), dtype=np.float64)
-                for k in range(lo, hi, ENCODE_BLOCK_GRAPHS)]
-
-    blocks = T._split(len(first), ENCODE_BLOCK_GRAPHS, lambda lo, hi: encode(first, lo, hi))[0]
-    wide = blocks[0].ndim == 2 and blocks[0].shape[1] >= ENCODE_SPLIT_WIDTH
-    runs = T._split(len(rest), ENCODE_BLOCK_GRAPHS if wide else max(len(rest), 1),
-                    lambda lo, hi: encode(rest, lo, hi))
-    blocks += [emb for run in runs for emb in run]
-    for k, emb in enumerate(blocks):
-        want = (min(ENCODE_BLOCK_GRAPHS, len(needed) - k * ENCODE_BLOCK_GRAPHS),
-                blocks[0].shape[-1])
-        if emb.shape != want:
-            raise DataError(f"cosine: dimension mismatch, encoder gave {emb.shape}, not {want}")
     structural = structural_pair_sims([fingerprints[graphs[i].id] for i in needed],
                                       i_pos, j_pos)
-    embedding = cosine_pair_sims(np.concatenate(blocks), i_pos, j_pos).data
+    embedding = cosine_pair_sims(embeddings, i_pos, j_pos).data
     ids = np.asarray([g.id for g in graphs], dtype=object)
     return SimilarityPairSet(structural=structural, embedding=embedding,
                              pair_ids=tuple(zip(ids[rows], ids[cols])))

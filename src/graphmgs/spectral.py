@@ -9,7 +9,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_int
 from .graphs import LabeledGraph
 
 COMBINATORIAL = "combinatorial"
@@ -71,8 +71,7 @@ def spectral_fingerprint(g: LabeledGraph, k: int,
                          kind: str = COMBINATORIAL) -> SpectralFingerprint:
     """k largest Laplacian eigenvalues, descending; negatives within roundoff
     are clamped to zero."""
-    if k < 1:
-        raise DataError(f"spectral fingerprint: k must be >= 1, got {k}")
+    check_int("spectral fingerprint: k", k, 1)
     eig = symmetric_eigenvalues(laplacian(g, kind))
     top = np.maximum(eig[::-1][:k], 0.0)
     values = list(top) + [0.0] * (k - len(top))

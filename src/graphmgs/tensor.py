@@ -8,9 +8,9 @@ innermost open tape once in reverse and then clears it; leaving the block,
 normally or by a raise, drops whatever it still holds.  Each thread (each
 ``contextvars`` context) has its own open tapes.
 
-``soft_rank`` and ``similarity.build_pair_set`` split their work across the
-CPUs the process may run on with ``_split``, which runs each span in a fresh
-context, so no span records on the caller's tape.
+``soft_rank`` and ``models.embed_rows`` split their work across the CPUs the
+process may run on with ``_split``, which runs each span in a fresh context,
+so no span records on the caller's tape.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from .config import derive_seed, stable_hash
 from .errors import DataError, NumericError, check_int, check_real
 from .fingerprints import SCHEMES, TOPOLOGICAL
 from .graphs import GraphCorpus
-from .models import GnnModel, embed_graph, classify, prepare, with_head
+from .models import GnnModel, embed_graph, embed_rows, classify, prepare, with_head
 from .similarity import (SimilarityPairSet, average_ranks, build_pair_set, check_comparable,
                          cosine_pair_sims, mgs, structural_pair_sims)
 
@@ -213,8 +213,7 @@ def pretrain(corpus: GraphCorpus, model: GnnModel, cfg: PgmConfig,
 def _eval_pair_set(graphs, inputs: list, model: GnnModel, fingerprints: dict,
                    n_pairs: int, seed: int) -> SimilarityPairSet:
     """The pair set of ``graphs``, encoded from ``inputs``, their prepared input."""
-    return build_pair_set(graphs,
-                          lambda picks: embed_graph(model, [inputs[i] for i in picks]).data,
+    return build_pair_set(graphs, lambda picks: embed_rows(model, [inputs[i] for i in picks]),
                           fingerprints, n_pairs, seed)
 
 

@@ -3,6 +3,8 @@ are tested against, one value at a time in plain Python."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from graphmgs.similarity import _sample_pair_indices
@@ -33,10 +35,45 @@ def splitmix64(state: int):
     return z ^ (z >> 31), state
 
 
+def neighbors(g) -> list[list[int]]:
+    """Each node's neighbours, in edge order."""
+    adj: list[list[int]] = [[] for _ in range(g.node_count)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def permuted(g, perm):
+    """``g`` with its nodes relabelled so that old node i becomes node perm[i]:
+    attributes and node labels move with their nodes, and the edges, with their
+    attributes, are renamed and sorted again."""
+    perm = list(perm)
+    assert sorted(perm) == list(range(g.node_count))
+
+    def moved(values):
+        out = [None] * g.node_count
+        for i, value in enumerate(values):
+            out[perm[i]] = value
+        return tuple(out)
+
+    edges = sorted((tuple(sorted((perm[u], perm[v]))), attrs)
+                   for (u, v), attrs in zip(g.edges, g.edge_attrs))
+    return dataclasses.replace(
+        g, edges=tuple(e for e, _ in edges), edge_attrs=tuple(a for _, a in edges),
+        node_attrs=moved(g.node_attrs),
+        node_labels=None if g.node_labels is None else moved(g.node_labels))
+
+
+def popcount(fp) -> int:
+    """The set bits of a bit fingerprint."""
+    return int(np.count_nonzero(fp.bits))
+
+
 def tanimoto(f_i, f_j) -> float:
     """Intersection over union of set bits; two all-zero vectors count as 1.0."""
     common = int(np.count_nonzero(f_i.bits & f_j.bits))
-    total = f_i.popcount() + f_j.popcount()
+    total = popcount(f_i) + popcount(f_j)
     if total == 0:
         return 1.0
     return common / (total - common)
@@ -106,7 +143,7 @@ def morgan_reference(g, radius: int = 2, nbits: int = 2048) -> np.ndarray:
     bits = np.zeros(nbits, dtype=bool)
     ids = atom_invariants(g)
     bonds = _bond_codes(g)
-    adj = g.neighbors()
+    adj = neighbors(g)
     envs = [frozenset((v,)) for v in range(g.node_count)]
 
     # environment atom set -> (round, identifier); earliest round wins,

@@ -16,7 +16,10 @@ Fine-tuning reads graph labels in one place: in ``training.py`` only
 of the one label table.
 The fingerprint schemes are named in one place: only ``fingerprints.py`` and
 ``spectral.py`` spell a scheme name, and ``training.py`` neither imports from
-``spectral`` nor tells fingerprints apart by their class."""
+``spectral`` nor tells fingerprints apart by their class.
+Work is split across threads in two places only: ``tensor.py`` defines
+``_split`` and ``models.py`` encodes MGS blocks with it, so no other module,
+the scoring code among them, refers to ``_split``."""
 
 import ast
 import sys
@@ -37,6 +40,8 @@ UNSET_BY_CALLERS = {"PgmConfig.temperature"}
 INPUT_BUILDERS = {"prepare", "_attr_table", "infer_attr_sizes"}
 # the modules that define the scheme names; every other module imports them
 SCHEME_NAMERS = {"fingerprints.py", "spectral.py"}
+# the modules that may refer to tensor._split
+SPLITTERS = {"tensor.py", "models.py"}
 
 
 def _trees(modules=None):
@@ -102,6 +107,15 @@ def test_graph_labels_read_in_one_place():
              if isinstance(fn, ast.FunctionDef) and fn.name != "_label_table"
              for node in ast.walk(fn)
              if isinstance(node, ast.Attribute) and node.attr == "graph_labels"]
+    assert not found
+
+
+def test_threads_only_in_tensor_and_models():
+    found = [f"{path.name}:{node.lineno}: {ast.unparse(node)}" for path, tree in _trees()
+             if path.name not in SPLITTERS for node in ast.walk(tree)
+             if (isinstance(node, ast.Attribute) and node.attr == "_split")
+             or (isinstance(node, ast.Name) and node.id == "_split")
+             or (isinstance(node, ast.alias) and node.name == "_split")]
     assert not found
 
 

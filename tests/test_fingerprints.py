@@ -14,7 +14,8 @@ from graphmgs.fingerprints import (BitFingerprint, fnv1a64_rows, make_fingerprin
 from graphmgs.graphs import LabeledGraph
 
 from conftest import random_attributed_graph
-from spec import atom_invariants, fnv1a64, morgan_reference, splitmix64
+from spec import (atom_invariants, fnv1a64, morgan_reference, neighbors, permuted, popcount,
+                  splitmix64)
 
 
 def molecule(n, edges, node_attrs, edge_attrs, gid="m"):
@@ -33,7 +34,7 @@ def reference_topological_bits(g, max_path_len, nbits, bits_per_feature):
     bond = {}
     for (u, v), a in zip(g.edges, g.edge_attrs):
         bond[u, v] = bond[v, u] = fnv1a64((len(a), *a))
-    nbrs = g.neighbors()
+    nbrs = neighbors(g)
     bits = np.zeros(nbits, dtype=bool)
 
     def encode(path):
@@ -138,13 +139,13 @@ class TestHashing:
 class TestTopological:
     def test_single_node_all_zero(self):
         fp = topological_fingerprint(molecule(1, [], [(6,)], []))
-        assert fp.popcount() == 0
+        assert popcount(fp) == 0
 
     @pytest.mark.parametrize("n", [0, 5])
     def test_no_edges_all_zero(self, n):
         fp = topological_fingerprint(molecule(n, [], [(6,)] * n, []),
                                      max_path_len=4, nbits=256, bits_per_feature=3)
-        assert fp.nbits == 256 and fp.popcount() == 0
+        assert fp.nbits == 256 and popcount(fp) == 0
         assert fp.params == (("max_path_len", 4), ("nbits", 256), ("bits_per_feature", 3))
 
     @pytest.mark.parametrize("fingerprint, params, match", [
@@ -239,7 +240,7 @@ class TestTopological:
             g = random_attributed_graph(rng, n_min=6, n_max=12)
             perm = list(rng.permutation(g.node_count))
             a = topological_fingerprint(g, max_path_len=4)
-            b = topological_fingerprint(g.permuted(perm), max_path_len=4)
+            b = topological_fingerprint(permuted(g, perm), max_path_len=4)
             assert np.array_equal(a.bits, b.bits)
 
     def test_adding_edge_only_sets_bits(self):
@@ -364,7 +365,7 @@ class TestBatch:
 class TestMorgan:
     def test_single_node_one_bit(self):
         fp = morgan_fingerprint(molecule(1, [], [(6,)], []), radius=2)
-        assert fp.popcount() == 1
+        assert popcount(fp) == 1
 
     def test_star_two_round0_classes(self):
         g = molecule(4, [(0, 1), (0, 2), (0, 3)],
@@ -378,14 +379,14 @@ class TestMorgan:
             g = random_attributed_graph(rng, n_min=5, n_max=12)
             perm = list(rng.permutation(g.node_count))
             a = morgan_fingerprint(g, radius=2)
-            b = morgan_fingerprint(g.permuted(perm), radius=2)
+            b = morgan_fingerprint(permuted(g, perm), radius=2)
             assert np.array_equal(a.bits, b.bits)
 
     def test_radius_zero_counts_atom_classes(self):
         g = molecule(3, [(0, 1), (1, 2)], [(6,), (7,), (6,)], [(0,), (0,)])
         fp = morgan_fingerprint(g, radius=0)
         # 3 atoms, but the two degree-1 carbons share an identifier
-        assert fp.popcount() == 2
+        assert popcount(fp) == 2
 
     def test_isolated_node_rounds_add_nothing(self):
         g = molecule(1, [], [(6,)], [])

@@ -7,6 +7,8 @@ from graphmgs.errors import DataError
 from graphmgs.graphs import (GraphCorpus, LabeledGraph, corpus_homophily, degrees_of,
                              homophily_ratio, load_corpus, save_corpus)
 
+from spec import permuted
+
 
 def make_graph(gid="g", n=3, edges=((0, 1), (0, 2), (1, 2)), labels=(0, 0, 1)):
     return LabeledGraph(
@@ -240,7 +242,7 @@ class TestHomophily:
                               node_labels=tuple(remap[y] for y in g.node_labels))
             assert homophily_ratio(g2) == pytest.approx(h)
             perm = list(rng.permutation(n))
-            assert homophily_ratio(g.permuted(perm)) == pytest.approx(h)
+            assert homophily_ratio(permuted(g, perm)) == pytest.approx(h)
 
 
 class TestCorpusHomophily:

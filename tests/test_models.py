@@ -1,17 +1,21 @@
 import json
+import threading
 
 import numpy as np
 import pytest
 
+from graphmgs import models
 from graphmgs import tensor as T
 from graphmgs.errors import DataError
 from graphmgs.graphs import GraphCorpus, LabeledGraph
-from graphmgs.models import (ARCHS, CHEB_ORDER, FAGCN_EPS, GnnConfig, classify, embed_graph,
+from graphmgs.models import (ARCHS, CHEB_ORDER, ENCODE_BLOCK_GRAPHS, ENCODE_SPLIT_WIDTH,
+                             FAGCN_EPS, GnnConfig, classify, embed_graph, embed_rows,
                              encode_nodes, infer_attr_sizes, init_model, load_model,
                              prepare, readout, save_model, with_head)
 from graphmgs.spectral import SYM_NORMALIZED, laplacian
 
 from conftest import finite_difference_check, random_attributed_graph
+from spec import permuted
 
 ATTRS = (4, 2)
 
@@ -150,7 +154,7 @@ class TestPermutationEquivariance:
             model = small_model(arch, seed=7)
             perm = list(rng.permutation(g.node_count))
             out = encode_nodes(model, [g])[0].data
-            out_p = encode_nodes(model, [g.permuted(perm)])[0].data
+            out_p = encode_nodes(model, [permuted(g, perm)])[0].data
             rearranged = np.empty_like(out)
             for i, pi in enumerate(perm):
                 rearranged[pi] = out[i]
@@ -163,7 +167,7 @@ class TestPermutationEquivariance:
         model = small_model(arch, seed=8)
         perm = list(rng.permutation(g.node_count))
         a = embed_graph(model, [g]).data[0]
-        b = embed_graph(model, [g.permuted(perm)]).data[0]
+        b = embed_graph(model, [permuted(g, perm)]).data[0]
         assert np.max(np.abs(a - b)) < 1e-10
 
 
@@ -289,6 +293,61 @@ class TestBatching:
         foreign = prepare(small_model(other).config, graphs)
         with pytest.raises(DataError, match=f"position 1: input prepared for .*'{other}'"):
             embed_graph(gcn, [own[0], foreign[1]] + own[2:])
+
+
+def gin_and_graphs(hidden=ENCODE_SPLIT_WIDTH, count=40):
+    """An untrained 2-layer GIN and more graphs than two encoder blocks hold."""
+    rng = np.random.default_rng(21)
+    model = init_model(GnnConfig(arch="gin", layers=2, hidden_dim=hidden, attr_sizes=ATTRS),
+                       seed=0)
+    return model, [random_attributed_graph(rng) for _ in range(count)]
+
+
+class TestEmbedRows:
+    @pytest.mark.parametrize("count", [None, 3])
+    def test_same_rows_at_any_worker_count(self, workers, count):
+        count = count or T._worker_count()
+        model, graphs = gin_and_graphs()
+        workers(1)
+        serial = embed_rows(model, graphs)
+        workers(count)
+        split = embed_rows(model, graphs)
+        blocks = np.concatenate([embed_graph(model, graphs[k:k + ENCODE_BLOCK_GRAPHS]).data
+                                 for k in range(0, len(graphs), ENCODE_BLOCK_GRAPHS)])
+        assert len(graphs) > 2 * ENCODE_BLOCK_GRAPHS
+        assert split.tobytes() == serial.tobytes() == blocks.tobytes()
+
+    @pytest.mark.parametrize("width,threads", [(ENCODE_SPLIT_WIDTH - 1, 1),
+                                               (ENCODE_SPLIT_WIDTH, 2)])
+    def test_only_wide_encoders_split(self, workers, monkeypatch, width, threads):
+        workers(2)
+        model, graphs = gin_and_graphs(hidden=width)
+        seen = set()
+        encode = models.embed_graph
+
+        def recording(*args, **kwargs):
+            seen.add(threading.get_ident())
+            return encode(*args, **kwargs)
+
+        monkeypatch.setattr(models, "embed_graph", recording)
+        embed_rows(model, graphs)
+        assert len(seen) == threads and threading.get_ident() in seen
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_records_on_no_open_tape(self, workers, count):
+        workers(count)
+        x = T.Tensor(np.ones(2), requires_grad=True)
+        for width in (ENCODE_SPLIT_WIDTH - 1, ENCODE_SPLIT_WIDTH):
+            model, graphs = gin_and_graphs(hidden=width)
+            with T.tape():
+                T.tsum(x * x)
+                before = T.tape_size()
+                embed_rows(model, graphs)
+                assert T.tape_size() == before
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(DataError, match="empty batch"):
+            embed_rows(small_model("gin"), [])
 
 
 class TestModelCheckpoint:

@@ -1,14 +1,10 @@
-import threading
-
 import numpy as np
 import pytest
 
-from graphmgs import tensor as T
 from graphmgs.errors import DataError, NumericError
 from graphmgs.fingerprints import BitFingerprint
-from graphmgs.similarity import (ENCODE_BLOCK_GRAPHS, ENCODE_SPLIT_WIDTH, SimilarityPairSet,
-                                 average_ranks, build_pair_set, cosine_pair_sims,
-                                 cosine_similarity, mgs, pearson, spearman,
+from graphmgs.similarity import (SimilarityPairSet, average_ranks, build_pair_set,
+                                 cosine_pair_sims, cosine_similarity, mgs, pearson, spearman,
                                  structural_pair_sims, structural_similarity, write_pair_csv)
 from graphmgs.spectral import SpectralFingerprint, spectral_fingerprint
 
@@ -243,12 +239,19 @@ class TestBuildPairSet:
             build_pair_set(corpus, lambda picks: np.ones((len(picks), 4)), self._fps(corpus),
                            n_pairs=4, seed=0)
 
-    @pytest.mark.parametrize("n_pairs", [0, 1])
+    @pytest.mark.parametrize("n_pairs", [0, 1, 2.5, True])
     def test_fewer_than_two_pairs_rejected(self, n_pairs):
         corpus = self._tiny_corpus()
         with pytest.raises(DataError, match="at least 2 pairs"):
             build_pair_set(corpus, lambda picks: np.ones((len(picks), 4)), self._fps(corpus),
                            n_pairs=n_pairs, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "0"])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        corpus = self._tiny_corpus()
+        with pytest.raises(DataError, match="seed must be an integer >= 0"):
+            build_pair_set(corpus, lambda picks: np.ones((len(picks), 4)), self._fps(corpus),
+                           n_pairs=2, seed=seed)
 
     def test_seed_determinism(self):
         assert sample_pairs(30, 10, seed=9) == sample_pairs(30, 10, seed=9)
@@ -307,19 +310,6 @@ def while_loop_average_ranks(x):
     return ranks
 
 
-def _gin_encoded_corpus(count=40):
-    """A corpus, its fingerprints and an untrained GIN encoder over it, wide
-    enough for ``build_pair_set`` to split its blocks."""
-    from graphmgs.graphs import GraphCorpus
-    from graphmgs.models import GnnConfig, embed_graph, init_model
-    rng = np.random.default_rng(21)
-    corpus = GraphCorpus(graphs=tuple(random_attributed_graph(rng) for _ in range(count)))
-    fps = {g.id: fp for g, fp in zip(corpus, random_fingerprints("morgan", rng, count))}
-    model = init_model(GnnConfig(arch="gin", layers=2, hidden_dim=ENCODE_SPLIT_WIDTH,
-                                 attr_sizes=(4, 2)), seed=0)
-    return corpus, fps, lambda picks: embed_graph(model, [corpus.graphs[i] for i in picks]).data
-
-
 def random_fingerprints(scheme, rng, count=25):
     from graphmgs.fingerprints import morgan_fingerprint, topological_fingerprint
     graphs = [random_attributed_graph(rng, n_min=1, n_max=10) for _ in range(count)]
@@ -368,15 +358,14 @@ class TestPairScorer:
         calls = []
 
         def encoder(picks):
-            calls.append([corpus.graphs[i].id for i in picks])
+            calls.append(picks.tolist())
             return np.stack([embs[corpus.graphs[i].id] for i in picks])
 
         pairs = build_pair_set(corpus, encoder, fps, n_pairs=120, seed=3)
-        # the graphs the pairs involve, once each, in blocks of at most ENCODE_BLOCK_GRAPHS
-        assert max(len(c) for c in calls) == ENCODE_BLOCK_GRAPHS and len(calls) > 1
-        assert sorted(sum(calls, [])) == sorted({i for pair in pairs.pair_ids for i in pair})
         graphs = list(corpus)
         idx = sample_pairs(len(graphs), 120, seed=3)
+        # one call, with the positions of the graphs the pairs involve, ascending
+        assert calls == [sorted({i for pair in idx for i in pair})]
         assert pairs.pair_ids == tuple((graphs[i].id, graphs[j].id) for i, j in idx)
         expected = [structural(fps[a], fps[b]) for a, b in pairs.pair_ids]
         assert pairs.structural.tobytes() == np.asarray(expected).tobytes()
@@ -401,68 +390,9 @@ class TestPairScorer:
         rng = np.random.default_rng(15)
         corpus = GraphCorpus(graphs=tuple(random_attributed_graph(rng) for _ in range(12)))
         fps = {g.id: fp for g, fp in zip(corpus, random_fingerprints("morgan", rng, 12))}
-        first = corpus.graphs[0]  # its block gets 2-dim rows, the next block 3-dim ones
-        with pytest.raises(DataError, match="dimension mismatch"):
-            build_pair_set(corpus, lambda picks: np.ones(
-                               (len(picks), 2 if corpus.graphs[picks[0]] is first else 3)),
-                           fps, n_pairs=66, seed=0)
         with pytest.raises(DataError, match="dimension mismatch"):
             build_pair_set(corpus, lambda picks: np.ones((len(picks) - 1, 3)), fps, n_pairs=66,
                            seed=0)
-
-    @pytest.mark.parametrize("count", [None, 3])
-    def test_same_pair_set_at_any_worker_count(self, workers, count):
-        count = count or T._worker_count()
-        corpus, fps, encoder = _gin_encoded_corpus()
-        workers(1)
-        serial = build_pair_set(corpus, encoder, fps, n_pairs=300, seed=4)
-        workers(count)
-        split = build_pair_set(corpus, encoder, fps, n_pairs=300, seed=4)
-        assert len({g for pair in serial.pair_ids for g in pair}) > 2 * ENCODE_BLOCK_GRAPHS
-        assert split.pair_ids == serial.pair_ids
-        assert split.structural.tobytes() == serial.structural.tobytes()
-        assert split.embedding.tobytes() == serial.embedding.tobytes()
-
-    def test_later_block_dimension_mismatch_same_message(self, workers):
-        corpus, fps, _ = _gin_encoded_corpus()
-        late = {g.id for g in corpus.graphs[-ENCODE_BLOCK_GRAPHS:]}  # in the last blocks
-
-        def encoder(picks):
-            wider = any(corpus.graphs[i].id in late for i in picks)
-            return np.ones((len(picks), ENCODE_SPLIT_WIDTH + wider))
-
-        messages = []
-        for count in (1, T._worker_count()):
-            workers(count)
-            with pytest.raises(DataError, match="dimension mismatch") as exc:
-                build_pair_set(corpus, encoder, fps, n_pairs=300, seed=4)
-            messages.append(str(exc.value))
-        assert messages[0] == messages[1]
-
-    @pytest.mark.parametrize("width,threads", [(ENCODE_SPLIT_WIDTH - 1, 1),
-                                               (ENCODE_SPLIT_WIDTH, 2)])
-    def test_only_wide_encoders_split(self, workers, width, threads):
-        workers(2)
-        corpus, fps, _ = _gin_encoded_corpus()
-        seen = set()
-
-        def encoder(picks):
-            seen.add(threading.get_ident())
-            return np.random.default_rng(len(picks)).normal(size=(len(picks), width))
-
-        build_pair_set(corpus, encoder, fps, n_pairs=300, seed=4)
-        assert len(seen) == threads and threading.get_ident() in seen
-
-    @pytest.mark.parametrize("count", [1, 2])
-    def test_encoder_records_on_no_open_tape(self, workers, count):
-        workers(count)
-        corpus, fps, encoder = _gin_encoded_corpus()
-        x = T.Tensor(np.ones(2), requires_grad=True)
-        with T.tape():
-            T.tsum(x * x)
-            before = T.tape_size()
-            build_pair_set(corpus, encoder, fps, n_pairs=300, seed=4)
-            assert T.tape_size() == before
 
     def test_zero_norm_embedding_rejected_in_evaluation(self):
         from graphmgs.graphs import GraphCorpus

@@ -8,6 +8,7 @@ from graphmgs.spectral import (COMBINATORIAL, SYM_NORMALIZED, laplacian,
                                spectral_fingerprint, symmetric_eigenvalues)
 
 from conftest import random_attributed_graph
+from spec import permuted
 
 
 def plain_graph(n, edges, gid="g"):
@@ -112,7 +113,7 @@ class TestSymmetricEigenvalues:
             g = random_attributed_graph(rng)
             perm = list(rng.permutation(g.node_count))
             e1 = symmetric_eigenvalues(laplacian(g))
-            e2 = symmetric_eigenvalues(laplacian(g.permuted(perm)))
+            e2 = symmetric_eigenvalues(laplacian(permuted(g, perm)))
             assert np.max(np.abs(e1 - e2)) < 1e-8
 
     def test_component_count_equals_zero_multiplicity(self):
@@ -152,8 +153,9 @@ class TestSpectralFingerprint:
             assert np.all(np.diff(vals) <= 1e-12) and np.all(vals >= 0.0)
 
     def test_k_validated(self):
-        with pytest.raises(DataError):
-            spectral_fingerprint(complete_graph(3), k=0)
+        for k in (0, True, 2.5, "3"):
+            with pytest.raises(DataError, match="k must be an integer >= 1"):
+                spectral_fingerprint(complete_graph(3), k=k)
 
     @pytest.mark.parametrize("kind", [COMBINATORIAL, SYM_NORMALIZED])
     def test_make_fingerprints_matches_per_graph(self, kind):

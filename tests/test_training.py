@@ -10,7 +10,8 @@ from graphmgs.config import derive_seed
 from graphmgs.errors import DataError, NumericError
 from graphmgs.fingerprints import make_fingerprints
 from graphmgs.graphs import GraphCorpus, LabeledGraph, load_corpus
-from graphmgs.models import ARCHS, GnnConfig, embed_graph, infer_attr_sizes, init_model, with_head
+from graphmgs.models import (ARCHS, ENCODE_SPLIT_WIDTH, GnnConfig, embed_graph, infer_attr_sizes,
+                             init_model, with_head)
 from graphmgs.similarity import average_ranks, mgs, write_pair_csv
 from graphmgs.spectral import COMBINATORIAL, SYM_NORMALIZED, spectral_fingerprint
 from graphmgs.synthetic import SyntheticSpec, generate_synthetic
@@ -312,7 +313,7 @@ class TestEvaluateMgs:
     def test_mixed_kinds_rejected_before_encoding(self, tiny_corpus, monkeypatch,
                                                   first, second, match):
         encoded = []
-        monkeypatch.setattr(training, "embed_graph", lambda *args: encoded.append(args))
+        monkeypatch.setattr(training, "embed_rows", lambda *args: encoded.append(args))
         half = len(tiny_corpus.graphs) // 2
         fps = {**make_fingerprints(tiny_corpus.graphs[:half], first[0], **first[1]),
                **make_fingerprints(tiny_corpus.graphs[half:], second[0], **second[1])}
@@ -325,6 +326,26 @@ class TestEvaluateMgs:
         next(iter(model.params.values())).data[0, 0] = np.nan
         with pytest.raises(NumericError, match="non-finite"):
             evaluate_mgs(tiny_corpus, model, tiny_fps, n_pairs=50, seed=3)
+
+
+class TestWorkerCount:
+    def test_mgs_bits_do_not_depend_on_workers(self, workers):
+        # 10 held-out graphs make two encoder blocks, and B = 64 splits the soft rank
+        spec = SyntheticSpec(n_graphs=100, size_min=8, size_max=12, homophily=0.4,
+                             label_rule="triangle_motif", seed=3, families=8,
+                             attr_sizes=(4, 6), edge_attr_sizes=(1,))
+        corpus = generate_synthetic(spec)
+        fps = make_fingerprints(corpus, "topological", max_path_len=4)
+        config = GnnConfig(arch="gin", layers=2, hidden_dim=ENCODE_SPLIT_WIDTH,
+                           attr_sizes=infer_attr_sizes(corpus))
+        runs = []
+        for count in (1, 3):
+            workers(count)
+            model, report = pretrain(corpus, init_model(config, seed=0),
+                                     PgmConfig(batch_size=64, epochs=2, seed=1), fps)
+            score, pairs = evaluate_mgs(corpus, model, fps, n_pairs=300, seed=2)
+            runs.append((report.losses, report.holdout_mgs, score, pairs.embedding.tobytes()))
+        assert runs[0] == runs[1]
 
 
 class TestRocAuc:
