@@ -21,24 +21,36 @@ and a bond code; node and bond attributes are hashed once per batch.
 Topological path features (after Rogers & Hahn, "Extended-Connectivity
 Fingerprints", JCIM 2010) come from ``topological_fingerprints``, which walks
 the simple paths of the batch together.  A path of k edges is a row of k
-slots, and a block is an int32 array of such rows from any graphs of the
-batch, with the FNV-1a state of each row's forward encoding.  A 1-edge row
-hashes its (head code, bond, tail code) once; a longer row continues the
-state of the row it extends over the (bond, tail code) of its new slot, so
-an extension hashes two codes, not its whole path.  Each undirected path is
-two directed rows, and the one hashed is the row whose forward encoding is
-lexicographically below its reverse (of a palindrome, the row whose first
-node is below its last), so its state is the hash of the smaller encoding.
-The walk is depth-first: it extends the next rows of the deepest block whose
-continuations fit in ``PATH_BLOCK_ROWS`` rows, hashes the canonical rows of
-the new block into one (graphs, nbits) bit matrix, adds them to each graph's
-running total and descends.  At most one block per path length is alive, so
-beyond the CSR itself (whose slots are the 1-edge paths) memory is
-O(max_path_len × PATH_BLOCK_ROWS) rows, each 4 bytes per slot plus 8 bytes
-of state, whatever the batch size or a graph's path count; a breadth-first
-frontier of every k-edge path would grow with both.  ``MAX_PATHS_PER_GRAPH``
-caps each graph on its own: the walk raises as soon as one graph's running
-total passes it.
+slots, and a block holds rows of one length from any graphs of the batch,
+column-major: a (k, rows) int32 table whose column j is slot j of every row,
+so extending a block copies its columns with one ``take`` and the path ends
+are contiguous.  With each row go the FNV-1a state of its forward encoding
+and its signature, a uint64 with bit ``i & 63`` set for each node on the
+path, i being the node's index within its graph.  A 1-edge row hashes its
+(head code, bond, tail code) once; a longer row continues the state of the
+row it extends over the (bond, tail code) of its new slot, so an extension
+hashes two codes, not its whole path.  A row's candidate extensions are its
+last node's slots but the one back over its last edge, which ``rev`` (the
+slot of each edge's other direction, built once per batch) skips by index
+arithmetic, so a row ending at node v has deg(v) - 1 candidates.  A
+candidate whose node's bit is clear in the signature is kept, and the new
+row's signature is its parent's with that bit set, so a candidate costs
+O(1), not O(path length).  In a graph of at most 64 nodes every node has
+its own bit and the test is exact; in a larger one a set bit may be another
+node's, and only such a hit is checked against the row's slots.  Each
+undirected path is two directed rows, and the one hashed is the row whose
+forward encoding is lexicographically below its reverse (of a palindrome,
+the row whose first node is below its last), so its state is the hash of the
+smaller encoding.  The walk is depth-first: it extends the next rows of the
+deepest block whose continuations fit in ``PATH_BLOCK_ROWS`` rows, hashes
+the canonical rows of the new block into one (graphs, nbits) bit matrix,
+adds them to each graph's running total and descends.  At most one block per
+path length is alive, so beyond the CSR and ``rev`` (O(edges); their slots
+are the 1-edge paths) memory is O(max_path_len × PATH_BLOCK_ROWS) rows, each
+4 bytes per slot plus 16 bytes of state and signature, whatever the batch
+size or a graph's path count; a breadth-first frontier of every k-edge path
+would grow with both.  ``MAX_PATHS_PER_GRAPH`` caps each graph on its own:
+the walk raises as soon as one graph's running total passes it.
 
 Circular (Morgan) features come from ``morgan_fingerprints``.  Each round
 hashes one sequence per atom, in a few ``fnv1a64_rows`` calls that each
@@ -198,14 +210,20 @@ def topological_fingerprints(graphs, max_path_len: int = 7, nbits: int = 2048,
     batch into that graph's bit vector; returns one fingerprint per graph.
 
     The paths of all graphs are walked together (see the module docstring):
-    a block holds paths of one length from any graphs, one row of directed
-    edge slots each, and depth-first order keeps one block per length alive,
-    so memory is O(max_path_len × PATH_BLOCK_ROWS).  A path is canonicalized
-    as the lexicographically smaller of its two directional encodings
-    (alternating attribute-only node codes and bond codes).  Each row carries
-    the FNV-1a state of its forward encoding, continued from its parent's
-    over two codes; a path is hashed from its row whose forward encoding is
-    the smaller one, or, for a palindrome, whose first node is below its
+    a block holds paths of one length from any graphs, stored column-major
+    as a (k, rows) int32 table of directed edge slots, and depth-first order
+    keeps one block per length alive, so memory is O(max_path_len ×
+    PATH_BLOCK_ROWS) rows of 4 bytes per slot plus 16 bytes of FNV state and
+    signature, plus O(edges) for the CSR and its ``rev`` slots.  A path is
+    canonicalized as the lexicographically smaller of its two directional
+    encodings (alternating attribute-only node codes and bond codes).  Each
+    row carries the FNV-1a state of its forward encoding, continued from its
+    parent's over two codes, and the signature of its nodes, from which a
+    row's deg(last) - 1 candidates (the slot back over its last edge is
+    skipped) are each tested in O(1); only a hit on a node of a graph of
+    more than 64 nodes, whose bit another node shares, is checked against
+    the row's slots.  A path is hashed from its row whose forward encoding
+    is the smaller one, or, for a palindrome, whose first node is below its
     last.  That hash seeds splitmix64, which picks ``bits_per_feature``
     indices.  The cap is per graph: the first graph whose running path count
     passes ``MAX_PATHS_PER_GRAPH`` raises ``DataError`` naming it, however
@@ -220,27 +238,39 @@ def topological_fingerprints(graphs, max_path_len: int = 7, nbits: int = 2048,
     bits = np.zeros((len(graphs), nbits), dtype=bool)
     owner, head, tail, bond, indptr = _batch_csr(graphs)
     deg = np.diff(indptr)
+    # rev[s]: the slot back over slot s's edge.  The k-th slot in (head, tail)
+    # order is the reverse of the k-th in (tail, head) order, since every
+    # edge has one slot each way
+    rev = np.empty_like(head)
+    rev[np.lexsort((head, tail))] = np.lexsort((tail, head))
     # node codes hash the attributes alone: with degrees in them, adding an edge
     # elsewhere would rewrite the encodings of untouched paths and clear bits
     node_code = _attr_codes([a for g in graphs for a in g.node_attrs])
     head_code, tail_code = node_code[head], node_code[tail]
     # the (bond, tail code) of each slot: what a path continued over it hashes next
     step = np.stack([bond, tail_code], axis=1)
+    # a node's signature bit is its index within its graph, mod 64; only in a
+    # graph of more than 64 nodes can two nodes share it
+    sizes = np.bincount(owner, minlength=len(graphs))
+    local = np.arange(len(owner)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    node_bit = np.uint64(1) << (local & 63).astype(np.uint64)
+    shared = sizes[owner] > 64
     totals = np.zeros(len(graphs), dtype=np.int64)
-    # depth first over blocks of k-edge paths, one int32 row of k slots each,
-    # with the FNV state of each row's forward codes.  An entry holds a block,
-    # its states, the running count of its rows' continuations (from 0) and
+    # depth first over blocks of k-edge paths, a (k, rows) int32 table of
+    # slots each, with the FNV state of each row's forward codes and the
+    # signature of its nodes.  An entry holds a block, its states and
+    # signatures, the running count of its rows' continuations (from 0) and
     # the rows extended so far; each step extends the next rows whose
     # continuations fit in PATH_BLOCK_ROWS, so the stack holds fewer than
     # max_path_len blocks whatever the batch size or the path count.
     stack = []
 
-    def push(paths: np.ndarray, state: np.ndarray) -> None:
+    def push(paths: np.ndarray, state: np.ndarray, sig: np.ndarray) -> None:
         # every undirected path appears twice; the copy whose first node is
         # below its last is counted
-        first = head[paths[:, 0]]
+        first = head[paths[0]]
         graph = owner[first]
-        counted = first < tail[paths[:, -1]]
+        counted = first < tail[paths[-1]]
         totals[:] += np.bincount(graph[counted], minlength=len(graphs))
         over = np.flatnonzero(totals > MAX_PATHS_PER_GRAPH)
         if len(over):
@@ -251,68 +281,88 @@ def topological_fingerprints(graphs, max_path_len: int = 7, nbits: int = 2048,
         for _ in range(bits_per_feature):
             draw, draw_state = splitmix64_rows(draw_state)
             bits[graph, draw % np.uint64(nbits)] = True
-        if paths.shape[1] < max_path_len:
-            # the edge back to the previous node never continues a simple path
-            reach = np.concatenate([[0], np.cumsum(deg[tail[paths[:, -1]]] - 1)])
-            stack.append([paths, state, reach, 0])
+        if len(paths) < max_path_len:
+            # the slot back over a row's last edge is never a candidate
+            reach = np.concatenate([[0], np.cumsum(deg[tail[paths[-1]]] - 1)])
+            stack.append([paths, state, sig, reach, 0])
 
-    push(np.arange(len(head), dtype=np.int32)[:, None],
-         fnv1a64_rows(np.stack([head_code, bond, tail_code], axis=1)))
+    push(np.arange(len(head), dtype=np.int32)[None, :],
+         fnv1a64_rows(np.stack([head_code, bond, tail_code], axis=1)),
+         node_bit[head] | node_bit[tail])
     while stack:
         top = stack[-1]
-        paths, state, reach, lo = top
-        if lo == len(paths):
+        paths, state, sig, reach, lo = top
+        if lo == paths.shape[1]:
             stack.pop()
             continue
         # at least one row, even when its continuations alone exceed the block
         hi = max(lo + 1, int(np.searchsorted(reach, reach[lo] + PATH_BLOCK_ROWS, "right")) - 1)
-        top[3] = hi
-        longer, parent = _extend_paths(paths[lo:hi], indptr, head, tail)
-        if len(longer):
-            push(longer, fnv1a64_rows(step[longer[:, -1]], start=state[lo + parent]))
+        top[4] = hi
+        longer, parent, longer_sig = _extend_paths(paths[:, lo:hi], sig[lo:hi], indptr, head,
+                                                   tail, rev, node_bit, shared)
+        if longer.shape[1]:
+            push(longer, fnv1a64_rows(step[longer[-1]], start=state[lo + parent]), longer_sig)
     return [BitFingerprint(bits=row, scheme=TOPOLOGICAL, params=params) for row in bits]
 
 
-def _extend_paths(paths: np.ndarray, indptr: np.ndarray, head: np.ndarray,
-                  tail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every simple path that continues a row of ``paths`` by one more slot,
-    and the row of ``paths`` that each one continues."""
-    last = tail[paths[:, -1]]
-    start = indptr[last]
-    count = indptr[last + 1] - start
-    row = np.repeat(np.arange(len(paths)), count)
-    # offset of each candidate within its row's slot list, plus the list start
+def _extend_paths(paths: np.ndarray, sig: np.ndarray, indptr: np.ndarray, head: np.ndarray,
+                  tail: np.ndarray, rev: np.ndarray, node_bit: np.ndarray,
+                  shared: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every simple path that continues a row of ``paths``, a (k, rows)
+    table, by one more slot; the row of ``paths`` that each one continues;
+    and its signature.
+
+    A row's candidates are its last node's slots but the one back over its
+    last edge, ``rev`` of that edge's slot.  A candidate whose node's bit is
+    clear in the row's signature is kept, and a set bit drops it, except on a
+    node of a graph of more than 64 nodes: there the bit may be another
+    node's, and the row's own nodes decide."""
+    last = paths[-1]
+    end = tail[last]
+    start = indptr[end]
+    count = indptr[end + 1] - start - 1
+    row = np.repeat(np.arange(len(last)), count)
+    # candidate j of a row is slot j of its last node's list, or slot j + 1
+    # from the back edge's slot on
     slot = np.arange(len(row)) + np.repeat(start - (np.cumsum(count) - count), count)
+    slot += slot >= np.repeat(rev[last], count)
     nxt = tail[slot]
-    # column by column, since a (candidates, k + 1) comparison reduced along
-    # its short rows costs more; the last node is never its own neighbour
-    keep = head[paths[row, 0]] != nxt
-    for column in paths.T[:-1]:
-        keep &= tail[column[row]] != nxt
+    path_sig, nxt_bit = np.repeat(sig, count), node_bit[nxt]
+    on_path = (path_sig & nxt_bit) != 0
+    alias = np.flatnonzero(on_path & shared[nxt])
+    # a candidate is never the last node itself, which has no self-loop
+    row_a, nxt_a = row[alias], nxt[alias]
+    hit = head[paths[0, row_a]] == nxt_a
+    for column in paths[:-1]:
+        hit |= tail[column[row_a]] == nxt_a
+    on_path[alias] = hit
+    keep = np.flatnonzero(~on_path)
     parent = row[keep]
-    out = np.empty((len(parent), paths.shape[1] + 1), dtype=paths.dtype)
-    out[:, :-1] = paths[parent]
-    out[:, -1] = slot[keep]
-    return out, parent
+    out = np.empty((len(paths) + 1, len(parent)), dtype=paths.dtype)
+    # every index is in range, so "clip" only spares the bounds check's buffered copy
+    np.take(paths, parent, axis=1, out=out[:-1], mode="clip")
+    out[-1] = slot[keep]
+    return out, parent, (path_sig | nxt_bit)[keep]
 
 
 def _hashed_rows(paths: np.ndarray, counted: np.ndarray, head_code: np.ndarray,
                  tail_code: np.ndarray, bond: np.ndarray) -> np.ndarray:
-    """Which rows of ``paths`` hash their undirected path: a row whose forward
-    codes are lexicographically below its reverse, and the ``counted`` row of
-    a palindrome.  Either way the hash is FNV-1a of the smaller of the path's
-    two encodings, and each undirected path is hashed from one of its rows.
+    """Which rows of ``paths``, a (k, rows) table, hash their undirected
+    path: a row whose forward codes are lexicographically below its reverse,
+    and the ``counted`` row of a palindrome.  Either way the hash is FNV-1a
+    of the smaller of the path's two encodings, and each undirected path is
+    hashed from one of its rows.
 
     Code p of the reverse is code 2k - p of the forward encoding: node i
     against node k - i, then the bond of slot i against the bond of slot
     k - 1 - i.  Only rows still tied take the next comparison, and most are
     decided at p = 0 by their end nodes."""
-    k = paths.shape[1]
-    a, b = head_code[paths[:, 0]], tail_code[paths[:, -1]]
+    k = len(paths)
+    a, b = head_code[paths[0]], tail_code[paths[-1]]
     hashed = a < b
     tied = np.flatnonzero(a == b)
     for p in range(1, k):
-        near, far = paths[tied, p // 2], paths[tied, k - 1 - p // 2]
+        near, far = paths[p // 2, tied], paths[k - 1 - p // 2, tied]
         a, b = (bond[near], bond[far]) if p % 2 else (head_code[near], tail_code[far])
         hashed[tied[a < b]] = True
         tied = tied[a == b]

@@ -134,6 +134,7 @@ def pgm_loss(embeddings: T.Tensor, structural_sims: np.ndarray,
 
 def holdout_split(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """(train_indices, holdout_indices) with at least 2 held-out graphs."""
+    check_int("holdout_split: seed", seed, 0)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     k = max(2, int(round(fraction * n)))
@@ -287,6 +288,7 @@ def split_folds(n: int, seed: int,
     missing, since a missing label is a stratum of its own).  A stratum with
     fewer members lands where the permutation puts it.
     """
+    check_int("split_folds: seed", seed, 0)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     n_test = max(1, n // 10)
@@ -387,6 +389,7 @@ def finetune(corpus: GraphCorpus, model: GnnModel, epochs: int = 100,
     every graph's labels once, before training, to stratify.
     """
     check_int("epochs", epochs, 0)
+    check_int("seed", seed, 0)
     check_int("batch_size", batch_size, 1)
     if corpus.task_count < 1:
         raise DataError("finetune needs a corpus with graph labels")

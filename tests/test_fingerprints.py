@@ -28,6 +28,13 @@ def complete_graph(n, gid=None):
     return molecule(n, edges, [(0,)] * n, [(0,)] * len(edges), gid=gid or f"k{n}")
 
 
+def chorded_cycle(rng, n, chords):
+    """The n-cycle plus ``chords``, with random node and bond attributes."""
+    edges = sorted({tuple(sorted((i, (i + 1) % n))) for i in range(n)} | set(chords))
+    return molecule(n, edges, [(int(a),) for a in rng.integers(0, 3, n)],
+                    [(int(a),) for a in rng.integers(0, 2, len(edges))], gid=f"cycle{n}")
+
+
 def reference_topological_bits(g, max_path_len, nbits, bits_per_feature):
     """The path fingerprint by its definition: scalar hashes over every simple path."""
     code = [fnv1a64((len(a), *a)) for a in g.node_attrs]
@@ -311,6 +318,10 @@ class TestBatch:
                   molecule(4, [(0, 1), (1, 2), (2, 3), (0, 3)], [(-1,), (2,), (-3,), (0,)],
                            [(-2,), (1,), (-2,), (0,)], gid="negative")]
         graphs += [random_attributed_graph(rng, n_min=1, n_max=10) for _ in range(12)]
+        # past 64 nodes two nodes share a signature bit; chords between nodes 64
+        # apart put both on one path (in the 65-cycle, edge (0, 64) closes it)
+        graphs += [chorded_cycle(rng, 65, [(0, 64)]),
+                   chorded_cycle(rng, 150, [(0, 64), (1, 65), (21, 85), (64, 128), (85, 149)])]
         for max_path_len, nbits, bpf in ((1, 64, 1), (4, 2048, 2), (7, 1 << 16, 3)):
             got = topological_fingerprints(graphs, max_path_len, nbits, bpf)
             assert len(got) == len(graphs)
@@ -347,6 +358,22 @@ class TestBatch:
         copies = [complete_graph(5, gid=f"k5-{i}") for i in range(4)]
         fps = make_fingerprints(copies, "topological", max_path_len=4)
         assert len({fp.to_hex() for fp in fps.values()}) == 1
+
+    def test_hub_explosion_raises_in_bounded_memory(self):
+        # a star's 2-edge paths are its leaf pairs, about 2 million: each
+        # leaf-to-hub row has 1,999 candidates, and the walk must reach the
+        # cap one block at a time
+        n = 2001
+        star = molecule(n, [(0, v) for v in range(1, n)], [(0,)] * n, [(0,)] * (n - 1),
+                        gid="star")
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="'star'.*paths"):
+                topological_fingerprint(star, max_path_len=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
     def test_memory_bounded_by_blocks(self):
         # eight K9 copies hold 8 x 623,520 directed paths of up to 7 edges; a

@@ -403,11 +403,18 @@ class TestFinetune:
 
     @pytest.mark.parametrize("field, value", [
         ("epochs", -2), ("batch_size", 0), ("batch_size", -3), ("batch_size", 2.5),
-        ("epochs", 1.5)])
+        ("epochs", 1.5), ("seed", -1), ("seed", 1.5), ("seed", True)])
     def test_out_of_range_argument_rejected(self, tiny_corpus, field, value):
         model = tiny_model(tiny_corpus, seed=11, task_count=1)
         with pytest.raises(DataError, match=field):
-            finetune(tiny_corpus, model, seed=0, **{"epochs": 1, field: value})
+            finetune(tiny_corpus, model, **{"epochs": 1, "seed": 0, field: value})
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_split_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(DataError, match="seed"):
+            training.holdout_split(20, 0.1, seed)
+        with pytest.raises(DataError, match="seed"):
+            split_folds(20, seed)
 
     def test_seeded_reproducibility(self, tiny_corpus):
         def run():
