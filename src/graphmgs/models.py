@@ -7,7 +7,11 @@ one matrix of stacked node rows (graph k owns rows offsets[k]:offsets[k+1]),
 and a single graph is a batch of one.  Weight matmuls act on all rows at once
 and each graph's dense propagation operator on its own rows (FAGCN weights its
 operator's entries by edge attention first), so a forward pass records a
-fixed number of tape nodes per layer.
+fixed number of tape nodes per layer, whatever the batch.  A product that is
+added to goes through ``tensor.linear`` and GIN's (A + (1 + eps) I) h through
+``block_diag_matmul``'s ``self_weight``, so a GIN layer records five nodes
+(1 + eps, the aggregate, two linears and a ReLU) and keeps four (rows, hidden)
+arrays for its backward.
 
 The encoder reads graphs as ``prepare`` gives them: each graph's int64
 attribute rows and its dense operator, both read-only.  Every input check
@@ -231,16 +235,16 @@ def encode_nodes(model: GnnModel, graphs, training: bool = False,
         elif cfg.arch == "fcn":
             h = T.relu(h @ p[f"layer{l}.theta"])
         elif cfg.arch == "gin":
-            agg = T.block_diag_matmul(ops, offsets, h) + ((p[f"layer{l}.eps"] + 1.0) * h)
-            mid = T.relu(agg @ p[f"layer{l}.w1"] + p[f"layer{l}.b1"])
-            h = mid @ p[f"layer{l}.w2"] + p[f"layer{l}.b2"]
+            agg = T.block_diag_matmul(ops, offsets, h, self_weight=p[f"layer{l}.eps"] + 1.0)
+            mid = T.relu(T.linear(agg, p[f"layer{l}.w1"], p[f"layer{l}.b1"]))
+            h = T.linear(mid, p[f"layer{l}.w2"], p[f"layer{l}.b2"])
         elif cfg.arch == "chebnet":
             xk_prev, xk = None, h
             out = xk @ p[f"layer{l}.theta0"]
             for k in range(1, CHEB_ORDER):
                 lx = T.block_diag_matmul(ops, offsets, xk)
                 xk_prev, xk = xk, (lx if k == 1 else 2.0 * lx - xk_prev)
-                out = out + xk @ p[f"layer{l}.theta{k}"]
+                out = T.linear(xk, p[f"layer{l}.theta{k}"], out)
             h = T.relu(out)
         else:
             # edge attention tanh(g . [h_i || h_j]) = tanh(G[:, 0] . h_i + G[:, 1] . h_j)
@@ -286,7 +290,7 @@ def classify(model: GnnModel, graphs, training: bool = False,
     if "head.w" not in model.params:
         raise DataError("model has no classification head")
     hg = embed_graph(model, graphs, training=training, rng=rng)
-    return hg @ model.params["head.w"] + model.params["head.b"]
+    return T.linear(hg, model.params["head.w"], model.params["head.b"])
 
 
 def with_head(model: GnnModel, task_count: int, seed: int) -> GnnModel:

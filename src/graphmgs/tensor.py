@@ -3,10 +3,19 @@
 Define-by-run and scoped: inside a ``with tape():`` block, every op with a
 parent that requires grad appends its output node to the block's tape, whose
 recording order is a valid topological order.  Outside every block nothing is
-recorded, so a forward-only pass needs no switch.  ``backward`` walks the
-innermost open tape once in reverse and then clears it; leaving the block,
-normally or by a raise, drops whatever it still holds.  Each thread (each
-``contextvars`` context) has its own open tapes.
+recorded, so a forward-only pass needs no switch.  ``backward`` pops the
+innermost open tape's nodes in reverse, cutting each node's closure as it runs
+it, so an activation is freed once the sweep has passed its own node and every
+node that reads it; leaving the block, normally or by a raise, drops whatever
+the tape still holds.
+Each thread (each ``contextvars`` context) has its own open tapes.
+
+Two ops fuse what would otherwise be two or three nodes, each with an output
+array kept until the sweep reaches it: ``linear`` adds its bias into the
+product's own array and ``block_diag_matmul`` its optional self term c * a.
+Each is one node and one array, with the sums, and the gradients in the
+order, of the ops it fuses.  A backward computes a parent's gradient only
+when that parent requires grad.
 
 ``soft_rank`` and ``models.embed_rows`` split their work across the CPUs the
 process may run on with ``_split``, which runs each span in a fresh context,
@@ -207,6 +216,8 @@ def _drop(nodes: list) -> None:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add g into t's gradient in a new array, never in place: ``add`` hands the
+    same g to both of its parents."""
     if not t.requires_grad:
         return
     t.grad = g if t.grad is None else t.grad + g
@@ -230,8 +241,10 @@ def _binary(name: str, a, b, fwd, da, db) -> Tensor:
         raise DataError(f"{name}: incompatible shapes {a.shape} vs {b.shape}") from exc
 
     def backward(g):
-        _accumulate(a, _unbroadcast(da(g, a.data, b.data), a.data.shape))
-        _accumulate(b, _unbroadcast(db(g, a.data, b.data), b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(da(g, a.data, b.data), a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(db(g, a.data, b.data), b.data.shape))
 
     return _record(out, (a, b), backward)
 
@@ -266,10 +279,38 @@ def matmul(a, b) -> Tensor:
         raise DataError(f"matmul: incompatible shapes {a.shape} @ {b.shape}") from exc
 
     def backward(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        if a.requires_grad:
+            _accumulate(a, g @ b.data.T)
+        if b.requires_grad:
+            _accumulate(b, a.data.T @ g)
 
     return _record(out, (a, b), backward)
+
+
+def linear(a, w, b) -> Tensor:
+    """a @ w + b with b added into the product's own array: one node and one
+    array where ``matmul`` then ``add`` keep two, with the same sums and the
+    gradients of those two in their order.  b is a bias row or a running sum
+    of the product's shape."""
+    a, w, b = as_tensor(a), as_tensor(w), as_tensor(b)
+    if a.data.ndim != 2 or w.data.ndim != 2:
+        raise DataError(f"linear: only 2-D operands, got {a.shape} @ {w.shape}")
+    try:
+        out = a.data @ w.data
+        out += b.data
+    except ValueError as exc:
+        raise DataError(f"linear: incompatible shapes {a.shape} @ {w.shape} "
+                        f"+ {b.shape}") from exc
+
+    def backward(g):
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, g @ w.data.T)
+        if w.requires_grad:
+            _accumulate(w, a.data.T @ g)
+
+    return _record(Tensor(out), (a, w, b), backward)
 
 
 def _unary(a, fwd, dgrad) -> Tensor:
@@ -385,22 +426,37 @@ def _block_spans(name: str, blocks: Sequence[np.ndarray], offsets, rows: int) ->
     return spans
 
 
-def block_diag_matmul(blocks: Sequence[np.ndarray], offsets, a) -> Tensor:
+def block_diag_matmul(blocks: Sequence[np.ndarray], offsets, a,
+                      self_weight=None) -> Tensor:
     """diag(blocks) @ a without forming it: out[lo:hi] = blocks[k] @ a[lo:hi] for
-    lo, hi = offsets[k], offsets[k + 1], the blocks being constant and square."""
+    lo, hi = offsets[k], offsets[k + 1], the blocks being constant and square.
+
+    A scalar ``self_weight`` c adds c * a into the same array, (diag(blocks) +
+    cI) @ a as one node: the sums of ``block_diag_matmul(blocks, offsets, a) +
+    c * a``, and a's gradient in their order, g * c before the blocks' term."""
     a = as_tensor(a)
+    c = None if self_weight is None else as_tensor(self_weight)
+    if c is not None and c.data.shape != ():
+        raise DataError(f"block_diag_matmul: self_weight must be a scalar, got {c.shape}")
     spans = _block_spans("block_diag_matmul", blocks, offsets, len(a.data))
     out = np.empty_like(a.data)
     for b, lo, hi in spans:
         out[lo:hi] = b @ a.data[lo:hi]
+    if c is not None:
+        out += c.data * a.data
 
     def backward(g):
-        ga = np.empty_like(a.data)
-        for b, lo, hi in spans:
-            ga[lo:hi] = b.T @ g[lo:hi]
-        _accumulate(a, ga)
+        if a.requires_grad:
+            if c is not None:
+                _accumulate(a, g * c.data)
+            ga = np.empty_like(a.data)
+            for b, lo, hi in spans:
+                ga[lo:hi] = b.T @ g[lo:hi]
+            _accumulate(a, ga)
+        if c is not None and c.requires_grad:
+            _accumulate(c, _unbroadcast(g * a.data, ()))
 
-    return _record(Tensor(out), (a,), backward)
+    return _record(Tensor(out), (a,) if c is None else (a, c), backward)
 
 
 def block_diag_attention(blocks: Sequence[np.ndarray], offsets, scores, a) -> Tensor:
@@ -570,8 +626,13 @@ def bce_with_logits(logits, targets, mask=None) -> Tensor:
 
 def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar loss recorded on the innermost open tape;
-    fills ``grad`` on every requires_grad leaf reachable from it, then clears
-    that tape."""
+    fills ``grad`` on every requires_grad leaf reachable from it.
+
+    Each node is popped off the tape and its closure cut before that closure
+    runs, so what only that closure kept is freed once it has run: an
+    activation lives until the sweep has run its own node, which comes after
+    every node that reads it.  The tape is empty afterwards, and a raise
+    part-way through drops the nodes still on it."""
     if loss.data.size != 1:
         raise DataError(f"backward: loss must be scalar, got shape {loss.shape}")
     nodes = _open_tape.get()
@@ -579,10 +640,13 @@ def backward(loss: Tensor) -> None:
         raise DataError("backward: loss is not connected to an open gradient tape")
     loss.grad = np.ones_like(loss.data)
     try:
-        for node in reversed(nodes):
-            if node.grad is not None and node._backward is not None:
-                node._backward(node.grad)
-                node.grad = None  # intermediate; leaves keep grads
+        while nodes:
+            node = nodes.pop()
+            step, g = node._backward, node.grad
+            # intermediate: cut off the tape; leaves keep their grads
+            node._backward, node.grad, node.requires_grad = None, None, False
+            if g is not None:
+                step(g)
     finally:
         _drop(nodes)
 

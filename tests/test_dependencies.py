@@ -19,7 +19,10 @@ The fingerprint schemes are named in one place: only ``fingerprints.py`` and
 ``spectral`` nor tells fingerprints apart by their class.
 Work is split across threads in two places only: ``tensor.py`` defines
 ``_split`` and ``models.py`` encodes MGS blocks with it, so no other module,
-the scoring code among them, refers to ``_split``."""
+the scoring code among them, refers to ``_split``.
+The encoder adds no bias or running sum to a matrix product with ``+``:
+``models.py`` spells that ``tensor.linear``, one tape node and one array, so
+no ``@`` in it is an operand of an addition."""
 
 import ast
 import sys
@@ -116,6 +119,19 @@ def test_threads_only_in_tensor_and_models():
              if (isinstance(node, ast.Attribute) and node.attr == "_split")
              or (isinstance(node, ast.Name) and node.id == "_split")
              or (isinstance(node, ast.alias) and node.name == "_split")]
+    assert not found
+
+
+def test_products_and_sums_fused_in_models():
+    def is_matmul(node):
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+
+    found = [f"models.py:{node.lineno}: {ast.unparse(node)}"
+             for _, tree in _trees([PACKAGE / "models.py"]) for node in ast.walk(tree)
+             if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+                 and (is_matmul(node.left) or is_matmul(node.right)))
+             or (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add)
+                 and is_matmul(node.value))]
     assert not found
 
 

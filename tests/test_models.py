@@ -273,6 +273,16 @@ class TestBatching:
                     counts.append(T.tape_size())
             assert counts[0] == counts[1], arch
 
+    def test_gin_layer_records_five_tape_nodes(self):
+        # 1 + eps, the aggregate with its self term, two linears and a ReLU
+        graphs = mixed_batch(np.random.default_rng(26))
+        counts = []
+        for layers in (2, 3):
+            with T.tape():
+                encode_nodes(small_model("gin", layers=layers), graphs)
+                counts.append(T.tape_size())
+        assert counts[1] - counts[0] == 5
+
     def test_empty_graph_in_batch_rejected(self):
         empty = LabeledGraph(id="empty", node_count=0, edges=(), node_attrs=(), edge_attrs=())
         graphs = mixed_batch(np.random.default_rng(25))

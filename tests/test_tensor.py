@@ -5,6 +5,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -450,6 +451,38 @@ class TestBackward:
             T.backward(loss)
         assert x.grad is None
 
+    def test_each_node_freed_as_backward_passes_it(self):
+        # the probe is recorded first, so its backward runs last: by then every
+        # later node has run, and an activation no closure still reads is gone
+        rng = np.random.default_rng(8)
+        x = T.Tensor(rng.normal(size=(30, 6)), requires_grad=True)
+        w = T.Tensor(rng.normal(size=(6, 6)), requires_grad=True)
+        seen = []
+        with T.tape():
+            probe = T._record(T.Tensor(x.data * 1.0), (x,),
+                              lambda g: seen.append(later() is None))
+            mid = T.relu(probe @ w)
+            later = weakref.ref(mid.data)
+            loss = T.tsum(mid * 2.0)
+            del mid
+            T.backward(loss)
+            assert T.tape_size() == 0
+        assert seen == [True]
+
+    def test_raise_in_backward_drops_the_rest_of_the_tape(self):
+        x = T.Tensor([1.0, 2.0], requires_grad=True)
+
+        def fail(g):
+            raise ValueError("mid-backward")
+
+        with T.tape():
+            y = T.relu(x * 2.0)
+            loss = T.tsum(T._record(T.Tensor(y.data * 1.0), (y,), fail))
+            with pytest.raises(ValueError, match="mid-backward"):
+                T.backward(loss)
+            assert T.tape_size() == 0
+        assert not y.requires_grad and y._backward is None and x.grad is None
+
     def test_raising_block_drops_its_nodes(self):
         x = T.Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ValueError, match="mid-forward"):
@@ -527,6 +560,7 @@ class TestGradChecksAllOps:
         rng = np.random.default_rng(11)
         block_rng = np.random.default_rng(12)
         score_rng = np.random.default_rng(13)
+        fused_rng = np.random.default_rng(14)
         checks = 0
         for trial in range(12):
             m = int(rng.integers(2, 5))
@@ -545,6 +579,9 @@ class TestGradChecksAllOps:
             # zero entries as in FAGCN's operator: no self-loops, an isolated node
             zeroed = [np.zeros((1, 1)), blocks[1] * (1.0 - np.eye(m - 1))]
             S = T.Tensor(score_rng.normal(size=(m, 2)), requires_grad=True)
+            bias = T.Tensor(fused_rng.normal(size=k), requires_grad=True)
+            running = T.Tensor(fused_rng.normal(size=(m, k)), requires_grad=True)
+            c = T.Tensor(fused_rng.normal(), requires_grad=True)
             bce_targets = (rng.random((m, n)) > 0.5).astype(float)
             bce_mask = (rng.random((m, n)) > 0.3).astype(float)
             if bce_mask.sum() == 0:
@@ -560,6 +597,11 @@ class TestGradChecksAllOps:
                 "segment_mean": (lambda: T.tsum(T.segment_mean(A, offsets) * v), [A]),
                 "block_diag_matmul": (lambda: T.tsum(
                     T.block_diag_matmul(blocks, offsets, A) * C), [A]),
+                "linear": (lambda: T.tsum(T.linear(A, B, bias) * wm), [A, B, bias]),
+                "linear_running_sum": (lambda: T.tsum(T.linear(A, B, running) * wm),
+                                       [A, B, running]),
+                "block_diag_matmul_self_weight": (lambda: T.tsum(
+                    T.block_diag_matmul(blocks, offsets, A, self_weight=c) * C), [A, c]),
                 "block_diag_attention": (lambda: T.tsum(
                     T.block_diag_attention(zeroed, offsets, S, A) * C), [S, A]),
                 "sum_keepdims": (lambda: T.tsum(T.tsum(A, axis=1, keepdims=True) * w), [A]),
@@ -572,6 +614,82 @@ class TestGradChecksAllOps:
                 assert rel < 1e-5, f"{name} (trial {trial}): rel err {rel}"
                 checks += 1
         assert checks >= 100
+
+
+def _bits(*arrays):
+    return [np.asarray(x).tobytes() for x in arrays]
+
+
+class TestFusedOps:
+    """Each fused op gives the bits of the ops it fuses, forward and backward.
+
+    Every input also feeds a consumer recorded after the op, whose backward runs
+    first, so the op adds into a gradient that is already there: a different
+    order of the op's own contributions would show in the last bits."""
+
+    @pytest.mark.parametrize("running", [False, True])
+    def test_linear_is_matmul_then_add(self, running):
+        rng = np.random.default_rng(31)
+        a0, w0, later = rng.normal(size=(9, 5)), rng.normal(size=(5, 4)), rng.normal(size=(9, 4))
+        b0 = rng.normal(size=(9, 4) if running else 4)
+
+        def run(fused):
+            a, w, b = (T.Tensor(x, requires_grad=True) for x in (a0, w0, b0))
+            with T.tape():
+                # a running sum is a tape intermediate, as ChebNet's is
+                b_in = b * 1.5 if running else b
+                if fused:
+                    y = T.linear(a, w, b_in)
+                elif running:
+                    y = b_in + a @ w  # ChebNet's order: the running sum first
+                else:
+                    y = a @ w + b_in
+                loss = (T.tsum(T.relu(y) * later) + T.tsum(a * a)
+                        + T.tsum(w * w) + T.tsum(b * b))
+                T.backward(loss)
+            return _bits(y.data, a.grad, w.grad, b.grad)
+
+        assert run(True) == run(False)
+
+    def test_block_diag_matmul_self_weight_is_gin_aggregate(self):
+        rng = np.random.default_rng(32)
+        blocks = [rng.normal(size=(k, k)) for k in (3, 1, 5)]
+        offsets = np.array([0, 3, 4, 9])
+        a0, later = rng.normal(size=(9, 4)), rng.normal(size=(9, 4))
+
+        def run(fused):
+            a = T.Tensor(a0, requires_grad=True)
+            eps = T.Tensor(np.asarray(0.3), requires_grad=True)
+            with T.tape():
+                if fused:
+                    y = T.block_diag_matmul(blocks, offsets, a, self_weight=eps + 1.0)
+                else:
+                    y = T.block_diag_matmul(blocks, offsets, a) + ((eps + 1.0) * a)
+                loss = T.tsum(T.relu(y) * later) + T.tsum(a * a) + T.tsum(eps * eps)
+                T.backward(loss)
+            return _bits(y.data, a.grad, eps.grad)
+
+        assert run(True) == run(False)
+
+    def test_constant_inputs_get_no_gradient(self):
+        rng = np.random.default_rng(33)
+        a = T.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        w, b = T.Tensor(rng.normal(size=(3, 2))), T.Tensor(rng.normal(size=2))
+        with T.tape():
+            T.backward(T.tsum(T.block_diag_matmul(
+                [np.eye(4)], np.array([0, 4]), T.linear(a, w, b), self_weight=2.0)))
+        assert a.grad is not None and w.grad is None and b.grad is None
+
+    def test_bad_operands_rejected(self):
+        ones = T.Tensor(np.ones((2, 3)))
+        with pytest.raises(DataError, match="linear: only 2-D"):
+            T.linear(T.Tensor(np.ones(3)), ones, 0.0)
+        with pytest.raises(DataError, match="linear: incompatible shapes"):
+            T.linear(ones, ones, 0.0)
+        with pytest.raises(DataError, match="linear: incompatible shapes"):
+            T.linear(ones, T.Tensor(np.ones((3, 2))), np.ones((3, 2)))
+        with pytest.raises(DataError, match="self_weight must be a scalar"):
+            T.block_diag_matmul([np.eye(2)], np.array([0, 2]), ones, self_weight=np.ones(2))
 
 
 class TestDeterminism:
