@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_int
 
 
 def degrees_of(n: int, edges) -> np.ndarray:
@@ -50,8 +50,7 @@ class LabeledGraph:
     graph_labels: Optional[tuple[Optional[int], ...]] = None
 
     def __post_init__(self):
-        if self.node_count < 0:
-            raise DataError(f"graph {self.id!r}: negative node_count")
+        check_int(f"graph {self.id!r}: node_count", self.node_count, 0)
         seen = set()
         for u, v in self.edges:
             if u == v:
@@ -196,8 +195,8 @@ def save_corpus(corpus: GraphCorpus, path) -> None:
 def _same_label_edges(g: LabeledGraph, label_attr: Optional[int]) -> int:
     """Same-label edges of a graph that has edges, by node_labels or by the
     node-attribute column ``label_attr``."""
-    if label_attr is not None and label_attr < 0:
-        raise DataError(f"label_attr must be >= 0, got {label_attr}")
+    if label_attr is not None:
+        check_int("label_attr", label_attr, 0)
     if g.edge_count == 0:
         raise DataError(f"graph {g.id!r}: homophily undefined (zero edges)")
     if label_attr is not None:

@@ -19,7 +19,8 @@ when that parent requires grad.
 
 ``soft_rank`` and ``models.embed_rows`` split their work across the CPUs the
 process may run on with ``_split``, which runs each span in a fresh context,
-so no span records on the caller's tape.
+so no span records on the caller's tape.  Its threads are made for the call
+and joined before it returns.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ import contextlib
 import contextvars
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -44,9 +44,6 @@ _open_tape: contextvars.ContextVar[Optional[list]] = contextvars.ContextVar(
 # True inside a ``_split`` span, where a nested ``_split`` runs inline
 _in_span: contextvars.ContextVar[bool] = contextvars.ContextVar(
     "graphmgs_in_span", default=False)
-# the threads behind ``_split``, made on first use and dropped in a forked child
-_pool: Optional[ThreadPoolExecutor] = None
-_pool_lock = threading.Lock()
 
 # entries of the pairwise sigmoid matrix in one soft-rank block, so that each of
 # the two float64 block buffers a worker reuses fits its own core's L2 cache:
@@ -77,25 +74,6 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _forget_pool() -> None:
-    """In a forked child: the parent's pool threads do not exist here."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _get_pool() -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=max(1, _worker_count() - 1),
-                                       thread_name_prefix="graphmgs")
-        return _pool
-
-
 def _run_span(fn, lo: int, hi: int):
     """fn(lo, hi) in a fresh context that holds nothing but the in-span mark."""
     ctx = contextvars.Context()
@@ -107,26 +85,25 @@ def _split(n: int, unit: int, fn) -> list:
     """``[fn(lo, hi) for each span]``: one contiguous span of ``range(n)`` per
     worker, in order, every span but the last ending at a multiple of ``unit``.
 
-    The calling thread runs the first span and the module's thread pool the
-    others; numpy releases the GIL in the ufuncs and BLAS calls the spans
-    make, so they overlap.  There is one span, run inline, with one worker,
-    with one unit, or inside a span (a nested submit could deadlock a full
-    pool).  Every span runs in a fresh ``contextvars.Context``, so nothing
-    it does records on the caller's tape, whatever the worker count.  All
-    spans finish before the call returns or raises; if spans raise, the
-    first span's exception is raised, as the serial loop would raise it."""
+    The calling thread runs the first span and threads made for this call
+    the others; numpy releases the GIL in the ufuncs and BLAS calls the spans
+    make, so they overlap.  Every thread is joined before the call returns or
+    raises, so none outlives it.  There is one span, run inline and on no new
+    thread, with one worker, with one unit, or inside a span, so a call makes
+    at most W - 1 threads for W workers however deeply it nests.  Every span
+    runs in a fresh ``contextvars.Context``, so nothing it does records on
+    the caller's tape, whatever the worker count.  If spans raise, the first
+    span's exception is raised, as the serial loop would raise it."""
     units = max(1, -(-n // unit))
     workers = 1 if _in_span.get() else min(_worker_count(), units)
     cuts = [min(n, unit * (units * k // workers)) for k in range(workers + 1)]
     spans = list(zip(cuts[:-1], cuts[1:]))
     if len(spans) == 1:
         return [_run_span(fn, 0, n)]
-    pool = _get_pool()
-    futures = [pool.submit(_run_span, fn, lo, hi) for lo, hi in spans[1:]]
-    try:
+    with ThreadPoolExecutor(max_workers=len(spans) - 1,
+                            thread_name_prefix="graphmgs") as pool:
+        futures = [pool.submit(_run_span, fn, lo, hi) for lo, hi in spans[1:]]
         first = _run_span(fn, *spans[0])
-    finally:
-        wait(futures)
     return [first] + [f.result() for f in futures]
 
 

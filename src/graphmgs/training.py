@@ -233,14 +233,17 @@ def roc_auc(scores, labels) -> float:
     y = np.asarray(labels)
     if s.shape != y.shape or s.ndim != 1:
         raise DataError(f"roc_auc: shape mismatch {s.shape} vs {y.shape}")
+    is_pos, is_neg = y == 1, y == 0
+    if not np.all(is_pos | is_neg):
+        raise DataError("roc_auc: every label must be 0 or 1")
     if not np.all(np.isfinite(s)):
         raise NumericError("AUC undefined: non-finite score")
-    pos = int(np.sum(y == 1))
-    neg = int(np.sum(y == 0))
+    pos = int(np.sum(is_pos))
+    neg = int(np.sum(is_neg))
     if pos == 0 or neg == 0:
         raise NumericError("AUC undefined: needs at least one positive and one negative")
     ranks = average_ranks(s)
-    rank_sum = float(ranks[y == 1].sum())
+    rank_sum = float(ranks[is_pos].sum())
     return (rank_sum - pos * (pos + 1) / 2.0) / (pos * neg)
 
 
@@ -288,6 +291,7 @@ def split_folds(n: int, seed: int,
     missing, since a missing label is a stratum of its own).  A stratum with
     fewer members lands where the permutation puts it.
     """
+    check_int("split_folds: n", n, 0)
     check_int("split_folds: seed", seed, 0)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)

@@ -6,15 +6,11 @@ from graphmgs import tensor as T
 
 @pytest.fixture
 def workers(monkeypatch):
-    """``workers(k)`` makes ``tensor._split`` see k CPUs, with a fresh pool sized
-    to them that is shut down after the test."""
+    """``workers(k)`` makes ``tensor._split`` see k CPUs."""
     def set_count(count):
         monkeypatch.setattr(T, "_worker_count", lambda: count)
-        monkeypatch.setattr(T, "_pool", None)
 
-    yield set_count
-    if T._pool is not None:
-        T._pool.shutdown()
+    return set_count
 
 
 def finite_difference_check(fn, tensors, h=1e-5):

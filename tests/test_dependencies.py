@@ -20,6 +20,9 @@ The fingerprint schemes are named in one place: only ``fingerprints.py`` and
 Work is split across threads in two places only: ``tensor.py`` defines
 ``_split`` and ``models.py`` encodes MGS blocks with it, so no other module,
 the scoring code among them, refers to ``_split``.
+No call leaves process-wide state behind: the package has no ``global``
+statement and registers no ``os.register_at_fork`` hook, so a thread, pool or
+other object made for a call is gone when it returns.
 The encoder adds no bias or running sum to a matrix product with ``+``:
 ``models.py`` spells that ``tensor.linear``, one tape node and one array, so
 no ``@`` in it is an operand of an addition."""
@@ -119,6 +122,15 @@ def test_threads_only_in_tensor_and_models():
              if (isinstance(node, ast.Attribute) and node.attr == "_split")
              or (isinstance(node, ast.Name) and node.id == "_split")
              or (isinstance(node, ast.alias) and node.name == "_split")]
+    assert not found
+
+
+def test_no_global_statement_or_fork_hook():
+    found = [f"{path.name}:{node.lineno}: {ast.unparse(node)}" for path, tree in _trees()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Global)
+             or (isinstance(node, ast.Call) and "register_at_fork" in
+                 (getattr(node.func, "id", None), getattr(node.func, "attr", None)))]
     assert not found
 
 

@@ -134,6 +134,14 @@ class TestGraphInvariants:
             LabeledGraph(id="x", node_count=1, edges=(), node_attrs=((0,),),
                          edge_attrs=(), graph_labels=labels)
 
+    @pytest.mark.parametrize("count", [2.0, np.float64(2), True, -1],
+                             ids=["float", "numpy-float", "bool", "negative"])
+    def test_node_count_must_be_a_non_negative_integer(self, count):
+        # a float count would fail later, in adjacency() and in slicing
+        with pytest.raises(DataError, match="graph 'x': node_count"):
+            LabeledGraph(id="x", node_count=count, edges=((0, 1),),
+                         node_attrs=((0,), (0,)), edge_attrs=((0,),))
+
     def test_task_count_mismatch(self):
         g = LabeledGraph(id="x", node_count=1, edges=(), node_attrs=((0,),),
                          edge_attrs=(), graph_labels=(1, 0))
@@ -198,9 +206,10 @@ class TestHomophily:
         assert homophily_ratio(g, label_attr=0) == 1.0
         assert homophily_ratio(g, label_attr=1) == 0.0
 
-    @pytest.mark.parametrize("label_attr", [-1, -5])
+    @pytest.mark.parametrize("label_attr", [-1, -5, 0.5, 1.0, True])
     def test_negative_attribute_selector_rejected(self, label_attr):
-        # -1 must not read the last column: with it this graph would score 0.0
+        # -1 must not read the last column, nor True column 1: with either this
+        # graph would score 0.0; a float is not a column
         g = LabeledGraph(id="a", node_count=2, edges=((0, 1),),
                          node_attrs=((3, 0), (3, 1)), edge_attrs=((0,),), node_labels=(1, 1))
         with pytest.raises(DataError, match="label_attr"):

@@ -1,4 +1,3 @@
-import contextlib
 import multiprocessing
 import sys
 import threading
@@ -229,18 +228,21 @@ class TestSoftRankBlocks:
         assert np.array_equal(ranks, serial_ranks)
         assert np.array_equal(grad, serial_grad)
 
-    def test_forked_child_gets_a_fresh_pool(self, workers):
-        # a child forked after the pool ran must not wait on the parent's threads
+    def test_no_thread_outlives_a_split_call(self, workers):
+        workers(2)
+        x, tau, _ = _soft_rank_case(8128)
+        before = threading.active_count()
+        T.soft_rank(T.Tensor(x), tau)
+        assert threading.active_count() == before
+
+    def test_child_forked_after_a_split_computes_same_ranks(self, workers):
+        # the child sees the same two workers and splits its own call
         workers(2)
         x, tau, _ = _soft_rank_case(8128)
         ranks = T.soft_rank(T.Tensor(x), tau).data
-        assert T._pool is not None
         child = multiprocessing.get_context("fork").Process(
             target=_exit_zero_if_same_ranks, args=(x, tau, ranks))
-        forking = (pytest.warns(DeprecationWarning, match="multi-threaded")
-                   if sys.version_info >= (3, 12) else contextlib.nullcontext())
-        with forking:
-            child.start()
+        child.start()
         child.join(timeout=60)
         if child.is_alive():
             child.kill()
@@ -302,14 +304,14 @@ class TestSplit:
     @pytest.mark.parametrize("count,n,unit", [(1, 100, 8), (2, 8, 8), (2, 5, 8), (2, 0, 8)])
     def test_one_worker_or_unit_runs_inline(self, workers, count, n, unit):
         workers(count)
-        calls = []
-        T._split(n, unit, lambda lo, hi: calls.append((lo, hi, threading.get_ident())))
-        assert calls == [(0, n, threading.get_ident())]
-        assert T._pool is None
+        calls, before = [], threading.active_count()
+        T._split(n, unit, lambda lo, hi: calls.append(
+            (lo, hi, threading.get_ident(), threading.active_count())))
+        assert calls == [(0, n, threading.get_ident(), before)]
 
     def test_nested_call_completes(self, workers):
-        # W = 2 gives a one-thread pool: a nested submit from the span on it
-        # would wait on that thread forever
+        # a span's own split runs inline, so W workers make at most W - 1
+        # threads, not W - 1 more per span
         workers(2)
         out = []
 

@@ -396,6 +396,14 @@ class TestRocAuc:
         with pytest.raises(NumericError, match="AUC undefined"):
             roc_auc([0.1, 0.2], [1, 1])
 
+    @pytest.mark.parametrize("labels", [[1, 0, 2], [1, 0, -1], [1, 0, 0.5]])
+    def test_label_outside_zero_one_rejected(self, labels):
+        with pytest.raises(DataError, match="0 or 1"):
+            roc_auc([0.5, 0.1, 0.3], labels)
+
+    def test_bool_labels_accepted(self):
+        assert roc_auc([0.5, 0.1, 0.3], [True, False, True]) == 1.0
+
     def test_brute_force_oracle_1000_cases(self):
         rng = np.random.default_rng(7)
         for _ in range(1000):
@@ -603,6 +611,11 @@ class TestFinetune:
             if all(required <= {labels[i] for i in plain[f]} for f in ("valid", "test")):
                 for f in ("train", "valid", "test"):
                     assert folds[f].tolist() == plain[f].tolist(), case
+
+    @pytest.mark.parametrize("n", [20.0, np.int64(-1), True])
+    def test_split_folds_n_must_be_a_non_negative_integer(self, n):
+        with pytest.raises(DataError, match="split_folds: n"):
+            split_folds(n, seed=0)
 
     def test_split_folds_strata_length_checked(self):
         with pytest.raises(DataError, match="strata"):
