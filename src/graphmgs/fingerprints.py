@@ -149,7 +149,12 @@ class BitFingerprint:
     params: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        _check_nbits(len(self.bits))
+        bits = self.bits
+        if not (isinstance(bits, np.ndarray) and bits.dtype == bool and bits.ndim == 1):
+            raise DataError(f"fingerprint bits must be a 1-D bool array, not "
+                            f"{getattr(bits, 'dtype', type(bits).__name__)} of shape "
+                            f"{np.shape(bits)}")
+        _check_nbits(len(bits))
 
     @property
     def nbits(self) -> int:

@@ -1,8 +1,13 @@
 """Similarity kernels, rank correlation, and the graph-structure metric (MGS).
 
-Pairs of graphs are scored on one path, shared by pre-training (every pair
-of a batch, from ``np.triu_indices``) and by ``build_pair_set`` (sampled
-pairs, for MGS):
+A set of graph pairs is two equal-length int arrays, ``rows`` and ``cols``:
+pair k is graphs ``rows[k]`` and ``cols[k]`` of a sequence of graphs.  The
+caller picks the pairs; nothing here draws them on its own.  Pre-training
+scores every pair of a batch (``np.triu_indices``).  MGS scores pairs drawn
+by ``sample_pair_indices``, a sorted sample without replacement of positions
+in ``np.triu_indices`` order: ``training.evaluate_mgs`` draws once per call,
+and ``training.pretrain`` once per run for its held-out graphs.  All of them
+are scored on one path:
 
 - ``structural_pair_sims`` stacks the fingerprints of the distinct graphs
   involved into one matrix.  Tanimoto intersections come from the Gram
@@ -23,9 +28,12 @@ in ``build_pair_set`` before any encoding, and in ``training.pretrain``
 before any step.  ``structural_similarity`` and ``cosine_similarity`` are a
 batch of one pair.
 
-``build_pair_set`` asks its encoder once for the embedding rows of the graphs
-its pairs use.  How they are encoded, in blocks and on which workers, is the
-encoder's affair (``models.embed_rows``), so nothing here runs on threads.
+``build_pair_set(graphs, encoder, fingerprints, rows, cols)`` scores exactly
+the pairs it is given, and keeps them in its ``SimilarityPairSet`` as index
+arrays next to one array of graph ids; ``write_pair_csv`` joins the two.  It
+asks its encoder once for the embedding rows of the graphs its pairs use.
+How they are encoded, in blocks and on which workers, is the encoder's affair
+(``models.embed_rows``), so nothing here runs on threads.
 
 Memory is O(distinct graphs ** 2) for the Gram matrices, plus the stacked
 rows (distinct graphs x nbits or x embedding dim).  Gathering the two
@@ -36,6 +44,7 @@ matrix of 300 graphs.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -60,13 +69,19 @@ def average_ranks(x) -> np.ndarray:
     return ranks
 
 
-def pearson(x, y) -> float:
+def _samples(what: str, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` and ``y`` as float64 vectors of one length, at least 2."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
-        raise DataError(f"pearson: shape mismatch {x.shape} vs {y.shape}")
+        raise DataError(f"{what}: shape mismatch {x.shape} vs {y.shape}")
     if len(x) < 2:
-        raise DataError("pearson: need at least 2 samples")
+        raise DataError(f"{what}: need at least 2 samples")
+    return x, y
+
+
+def pearson(x, y) -> float:
+    x, y = _samples("pearson", x, y)
     dx = x - x.mean()
     dy = y - y.mean()
     sx = float(np.sqrt(np.sum(dx * dx)))
@@ -78,12 +93,7 @@ def pearson(x, y) -> float:
 
 def spearman(x, y) -> float:
     """Pearson correlation of average ranks."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise DataError(f"spearman: shape mismatch {x.shape} vs {y.shape}")
-    if len(x) < 2:
-        raise DataError("spearman: need at least 2 samples")
+    x, y = _samples("spearman", x, y)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise NumericError("spearman undefined: non-finite input")
     if np.all(x == x[0]) or np.all(y == y[0]):
@@ -93,17 +103,18 @@ def spearman(x, y) -> float:
 
 @dataclass(frozen=True)
 class SimilarityPairSet:
-    """Aligned structural/embedding similarities for a set of graph pairs."""
+    """Structural and embedding similarity of graph pairs: pair k is graphs
+    ``ids[rows[k]]`` and ``ids[cols[k]]``, with ``ids`` one array of graph ids."""
 
+    ids: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
     structural: np.ndarray
     embedding: np.ndarray
-    pair_ids: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        if len(self.structural) != len(self.embedding) or len(self.structural) != len(self.pair_ids):
+        if not len(self.structural) == len(self.embedding) == len(self.rows) == len(self.cols):
             raise DataError("pair set: misaligned similarity vectors")
-        if len(self.structural) < 2:
-            raise DataError("pair set: need at least 2 pairs")
 
 
 def mgs(pairs: SimilarityPairSet) -> float:
@@ -161,49 +172,71 @@ def cosine_similarity(h_i, h_j) -> float:
     return float(cosine_pair_sims(np.stack([a, b]), [0], [1]).data[0])
 
 
-def _sample_pair_indices(count: int, n_pairs: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def sample_pair_indices(count: int, n_pairs: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``n_pairs`` distinct pairs (rows[k] < cols[k]) of ``count`` graphs,
+    uniform without replacement, in ``np.triu_indices(count, 1)`` order.
+    Each drawn position in that order is mapped to its pair through the
+    positions where the rows start, so the count ** 2 table of
+    ``np.triu_indices`` is never built.  Memory is O(count + n_pairs):
+    numpy's ``choice`` holds every position only when ``n_pairs`` is more
+    than 1/50 of them."""
+    check_int("n_pairs (a pair set needs at least 2 pairs)", n_pairs, 2)
+    check_int("pair sampling seed", seed, 0)
+    check_int("pair sampling: graph count", count, 0)
     total = count * (count - 1) // 2
     if n_pairs > total:
         raise DataError(f"cannot sample {n_pairs} pairs from {count} graphs ({total} possible)")
-    rows, cols = np.triu_indices(count, k=1)
     rng = np.random.default_rng(seed)
     pick = rng.choice(total, size=n_pairs, replace=False)
     pick.sort()
-    return rows[pick], cols[pick]
+    i = np.arange(count - 1)
+    starts = i * count - i * (i + 1) // 2  # position of pair (i, i + 1)
+    rows = np.searchsorted(starts, pick, side="right") - 1
+    return rows, pick - starts[rows] + rows + 1
 
 
-def build_pair_set(corpus, encoder: Callable, fingerprints: dict,
-                   n_pairs: int, seed: int) -> SimilarityPairSet:
-    """Sample graph pairs and score them: structural from fingerprints,
-    embedding as cosine similarity of encoder outputs.  ``encoder`` is called
-    once, with the int array of the ascending positions in ``list(corpus)``
-    of the graphs the sampled pairs use, and returns their embedding rows,
-    one per position."""
-    check_int("n_pairs (a pair set needs at least 2 pairs)", n_pairs, 2)
-    check_int("pair sampling seed", seed, 0)
-    graphs = list(corpus)
+def fingerprints_of(graphs, fingerprints: dict) -> list:
+    """The fingerprint of each graph, in order; ``DataError`` naming up to five
+    graphs that have none."""
     missing = [g.id for g in graphs if g.id not in fingerprints]
     if missing:
         raise DataError(f"fingerprints missing for graphs: {missing[:5]}")
-    check_comparable([fingerprints[g.id] for g in graphs])
-    rows, cols = _sample_pair_indices(len(graphs), n_pairs, seed)
-    needed, inverse = np.unique(np.concatenate([rows, cols]), return_inverse=True)
+    return [fingerprints[g.id] for g in graphs]
+
+
+def build_pair_set(graphs, encoder: Callable, fingerprints: dict,
+                   rows, cols) -> SimilarityPairSet:
+    """Score the pairs (``graphs[rows[k]]``, ``graphs[cols[k]]``) the caller
+    picked: structural similarity from fingerprints, embedding similarity as
+    the cosine of encoder outputs.  ``rows`` and ``cols`` are 1-D integer
+    arrays of one length, at least 2, of positions in ``graphs`` (a
+    sequence), and no pair holds one graph twice.  ``encoder`` is called
+    once, with the int array of the ascending positions of the graphs the
+    pairs use, and returns their embedding rows, one per position.  Every
+    graph needs a fingerprint, and all must be of one kind."""
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    if rows.ndim != 1 or rows.shape != cols.shape or len(rows) < 2 or not (
+            rows.dtype.kind in "iu" and cols.dtype.kind in "iu"):
+        raise DataError("pair indices must be two 1-D integer arrays of one length, at least 2")
+    both = np.concatenate([rows, cols])
+    if both.min() < 0 or both.max() >= len(graphs) or np.any(rows == cols):
+        raise DataError(f"every pair must hold two different graphs of the {len(graphs)}")
+    fps = fingerprints_of(graphs, fingerprints)
+    check_comparable(fps)
+    needed, inverse = np.unique(both, return_inverse=True)
     embeddings = np.asarray(encoder(needed), dtype=np.float64)
     if embeddings.shape[:1] != needed.shape:
-        raise DataError(f"cosine: dimension mismatch, encoder gave {embeddings.shape} "
-                        f"for {len(needed)} graphs")
-    i_pos, j_pos = inverse[:n_pairs], inverse[n_pairs:]
-    structural = structural_pair_sims([fingerprints[graphs[i].id] for i in needed],
-                                      i_pos, j_pos)
-    embedding = cosine_pair_sims(embeddings, i_pos, j_pos).data
-    ids = np.asarray([g.id for g in graphs], dtype=object)
-    return SimilarityPairSet(structural=structural, embedding=embedding,
-                             pair_ids=tuple(zip(ids[rows], ids[cols])))
+        raise DataError(f"cosine: dimension mismatch, {embeddings.shape} for {len(needed)} graphs")
+    i_pos, j_pos = inverse[:len(rows)], inverse[len(rows):]
+    return SimilarityPairSet(np.asarray([g.id for g in graphs], dtype=object), rows, cols,
+                             structural_pair_sims([fps[i] for i in needed], i_pos, j_pos),
+                             cosine_pair_sims(embeddings, i_pos, j_pos).data)
 
 
 def write_pair_csv(pairs: SimilarityPairSet, path) -> None:
-    """Scatter-plot data: one row per sampled pair."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("pair_i,pair_j,structural_sim,embedding_sim\n")
-        for (gi, gj), s, e in zip(pairs.pair_ids, pairs.structural, pairs.embedding):
-            fh.write(f"{gi},{gj},{s:.17g},{e:.17g}\n")
+    """Scatter-plot data: one row per scored pair, ids quoted where they must be."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(("pair_i", "pair_j", "structural_sim", "embedding_sim"))
+        out.writerows((gi, gj, f"{s:.17g}", f"{e:.17g}") for gi, gj, s, e in zip(
+            pairs.ids[pairs.rows], pairs.ids[pairs.cols], pairs.structural, pairs.embedding))

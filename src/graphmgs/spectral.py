@@ -4,6 +4,7 @@ Recognition 2008), whose scalar distance oracle is in ``tests/spec.py``."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -27,6 +28,16 @@ class SpectralFingerprint:
     k: int
     params: tuple[tuple[str, object], ...] = ()
     scheme: ClassVar[str] = SPECTRAL
+
+    def __post_init__(self):
+        check_int("spectral fingerprint: k", self.k, 1)
+        try:  # a value that is not a real number is not a finite eigenvalue
+            ok = len(self.eigenvalues) == self.k and all(map(math.isfinite, self.eigenvalues))
+        except TypeError:
+            ok = False
+        if not ok:
+            raise DataError(f"spectral fingerprint: expected {self.k} finite eigenvalues, "
+                            f"not {self.eigenvalues!r}")
 
     @property
     def kind(self) -> tuple:

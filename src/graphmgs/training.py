@@ -22,7 +22,8 @@ from .fingerprints import SCHEMES, TOPOLOGICAL
 from .graphs import GraphCorpus
 from .models import GnnModel, embed_graph, embed_rows, classify, prepare, with_head
 from .similarity import (SimilarityPairSet, average_ranks, build_pair_set, check_comparable,
-                         cosine_pair_sims, mgs, structural_pair_sims)
+                         cosine_pair_sims, fingerprints_of, mgs, sample_pair_indices,
+                         structural_pair_sims)
 
 SURROGATES = ("softrank", "pearson")
 
@@ -146,20 +147,19 @@ def holdout_split(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.nd
 def pretrain(corpus: GraphCorpus, model: GnnModel, cfg: PgmConfig,
              fingerprints: dict) -> tuple[GnnModel, TrainReport]:
     """Epochs of within-batch pair correlation maximization with Adam; the
-    held-out MGS is evaluated on a fixed pair sample of unseen graphs.  A
-    batch whose loss is undefined (``NumericError``) takes no step and is
+    held-out MGS is evaluated after every epoch on one sample of
+    ``cfg.eval_pairs`` pairs of unseen graphs, drawn before the first step.
+    A batch whose loss is undefined (``NumericError``) takes no step and is
     recorded in ``report.skipped``; a trailing batch of fewer than 3 graphs
     is left out.  Every fingerprint must be of ``cfg.scheme``, and all of
     one kind (``similarity.check_comparable``)."""
-    missing = [g.id for g in corpus if g.id not in fingerprints]
-    if missing:
-        raise DataError(f"fingerprints missing for graphs: {missing[:5]}")
     graphs = list(corpus)
-    for g in graphs:
-        if fingerprints[g.id].scheme != cfg.scheme:
-            raise DataError(f"graph {g.id!r}: {fingerprints[g.id].scheme} fingerprint, but "
+    fps = fingerprints_of(graphs, fingerprints)
+    for g, fp in zip(graphs, fps):
+        if fp.scheme != cfg.scheme:
+            raise DataError(f"graph {g.id!r}: {fp.scheme} fingerprint, but "
                             f"the config's scheme is {cfg.scheme!r}")
-    check_comparable([fingerprints[g.id] for g in graphs])
+    check_comparable(fps)
     report = TrainReport(seed=cfg.seed, config_hash=stable_hash(vars(cfg)))
     if cfg.epochs == 0:
         return model, report
@@ -172,6 +172,8 @@ def pretrain(corpus: GraphCorpus, model: GnnModel, cfg: PgmConfig,
     if n_hold_pairs < 2:  # before any step changes the caller's model
         raise DataError(f"pre-training holds out {len(hold_graphs)} of {len(graphs)} graphs: "
                         f"{n_hold_pairs} pair, but the held-out MGS needs at least 2")
+    hold_pairs = sample_pair_indices(len(hold_graphs), n_hold_pairs,
+                                     derive_seed(cfg.seed, "pretrain-eval"))
 
     params = model.parameters()
     state = T.AdamState.for_params(params)
@@ -186,7 +188,7 @@ def pretrain(corpus: GraphCorpus, model: GnnModel, cfg: PgmConfig,
             batch = [graphs[i] for i in picks]
             if len(batch) < 3:
                 continue
-            structural = structural_pair_sims([fingerprints[g.id] for g in batch],
+            structural = structural_pair_sims([fps[i] for i in picks],
                                               *np.triu_indices(len(batch), k=1))
             T.zero_grads(params)
             with T.tape():
@@ -204,26 +206,21 @@ def pretrain(corpus: GraphCorpus, model: GnnModel, cfg: PgmConfig,
             T.adam_step(params, state)
             batch_losses.append(loss.item())
         report.losses.append(float(np.mean(batch_losses)) if batch_losses else float("nan"))
-        report.holdout_mgs.append(mgs(_eval_pair_set(
-            hold_graphs, [inputs[i] for i in hold_idx], model, fingerprints, n_hold_pairs,
-            derive_seed(cfg.seed, "pretrain-eval"))))
+        report.holdout_mgs.append(mgs(build_pair_set(
+            hold_graphs, lambda picks: embed_rows(model, [inputs[hold_idx[i]] for i in picks]),
+            fingerprints, *hold_pairs)))
     report.wall_clock = time.perf_counter() - start
     return model, report
 
 
-def _eval_pair_set(graphs, inputs: list, model: GnnModel, fingerprints: dict,
-                   n_pairs: int, seed: int) -> SimilarityPairSet:
-    """The pair set of ``graphs``, encoded from ``inputs``, their prepared input."""
-    return build_pair_set(graphs, lambda picks: embed_rows(model, [inputs[i] for i in picks]),
-                          fingerprints, n_pairs, seed)
-
-
 def evaluate_mgs(corpus: GraphCorpus, model: GnnModel, fingerprints: dict,
                  n_pairs: int = 1000, seed: int = 0) -> tuple[float, SimilarityPairSet]:
-    """MGS of a trained (or untrained) encoder over sampled pairs, and the
+    """MGS of a trained (or untrained) encoder over ``n_pairs`` pairs of the
+    corpus, drawn by ``similarity.sample_pair_indices`` at ``seed``, and the
     scored pairs (``similarity.write_pair_csv`` exports them as a scatter CSV)."""
-    pairs = _eval_pair_set(corpus, prepare(model.config, corpus), model, fingerprints,
-                           n_pairs, seed)
+    inputs = prepare(model.config, corpus)
+    pairs = build_pair_set(corpus, lambda picks: embed_rows(model, [inputs[i] for i in picks]),
+                           fingerprints, *sample_pair_indices(len(corpus), n_pairs, seed))
     return mgs(pairs), pairs
 
 

@@ -7,8 +7,6 @@ import dataclasses
 
 import numpy as np
 
-from graphmgs.similarity import _sample_pair_indices
-
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -101,10 +99,13 @@ def cosine(h_i, h_j) -> float:
     return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
-def sample_pairs(count: int, n_pairs: int, seed: int) -> list[tuple[int, int]]:
-    """n_pairs distinct unordered index pairs, uniform without replacement."""
-    rows, cols = _sample_pair_indices(count, n_pairs, seed)
-    return list(zip(rows.tolist(), cols.tolist()))
+def sample_pairs(count: int, n_pairs: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """n_pairs distinct unordered index pairs, uniform without replacement: the
+    sorted draw of ``n_pairs`` positions of ``np.triu_indices(count, 1)``."""
+    rows, cols = np.triu_indices(count, k=1)
+    pick = np.random.default_rng(seed).choice(len(rows), size=n_pairs, replace=False)
+    pick.sort()
+    return rows[pick], cols[pick]
 
 
 def _edge_code(attrs: tuple[int, ...]) -> int:

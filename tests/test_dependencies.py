@@ -25,7 +25,12 @@ statement and registers no ``os.register_at_fork`` hook, so a thread, pool or
 other object made for a call is gone when it returns.
 The encoder adds no bias or running sum to a matrix product with ``+``:
 ``models.py`` spells that ``tensor.linear``, one tape node and one array, so
-no ``@`` in it is an operand of an addition."""
+no ``@`` in it is an operand of an addition.
+Public code has callers: every public top-level function and method of
+``src/graphmgs`` is named by a module of the package or of the benchmark
+(its tests aside), as a call, an attribute or a string (the benchmark's tracer
+patches functions by name), except the names on ``TEST_ONLY``, which only
+shrinks."""
 
 import ast
 import sys
@@ -48,6 +53,20 @@ INPUT_BUILDERS = {"prepare", "_attr_table", "infer_attr_sizes"}
 SCHEME_NAMERS = {"fingerprints.py", "spectral.py"}
 # the modules that may refer to tensor._split
 SPLITTERS = {"tensor.py", "models.py"}
+# public functions and methods that only tests call, each with the ROADMAP
+# item that gives it a caller or deletes it; a name that gains a caller must
+# leave the list
+TEST_ONLY = {
+    "graphs.load_corpus": "D12 step 2: the driver's --corpus input",
+    "graphs.save_corpus": "D12 step 2: goes with load_corpus's caller, or goes",
+    "graphs.homophily_ratio": "D6 step 1: the edge_homophily label rule",
+    "graphs.corpus_homophily": "D6 step 2: read by the record",
+    "models.save_model": "D12 step 2: the driver saves checkpoints, or it goes",
+    "models.load_model": "D12 step 2: the driver loads checkpoints, or it goes",
+    "similarity.write_pair_csv": "D12 step 2: writes the record's pair scatter, or goes",
+    "training.TrainReport.to_dict": "D6 step 2: run.json records the report",
+    "training.FinetuneReport.to_dict": "D6 step 2: run.json records the report",
+}
 
 
 def _trees(modules=None):
@@ -226,3 +245,25 @@ def test_every_model_and_training_field_is_set_by_a_caller():
                   if not annotation.startswith("ClassVar") and field not in passed
                   and f"{name}.{field}" not in UNSET_BY_CALLERS]
     assert not unset
+
+
+def test_public_names_have_callers_outside_tests():
+    benchmark = [path for path in sorted((ROOT / "perfbench").glob("*.py"))
+                 if not path.name.startswith("test_")]
+    named = {name for _, tree in _trees() + _trees(benchmark) for node in ast.walk(tree)
+             for name in (getattr(node, "id", None), getattr(node, "attr", None),
+                          getattr(node, "value", None))
+             if isinstance(name, str)}
+    test_only = []
+    for path, tree in _trees():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                public = [(node.name, node.name)]
+            elif isinstance(node, ast.ClassDef):
+                public = [(f"{node.name}.{fn.name}", fn.name) for fn in node.body
+                          if isinstance(fn, ast.FunctionDef)]
+            else:
+                continue
+            test_only += [f"{path.stem}.{qualname}" for qualname, name in public
+                          if not name.startswith("_") and name not in named]
+    assert sorted(test_only) == sorted(TEST_ONLY)

@@ -81,6 +81,17 @@ class TestHashing:
         with pytest.raises(DataError):
             BitFingerprint(bits=np.zeros(100, dtype=bool), scheme="topological", params=())
 
+    def test_bits_must_be_bool(self):
+        # counts in place of bits would score Tanimotos above 1
+        for bits in (np.array([2, 0, 1, 0]), np.array([1.0, 0.0]), [True, False]):
+            with pytest.raises(DataError, match="must be a 1-D bool array"):
+                BitFingerprint(bits=bits, scheme="topological", params=())
+
+    def test_bits_must_be_one_dimensional(self):
+        for bits in (np.zeros((2, 4), dtype=bool), np.array(True)):
+            with pytest.raises(DataError, match="must be a 1-D bool array"):
+                BitFingerprint(bits=bits, scheme="topological", params=())
+
     def test_fnv_rows_match_scalar(self):
         rng = np.random.default_rng(6)
         special = np.array([0, 1 << 63, (1 << 64) - 1], dtype=np.uint64)

@@ -1,15 +1,28 @@
+import csv
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from graphmgs.errors import DataError, NumericError
 from graphmgs.fingerprints import BitFingerprint
 from graphmgs.similarity import (SimilarityPairSet, average_ranks, build_pair_set,
-                                 cosine_pair_sims, cosine_similarity, mgs, pearson, spearman,
-                                 structural_pair_sims, structural_similarity, write_pair_csv)
+                                 cosine_pair_sims, cosine_similarity, mgs, pearson,
+                                 sample_pair_indices, spearman, structural_pair_sims,
+                                 structural_similarity, write_pair_csv)
 from graphmgs.spectral import SpectralFingerprint, spectral_fingerprint
 
 from conftest import random_attributed_graph
 from spec import cosine, sample_pairs, structural
+
+
+def scored(structural, embedding):
+    """A pair set of given similarities, pair k holding graphs g{k} and h{k}."""
+    n = len(structural)
+    return SimilarityPairSet(ids=np.asarray([f"g{k}" for k in range(n)]
+                                            + [f"h{k}" for k in range(n)], dtype=object),
+                             rows=np.arange(n), cols=np.arange(n, 2 * n),
+                             structural=structural, embedding=embedding)
 
 
 def bitfp(bits):
@@ -168,31 +181,27 @@ class TestRankStatistics:
 class TestMgs:
     def test_perfect_alignment(self):
         s = np.array([0.1, 0.5, 0.9, 0.3])
-        pairs = SimilarityPairSet(structural=s, embedding=s.copy(),
-                                  pair_ids=(("a", "b"), ("a", "c"), ("a", "d"), ("b", "c")))
+        pairs = scored(s, s.copy())
         assert mgs(pairs) == pytest.approx(1.0)
 
     def test_anti_alignment(self):
         s = np.array([0.1, 0.5, 0.9, 0.3])
-        pairs = SimilarityPairSet(structural=s, embedding=-s,
-                                  pair_ids=(("a", "b"), ("a", "c"), ("a", "d"), ("b", "c")))
+        pairs = scored(s, -s)
         assert mgs(pairs) == pytest.approx(-1.0)
 
     def test_matches_rank_oracle_on_1000_pairs(self):
         rng = np.random.default_rng(5)
         s = rng.normal(size=1000)
         e = 0.5 * s + rng.normal(size=1000)
-        pairs = SimilarityPairSet(structural=s, embedding=e,
-                                  pair_ids=tuple((f"g{i}", f"h{i}") for i in range(1000)))
+        pairs = scored(s, e)
         assert mgs(pairs) == pytest.approx(rank_then_pearson_oracle(s, e), abs=1e-10)
 
     def test_positive_rescale_invariance(self):
         rng = np.random.default_rng(6)
         s = rng.normal(size=50)
         e = rng.normal(size=50)
-        ids = tuple((f"a{i}", f"b{i}") for i in range(50))
-        base = mgs(SimilarityPairSet(structural=s, embedding=e, pair_ids=ids))
-        scaled = mgs(SimilarityPairSet(structural=s, embedding=e * 7.3, pair_ids=ids))
+        base = mgs(scored(s, e))
+        scaled = mgs(scored(s, e * 7.3))
         assert scaled == pytest.approx(base, abs=1e-12)
 
     def test_nan_embedding_gives_no_mgs(self):
@@ -205,7 +214,7 @@ class TestMgs:
         embs[corpus.graphs[5].id][:] = np.nan
         pairs = build_pair_set(corpus,
                                lambda picks: np.stack([embs[corpus.graphs[i].id] for i in picks]),
-                               fps, n_pairs=200, seed=1)
+                               fps, *sample_pair_indices(30, 200, seed=1))
         assert np.isnan(pairs.embedding).any()
         with pytest.raises(NumericError, match="non-finite"):
             mgs(pairs)
@@ -229,33 +238,60 @@ class TestBuildPairSet:
         pairs = build_pair_set(corpus,
                                lambda picks: np.stack([np.ones(4) + corpus.graphs[i].node_count
                                                        for i in picks]),
-                               fps, n_pairs=3, seed=0)
+                               fps, *np.triu_indices(3, k=1))
         assert len(pairs.structural) == 3
-        assert len(set(pairs.pair_ids)) == 3
+        assert len(set(zip(pairs.rows.tolist(), pairs.cols.tolist()))) == 3
 
     def test_too_many_pairs(self):
-        corpus = self._tiny_corpus()
-        with pytest.raises(DataError, match="cannot sample"):
-            build_pair_set(corpus, lambda picks: np.ones((len(picks), 4)), self._fps(corpus),
-                           n_pairs=4, seed=0)
+        with pytest.raises(DataError, match="cannot sample 4 pairs from 3 graphs"):
+            sample_pair_indices(3, n_pairs=4, seed=0)
 
     @pytest.mark.parametrize("n_pairs", [0, 1, 2.5, True])
     def test_fewer_than_two_pairs_rejected(self, n_pairs):
-        corpus = self._tiny_corpus()
         with pytest.raises(DataError, match="at least 2 pairs"):
-            build_pair_set(corpus, lambda picks: np.ones((len(picks), 4)), self._fps(corpus),
-                           n_pairs=n_pairs, seed=0)
+            sample_pair_indices(3, n_pairs=n_pairs, seed=0)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "0"])
     def test_seed_must_be_a_non_negative_integer(self, seed):
-        corpus = self._tiny_corpus()
         with pytest.raises(DataError, match="seed must be an integer >= 0"):
-            build_pair_set(corpus, lambda picks: np.ones((len(picks), 4)), self._fps(corpus),
-                           n_pairs=2, seed=seed)
+            sample_pair_indices(3, n_pairs=2, seed=seed)
 
     def test_seed_determinism(self):
-        assert sample_pairs(30, 10, seed=9) == sample_pairs(30, 10, seed=9)
-        assert sample_pairs(30, 10, seed=9) != sample_pairs(30, 10, seed=10)
+        def drawn(seed):
+            return np.stack(sample_pair_indices(30, 10, seed=seed)).tobytes()
+
+        assert drawn(9) == drawn(9)
+        assert drawn(9) != drawn(10)
+
+    @pytest.mark.parametrize("rows, cols, match", [
+        ([0, 1], [1], "1-D integer arrays of one length"),
+        ([[0, 1]], [[1, 2]], "1-D integer arrays of one length"),
+        ([0.0, 1.0], [1.0, 2.0], "1-D integer arrays of one length"),
+        ([0], [1], "at least 2"),
+        ([0, 1], [1, 3], "two different graphs of the 3"),
+        ([-1, 0], [1, 2], "two different graphs of the 3"),
+        ([0, 2], [1, 2], "two different graphs of the 3")],
+        ids=["lengths", "2-D", "float", "one-pair", "past-end", "negative", "self-pair"])
+    def test_bad_pair_indices_rejected_before_encoding(self, rows, cols, match):
+        corpus = self._tiny_corpus()
+        encoded = []
+        with pytest.raises(DataError, match=match):
+            build_pair_set(corpus, lambda picks: encoded.append(picks), self._fps(corpus),
+                           np.asarray(rows), np.asarray(cols))
+        assert encoded == []
+
+    def test_scores_exactly_the_given_pairs(self):
+        # unsorted and repeated pairs, either way round, are scored as given
+        corpus = self._tiny_corpus()
+        fps = self._fps(corpus)
+        embs = np.random.default_rng(8).normal(size=(3, 4))
+        rows, cols = np.array([2, 0, 1, 2]), np.array([0, 1, 2, 0])
+        pairs = build_pair_set(corpus, lambda picks: embs[picks], fps, rows, cols)
+        assert pairs.rows.tolist() == rows.tolist() and pairs.cols.tolist() == cols.tolist()
+        assert pairs.ids.tolist() == [g.id for g in corpus]
+        graphs = list(corpus)
+        assert pairs.structural.tolist() == [structural(fps[graphs[i].id], fps[graphs[j].id])
+                                             for i, j in zip(rows, cols)]
 
     def test_twin_graphs_hit_maximum(self):
         from graphmgs.graphs import GraphCorpus, LabeledGraph
@@ -270,8 +306,8 @@ class TestBuildPairSet:
         pairs = build_pair_set(corpus,
                                lambda picks: np.asarray([[1.0, corpus.graphs[i].node_attrs[0][0]]
                                                          for i in picks]),
-                               fps, n_pairs=3, seed=1)
-        by_id = dict(zip(pairs.pair_ids, pairs.structural))
+                               fps, *np.triu_indices(3, k=1))
+        by_id = dict(zip(zip(pairs.ids[pairs.rows], pairs.ids[pairs.cols]), pairs.structural))
         assert by_id[("t1", "t2")] == 1.0
         assert max(by_id.values()) == by_id[("t1", "t2")]
 
@@ -286,12 +322,34 @@ class TestBuildPairSet:
         pairs = build_pair_set(corpus,
                                lambda picks: np.stack([np.ones(4) + corpus.graphs[i].node_count
                                                        for i in picks]),
-                               fps, n_pairs=3, seed=0)
+                               fps, *np.triu_indices(3, k=1))
         path = tmp_path / "pairs.csv"
         write_pair_csv(pairs, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "pair_i,pair_j,structural_sim,embedding_sim"
         assert len(lines) == 4
+        # ids that need no quoting are written as plain comma-joined fields
+        ids = pairs.ids
+        assert path.read_bytes() == "".join(
+            ["pair_i,pair_j,structural_sim,embedding_sim\n"]
+            + [f"{ids[i]},{ids[j]},{s:.17g},{e:.17g}\n" for i, j, s, e
+               in zip(pairs.rows, pairs.cols, pairs.structural, pairs.embedding)]).encode()
+
+    def test_csv_ids_round_trip(self, tmp_path):
+        ids = ["mol,1", 'say "hi"', "two\nlines", "plain", '"', ","]
+        structural = np.array([0.1, 1 / 3, -2.5e-300])
+        embedding = np.array([np.nan, -0.0, 1.0])
+        pairs = SimilarityPairSet(ids=np.asarray(ids, dtype=object), rows=np.array([0, 2, 4]),
+                                  cols=np.array([1, 3, 5]), structural=structural,
+                                  embedding=embedding)
+        path = tmp_path / "pairs.csv"
+        write_pair_csv(pairs, path)
+        with open(path, encoding="utf-8", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["pair_i", "pair_j", "structural_sim", "embedding_sim"]
+        assert [row[:2] for row in rows] == [[ids[0], ids[1]], [ids[2], ids[3]], [ids[4], ids[5]]]
+        assert np.array([float(row[2]) for row in rows]).tobytes() == structural.tobytes()
+        assert np.array([float(row[3]) for row in rows]).tobytes() == embedding.tobytes()
 
 
 def while_loop_average_ranks(x):
@@ -321,6 +379,44 @@ def random_fingerprints(scheme, rng, count=25):
         fps = [topological_fingerprint(g, max_path_len=4, nbits=256) for g in graphs]
     zero = BitFingerprint(bits=np.zeros(256, dtype=bool), scheme=scheme, params=fps[0].params)
     return fps + [zero, zero]
+
+
+class TestSamplePairIndices:
+    def test_matches_triu_oracle_bit_for_bit(self):
+        for count in range(3, 90):  # 2 graphs make 1 pair, too few to sample
+            total = count * (count - 1) // 2
+            for seed in (0, 1, 12345):
+                for n_pairs in sorted({2, max(2, total // 3), total}):
+                    got = sample_pair_indices(count, n_pairs, seed)
+                    want = sample_pairs(count, n_pairs, seed)
+                    for g, w in zip(got, want):
+                        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (
+                            count, seed, n_pairs)
+
+    def test_large_count_matches_oracle(self):
+        # below 1/50 of the positions, numpy's choice switches from a shuffle
+        # to Floyd's algorithm, which the small counts above never reach
+        for seed in (3, 4):
+            got = sample_pair_indices(2000, 1000, seed)
+            want = sample_pairs(2000, 1000, seed)
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+    def test_memory_grows_with_count_not_its_square(self):
+        # np.triu_indices(3000) alone holds 2 x 4.5M int64s, about 69 MiB
+        sample_pair_indices(3000, 1000, seed=0)
+        tracemalloc.start()
+        try:
+            rows, cols = sample_pair_indices(3000, 1000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert np.all(rows < cols) and cols.max() < 3000
+
+    @pytest.mark.parametrize("count", [-3, 2.0, True])
+    def test_count_must_be_a_non_negative_integer(self, count):
+        with pytest.raises(DataError, match="graph count must be an integer >= 0"):
+            sample_pair_indices(count, n_pairs=2, seed=0)
 
 
 class TestPairScorer:
@@ -361,15 +457,35 @@ class TestPairScorer:
             calls.append(picks.tolist())
             return np.stack([embs[corpus.graphs[i].id] for i in picks])
 
-        pairs = build_pair_set(corpus, encoder, fps, n_pairs=120, seed=3)
+        rows, cols = sample_pair_indices(len(corpus), 120, seed=3)
+        pairs = build_pair_set(corpus, encoder, fps, rows, cols)
         graphs = list(corpus)
-        idx = sample_pairs(len(graphs), 120, seed=3)
         # one call, with the positions of the graphs the pairs involve, ascending
-        assert calls == [sorted({i for pair in idx for i in pair})]
-        assert pairs.pair_ids == tuple((graphs[i].id, graphs[j].id) for i, j in idx)
-        expected = [structural(fps[a], fps[b]) for a, b in pairs.pair_ids]
+        assert calls == [sorted(set(rows.tolist()) | set(cols.tolist()))]
+        id_pairs = [(graphs[i].id, graphs[j].id) for i, j in zip(rows, cols)]
+        assert list(zip(pairs.ids[pairs.rows], pairs.ids[pairs.cols])) == id_pairs
+        expected = [structural(fps[a], fps[b]) for a, b in id_pairs]
         assert pairs.structural.tobytes() == np.asarray(expected).tobytes()
-        cos = [cosine(embs[a], embs[b]) for a, b in pairs.pair_ids]
+        cos = [cosine(embs[a], embs[b]) for a, b in id_pairs]
+        assert np.max(np.abs(pairs.embedding - cos)) < 1e-12
+
+    @pytest.mark.parametrize("scheme", ["topological", "spectral"])
+    def test_every_pair_matches_scalar_oracles(self, scheme):
+        # all pairs of np.triu_indices, as an exact held-out MGS would score them
+        from graphmgs.graphs import GraphCorpus
+        rng = np.random.default_rng(17)
+        fp_list = random_fingerprints(scheme, rng)  # the bit schemes' end in two all-zero
+        n = len(fp_list)
+        corpus = GraphCorpus(graphs=tuple(random_attributed_graph(rng) for _ in range(n)))
+        fps = {g.id: fp for g, fp in zip(corpus, fp_list)}
+        embs = rng.normal(size=(n, 6))
+        rows, cols = np.triu_indices(n, k=1)
+        pairs = build_pair_set(corpus, lambda picks: embs[picks], fps, rows, cols)
+        graphs = list(corpus)
+        expected = [structural(fps[graphs[i].id], fps[graphs[j].id]) for i, j in zip(rows, cols)]
+        assert len(expected) == n * (n - 1) // 2
+        assert pairs.structural.tobytes() == np.asarray(expected).tobytes()
+        cos = [cosine(embs[i], embs[j]) for i, j in zip(rows, cols)]
         assert np.max(np.abs(pairs.embedding - cos)) < 1e-12
 
     def test_mixed_schemes_rejected(self):
@@ -391,8 +507,8 @@ class TestPairScorer:
         corpus = GraphCorpus(graphs=tuple(random_attributed_graph(rng) for _ in range(12)))
         fps = {g.id: fp for g, fp in zip(corpus, random_fingerprints("morgan", rng, 12))}
         with pytest.raises(DataError, match="dimension mismatch"):
-            build_pair_set(corpus, lambda picks: np.ones((len(picks) - 1, 3)), fps, n_pairs=66,
-                           seed=0)
+            build_pair_set(corpus, lambda picks: np.ones((len(picks) - 1, 3)), fps,
+                           *np.triu_indices(12, k=1))
 
     def test_zero_norm_embedding_rejected_in_evaluation(self):
         from graphmgs.graphs import GraphCorpus
@@ -404,7 +520,7 @@ class TestPairScorer:
             build_pair_set(corpus, lambda picks: np.asarray(
                                [np.zeros(3) if corpus.graphs[i].id == zero_id else np.ones(3)
                                 for i in picks]),
-                           fps, n_pairs=15, seed=0)
+                           fps, *np.triu_indices(6, k=1))
 
 
 class TestAverageRanks:

@@ -4,7 +4,7 @@ import pytest
 from graphmgs.errors import DataError
 from graphmgs.fingerprints import make_fingerprints
 from graphmgs.graphs import LabeledGraph
-from graphmgs.spectral import (COMBINATORIAL, SYM_NORMALIZED, laplacian,
+from graphmgs.spectral import (COMBINATORIAL, SYM_NORMALIZED, SpectralFingerprint, laplacian,
                                spectral_fingerprint, symmetric_eigenvalues)
 
 from conftest import random_attributed_graph
@@ -156,6 +156,22 @@ class TestSpectralFingerprint:
         for k in (0, True, 2.5, "3"):
             with pytest.raises(DataError, match="k must be an integer >= 1"):
                 spectral_fingerprint(complete_graph(3), k=k)
+
+    @pytest.mark.parametrize("k", [0, 2.0, True, None])
+    def test_constructor_checks_k(self, k):
+        with pytest.raises(DataError, match="k must be an integer >= 1"):
+            SpectralFingerprint(eigenvalues=(1.0, 0.0), k=k)
+
+    @pytest.mark.parametrize("eigenvalues", [(3.0,), (3.0, 2.0, 1.0), ()],
+                             ids=["fewer", "more", "none"])
+    def test_constructor_checks_eigenvalue_count(self, eigenvalues):
+        with pytest.raises(DataError, match="expected 2 finite eigenvalues"):
+            SpectralFingerprint(eigenvalues=eigenvalues, k=2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "1.0", None, 1j])
+    def test_constructor_checks_eigenvalues_are_finite_reals(self, bad):
+        with pytest.raises(DataError, match="expected 2 finite eigenvalues"):
+            SpectralFingerprint(eigenvalues=(3.0, bad), k=2)
 
     @pytest.mark.parametrize("kind", [COMBINATORIAL, SYM_NORMALIZED])
     def test_make_fingerprints_matches_per_graph(self, kind):

@@ -254,6 +254,27 @@ class TestPretrain:
         assert record["skipped"] == [{"epoch": 1, "position": 1, "graph_ids": batches[1],
                                       "reason": report.skipped[0].reason}]
 
+    def test_held_out_pairs_drawn_once(self, tiny_corpus, tiny_fps, monkeypatch):
+        from graphmgs import similarity
+
+        draws, scored = [], []
+
+        def counted_draw(*args):
+            draws.append(args)
+            return similarity.sample_pair_indices(*args)
+
+        def recorded_pair_set(graphs, encoder, fingerprints, rows, cols):
+            scored.append((tuple(g.id for g in graphs), rows.tobytes(), cols.tobytes()))
+            return similarity.build_pair_set(graphs, encoder, fingerprints, rows, cols)
+
+        monkeypatch.setattr(training, "sample_pair_indices", counted_draw)
+        monkeypatch.setattr(training, "build_pair_set", recorded_pair_set)
+        cfg = PgmConfig(batch_size=8, epochs=3, seed=9, eval_pairs=20)
+        _, report = pretrain(tiny_corpus, tiny_model(tiny_corpus, seed=2), cfg, tiny_fps)
+        assert draws == [(4, 6, derive_seed(9, "pretrain-eval"))]  # 4 held-out graphs
+        assert len(report.holdout_mgs) == 3
+        assert len(scored) == 3 and len(set(scored)) == 1
+
     def test_too_few_held_out_pairs_rejected_before_any_step(self, tiny_corpus, tiny_fps):
         # 25 graphs hold out 2, which make 1 pair; 26 hold out 3
         small = GraphCorpus(graphs=tiny_corpus.graphs[:25], task_count=1)
@@ -313,7 +334,7 @@ class TestEvaluateMgs:
             return np.stack([fps[corpus.graphs[i].id].bits.astype(float) for i in picks])
 
         from graphmgs.similarity import build_pair_set
-        pairs = build_pair_set(corpus, encoder, fps, n_pairs=6, seed=0)
+        pairs = build_pair_set(corpus, encoder, fps, *np.triu_indices(4, k=1))
         # cosine of the fingerprints themselves is rank-identical to tanimoto
         assert mgs(pairs) == pytest.approx(1.0)
 
@@ -654,6 +675,52 @@ class TestFinetune:
         folds = _finetune_folds(corpus, 0, monkeypatch)
         for f in ("valid", "test"):
             assert {corpus.graphs[i].graph_labels[1] for i in folds[f]} >= {0, 1}, f
+
+    def test_multi_task_test_auc_is_the_mean_over_tasks_with_both_classes(self, monkeypatch):
+        # three tasks on one synthetic corpus: its triangle-motif label, edge
+        # homophily at or above the median, and a rare task (the 2 graphs with
+        # the most edges); about 30% of the labels hidden at a fixed seed
+        import dataclasses
+        from graphmgs.graphs import homophily_ratio
+        from graphmgs.models import classify
+
+        base = generate_synthetic(SyntheticSpec(
+            n_graphs=60, size_min=8, size_max=12, homophily=0.4, label_rule="triangle_motif",
+            seed=3, families=12, attr_sizes=(4, 6), edge_attr_sizes=(1,),
+            edge_factor_jitter=0.3, member_edge_jitter=0.3))
+        homophily = np.array([homophily_ratio(g) for g in base])
+        edges = np.array([g.edge_count for g in base])
+        table = np.stack([[g.graph_labels[0] for g in base],
+                          homophily >= np.median(homophily),
+                          edges >= np.sort(edges)[-2]], axis=1).astype(int)
+        hidden = np.random.default_rng(2).random(table.shape) < 0.3
+        assert table[:, 2].sum() == 2 and 0.2 < hidden.mean() < 0.4
+        corpus = GraphCorpus(task_count=3, graphs=tuple(
+            dataclasses.replace(g, graph_labels=tuple(
+                None if miss else int(y) for y, miss in zip(row, hide)))
+            for g, row, hide in zip(base, table, hidden)))
+
+        folds = []
+        real_split = training.split_folds
+        monkeypatch.setattr(training, "split_folds",
+                            lambda *args: folds.append(real_split(*args)) or folds[-1])
+        model, report = finetune(corpus, tiny_model(corpus, seed=26, task_count=3),
+                                 epochs=3, seed=0, batch_size=16)
+        test = folds[0]["test"]
+        scores = classify(model, prepare(model.config, [corpus.graphs[i] for i in test])).data
+        labels = np.where(hidden, -1, table)[test]
+        aucs = {}
+        for t in range(3):
+            known = labels[:, t] >= 0
+            if np.unique(labels[known, t]).size == 2:
+                aucs[t] = roc_auc(scores[known, t], labels[known, t])
+            else:
+                with pytest.raises(NumericError, match="at least one positive and one negative"):
+                    roc_auc(scores[known, t], labels[known, t])
+        # the rare task's known test labels are all one class, so it is left out
+        assert sorted(aucs) == [0, 1]
+        assert set(labels[labels[:, 2] >= 0, 2].tolist()) == {0}
+        assert report.test_auc == np.mean(list(aucs.values()))
 
 
 def _finetune_folds(corpus, seed, monkeypatch):
