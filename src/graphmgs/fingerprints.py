@@ -73,6 +73,7 @@ own, so a large graph pads only the small graphs of its own run.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -468,8 +469,12 @@ SCHEMES = {TOPOLOGICAL: topological_fingerprints, MORGAN: morgan_fingerprints,
 
 
 def make_fingerprints(corpus, scheme: str, **params) -> dict:
-    """Fingerprint every graph in a corpus with one scheme of ``SCHEMES``."""
+    """Fingerprint every graph in a corpus with one scheme of ``SCHEMES``,
+    keyed by graph id, so no two graphs may share one."""
     if scheme not in SCHEMES:
         raise DataError(f"unknown fingerprint scheme {scheme!r}")
     graphs = list(corpus)
+    repeated = [i for i, n in Counter(g.id for g in graphs).items() if n > 1]
+    if repeated:
+        raise DataError(f"duplicate graph id {repeated[0]!r}: fingerprints are keyed by id")
     return dict(zip((g.id for g in graphs), SCHEMES[scheme](graphs, **params)))

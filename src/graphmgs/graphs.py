@@ -91,6 +91,7 @@ class GraphCorpus:
     name: str = ""
 
     def __post_init__(self):
+        check_int("corpus task_count", self.task_count, 0)
         seen = set()
         for g in self.graphs:
             if g.id in seen:

@@ -256,15 +256,10 @@ def encode_nodes(model: GnnModel, graphs, training: bool = False,
     return h, offsets
 
 
-def readout(node_rows: T.Tensor, offsets) -> T.Tensor:
-    """Mean-pool each graph's node rows into its graph embedding (G x hidden)."""
-    return T.segment_mean(node_rows, offsets)
-
-
 def embed_graph(model: GnnModel, graphs, training: bool = False,
                 rng: Optional[np.random.Generator] = None) -> T.Tensor:
-    """Graph embeddings (G x hidden) of a batch."""
-    return readout(*encode_nodes(model, graphs, training=training, rng=rng))
+    """Graph embeddings (G x hidden) of a batch: each graph's node rows, mean-pooled."""
+    return T.segment_mean(*encode_nodes(model, graphs, training=training, rng=rng))
 
 
 def embed_rows(model: GnnModel, graphs) -> np.ndarray:

@@ -234,9 +234,14 @@ def build_pair_set(graphs, encoder: Callable, fingerprints: dict,
 
 
 def write_pair_csv(pairs: SimilarityPairSet, path) -> None:
-    """Scatter-plot data: one row per scored pair, ids quoted where they must be."""
+    """Scatter-plot data: one row per scored pair, ids quoted where they must
+    be.  ``csv.writer`` quotes a field holding its line terminator, a newline
+    here, but not a lone carriage return, at which ``csv.reader`` ends a row;
+    so a row with an id holding one has every field quoted."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
         out.writerow(("pair_i", "pair_j", "structural_sim", "embedding_sim"))
-        out.writerows((gi, gj, f"{s:.17g}", f"{e:.17g}") for gi, gj, s, e in zip(
-            pairs.ids[pairs.rows], pairs.ids[pairs.cols], pairs.structural, pairs.embedding))
+        for gi, gj, s, e in zip(pairs.ids[pairs.rows], pairs.ids[pairs.cols],
+                                pairs.structural, pairs.embedding):
+            (quoted if "\r" in f"{gi}{gj}" else out).writerow((gi, gj, f"{s:.17g}", f"{e:.17g}"))

@@ -22,26 +22,25 @@ SPECTRAL = "spectral"
 @dataclass(frozen=True)
 class SpectralFingerprint:
     """Top-k Laplacian eigenvalues, descending, zero-padded when the graph
-    has fewer than k nodes; ``params`` are the settings that made it."""
+    has fewer than k nodes; k is their count, and ``params`` are the settings
+    that made it."""
 
     eigenvalues: tuple[float, ...]
-    k: int
     params: tuple[tuple[str, object], ...] = ()
     scheme: ClassVar[str] = SPECTRAL
 
     def __post_init__(self):
-        check_int("spectral fingerprint: k", self.k, 1)
         try:  # a value that is not a real number is not a finite eigenvalue
-            ok = len(self.eigenvalues) == self.k and all(map(math.isfinite, self.eigenvalues))
+            ok = len(self.eigenvalues) > 0 and all(map(math.isfinite, self.eigenvalues))
         except TypeError:
             ok = False
         if not ok:
-            raise DataError(f"spectral fingerprint: expected {self.k} finite eigenvalues, "
-                            f"not {self.eigenvalues!r}")
+            raise DataError("spectral fingerprint: expected at least one eigenvalue, all "
+                            f"finite, not {self.eigenvalues!r}")
 
     @property
     def kind(self) -> tuple:
-        return self.scheme, self.params, self.k
+        return self.scheme, self.params, len(self.eigenvalues)
 
 
 def normalized_adjacency(a: np.ndarray) -> np.ndarray:
@@ -86,5 +85,5 @@ def spectral_fingerprint(g: LabeledGraph, k: int,
     eig = symmetric_eigenvalues(laplacian(g, kind))
     top = np.maximum(eig[::-1][:k], 0.0)
     values = list(top) + [0.0] * (k - len(top))
-    return SpectralFingerprint(eigenvalues=tuple(float(v) for v in values), k=k,
+    return SpectralFingerprint(eigenvalues=tuple(float(v) for v in values),
                                params=(("k", k), ("kind", kind)))

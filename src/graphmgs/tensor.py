@@ -10,12 +10,13 @@ node that reads it; leaving the block, normally or by a raise, drops whatever
 the tape still holds.
 Each thread (each ``contextvars`` context) has its own open tapes.
 
-Two ops fuse what would otherwise be two or three nodes, each with an output
-array kept until the sweep reaches it: ``linear`` adds its bias into the
-product's own array and ``block_diag_matmul`` its optional self term c * a.
-Each is one node and one array, with the sums, and the gradients in the
-order, of the ops it fuses.  A backward computes a parent's gradient only
-when that parent requires grad.
+``linear`` is the one dense product: ``a @ w`` is ``linear(a, w)``.  It and
+``block_diag_matmul`` fuse what would otherwise be two or three nodes, each
+with an output array kept until the sweep reaches it: ``linear`` adds an
+optional bias into the product's own array and ``block_diag_matmul`` its
+optional self term c * a.  Each is one node and one array, with the sums,
+and the gradients in the order, of the ops it fuses.  A backward computes a
+parent's gradient only when that parent requires grad.
 
 ``soft_rank`` and ``models.embed_rows`` split their work across the CPUs the
 process may run on with ``_split``, which runs each span in a fresh context,
@@ -30,7 +31,6 @@ import contextvars
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -168,7 +168,7 @@ class Tensor:
         return multiply(self, -1.0)
 
     def __matmul__(self, other):
-        return matmul(self, other)
+        return linear(self, other)
 
 
 def as_tensor(x) -> Tensor:
@@ -246,48 +246,32 @@ def divide(a, b) -> Tensor:
                    lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
 
 
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DataError(f"matmul: only 2-D operands, got {a.shape} @ {b.shape}")
-    try:
-        out = Tensor(a.data @ b.data)
-    except ValueError as exc:
-        raise DataError(f"matmul: incompatible shapes {a.shape} @ {b.shape}") from exc
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g @ b.data.T)
-        if b.requires_grad:
-            _accumulate(b, a.data.T @ g)
-
-    return _record(out, (a, b), backward)
-
-
-def linear(a, w, b) -> Tensor:
-    """a @ w + b with b added into the product's own array: one node and one
-    array where ``matmul`` then ``add`` keep two, with the same sums and the
-    gradients of those two in their order.  b is a bias row or a running sum
-    of the product's shape."""
-    a, w, b = as_tensor(a), as_tensor(w), as_tensor(b)
+def linear(a, w, b=None) -> Tensor:
+    """a @ w, the one dense product, with b added into the product's own array
+    when given: one node and one array where a product then ``add`` keep two,
+    with the same sums and the gradients of those two in their order (b, a,
+    w).  b is a bias row or a running sum of the product's shape."""
+    a, w = as_tensor(a), as_tensor(w)
+    b = None if b is None else as_tensor(b)
     if a.data.ndim != 2 or w.data.ndim != 2:
         raise DataError(f"linear: only 2-D operands, got {a.shape} @ {w.shape}")
     try:
         out = a.data @ w.data
-        out += b.data
+        if b is not None:
+            out += b.data
     except ValueError as exc:
-        raise DataError(f"linear: incompatible shapes {a.shape} @ {w.shape} "
-                        f"+ {b.shape}") from exc
+        plus = "" if b is None else f" + {b.shape}"
+        raise DataError(f"linear: incompatible shapes {a.shape} @ {w.shape}{plus}") from exc
 
     def backward(g):
-        if b.requires_grad:
+        if b is not None and b.requires_grad:
             _accumulate(b, _unbroadcast(g, b.data.shape))
         if a.requires_grad:
             _accumulate(a, g @ w.data.T)
         if w.requires_grad:
             _accumulate(w, a.data.T @ g)
 
-    return _record(Tensor(out), (a, w, b), backward)
+    return _record(Tensor(out), (a, w) if b is None else (a, w, b), backward)
 
 
 def _unary(a, fwd, dgrad) -> Tensor:
@@ -634,30 +618,25 @@ def tape_size() -> int:
     return 0 if nodes is None else len(nodes)
 
 
-@dataclass
 class AdamState:
-    """Adam moment buffers for an ordered parameter list."""
+    """Adam's step count and moment buffers for the ordered parameter list it
+    was made for, which it holds, so a step updates exactly those."""
 
-    t: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
-
-    @classmethod
-    def for_params(cls, params: Sequence[Tensor]) -> "AdamState":
-        return cls(m=[np.zeros_like(p.data) for p in params],
-                   v=[np.zeros_like(p.data) for p in params])
+    def __init__(self, params: Sequence[Tensor]):
+        self.params = list(params)
+        self.t = 0
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
 
 
-def adam_step(params: Sequence[Tensor], state: AdamState) -> Sequence[Tensor]:
-    """One Adam update with bias correction from each param's ``grad`` (zero when
-    None); mutates params in place."""
-    if len(state.m) != len(params):
-        raise DataError("adam_step: params/state length mismatch")
+def adam_step(state: AdamState) -> None:
+    """One Adam update with bias correction of the state's parameters from each
+    one's ``grad`` (zero when None); mutates them in place."""
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
-    for p, m, v in zip(params, state.m, state.v):
+    for p, m, v in zip(state.params, state.m, state.v):
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if g.shape != p.data.shape:
             raise DataError(f"adam_step: grad shape {g.shape} vs param {p.data.shape}")
@@ -666,7 +645,6 @@ def adam_step(params: Sequence[Tensor], state: AdamState) -> Sequence[Tensor]:
         v *= b2
         v += (1.0 - b2) * g * g
         p.data -= ADAM_LEARNING_RATE * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
-    return params
 
 
 def zero_grads(params: Sequence[Tensor]) -> None:

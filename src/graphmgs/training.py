@@ -175,8 +175,7 @@ def pretrain(corpus: GraphCorpus, model: GnnModel, cfg: PgmConfig,
     hold_pairs = sample_pair_indices(len(hold_graphs), n_hold_pairs,
                                      derive_seed(cfg.seed, "pretrain-eval"))
 
-    params = model.parameters()
-    state = T.AdamState.for_params(params)
+    state = T.AdamState(model.parameters())
     shuffle_rng = np.random.default_rng(derive_seed(cfg.seed, "pretrain-shuffle"))
     inputs = prepare(model.config, graphs)
 
@@ -190,7 +189,7 @@ def pretrain(corpus: GraphCorpus, model: GnnModel, cfg: PgmConfig,
                 continue
             structural = structural_pair_sims([fps[i] for i in picks],
                                               *np.triu_indices(len(batch), k=1))
-            T.zero_grads(params)
+            T.zero_grads(state.params)
             with T.tape():
                 try:
                     loss = pgm_loss(embed_graph(model, [inputs[i] for i in picks]),
@@ -203,7 +202,7 @@ def pretrain(corpus: GraphCorpus, model: GnnModel, cfg: PgmConfig,
                     raise NumericError(
                         f"NaN/inf pre-training loss on batch {[g.id for g in batch]}")
                 T.backward(loss)
-            T.adam_step(params, state)
+            T.adam_step(state)
             batch_losses.append(loss.item())
         report.losses.append(float(np.mean(batch_losses)) if batch_losses else float("nan"))
         report.holdout_mgs.append(mgs(build_pair_set(
@@ -217,10 +216,11 @@ def evaluate_mgs(corpus: GraphCorpus, model: GnnModel, fingerprints: dict,
                  n_pairs: int = 1000, seed: int = 0) -> tuple[float, SimilarityPairSet]:
     """MGS of a trained (or untrained) encoder over ``n_pairs`` pairs of the
     corpus, drawn by ``similarity.sample_pair_indices`` at ``seed``, and the
-    scored pairs (``similarity.write_pair_csv`` exports them as a scatter CSV)."""
-    inputs = prepare(model.config, corpus)
-    pairs = build_pair_set(corpus, lambda picks: embed_rows(model, [inputs[i] for i in picks]),
-                           fingerprints, *sample_pair_indices(len(corpus), n_pairs, seed))
+    scored pairs (``similarity.write_pair_csv`` exports them as a scatter CSV).
+    Only the graphs the pairs use are encoded, so only they are prepared."""
+    graphs = list(corpus)
+    pairs = build_pair_set(graphs, lambda picks: embed_rows(model, [graphs[i] for i in picks]),
+                           fingerprints, *sample_pair_indices(len(graphs), n_pairs, seed))
     return mgs(pairs), pairs
 
 
@@ -414,8 +414,7 @@ def finetune(corpus: GraphCorpus, model: GnnModel, epochs: int = 100,
     report = FinetuneReport(seed=seed, config_hash=stable_hash(
         {"epochs": epochs, "batch_size": batch_size, "seed": seed,
          "model": asdict(model.config)}))
-    params = model.parameters()
-    state = T.AdamState.for_params(params)
+    state = T.AdamState(model.parameters())
     shuffle_rng = np.random.default_rng(derive_seed(seed, "finetune-shuffle"))
     dropout_rng = np.random.default_rng(derive_seed(seed, "finetune-dropout"))
     best_auc = -np.inf
@@ -434,7 +433,7 @@ def finetune(corpus: GraphCorpus, model: GnnModel, epochs: int = 100,
                 continue
             rows = train_labels[picks]
             known = rows >= 0
-            T.zero_grads(params)
+            T.zero_grads(state.params)
             with T.tape():
                 logits = classify(model, [inputs[folds["train"][k]] for k in picks],
                                   training=True, rng=dropout_rng)
@@ -442,7 +441,7 @@ def finetune(corpus: GraphCorpus, model: GnnModel, epochs: int = 100,
                 if not np.isfinite(loss.item()):
                     raise NumericError("NaN/inf fine-tuning loss")
                 T.backward(loss)
-            T.adam_step(params, state)
+            T.adam_step(state)
             epoch_losses.append(loss.item())
         report.train_losses.append(float(np.mean(epoch_losses)) if epoch_losses else float("nan"))
         # NaN when the valid fold is single-class: no signal this epoch

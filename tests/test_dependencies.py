@@ -30,7 +30,9 @@ Public code has callers: every public top-level function and method of
 ``src/graphmgs`` is named by a module of the package or of the benchmark
 (its tests aside), as a call, an attribute or a string (the benchmark's tracer
 patches functions by name), except the names on ``TEST_ONLY``, which only
-shrinks."""
+shrinks.
+No public function is a second name for another: none has a body, after its
+docstring, that only returns a call passing its own parameters on, in order."""
 
 import ast
 import sys
@@ -247,6 +249,37 @@ def test_every_model_and_training_field_is_set_by_a_caller():
     assert not unset
 
 
+def _public_functions(tree):
+    """(qualified name, node) of each public top-level function and public
+    method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            methods = [(node.name, node)]
+        elif isinstance(node, ast.ClassDef):
+            methods = [(f"{node.name}.{fn.name}", fn) for fn in node.body
+                       if isinstance(fn, ast.FunctionDef)]
+        else:
+            continue
+        yield from ((name, fn) for name, fn in methods if not fn.name.startswith("_"))
+
+
+def test_no_public_alias():
+    def is_alias(fn) -> bool:
+        body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+        if not (len(body) == 1 and isinstance(body[0], ast.Return)
+                and isinstance(body[0].value, ast.Call)):
+            return False
+        call, args = body[0].value, fn.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        return (not call.keywords and args.vararg is None and args.kwarg is None
+                and [getattr(a, "id", None) for a in call.args] == params)
+
+    found = [f"{path.stem}.{name}: {ast.unparse(fn.body[-1])}"
+             for path, tree in _trees() for name, fn in _public_functions(tree)
+             if is_alias(fn)]
+    assert not found
+
+
 def test_public_names_have_callers_outside_tests():
     benchmark = [path for path in sorted((ROOT / "perfbench").glob("*.py"))
                  if not path.name.startswith("test_")]
@@ -254,16 +287,6 @@ def test_public_names_have_callers_outside_tests():
              for name in (getattr(node, "id", None), getattr(node, "attr", None),
                           getattr(node, "value", None))
              if isinstance(name, str)}
-    test_only = []
-    for path, tree in _trees():
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef):
-                public = [(node.name, node.name)]
-            elif isinstance(node, ast.ClassDef):
-                public = [(f"{node.name}.{fn.name}", fn.name) for fn in node.body
-                          if isinstance(fn, ast.FunctionDef)]
-            else:
-                continue
-            test_only += [f"{path.stem}.{qualname}" for qualname, name in public
-                          if not name.startswith("_") and name not in named]
+    test_only = [f"{path.stem}.{name}" for path, tree in _trees()
+                 for name, fn in _public_functions(tree) if fn.name not in named]
     assert sorted(test_only) == sorted(TEST_ONLY)

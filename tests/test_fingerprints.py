@@ -370,6 +370,16 @@ class TestBatch:
         fps = make_fingerprints(copies, "topological", max_path_len=4)
         assert len({fp.to_hex() for fp in fps.values()}) == 1
 
+    @pytest.mark.parametrize("scheme, params", [("topological", {"max_path_len": 2}),
+                                                ("morgan", {"radius": 1}),
+                                                ("spectral", {"k": 2})])
+    def test_repeated_id_rejected(self, scheme, params):
+        # fingerprints are keyed by id: a second graph of one id would replace the first
+        twins = [complete_graph(3, gid="twin"), molecule(2, [(0, 1)], [(6,), (8,)], [(2,)],
+                                                         gid="twin")]
+        with pytest.raises(DataError, match="duplicate graph id 'twin'"):
+            make_fingerprints([complete_graph(4, gid="k4")] + twins, scheme, **params)
+
     def test_hub_explosion_raises_in_bounded_memory(self):
         # a star's 2-edge paths are its leaf pairs, about 2 million: each
         # leaf-to-hub row has 1,999 candidates, and the walk must reach the

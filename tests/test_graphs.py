@@ -148,6 +148,13 @@ class TestGraphInvariants:
         with pytest.raises(DataError, match="task labels"):
             GraphCorpus(graphs=(g,), task_count=1)
 
+    @pytest.mark.parametrize("count", [-1, 1.5, True, "2"],
+                             ids=["negative", "float", "bool", "string"])
+    def test_task_count_must_be_a_non_negative_integer(self, count):
+        # finetune reads it as the label table's width
+        with pytest.raises(DataError, match="corpus task_count must be an integer >= 0"):
+            GraphCorpus(graphs=(), task_count=count)
+
 
 def degrees_oracle(n, edges):
     deg = [0] * n

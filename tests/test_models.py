@@ -11,7 +11,7 @@ from graphmgs.graphs import GraphCorpus, LabeledGraph
 from graphmgs.models import (ARCHS, CHEB_ORDER, ENCODE_BLOCK_GRAPHS, ENCODE_SPLIT_WIDTH,
                              FAGCN_EPS, GnnConfig, classify, embed_graph, embed_rows,
                              encode_nodes, infer_attr_sizes, init_model, load_model,
-                             prepare, readout, save_model, with_head)
+                             prepare, save_model, with_head)
 from graphmgs.spectral import SYM_NORMALIZED, laplacian
 
 from conftest import finite_difference_check, random_attributed_graph
@@ -174,16 +174,16 @@ class TestPermutationEquivariance:
 class TestReadoutAndHead:
     def test_readout_constant_rows(self):
         h = T.Tensor(np.tile([1.0, 2.0, 3.0], (4, 1)))
-        assert np.array_equal(readout(h, [0, 4]).data[0], [1.0, 2.0, 3.0])
+        assert np.array_equal(T.segment_mean(h, [0, 4]).data[0], [1.0, 2.0, 3.0])
 
     def test_readout_mean(self):
         h = T.Tensor([[0.0, 2.0], [2.0, 0.0]])
-        assert np.array_equal(readout(h, [0, 2]).data[0], [1.0, 1.0])
+        assert np.array_equal(T.segment_mean(h, [0, 2]).data[0], [1.0, 1.0])
 
     def test_readout_matches_average_oracle(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(7, 5))
-        assert np.allclose(readout(T.Tensor(x), [0, 7]).data[0], x.mean(axis=0), atol=1e-15)
+        assert np.allclose(T.segment_mean(T.Tensor(x), [0, 7]).data[0], x.mean(axis=0), atol=1e-15)
 
     def test_zero_head_zero_logits(self):
         rng = np.random.default_rng(7)

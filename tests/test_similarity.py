@@ -89,23 +89,23 @@ class TestTanimoto:
 
 class TestSpectralDistance:
     def test_identical(self):
-        f = SpectralFingerprint(eigenvalues=(3.0, 2.0), k=2)
+        f = SpectralFingerprint(eigenvalues=(3.0, 2.0))
         assert -structural_similarity(f, f) == 0.0
 
     def test_squared_euclidean(self):
-        a = SpectralFingerprint(eigenvalues=(3.0, 3.0), k=2)
-        b = SpectralFingerprint(eigenvalues=(4.0, 2.0), k=2)
+        a = SpectralFingerprint(eigenvalues=(3.0, 3.0))
+        b = SpectralFingerprint(eigenvalues=(4.0, 2.0))
         assert -structural_similarity(a, b) == pytest.approx(2.0)
 
     def test_padding_case(self):
-        a = SpectralFingerprint(eigenvalues=(0.0, 0.0), k=2)
-        b = SpectralFingerprint(eigenvalues=(2.0, 0.0), k=2)
+        a = SpectralFingerprint(eigenvalues=(0.0, 0.0))
+        b = SpectralFingerprint(eigenvalues=(2.0, 0.0))
         assert -structural_similarity(a, b) == pytest.approx(4.0)
 
     def test_k_mismatch(self):
         with pytest.raises(DataError, match=r"length 1 and spectral\(\) of length 2"):
-            structural_similarity(SpectralFingerprint((1.0,), 1),
-                                  SpectralFingerprint((1.0, 0.0), 2))
+            structural_similarity(SpectralFingerprint((1.0,)),
+                                  SpectralFingerprint((1.0, 0.0)))
 
 
 class TestCosine:
@@ -314,7 +314,7 @@ class TestBuildPairSet:
     def test_mixed_schemes_rejected(self):
         with pytest.raises(DataError, match=r"topological\(\) of length 2 and spectral\(\)"):
             structural_similarity(bitfp([1, 0]),
-                                  SpectralFingerprint((1.0,), 1))
+                                  SpectralFingerprint((1.0,)))
 
     def test_csv_export(self, tmp_path):
         corpus = self._tiny_corpus()
@@ -336,18 +336,19 @@ class TestBuildPairSet:
                in zip(pairs.rows, pairs.cols, pairs.structural, pairs.embedding)]).encode()
 
     def test_csv_ids_round_trip(self, tmp_path):
-        ids = ["mol,1", 'say "hi"', "two\nlines", "plain", '"', ","]
-        structural = np.array([0.1, 1 / 3, -2.5e-300])
-        embedding = np.array([np.nan, -0.0, 1.0])
-        pairs = SimilarityPairSet(ids=np.asarray(ids, dtype=object), rows=np.array([0, 2, 4]),
-                                  cols=np.array([1, 3, 5]), structural=structural,
+        # csv.writer leaves a lone "\r" unquoted, and csv.reader ends a row at it
+        ids = ["mol,1", 'say "hi"', "two\nlines", "plain", '"', ",", "a\rb", "\r"]
+        structural = np.array([0.1, 1 / 3, -2.5e-300, 0.5])
+        embedding = np.array([np.nan, -0.0, 1.0, 0.25])
+        pairs = SimilarityPairSet(ids=np.asarray(ids, dtype=object), rows=np.array([0, 2, 4, 6]),
+                                  cols=np.array([1, 3, 5, 7]), structural=structural,
                                   embedding=embedding)
         path = tmp_path / "pairs.csv"
         write_pair_csv(pairs, path)
         with open(path, encoding="utf-8", newline="") as fh:
             header, *rows = list(csv.reader(fh))
         assert header == ["pair_i", "pair_j", "structural_sim", "embedding_sim"]
-        assert [row[:2] for row in rows] == [[ids[0], ids[1]], [ids[2], ids[3]], [ids[4], ids[5]]]
+        assert [row[:2] for row in rows] == [ids[k:k + 2] for k in range(0, 8, 2)]
         assert np.array([float(row[2]) for row in rows]).tobytes() == structural.tobytes()
         assert np.array([float(row[3]) for row in rows]).tobytes() == embedding.tobytes()
 
@@ -490,14 +491,14 @@ class TestPairScorer:
 
     def test_mixed_schemes_rejected(self):
         with pytest.raises(DataError, match=r"topological\(\) of length 2 and spectral\(\)"):
-            structural_pair_sims([bitfp([1, 0]), SpectralFingerprint((1.0,), 1)], [0], [1])
+            structural_pair_sims([bitfp([1, 0]), SpectralFingerprint((1.0,))], [0], [1])
 
     def test_nbits_mismatch_rejected(self):
         with pytest.raises(DataError, match=r"length 2 and topological\(\) of length 4"):
             structural_pair_sims([bitfp([1, 0]), bitfp([1, 0, 0, 0])], [0], [1])
 
     def test_k_mismatch_rejected(self):
-        fps = [SpectralFingerprint((1.0,), 1), SpectralFingerprint((1.0, 0.0), 2)]
+        fps = [SpectralFingerprint((1.0,)), SpectralFingerprint((1.0, 0.0))]
         with pytest.raises(DataError, match=r"length 1 and spectral\(\) of length 2"):
             structural_pair_sims(fps, [0], [1])
 

@@ -4,6 +4,7 @@ import pytest
 from graphmgs.errors import DataError
 from graphmgs.fingerprints import make_fingerprints
 from graphmgs.graphs import LabeledGraph
+from graphmgs.similarity import check_comparable
 from graphmgs.spectral import (COMBINATORIAL, SYM_NORMALIZED, SpectralFingerprint, laplacian,
                                spectral_fingerprint, symmetric_eigenvalues)
 
@@ -157,21 +158,25 @@ class TestSpectralFingerprint:
             with pytest.raises(DataError, match="k must be an integer >= 1"):
                 spectral_fingerprint(complete_graph(3), k=k)
 
-    @pytest.mark.parametrize("k", [0, 2.0, True, None])
-    def test_constructor_checks_k(self, k):
-        with pytest.raises(DataError, match="k must be an integer >= 1"):
-            SpectralFingerprint(eigenvalues=(1.0, 0.0), k=k)
-
-    @pytest.mark.parametrize("eigenvalues", [(3.0,), (3.0, 2.0, 1.0), ()],
-                             ids=["fewer", "more", "none"])
+    @pytest.mark.parametrize("eigenvalues", [(), np.empty(0)], ids=["none", "empty-array"])
     def test_constructor_checks_eigenvalue_count(self, eigenvalues):
-        with pytest.raises(DataError, match="expected 2 finite eigenvalues"):
-            SpectralFingerprint(eigenvalues=eigenvalues, k=2)
+        with pytest.raises(DataError, match="expected at least one eigenvalue"):
+            SpectralFingerprint(eigenvalues=eigenvalues)
+
+    @pytest.mark.parametrize("eigenvalues", [(3.0,), (3.0, 2.0, 1.0)], ids=["fewer", "more"])
+    def test_eigenvalue_count_sets_the_kind(self, eigenvalues):
+        # the length of a kind is its eigenvalue count, whatever params claims
+        two = SpectralFingerprint(eigenvalues=(3.0, 2.0), params=(("k", 2),))
+        other = SpectralFingerprint(eigenvalues=eigenvalues, params=(("k", 2),))
+        assert other.kind == ("spectral", (("k", 2),), len(eigenvalues))
+        with pytest.raises(DataError, match=rf"of length 2 and spectral\(k=2\) of length "
+                                            rf"{len(eigenvalues)}"):
+            check_comparable([two, other])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "1.0", None, 1j])
     def test_constructor_checks_eigenvalues_are_finite_reals(self, bad):
-        with pytest.raises(DataError, match="expected 2 finite eigenvalues"):
-            SpectralFingerprint(eigenvalues=(3.0, bad), k=2)
+        with pytest.raises(DataError, match="expected at least one eigenvalue, all finite"):
+            SpectralFingerprint(eigenvalues=(3.0, bad))
 
     @pytest.mark.parametrize("kind", [COMBINATORIAL, SYM_NORMALIZED])
     def test_make_fingerprints_matches_per_graph(self, kind):

@@ -22,14 +22,14 @@ class TestOpValues:
 
     def test_matmul_identity(self):
         x = np.arange(6.0).reshape(2, 3)
-        out = T.matmul(T.Tensor(np.eye(2)), T.Tensor(x))
+        out = T.Tensor(np.eye(2)) @ T.Tensor(x)
         assert np.array_equal(out.data, x)
 
     def test_shape_mismatch_names_op(self):
-        with pytest.raises(DataError, match="matmul"):
-            T.matmul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 3))))
-        with pytest.raises(DataError, match="matmul"):
-            T.matmul(T.Tensor(np.ones(3)), T.Tensor(np.ones((3, 2))))
+        with pytest.raises(DataError, match="linear: incompatible shapes"):
+            T.Tensor(np.ones((2, 3))) @ T.Tensor(np.ones((2, 3)))
+        with pytest.raises(DataError, match="linear: only 2-D"):
+            T.Tensor(np.ones(3)) @ T.Tensor(np.ones((3, 2)))
         with pytest.raises(DataError, match="add"):
             T.add(T.Tensor(np.ones(3)), T.Tensor(np.ones(4)))
 
@@ -590,7 +590,7 @@ class TestGradChecksAllOps:
                 bce_mask[0, 0] = 1.0
 
             cases = {
-                "matmul": (lambda: T.tsum(T.matmul(A, B) * wm), [A, B]),
+                "matmul": (lambda: T.tsum((A @ B) * wm), [A, B]),
                 "add_mul": (lambda: T.tsum((A + C) * C), [A, C]),
                 "sub_div": (lambda: T.tsum((A - C) / w), [A, C, w]),
                 "broadcast": (lambda: T.tsum(A * v + v), [A, v]),
@@ -682,6 +682,20 @@ class TestFusedOps:
                 [np.eye(4)], np.array([0, 4]), T.linear(a, w, b), self_weight=2.0)))
         assert a.grad is not None and w.grad is None and b.grad is None
 
+    def test_product_is_one_linear_node(self, monkeypatch):
+        # a @ w is linear(a, w): one node, whose gradients come a first, then w
+        linear, calls = T.linear, []
+        monkeypatch.setattr(T, "linear", lambda *args: calls.append(len(args)) or linear(*args))
+        rng = np.random.default_rng(34)
+        a, w = (T.Tensor(rng.normal(size=shape), requires_grad=True) for shape in ((4, 3), (3, 2)))
+        with T.tape():
+            y = a @ w
+            assert calls == [2] and T.tape_size() == 1
+            T.backward(T.tsum(y * y))
+        assert np.array_equal(y.data, a.data @ w.data)
+        assert np.array_equal(a.grad, (2.0 * y.data) @ w.data.T)
+        assert np.array_equal(w.grad, a.data.T @ (2.0 * y.data))
+
     def test_bad_operands_rejected(self):
         ones = T.Tensor(np.ones((2, 3)))
         with pytest.raises(DataError, match="linear: only 2-D"):
@@ -715,25 +729,25 @@ class TestDeterminism:
 class TestAdam:
     def test_single_step_closed_form(self):
         p = T.Tensor(np.zeros(1), requires_grad=True)
-        state = T.AdamState.for_params([p])
+        state = T.AdamState([p])
         p.grad = np.ones(1)
-        T.adam_step([p], state)
+        T.adam_step(state)
         # m-hat = 1, v-hat = 1 after bias correction
         assert p.data[0] == pytest.approx(-1e-3 / (1.0 + 1e-8), abs=1e-15)
 
     def test_zero_gradient_leaves_params(self):
         p = T.Tensor([1.5, -2.0], requires_grad=True)
-        state = T.AdamState.for_params([p])
+        state = T.AdamState([p])
         p.grad = np.zeros(2)
-        T.adam_step([p], state)
+        T.adam_step(state)
         assert np.array_equal(p.data, [1.5, -2.0])
 
     def test_two_steps_match_hand_recurrence(self):
         p = T.Tensor(np.zeros(1), requires_grad=True)
-        state = T.AdamState.for_params([p])
+        state = T.AdamState([p])
         p.grad = np.ones(1)
-        T.adam_step([p], state)
-        T.adam_step([p], state)
+        T.adam_step(state)
+        T.adam_step(state)
         # hand-evaluated Adam with g=1 at t=1,2
         theta, m, v = 0.0, 0.0, 0.0
         for t in (1, 2):
@@ -744,10 +758,25 @@ class TestAdam:
             theta -= 1e-3 * mh / (np.sqrt(vh) + 1e-8)
         assert p.data[0] == pytest.approx(theta, abs=1e-15)
 
+    def test_steps_the_params_it_was_made_for(self):
+        held, other = (T.Tensor(np.zeros(2), requires_grad=True) for _ in range(2))
+        state = T.AdamState([held])
+        held.grad = other.grad = np.ones(2)
+        T.adam_step(state)
+        assert state.params == [held] and np.all(held.data < 0.0)
+        assert np.array_equal(other.data, np.zeros(2))
+
+    def test_grad_shape_checked(self):
+        p = T.Tensor(np.zeros(3), requires_grad=True)
+        state = T.AdamState([p])
+        p.grad = np.ones(2)
+        with pytest.raises(DataError, match=r"adam_step: grad shape \(2,\) vs param \(3,\)"):
+            T.adam_step(state)
+
     def test_step_counter_increments(self):
         p = T.Tensor(np.zeros(1), requires_grad=True)
-        state = T.AdamState.for_params([p])
+        state = T.AdamState([p])
         p.grad = np.ones(1)
         for expected in (1, 2, 3):
-            T.adam_step([p], state)
+            T.adam_step(state)
             assert state.t == expected

@@ -13,7 +13,7 @@ from graphmgs.fingerprints import make_fingerprints
 from graphmgs.graphs import GraphCorpus, LabeledGraph, load_corpus
 from graphmgs.models import (ARCHS, ENCODE_SPLIT_WIDTH, GnnConfig, embed_graph, infer_attr_sizes,
                              init_model, prepare, with_head)
-from graphmgs.similarity import average_ranks, mgs, write_pair_csv
+from graphmgs.similarity import average_ranks, mgs, spearman, write_pair_csv
 from graphmgs.spectral import COMBINATORIAL, SYM_NORMALIZED, spectral_fingerprint
 from graphmgs.synthetic import SyntheticSpec, generate_synthetic
 from graphmgs.training import (MIN_STRATUM, FinetuneReport, PgmConfig, SkippedBatch,
@@ -274,6 +274,26 @@ class TestPretrain:
         assert draws == [(4, 6, derive_seed(9, "pretrain-eval"))]  # 4 held-out graphs
         assert len(report.holdout_mgs) == 3
         assert len(scored) == 3 and len(set(scored)) == 1
+
+    def test_held_out_mgs_over_every_pair_matches_oracles(self):
+        # ROADMAP D16: when eval_pairs covers every held-out pair, the held-out
+        # MGS is the Spearman correlation over np.triu_indices of those graphs
+        corpus = generate_synthetic(SyntheticSpec(
+            n_graphs=60, size_min=8, size_max=12, homophily=0.4, label_rule="triangle_motif",
+            seed=4, families=8, attr_sizes=(4, 6), edge_attr_sizes=(1,),
+            edge_factor_jitter=0.3, member_edge_jitter=0.3))
+        fps = make_fingerprints(corpus, "topological", max_path_len=4)
+        cfg = PgmConfig(batch_size=8, epochs=2, seed=5, eval_pairs=15)
+        model, report = pretrain(corpus, tiny_model(corpus, seed=6), cfg, fps)
+        _, hold = training.holdout_split(len(corpus), cfg.holdout_fraction,
+                                         derive_seed(cfg.seed, "pretrain-holdout"))
+        assert len(hold) == 6  # 15 pairs, all of them scored
+        held = [corpus.graphs[i] for i in hold]
+        emb = embed_graph(model, held).data
+        rows, cols = np.triu_indices(len(held), 1)
+        want = spearman([structural(fps[held[i].id], fps[held[j].id]) for i, j in zip(rows, cols)],
+                        [cosine(emb[i], emb[j]) for i, j in zip(rows, cols)])
+        assert report.holdout_mgs[-1] == pytest.approx(want, abs=1e-12)
 
     def test_too_few_held_out_pairs_rejected_before_any_step(self, tiny_corpus, tiny_fps):
         # 25 graphs hold out 2, which make 1 pair; 26 hold out 3
@@ -770,11 +790,15 @@ class TestPreparedInput:
         ids = sorted(g.id for g in tiny_corpus)
         for call in (lambda: pretrain(tiny_corpus, model, PgmConfig(batch_size=8, epochs=3),
                                       tiny_fps),
-                     lambda: finetune(tiny_corpus, model, epochs=3, seed=0, batch_size=8),
-                     lambda: evaluate_mgs(tiny_corpus, model, tiny_fps, n_pairs=100)):
+                     lambda: finetune(tiny_corpus, model, epochs=3, seed=0, batch_size=8)):
             built.clear()
             call()
             assert sorted(built) == ids
+        # MGS evaluation prepares the graphs its pairs use, and no others
+        built.clear()
+        _, pairs = evaluate_mgs(tiny_corpus, model, tiny_fps, n_pairs=5)
+        scored = sorted(set(pairs.ids[pairs.rows]) | set(pairs.ids[pairs.cols]))
+        assert sorted(built) == scored and len(scored) < len(ids)
 
 
 class TestNonFiniteLoss:
