@@ -168,6 +168,16 @@ class BitFingerprint:
     def to_hex(self) -> str:
         return bytes(np.packbits(self.bits.astype(np.uint8))).hex()
 
+    def __eq__(self, other) -> bool:
+        """Equal kind and equal bits; the dataclass's own ``==`` would compare
+        the bit arrays elementwise and raise."""
+        if not isinstance(other, BitFingerprint):
+            return NotImplemented
+        return self.kind == other.kind and np.array_equal(self.bits, other.bits)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.bits.tobytes()))
+
 
 def _check_nbits(nbits) -> None:
     check_int("fingerprint nbits", nbits, 1)

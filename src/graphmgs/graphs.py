@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -38,7 +39,8 @@ class LabeledGraph:
     Edges are stored as sorted (u, v) pairs with u < v.  ``node_labels``
     carries per-node class ids (used for the homophily ratio), and
     ``graph_labels`` carries graph-level binary task labels where ``None``
-    marks a missing label.
+    marks a missing label.  Endpoints, attributes and node labels are ints,
+    not bools, floats or numpy integers, as ``load_corpus`` reads them.
     """
 
     id: str
@@ -51,6 +53,7 @@ class LabeledGraph:
 
     def __post_init__(self):
         check_int(f"graph {self.id!r}: node_count", self.node_count, 0)
+        _check_ints(self)
         seen = set()
         for u, v in self.edges:
             if u == v:
@@ -115,22 +118,39 @@ def _json_int(value, field: str) -> int:
     return value
 
 
-def _graph_from_record(rec: dict, line_no: int) -> LabeledGraph:
-    def ints(values, field: str) -> tuple[int, ...]:
-        return tuple(_json_int(v, field) for v in values)
+def _check_ints(g: LabeledGraph) -> None:
+    """``_json_int``'s rule for every endpoint, attribute and node label of g,
+    with ``DataError`` naming the graph and the field of the first value that
+    breaks it.  The common case is one pass over the types of all four."""
+    flat = itertools.chain.from_iterable
+    if set(map(type, flat((*g.edges, *g.node_attrs, *g.edge_attrs,
+                           g.node_labels or ())))) <= {int}:
+        return
+    try:
+        for field, values in (("edges", flat(g.edges)), ("node_attrs", flat(g.node_attrs)),
+                              ("edge_attrs", flat(g.edge_attrs)),
+                              ("node_labels", g.node_labels or ())):
+            for v in values:
+                _json_int(v, field)
+    except TypeError as exc:
+        raise DataError(f"graph {g.id!r}: {exc}") from exc
 
+
+def _graph_from_record(rec: dict, line_no: int) -> LabeledGraph:
+    """The graph of one JSONL record; ``LabeledGraph`` checks that endpoints,
+    attributes and node labels are integers."""
     try:
         gid = rec["id"]
         if type(gid) not in (str, int):  # bool is a subclass of int
             raise TypeError(f"id: expected a string or an integer, got {gid!r}")
         gid = str(gid)
         n = _json_int(rec["n"], "n")
-        edges = tuple((min(u, v), max(u, v)) for u, v in (ints(e, "edges") for e in rec["edges"]))
-        node_attrs = tuple(ints(row, "node_attrs") for row in rec["node_attrs"])
-        edge_attrs = tuple(ints(row, "edge_attrs") for row in rec["edge_attrs"])
+        edges = tuple((min(u, v), max(u, v)) for u, v in rec["edges"])
+        node_attrs = tuple(map(tuple, rec["node_attrs"]))
+        edge_attrs = tuple(map(tuple, rec["edge_attrs"]))
         node_labels = None
         if rec.get("node_labels") is not None:
-            node_labels = ints(rec["node_labels"], "node_labels")
+            node_labels = tuple(rec["node_labels"])
         graph_labels = None
         if rec.get("graph_labels") is not None:
             graph_labels = tuple(None if y is None else _json_int(y, "graph_labels")

@@ -10,8 +10,11 @@ operator's entries by edge attention first), so a forward pass records a
 fixed number of tape nodes per layer, whatever the batch.  A product that is
 added to goes through ``tensor.linear`` and GIN's (A + (1 + eps) I) h through
 ``block_diag_matmul``'s ``self_weight``, so a GIN layer records five nodes
-(1 + eps, the aggregate, two linears and a ReLU) and keeps four (rows, hidden)
-arrays for its backward.
+(1 + eps, the aggregate, two linears and a ReLU) and keeps three (rows,
+hidden) arrays for its backward: its input, for eps's gradient, the
+aggregate, for w1's, and the ReLU's output, for the ReLU's mask and w2's
+gradient.  The pre-ReLU rows, the embedding lookups and, with dropout, the
+rows before the mask are freed as the forward pass moves on.
 
 The encoder reads graphs as ``prepare`` gives them: each graph's int64
 attribute rows and its dense operator, both read-only.  Every input check

@@ -23,7 +23,9 @@ SPECTRAL = "spectral"
 class SpectralFingerprint:
     """Top-k Laplacian eigenvalues, descending, zero-padded when the graph
     has fewer than k nodes; k is their count, and ``params`` are the settings
-    that made it."""
+    that made it.  The eigenvalues are kept as a tuple of floats, whatever
+    sequence of real numbers they are given as, so that equal fingerprints
+    compare and hash equal."""
 
     eigenvalues: tuple[float, ...]
     params: tuple[tuple[str, object], ...] = ()
@@ -37,6 +39,7 @@ class SpectralFingerprint:
         if not ok:
             raise DataError("spectral fingerprint: expected at least one eigenvalue, all "
                             f"finite, not {self.eigenvalues!r}")
+        object.__setattr__(self, "eigenvalues", tuple(map(float, self.eigenvalues)))
 
     @property
     def kind(self) -> tuple:

@@ -1,22 +1,31 @@
 """Dense float64 tensors with a reverse-mode gradient tape and the Adam optimizer.
 
 Define-by-run and scoped: inside a ``with tape():`` block, every op with a
-parent that requires grad appends its output node to the block's tape, whose
-recording order is a valid topological order.  Outside every block nothing is
-recorded, so a forward-only pass needs no switch.  ``backward`` pops the
-innermost open tape's nodes in reverse, cutting each node's closure as it runs
-it, so an activation is freed once the sweep has passed its own node and every
-node that reads it; leaving the block, normally or by a raise, drops whatever
-the tape still holds.
+parent that requires grad appends its output's gradient slot to the block's
+tape, whose recording order is a valid topological order.  Outside every
+block nothing is recorded, so a forward-only pass needs no switch.
+
+A ``Tensor`` is its ``data`` and a small gradient slot (``requires_grad``,
+``grad`` and a recorded op's ``backward`` closure).  The tape holds slots,
+not tensors, and each closure holds its parents' slots plus exactly the
+arrays its own gradient formula reads, so an array no gradient reads is
+freed as soon as the forward pass drops its tensor: ``relu`` and ``sqrt``
+keep their output, ``linear`` and ``multiply`` an operand only when the
+other side requires grad, ``block_diag_matmul`` its input only for its self
+weight's gradient, and ``add``, ``sub``, ``transpose``, ``tsum``,
+``segment_mean``, ``index_select`` and ``gather2d`` only shapes and indices.
+``backward`` pops the innermost open tape's slots in reverse, cutting each
+slot's closure as it runs it, so a kept array is freed once the sweep has run
+every node that reads it; leaving the block, normally or by a raise, drops
+whatever the tape still holds.
 Each thread (each ``contextvars`` context) has its own open tapes.
 
 ``linear`` is the one dense product: ``a @ w`` is ``linear(a, w)``.  It and
-``block_diag_matmul`` fuse what would otherwise be two or three nodes, each
-with an output array kept until the sweep reaches it: ``linear`` adds an
-optional bias into the product's own array and ``block_diag_matmul`` its
-optional self term c * a.  Each is one node and one array, with the sums,
-and the gradients in the order, of the ops it fuses.  A backward computes a
-parent's gradient only when that parent requires grad.
+``block_diag_matmul`` fuse what would otherwise be two or three nodes: ``linear``
+adds an optional bias into the product's own array and ``block_diag_matmul``
+its optional self term c * a.  Each is one node and one output array, with the
+sums, and the gradients in the order, of the ops it fuses.  A backward
+computes a parent's gradient only when that parent requires grad.
 
 ``soft_rank`` and ``models.embed_rows`` split their work across the CPUs the
 process may run on with ``_split``, which runs each span in a fresh context,
@@ -110,7 +119,7 @@ def _split(n: int, unit: int, fn) -> list:
 @contextlib.contextmanager
 def tape():
     """Record differentiable ops inside the block; its nodes are dropped on exit."""
-    nodes: list[Tensor] = []
+    nodes: list[_Slot] = []
     token = _open_tape.set(nodes)
     try:
         yield
@@ -119,16 +128,43 @@ def tape():
         _drop(nodes)
 
 
+class _Slot:
+    """What the tape and the backward closures hold of a tensor: whether it
+    requires grad, its gradient, and for a recorded op's output the closure
+    that passes a gradient on to its parents' slots."""
+
+    __slots__ = ("requires_grad", "grad", "backward")
+
+    def __init__(self, requires_grad: bool):
+        self.requires_grad = requires_grad
+        self.grad: Optional[np.ndarray] = None
+        self.backward = None
+
+
 class Tensor:
     """Row-major float64 array, optionally tracked by the gradient tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_backward")
+    __slots__ = ("data", "_slot")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = requires_grad
-        self.grad: Optional[np.ndarray] = None
-        self._backward = None
+        self._slot = _Slot(requires_grad)
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._slot.requires_grad
+
+    @property
+    def grad(self) -> Optional[np.ndarray]:
+        return self._slot.grad
+
+    @grad.setter
+    def grad(self, value: Optional[np.ndarray]) -> None:
+        self._slot.grad = value
+
+    @property
+    def _backward(self):
+        return self._slot.backward
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -176,28 +212,31 @@ def as_tensor(x) -> Tensor:
 
 
 def _record(out: Tensor, parents: tuple[Tensor, ...], backward) -> Tensor:
+    """Put out's slot on the innermost open tape with ``backward`` when a
+    parent requires grad.  ``backward(g)`` must hold slots and arrays, never
+    a tensor, so that recording keeps no array the forward pass drops."""
     nodes = _open_tape.get()
     if nodes is not None and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._backward = backward
-        nodes.append(out)
+        slot = out._slot
+        slot.requires_grad, slot.backward = True, backward
+        nodes.append(slot)
     return out
 
 
 def _drop(nodes: list) -> None:
-    """Cut recorded nodes off the tape: they no longer require grad or keep closures."""
+    """Cut recorded slots off the tape: they no longer require grad or keep closures."""
     for node in nodes:
-        node._backward = None
+        node.backward = None
         node.requires_grad = False
     nodes.clear()
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add g into t's gradient in a new array, never in place: ``add`` hands the
-    same g to both of its parents."""
-    if not t.requires_grad:
+def _accumulate(slot: _Slot, g: np.ndarray) -> None:
+    """Add g into the slot's gradient in a new array, never in place: ``add``
+    hands the same g to both of its parents."""
+    if not slot.requires_grad:
         return
-    t.grad = g if t.grad is None else t.grad + g
+    slot.grad = g if slot.grad is None else slot.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -210,18 +249,27 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _binary(name: str, a, b, fwd, da, db) -> Tensor:
+def _binary(name: str, a, b, fwd, da, db, reads: tuple[str, str] = ("", "")) -> Tensor:
+    """fwd(x, y) of the data x of a and y of b, with gradients da(g, x, y) for
+    a and db(g, x, y) for b.  ``reads`` names the operands, "x" and "y", that
+    da and db read; the node keeps an operand only when a parent that
+    requires grad has a gradient that reads it, and passes None for the
+    others."""
     a, b = as_tensor(a), as_tensor(b)
     try:
         out = Tensor(fwd(a.data, b.data))
     except ValueError as exc:
         raise DataError(f"{name}: incompatible shapes {a.shape} vs {b.shape}") from exc
+    read = (reads[0] if a.requires_grad else "") + (reads[1] if b.requires_grad else "")
+    x = a.data if "x" in read else None
+    y = b.data if "y" in read else None
+    sa, sb, shape_a, shape_b = a._slot, b._slot, a.data.shape, b.data.shape
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(da(g, a.data, b.data), a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(db(g, a.data, b.data), b.data.shape))
+        if sa.requires_grad:
+            _accumulate(sa, _unbroadcast(da(g, x, y), shape_a))
+        if sb.requires_grad:
+            _accumulate(sb, _unbroadcast(db(g, x, y), shape_b))
 
     return _record(out, (a, b), backward)
 
@@ -238,19 +286,20 @@ def sub(a, b) -> Tensor:
 
 def multiply(a, b) -> Tensor:
     return _binary("multiply", a, b, lambda x, y: x * y,
-                   lambda g, x, y: g * y, lambda g, x, y: g * x)
+                   lambda g, x, y: g * y, lambda g, x, y: g * x, ("y", "x"))
 
 
 def divide(a, b) -> Tensor:
     return _binary("divide", a, b, lambda x, y: x / y,
-                   lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
+                   lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y), ("y", "xy"))
 
 
 def linear(a, w, b=None) -> Tensor:
     """a @ w, the one dense product, with b added into the product's own array
     when given: one node and one array where a product then ``add`` keep two,
     with the same sums and the gradients of those two in their order (b, a,
-    w).  b is a bias row or a running sum of the product's shape."""
+    w).  b is a bias row or a running sum of the product's shape.  The node
+    keeps a only when w requires grad and w only when a does."""
     a, w = as_tensor(a), as_tensor(w)
     b = None if b is None else as_tensor(b)
     if a.data.ndim != 2 or w.data.ndim != 2:
@@ -262,31 +311,39 @@ def linear(a, w, b=None) -> Tensor:
     except ValueError as exc:
         plus = "" if b is None else f" + {b.shape}"
         raise DataError(f"linear: incompatible shapes {a.shape} @ {w.shape}{plus}") from exc
+    x = a.data if w.requires_grad else None
+    m = w.data if a.requires_grad else None
+    sa, sw = a._slot, w._slot
+    sb, shape_b = (None, None) if b is None else (b._slot, b.data.shape)
 
     def backward(g):
-        if b is not None and b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.data.shape))
-        if a.requires_grad:
-            _accumulate(a, g @ w.data.T)
-        if w.requires_grad:
-            _accumulate(w, a.data.T @ g)
+        if sb is not None and sb.requires_grad:
+            _accumulate(sb, _unbroadcast(g, shape_b))
+        if sa.requires_grad:
+            _accumulate(sa, g @ m.T)
+        if sw.requires_grad:
+            _accumulate(sw, x.T @ g)
 
     return _record(Tensor(out), (a, w) if b is None else (a, w, b), backward)
 
 
 def _unary(a, fwd, dgrad) -> Tensor:
+    """fwd(x), whose gradient dgrad(g, y) reads only the output y, which the
+    node keeps in place of its input."""
     a = as_tensor(a)
     out = Tensor(fwd(a.data))
+    sa, y = a._slot, out.data
 
     def backward(g):
-        _accumulate(a, dgrad(g, a.data, out.data))
+        _accumulate(sa, dgrad(g, y))
 
     return _record(out, (a,), backward)
 
 
 def relu(a) -> Tensor:
-    return _unary(a, lambda x: np.maximum(x, 0.0),
-                  lambda g, x, y: g * (x > 0.0))
+    """max(x, 0), whose gradient mask y > 0 on the output is x > 0 bit for
+    bit, NaN included."""
+    return _unary(a, lambda x: np.maximum(x, 0.0), lambda g, y: g * (y > 0.0))
 
 
 def _sigmoid_stable(x: np.ndarray, out: Optional[np.ndarray] = None,
@@ -309,18 +366,19 @@ def _sigmoid_stable(x: np.ndarray, out: Optional[np.ndarray] = None,
 
 
 def sqrt(a) -> Tensor:
-    return _unary(a, np.sqrt, lambda g, x, y: g / (2.0 * y))
+    return _unary(a, np.sqrt, lambda g, y: g / (2.0 * y))
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
+    sa, shape = a._slot, a.data.shape
 
     def backward(g):
         g = np.asarray(g)
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
+        _accumulate(sa, np.broadcast_to(g, shape).copy())
 
     return _record(out, (a,), backward)
 
@@ -339,11 +397,12 @@ def index_select(a, index) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
         raise DataError(f"index_select: index out of range for {a.shape}")
     out = Tensor(a.data[idx])
+    sa, shape = a._slot, a.data.shape
 
     def backward(g):
-        inner = math.prod(a.data.shape[1:])
+        inner = math.prod(shape[1:])
         flat = idx.reshape(-1, 1) * inner + np.arange(inner)
-        _accumulate(a, _scatter_add(a.data.shape, flat, g))
+        _accumulate(sa, _scatter_add(shape, flat, g))
 
     return _record(out, (a,), backward)
 
@@ -353,9 +412,10 @@ def transpose(a) -> Tensor:
     if a.data.ndim != 2:
         raise DataError(f"transpose: expected 2-D, got {a.shape}")
     out = Tensor(a.data.T.copy())
+    sa = a._slot
 
     def backward(g):
-        _accumulate(a, g.T)
+        _accumulate(sa, g.T)
 
     return _record(out, (a,), backward)
 
@@ -371,9 +431,10 @@ def gather2d(a, rows, cols) -> Tensor:
                    or c.max() >= a.data.shape[1]):
         raise DataError(f"gather2d: index out of range for {a.shape}")
     out = Tensor(a.data[r, c])
+    sa, shape = a._slot, a.data.shape
 
     def backward(g):
-        _accumulate(a, _scatter_add(a.data.shape, r * a.data.shape[1] + c, g))
+        _accumulate(sa, _scatter_add(shape, r * shape[1] + c, g))
 
     return _record(out, (a,), backward)
 
@@ -394,7 +455,8 @@ def block_diag_matmul(blocks: Sequence[np.ndarray], offsets, a,
 
     A scalar ``self_weight`` c adds c * a into the same array, (diag(blocks) +
     cI) @ a as one node: the sums of ``block_diag_matmul(blocks, offsets, a) +
-    c * a``, and a's gradient in their order, g * c before the blocks' term."""
+    c * a``, and a's gradient in their order, g * c before the blocks' term.
+    The node keeps a only for c's gradient, when c requires grad."""
     a = as_tensor(a)
     c = None if self_weight is None else as_tensor(self_weight)
     if c is not None and c.data.shape != ():
@@ -405,17 +467,20 @@ def block_diag_matmul(blocks: Sequence[np.ndarray], offsets, a,
         out[lo:hi] = b @ a.data[lo:hi]
     if c is not None:
         out += c.data * a.data
+    sa, shape = a._slot, a.data.shape
+    sc, cw = (None, None) if c is None else (c._slot, c.data)
+    x = a.data if c is not None and c.requires_grad else None
 
     def backward(g):
-        if a.requires_grad:
-            if c is not None:
-                _accumulate(a, g * c.data)
-            ga = np.empty_like(a.data)
+        if sa.requires_grad:
+            if sc is not None:
+                _accumulate(sa, g * cw)
+            ga = np.empty(shape)
             for b, lo, hi in spans:
                 ga[lo:hi] = b.T @ g[lo:hi]
-            _accumulate(a, ga)
-        if c is not None and c.requires_grad:
-            _accumulate(c, _unbroadcast(g * a.data, ()))
+            _accumulate(sa, ga)
+        if sc is not None and sc.requires_grad:
+            _accumulate(sc, _unbroadcast(g * x, ()))
 
     return _record(Tensor(out), (a,) if c is None else (a, c), backward)
 
@@ -433,16 +498,18 @@ def block_diag_attention(blocks: Sequence[np.ndarray], offsets, scores, a) -> Te
     for (b, lo, hi), wk in zip(spans, w):
         out[lo:hi] = (b * wk) @ a.data[lo:hi]
 
+    ss, sa, x = s._slot, a._slot, a.data
+
     def backward(g):
-        gs, ga = np.empty_like(s.data), np.empty_like(a.data)
+        gs, ga = np.empty((len(x), 2)), np.empty(x.shape)
         for (b, lo, hi), wk in zip(spans, w):
             m = b * wk
             ga[lo:hi] = m.T @ g[lo:hi]
-            gz = (g[lo:hi] @ a.data[lo:hi].T) * b * (1.0 - wk * wk)
+            gz = (g[lo:hi] @ x[lo:hi].T) * b * (1.0 - wk * wk)
             gs[lo:hi, 0] = gz.sum(axis=1)
             gs[lo:hi, 1] = gz.sum(axis=0)
-        _accumulate(s, gs)
-        _accumulate(a, ga)
+        _accumulate(ss, gs)
+        _accumulate(sa, ga)
 
     return _record(Tensor(out), (s, a), backward)
 
@@ -457,9 +524,10 @@ def segment_mean(a, offsets) -> Tensor:
         raise DataError(f"segment_mean: offsets {offsets.tolist()} do not split "
                         f"{len(a.data)} rows into non-empty segments")
     out = Tensor(np.add.reduceat(a.data, offsets[:-1], axis=0) / counts[:, None])
+    sa = a._slot
 
     def backward(g):
-        _accumulate(a, np.repeat(g / counts[:, None], counts, axis=0))
+        _accumulate(sa, np.repeat(g / counts[:, None], counts, axis=0))
 
     return _record(out, (a,), backward)
 
@@ -545,6 +613,7 @@ def soft_rank(a, tau: float) -> Tensor:
 
     _split(p, unit, forward)
     out = Tensor(ranks)
+    sa = a._slot
 
     def backward(g):
         g = np.asarray(g)
@@ -557,7 +626,7 @@ def soft_rank(a, tau: float) -> Tensor:
                 ga[b_lo:b_hi] = (g[b_lo:b_hi] * sprime.sum(axis=1) - sprime @ g) / tau
 
         _split(p, unit, span)
-        _accumulate(a, ga)
+        _accumulate(sa, ga)
 
     return _record(out, (a,), backward)
 
@@ -578,9 +647,10 @@ def bce_with_logits(logits, targets, mask=None) -> Tensor:
     # max(x,0) - x*y + log(1+exp(-|x|))
     per = np.maximum(x.data, 0.0) - x.data * y + np.log1p(np.exp(-np.abs(x.data)))
     out = Tensor(float((per * m).sum() / count))
+    sx, z = x._slot, x.data
 
     def backward(g):
-        _accumulate(x, np.asarray(g) * m * (_sigmoid_stable(x.data) - y) / count)
+        _accumulate(sx, np.asarray(g) * m * (_sigmoid_stable(z) - y) / count)
 
     return _record(out, (x,), backward)
 
@@ -589,11 +659,11 @@ def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar loss recorded on the innermost open tape;
     fills ``grad`` on every requires_grad leaf reachable from it.
 
-    Each node is popped off the tape and its closure cut before that closure
-    runs, so what only that closure kept is freed once it has run: an
-    activation lives until the sweep has run its own node, which comes after
-    every node that reads it.  The tape is empty afterwards, and a raise
-    part-way through drops the nodes still on it."""
+    Each slot is popped off the tape and its closure cut before that closure
+    runs, so what only that closure kept is freed once it has run: a kept
+    array lives until the sweep has run every node that reads it.  The tape
+    is empty afterwards, and a raise part-way through drops the slots still
+    on it."""
     if loss.data.size != 1:
         raise DataError(f"backward: loss must be scalar, got shape {loss.shape}")
     nodes = _open_tape.get()
@@ -603,9 +673,9 @@ def backward(loss: Tensor) -> None:
     try:
         while nodes:
             node = nodes.pop()
-            step, g = node._backward, node.grad
+            step, g = node.backward, node.grad
             # intermediate: cut off the tape; leaves keep their grads
-            node._backward, node.grad, node.requires_grad = None, None, False
+            node.backward, node.grad, node.requires_grad = None, None, False
             if g is not None:
                 step(g)
     finally:
@@ -613,7 +683,7 @@ def backward(loss: Tensor) -> None:
 
 
 def tape_size() -> int:
-    """Nodes on the innermost open tape; 0 outside every ``tape()`` block."""
+    """Slots on the innermost open tape; 0 outside every ``tape()`` block."""
     nodes = _open_tape.get()
     return 0 if nodes is None else len(nodes)
 

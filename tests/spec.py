@@ -46,7 +46,7 @@ def permuted(g, perm):
     """``g`` with its nodes relabelled so that old node i becomes node perm[i]:
     attributes and node labels move with their nodes, and the edges, with their
     attributes, are renamed and sorted again."""
-    perm = list(perm)
+    perm = list(map(int, perm))  # a graph's node ids are ints, not numpy integers
     assert sorted(perm) == list(range(g.node_count))
 
     def moved(values):

@@ -32,7 +32,10 @@ Public code has callers: every public top-level function and method of
 patches functions by name), except the names on ``TEST_ONLY``, which only
 shrinks.
 No public function is a second name for another: none has a body, after its
-docstring, that only returns a call passing its own parameters on, in order."""
+docstring, that only returns a call passing its own parameters on, in order.
+A backward closure of ``tensor.py`` reads only the arrays it captured: no
+nested function named ``backward`` reads a ``.data`` attribute, which would
+mean it holds a tensor and so keeps that tensor's array until the sweep."""
 
 import ast
 import sys
@@ -165,6 +168,18 @@ def test_products_and_sums_fused_in_models():
                  and (is_matmul(node.left) or is_matmul(node.right)))
              or (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add)
                  and is_matmul(node.value))]
+    assert not found
+
+
+def test_backward_closures_read_no_tensor_data():
+    found = [f"tensor.py:{node.lineno}: {outer.name}'s backward reads {ast.unparse(node)}"
+             for _, tree in _trees([PACKAGE / "tensor.py"]) for outer in tree.body
+             if isinstance(outer, ast.FunctionDef)
+             for fn in ast.walk(outer)
+             if fn is not outer and isinstance(fn, ast.FunctionDef) and fn.name == "backward"
+             for node in ast.walk(fn)
+             if isinstance(node, ast.Attribute) and node.attr == "data"
+             and isinstance(node.ctx, ast.Load)]
     assert not found
 
 

@@ -92,6 +92,18 @@ class TestHashing:
             with pytest.raises(DataError, match="must be a 1-D bool array"):
                 BitFingerprint(bits=bits, scheme="topological", params=())
 
+    def test_equal_fingerprints_compare_and_hash_equal(self):
+        def fp(bits, scheme="morgan", params=(("radius", 2),)):
+            return BitFingerprint(bits=np.array(bits, dtype=bool), scheme=scheme, params=params)
+
+        a, b = fp(np.zeros(8)), fp(np.zeros(8))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a.to_hex() == "00"
+        assert a != fp(np.eye(8)[3])
+        assert a != fp(np.zeros(8), scheme="topological")
+        assert a != fp(np.zeros(8), params=(("radius", 1),))
+        assert a != fp(np.zeros(16))
+
     def test_fnv_rows_match_scalar(self):
         rng = np.random.default_rng(6)
         special = np.array([0, 1 << 63, (1 << 64) - 1], dtype=np.uint64)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -141,6 +142,24 @@ class TestGraphInvariants:
         with pytest.raises(DataError, match="graph 'x': node_count"):
             LabeledGraph(id="x", node_count=count, edges=((0, 1),),
                          node_attrs=((0,), (0,)), edge_attrs=((0,),))
+
+    @pytest.mark.parametrize("field, value, bad", [
+        ("edges", ((0, 1), (0.5, 2)), "0.5"), ("edges", ((0, 1), (np.int64(0), 2)), "np.int64"),
+        ("edges", ((True, 2),), "True"), ("node_attrs", ((0,), (1.7,), (1,)), "1.7"),
+        ("node_attrs", ((0,), (np.int64(1),), (1,)), "np.int64"),
+        ("edge_attrs", ((0,), (False,)), "False"), ("node_labels", (0, 1.0, 1), "1.0")])
+    def test_non_integer_value_rejected(self, field, value, bad):
+        # the rule load_corpus reads by: 1.7 would be encoded as attribute 1, and an
+        # endpoint 0.5 counted as node 0 by degrees() but not indexed by adjacency()
+        fields = dict(id="x", node_count=3, edges=((0, 1), (0, 2)),
+                      node_attrs=((0,), (1,), (1,)), edge_attrs=((0,), (0,)),
+                      node_labels=(0, 1, 1))
+        fields[field] = value
+        if field == "edges":
+            fields["edge_attrs"] = ((0,),) * len(value)
+        with pytest.raises(DataError, match=rf"graph 'x': {field}: expected an integer, "
+                                            rf"got {re.escape(bad)}"):
+            LabeledGraph(**fields)
 
     def test_task_count_mismatch(self):
         g = LabeledGraph(id="x", node_count=1, edges=(), node_attrs=((0,),),

@@ -1,5 +1,7 @@
 import json
 import threading
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -311,6 +313,89 @@ def gin_and_graphs(hidden=ENCODE_SPLIT_WIDTH, count=40):
     model = init_model(GnnConfig(arch="gin", layers=2, hidden_dim=hidden, attr_sizes=ATTRS),
                        seed=0)
     return model, [random_attributed_graph(rng) for _ in range(count)]
+
+
+def _tensors_held(fn) -> list:
+    """The tensors a backward closure reaches through its cells and through the
+    functions, lists and tuples they hold."""
+    held, todo, seen = [], [fn], set()
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, T.Tensor):
+            held.append(obj)
+        elif isinstance(obj, (list, tuple)):
+            todo.extend(obj)
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            todo.extend(cell.cell_contents for cell in obj.__closure__)
+    return held
+
+
+class TestWhatBackwardKeeps:
+    """The tape holds gradient slots, and each backward the arrays its gradient
+    reads: no tensor, so an array no gradient reads goes with its tensor."""
+
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "dropout"])
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_no_backward_holds_a_tensor(self, arch, training):
+        model = small_model(arch, layers=3, task_count=2)
+        graphs = mixed_batch(np.random.default_rng(40))
+        with T.tape():
+            logits = classify(model, graphs, training=training, rng=np.random.default_rng(41))
+            loss = T.bce_with_logits(logits, np.ones(logits.shape))
+            slots = T._open_tape.get()
+            assert len(slots) == T.tape_size() > 0
+            assert [t for slot in slots for t in _tensors_held(slot.backward)] == []
+            T.backward(loss)
+        assert all(p.grad is not None for p in model.parameters())
+
+    def test_gin_forward_frees_pre_relu_rows_and_embedding_lookups(self, monkeypatch):
+        # the ReLU keeps its output for the mask, and the sum of the lookups is
+        # an add, whose gradient reads neither operand
+        lookups, pre_relu = [], []
+        index_select, relu = T.index_select, T.relu
+
+        def watched_index_select(a, index):
+            out = index_select(a, index)
+            lookups.append(weakref.ref(out.data))
+            return out
+
+        def watched_relu(a):
+            pre_relu.append(weakref.ref(a.data))
+            return relu(a)
+
+        monkeypatch.setattr(T, "index_select", watched_index_select)
+        monkeypatch.setattr(T, "relu", watched_relu)
+        model = small_model("gin", layers=3)
+        with T.tape():
+            out, _ = encode_nodes(model, mixed_batch(np.random.default_rng(42)))
+            assert (len(lookups), len(pre_relu)) == (len(ATTRS), 3)
+            assert [ref() for ref in lookups + pre_relu] == [None] * 5
+            T.backward(T.tsum(out * out))
+        assert all(p.grad is not None for p in model.parameters())
+
+    def test_gin_forward_keeps_three_arrays_per_layer(self):
+        # each layer's input (for eps's gradient), its aggregate (for w1's) and
+        # its ReLU output (for the mask and w2's), and the output the caller
+        # holds; the slack covers slots, closures, operators and indices
+        layers, hidden = 3, 256
+        rng = np.random.default_rng(43)
+        graphs = [random_attributed_graph(rng, n_min=12, n_max=16, attr_sizes=ATTRS)
+                  for _ in range(12)]
+        model = small_model("gin", layers=layers, hidden=hidden)
+        batch = prepare(model.config, graphs)
+        array = sum(g.node_count for g in graphs) * hidden * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with T.tape():
+                out, _ = encode_nodes(model, batch)
+                kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept <= (3 * layers + 1) * array + array // 2, kept / array
 
 
 class TestEmbedRows:

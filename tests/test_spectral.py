@@ -178,6 +178,14 @@ class TestSpectralFingerprint:
         with pytest.raises(DataError, match="expected at least one eigenvalue, all finite"):
             SpectralFingerprint(eigenvalues=(3.0, bad))
 
+    def test_equal_fingerprints_compare_and_hash_equal(self):
+        # eigenvalues given as an array are kept as a tuple of floats
+        a = SpectralFingerprint(eigenvalues=np.array([2.0, 1.0]), params=(("k", 2),))
+        b = SpectralFingerprint(eigenvalues=(2.0, 1), params=(("k", 2),))
+        assert a.eigenvalues == (2.0, 1.0) and all(type(v) is float for v in a.eigenvalues)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != SpectralFingerprint(eigenvalues=(2.0, 0.5), params=(("k", 2),))
+
     @pytest.mark.parametrize("kind", [COMBINATORIAL, SYM_NORMALIZED])
     def test_make_fingerprints_matches_per_graph(self, kind):
         rng = np.random.default_rng(9)

@@ -557,6 +557,60 @@ class TestBackward:
             assert finite_difference_check(cosine, [a], h=1e-4) < 1e-5
 
 
+def _grad_leaf():
+    return T.Tensor(np.full(3, 0.5), requires_grad=True)
+
+
+class TestWhatANodeKeeps:
+    """A recorded op keeps only the arrays its own gradient formula reads, so an
+    input no gradient reads is freed as soon as the forward pass drops it."""
+
+    @pytest.mark.parametrize("op, freed", [pytest.param(op, freed, id=name) for name, op, freed in [
+        ("add", lambda t: t + np.ones(3), True),
+        ("sub", lambda t: 2.0 - t, True),
+        # dropout: the rows before the mask go
+        ("multiply-constant", lambda t: t * np.arange(3.0), True),
+        # kept for the other side's gradient
+        ("multiply-tensor", lambda t: t * _grad_leaf(), False),
+        ("divide-numerator", lambda t: t / 2.0, True),
+        ("divide-denominator", lambda t: 2.0 / t, False),
+        ("relu", T.relu, True),  # its output gives the mask
+        ("sqrt", T.sqrt, True),
+        ("tsum", lambda t: T.tsum(t, axis=1), True),
+        ("transpose", T.transpose, True),
+        ("index_select", lambda t: T.index_select(t, [0, 2, 2]), True),
+        ("gather2d", lambda t: T.gather2d(t, [0, 1], [2, 0]), True),
+        ("segment_mean", lambda t: T.segment_mean(t, [0, 1, 4]), True),
+        ("linear-constant", lambda t: T.linear(t, np.ones((3, 2))), True),
+        ("linear-weight", lambda t: T.linear(t, T.Tensor(np.ones((3, 2)), requires_grad=True)),
+         False),
+        ("block_diag_matmul-constant", lambda t: T.block_diag_matmul(
+            [np.eye(4)], [0, 4], t, self_weight=2.0), True),
+        ("block_diag_matmul-self-weight", lambda t: T.block_diag_matmul(
+            [np.eye(4)], [0, 4], t, self_weight=T.Tensor(2.0, requires_grad=True)), False),
+        ("bce_with_logits", lambda t: T.bce_with_logits(t, np.ones((4, 3))), False),
+    ]])
+    def test_input_freed_unless_a_gradient_reads_it(self, op, freed):
+        x = T.Tensor(np.random.default_rng(50).uniform(0.5, 2.0, size=(4, 3)),
+                     requires_grad=True)
+        with T.tape():
+            t = x * 1.0  # an intermediate that no node keeps: 1.0 takes no gradient
+            ref = weakref.ref(t.data)
+            out = op(t)
+            del t
+            assert (ref() is None) == freed
+            T.backward(T.tsum(out * out))
+        assert x.grad is not None and np.all(np.isfinite(x.grad))
+
+    def test_relu_mask_from_its_output_is_its_inputs(self):
+        x = T.Tensor([np.nan, -0.0, 0.0, -1.0, 2.0, np.inf, -np.inf, 1e-300],
+                     requires_grad=True)
+        g = np.arange(1.0, 9.0)
+        with T.tape():
+            T.backward(T.tsum(T.relu(x) * g))
+        assert np.array_equal(x.grad, g * (x.data > 0.0))
+
+
 class TestGradChecksAllOps:
     def test_every_op_against_central_differences(self):
         rng = np.random.default_rng(11)
