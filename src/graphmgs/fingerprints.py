@@ -29,7 +29,13 @@ and its signature, a uint64 with bit ``i & 63`` set for each node on the
 path, i being the node's index within its graph.  A 1-edge row hashes its
 (head code, bond, tail code) once; a longer row continues the state of the
 row it extends over the (bond, tail code) of its new slot, so an extension
-hashes two codes, not its whole path.  A row's candidate extensions are its
+hashes two codes, not its whole path, and each by lookup: FNV-1a over a code
+c from the state h is h·P^8 + C(h & 255, c) mod 2^64, P the FNV prime, since
+XOR with a byte changes only the state's low byte and a product's low byte
+depends only on its factors' low bytes.  ``_step_tables`` gives each distinct
+node or bond code of the batch its C for all 256 low bytes, 2 KiB per code
+(6 KiB while built), so a step over a code is one multiply and two gathers,
+not 8 byte steps.  A row's candidate extensions are its
 last node's slots but the one back over its last edge, which ``rev`` (the
 slot of each edge's other direction, built once per batch) skips by index
 arithmetic, so a row ending at node v has deg(v) - 1 candidates.  A
@@ -92,6 +98,7 @@ BALL_BLOCK_BYTES = 1 << 20  # ball bitset bytes per round of one Morgan run; bou
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_FNV_PRIME_8 = np.uint64(pow(_FNV_PRIME, 8, 1 << 64))  # one code is 8 byte steps
 
 
 def fnv1a64_rows(codes: np.ndarray, lengths=None, start=None) -> np.ndarray:
@@ -156,6 +163,9 @@ class BitFingerprint:
                             f"{getattr(bits, 'dtype', type(bits).__name__)} of shape "
                             f"{np.shape(bits)}")
         _check_nbits(len(bits))
+        # a read-only copy: ==, hash and to_hex read fixed bits; the caller's array keeps its flags
+        object.__setattr__(self, "bits", bits.copy())
+        self.bits.flags.writeable = False
 
     @property
     def nbits(self) -> int:
@@ -225,25 +235,24 @@ def topological_fingerprints(graphs, max_path_len: int = 7, nbits: int = 2048,
     """Hash every simple path of 1..max_path_len edges of each graph of the
     batch into that graph's bit vector; returns one fingerprint per graph.
 
-    The paths of all graphs are walked together (see the module docstring):
-    a block holds paths of one length from any graphs, stored column-major
-    as a (k, rows) int32 table of directed edge slots, and depth-first order
-    keeps one block per length alive, so memory is O(max_path_len ×
-    PATH_BLOCK_ROWS) rows of 4 bytes per slot plus 16 bytes of FNV state and
-    signature, plus O(edges) for the CSR and its ``rev`` slots.  A path is
-    canonicalized as the lexicographically smaller of its two directional
+    The paths of all graphs are walked together, depth first over blocks of
+    one path length (see the module docstring), so memory is O(max_path_len
+    × PATH_BLOCK_ROWS) rows of 4 bytes per slot plus 16 bytes of FNV state
+    and signature, plus O(edges) for the CSR and its ``rev`` slots.  A path
+    is canonicalized as the lexicographically smaller of its two directional
     encodings (alternating attribute-only node codes and bond codes).  Each
-    row carries the FNV-1a state of its forward encoding, continued from its
-    parent's over two codes, and the signature of its nodes, from which a
-    row's deg(last) - 1 candidates (the slot back over its last edge is
-    skipped) are each tested in O(1); only a hit on a node of a graph of
-    more than 64 nodes, whose bit another node shares, is checked against
-    the row's slots.  A path is hashed from its row whose forward encoding
-    is the smaller one, or, for a palindrome, whose first node is below its
-    last.  That hash seeds splitmix64, which picks ``bits_per_feature``
-    indices.  The cap is per graph: the first graph whose running path count
-    passes ``MAX_PATHS_PER_GRAPH`` raises ``DataError`` naming it, however
-    many paths the batch holds in all.
+    row continues its parent's FNV-1a state over two codes by lookup: FNV-1a
+    over a code c from the state h is h·P^8 + C(h & 255, c) mod 2^64, read
+    from a table of C that takes 2 KiB per distinct node or bond code.  A
+    row's deg(last) - 1 candidates (not the slot back over its last edge)
+    are each tested in O(1) against its node signature; only a hit on a node
+    of a graph of more than 64 nodes, whose bit another node shares, is
+    checked against the row's slots.  A path is hashed from its row whose
+    forward encoding is the smaller one, or, for a palindrome, whose first
+    node is below its last.  That hash seeds splitmix64, which picks
+    ``bits_per_feature`` indices.  The cap is per graph: the first graph
+    whose running path count passes ``MAX_PATHS_PER_GRAPH`` raises
+    ``DataError`` naming it, however many paths the batch holds in all.
     """
     check_int("topological fingerprint: max_path_len", max_path_len, 1)
     check_int("topological fingerprint: bits_per_feature", bits_per_feature, 1)
@@ -251,9 +260,8 @@ def topological_fingerprints(graphs, max_path_len: int = 7, nbits: int = 2048,
     params = (("max_path_len", max_path_len), ("nbits", nbits),
               ("bits_per_feature", bits_per_feature))
     graphs = list(graphs)
-    bits = np.zeros((len(graphs), nbits), dtype=bool)
+    bits = np.zeros(len(graphs) * nbits, dtype=bool)  # bit b of graph i is bits[i * nbits + b]
     owner, head, tail, bond, indptr = _batch_csr(graphs)
-    deg = np.diff(indptr)
     # rev[s]: the slot back over slot s's edge.  The k-th slot in (head, tail)
     # order is the reverse of the k-th in (tail, head) order, since every
     # edge has one slot each way
@@ -263,8 +271,10 @@ def topological_fingerprints(graphs, max_path_len: int = 7, nbits: int = 2048,
     # elsewhere would rewrite the encodings of untouched paths and clear bits
     node_code = _attr_codes([a for g in graphs for a in g.node_attrs])
     head_code, tail_code = node_code[head], node_code[tail]
-    # the (bond, tail code) of each slot: what a path continued over it hashes next
-    step = np.stack([bond, tail_code], axis=1)
+    # a path continued over slot s hashes bond[s], then tail_code[s], by step_at[:, s]
+    table, step_at = _step_tables(np.stack([bond, tail_code]))
+    # per slot: its tail's first slot, and that tail's slots less the one back
+    next_first, next_count = indptr[tail], np.diff(indptr)[tail] - 1
     # a node's signature bit is its index within its graph, mod 64; only in a
     # graph of more than 64 nodes can two nodes share it
     sizes = np.bincount(owner, minlength=len(graphs))
@@ -284,22 +294,22 @@ def topological_fingerprints(graphs, max_path_len: int = 7, nbits: int = 2048,
     def push(paths: np.ndarray, state: np.ndarray, sig: np.ndarray) -> None:
         # every undirected path appears twice; the copy whose first node is
         # below its last is counted
-        first = head[paths[0]]
+        first = head.take(paths[0])
         graph = owner[first]
-        counted = first < tail[paths[-1]]
+        counted = first < tail.take(paths[-1])
         totals[:] += np.bincount(graph[counted], minlength=len(graphs))
         over = np.flatnonzero(totals > MAX_PATHS_PER_GRAPH)
         if len(over):
             raise DataError(f"graph {graphs[over[0]].id!r}: "
                             f"more than {MAX_PATHS_PER_GRAPH} simple paths")
         hashed = _hashed_rows(paths, counted, head_code, tail_code, bond)
-        graph, draw_state = graph[hashed], state[hashed]
+        base, draw_state = graph[hashed] * nbits, state[hashed]
         for _ in range(bits_per_feature):
             draw, draw_state = splitmix64_rows(draw_state)
-            bits[graph, draw % np.uint64(nbits)] = True
+            # draw % nbits, as nbits is a power of two
+            bits[base + (draw.view(np.int64) & (nbits - 1))] = True
         if len(paths) < max_path_len:
-            # the slot back over a row's last edge is never a candidate
-            reach = np.concatenate([[0], np.cumsum(deg[tail[paths[-1]]] - 1)])
+            reach = np.concatenate([[0], np.cumsum(next_count.take(paths[-1]))])
             stack.append([paths, state, sig, reach, 0])
 
     push(np.arange(len(head), dtype=np.int32)[None, :],
@@ -314,36 +324,43 @@ def topological_fingerprints(graphs, max_path_len: int = 7, nbits: int = 2048,
         # at least one row, even when its continuations alone exceed the block
         hi = max(lo + 1, int(np.searchsorted(reach, reach[lo] + PATH_BLOCK_ROWS, "right")) - 1)
         top[4] = hi
-        longer, parent, longer_sig = _extend_paths(paths[:, lo:hi], sig[lo:hi], indptr, head,
-                                                   tail, rev, node_bit, shared)
+        longer, parent, longer_sig = _extend_paths(paths[:, lo:hi], sig[lo:hi], next_first,
+                                                   next_count, rev, head, tail, node_bit, shared)
         if longer.shape[1]:
-            push(longer, fnv1a64_rows(step[longer[-1]], start=state[lo + parent]), longer_sig)
-    return [BitFingerprint(bits=row, scheme=TOPOLOGICAL, params=params) for row in bits]
+            h = state[lo + parent]
+            for at in step_at:
+                low = at.take(longer[-1])
+                low += h.view(np.int64) & 255
+                h *= _FNV_PRIME_8
+                h += table.take(low)
+            push(longer, h, longer_sig)
+    return [BitFingerprint(bits=row, scheme=TOPOLOGICAL, params=params)
+            for row in bits.reshape(len(graphs), nbits)]
 
 
-def _extend_paths(paths: np.ndarray, sig: np.ndarray, indptr: np.ndarray, head: np.ndarray,
-                  tail: np.ndarray, rev: np.ndarray, node_bit: np.ndarray,
-                  shared: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _extend_paths(paths: np.ndarray, sig: np.ndarray, next_first: np.ndarray,
+                  next_count: np.ndarray, rev: np.ndarray, head: np.ndarray, tail: np.ndarray,
+                  node_bit: np.ndarray, shared: np.ndarray) -> tuple[np.ndarray, ...]:
     """Every simple path that continues a row of ``paths``, a (k, rows)
     table, by one more slot; the row of ``paths`` that each one continues;
     and its signature.
 
-    A row's candidates are its last node's slots but the one back over its
-    last edge, ``rev`` of that edge's slot.  A candidate whose node's bit is
-    clear in the row's signature is kept, and a set bit drops it, except on a
-    node of a graph of more than 64 nodes: there the bit may be another
-    node's, and the row's own nodes decide."""
+    A row whose last slot is s has as candidates the ``next_count[s]`` slots
+    of s's tail from ``next_first[s]`` on, less the one back over its last
+    edge, ``rev[s]``.  A candidate whose node's bit is clear in the row's
+    signature is kept, and a set bit drops it, except on a node of a graph
+    of more than 64 nodes: there the bit may be another node's, and the
+    row's own nodes decide."""
     last = paths[-1]
-    end = tail[last]
-    start = indptr[end]
-    count = indptr[end + 1] - start - 1
+    start, count = next_first.take(last), next_count.take(last)
+    # each candidate's row; other per-row values are taken by it, not repeated (faster)
     row = np.repeat(np.arange(len(last)), count)
     # candidate j of a row is slot j of its last node's list, or slot j + 1
     # from the back edge's slot on
-    slot = np.arange(len(row)) + np.repeat(start - (np.cumsum(count) - count), count)
-    slot += slot >= np.repeat(rev[last], count)
-    nxt = tail[slot]
-    path_sig, nxt_bit = np.repeat(sig, count), node_bit[nxt]
+    slot = np.arange(len(row)) + (start - (np.cumsum(count) - count)).take(row)
+    slot += slot >= rev.take(last).take(row)
+    nxt = tail.take(slot)
+    path_sig, nxt_bit = sig.take(row), node_bit.take(nxt)
     on_path = (path_sig & nxt_bit) != 0
     alias = np.flatnonzero(on_path & shared[nxt])
     # a candidate is never the last node itself, which has no self-loop
@@ -361,6 +378,18 @@ def _extend_paths(paths: np.ndarray, sig: np.ndarray, indptr: np.ndarray, head: 
     return out, parent, (path_sig | nxt_bit)[keep]
 
 
+def _step_tables(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(table, at) for a uint64 array of codes, ``at`` of its shape: FNV-1a
+    over the code c = ``codes[i]`` from the state h is
+    ``h * P^8 + table[at[i] + (h & 255)]`` mod 2^64.  Each distinct c has 256
+    entries, its hash from the state l, less l * P^8, for l = 0..255."""
+    distinct, row = np.unique(codes, return_inverse=True)
+    low = np.tile(np.arange(256, dtype=np.uint64), len(distinct))
+    table = fnv1a64_rows(np.repeat(distinct, 256)[:, None], start=low)
+    table -= low * _FNV_PRIME_8
+    return table, (row << 8).reshape(np.shape(codes))
+
+
 def _hashed_rows(paths: np.ndarray, counted: np.ndarray, head_code: np.ndarray,
                  tail_code: np.ndarray, bond: np.ndarray) -> np.ndarray:
     """Which rows of ``paths``, a (k, rows) table, hash their undirected
@@ -374,7 +403,7 @@ def _hashed_rows(paths: np.ndarray, counted: np.ndarray, head_code: np.ndarray,
     k - 1 - i.  Only rows still tied take the next comparison, and most are
     decided at p = 0 by their end nodes."""
     k = len(paths)
-    a, b = head_code[paths[0]], tail_code[paths[-1]]
+    a, b = head_code.take(paths[0]), tail_code.take(paths[-1])
     hashed = a < b
     tied = np.flatnonzero(a == b)
     for p in range(1, k):

@@ -39,8 +39,8 @@ class LabeledGraph:
     Edges are stored as sorted (u, v) pairs with u < v.  ``node_labels``
     carries per-node class ids (used for the homophily ratio), and
     ``graph_labels`` carries graph-level binary task labels where ``None``
-    marks a missing label.  Endpoints, attributes and node labels are ints,
-    not bools, floats or numpy integers, as ``load_corpus`` reads them.
+    marks a missing label.  Endpoints, attributes and labels are ints, not
+    bools, floats or numpy integers, as ``load_corpus`` reads them.
     """
 
     id: str
@@ -119,17 +119,18 @@ def _json_int(value, field: str) -> int:
 
 
 def _check_ints(g: LabeledGraph) -> None:
-    """``_json_int``'s rule for every endpoint, attribute and node label of g,
-    with ``DataError`` naming the graph and the field of the first value that
-    breaks it.  The common case is one pass over the types of all four."""
+    """``_json_int``'s rule for every endpoint, attribute and label of g but
+    a missing graph label, ``None``, with ``DataError`` naming the graph and
+    the field of the first value that breaks it; most graphs take one pass."""
     flat = itertools.chain.from_iterable
+    labels = [y for y in g.graph_labels or () if y is not None]
     if set(map(type, flat((*g.edges, *g.node_attrs, *g.edge_attrs,
-                           g.node_labels or ())))) <= {int}:
+                           g.node_labels or (), labels)))) <= {int}:
         return
     try:
         for field, values in (("edges", flat(g.edges)), ("node_attrs", flat(g.node_attrs)),
                               ("edge_attrs", flat(g.edge_attrs)),
-                              ("node_labels", g.node_labels or ())):
+                              ("node_labels", g.node_labels or ()), ("graph_labels", labels)):
             for v in values:
                 _json_int(v, field)
     except TypeError as exc:

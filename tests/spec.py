@@ -12,9 +12,10 @@ _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def fnv1a64(ints) -> int:
-    """FNV-1a over the 8-byte little-endian encoding of each integer."""
-    h = _FNV_OFFSET
+def fnv1a64(ints, start: int = _FNV_OFFSET) -> int:
+    """FNV-1a over the 8-byte little-endian encoding of each integer, from
+    the state ``start``, by default the offset basis."""
+    h = start
     for value in ints:
         v = value & _MASK64
         for _ in range(8):

@@ -35,7 +35,13 @@ No public function is a second name for another: none has a body, after its
 docstring, that only returns a call passing its own parameters on, in order.
 A backward closure of ``tensor.py`` reads only the arrays it captured: no
 nested function named ``backward`` reads a ``.data`` attribute, which would
-mean it holds a tensor and so keeps that tensor's array until the sweep."""
+mean it holds a tensor and so keeps that tensor's array until the sweep.
+The topological walk hashes by table lookup: the loop of
+``topological_fingerprints``, its nested functions and every function of
+``fingerprints.py`` they call neither call ``fnv1a64_rows``, whose byte
+steps cost 16 passes over every new path, nor take a remainder by
+``nbits``; the tables are built, and the 1-edge paths hashed, before the
+loop."""
 
 import ast
 import sys
@@ -305,3 +311,30 @@ def test_public_names_have_callers_outside_tests():
     test_only = [f"{path.stem}.{name}" for path, tree in _trees()
                  for name, fn in _public_functions(tree) if fn.name not in named]
     assert sorted(test_only) == sorted(TEST_ONLY)
+
+
+def test_path_walk_hashes_by_table():
+    _, tree = _trees([PACKAGE / "fingerprints.py"])[0]
+    defs = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    engine = defs["topological_fingerprints"]
+    todo = [node for node in ast.walk(engine)
+            if node is not engine and isinstance(node, (ast.While, ast.FunctionDef))]
+    walk = []
+    while todo:
+        part = todo.pop()
+        walk.append(part)
+        todo += [defs[node.func.id] for node in ast.walk(part)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                 and node.func.id in defs and defs[node.func.id] not in walk + todo]
+    assert len(walk) > 2  # the loop, push and what they call
+
+    def names(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+    found = [f"fingerprints.py:{node.lineno}: {ast.unparse(node)}"
+             for part in walk for node in ast.walk(part)
+             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                 and node.func.id == "fnv1a64_rows")
+             or (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Mod)
+                 and "nbits" in names(node.right if isinstance(node, ast.BinOp) else node.value))]
+    assert not found

@@ -104,6 +104,39 @@ class TestHashing:
         assert a != fp(np.zeros(8), params=(("radius", 1),))
         assert a != fp(np.zeros(16))
 
+    def test_bits_are_a_read_only_copy(self):
+        # a fingerprint in a set must stay findable: writing to its bits
+        # raises, and writing to the array it was made from changes nothing
+        bits = np.zeros(8, dtype=bool)
+        fp = BitFingerprint(bits=bits, scheme="morgan", params=())
+        found, digest, hex_bits = {fp}, hash(fp), fp.to_hex()
+        with pytest.raises(ValueError, match="read-only"):
+            fp.bits[0] = True
+        assert bits.flags.writeable
+        bits[:] = True
+        assert fp in found and hash(fp) == digest and fp.to_hex() == hex_bits == "00"
+        assert not fp.bits.any()
+
+    def test_step_tables_match_byte_steps(self):
+        # FNV-1a over one code c from a state h is h * P^8 plus the entry of c
+        # for h's low byte; the states cover every low byte under random high bits
+        rng = np.random.default_rng(14)
+        codes = np.concatenate([np.array([0, 1, 1 << 63, (1 << 64) - 1, 1], dtype=np.uint64),
+                                rng.integers(0, 1 << 64, size=40, dtype=np.uint64,
+                                             endpoint=False)])
+        table, at = fingerprints._step_tables(codes)
+        assert table.dtype == np.uint64 and table.nbytes == 2048 * len(set(codes.tolist()))
+        low = np.arange(256, dtype=np.uint64)
+        states = rng.integers(0, 1 << 56, size=256, dtype=np.uint64) << np.uint64(8) | low
+        c, h = np.repeat(codes, 256), np.tile(states, len(codes))
+        got = h * np.uint64(pow(0x100000001B3, 8, 1 << 64)) + table[
+            np.repeat(at, 256) + (h & np.uint64(255)).astype(np.intp)]
+        assert np.array_equal(got, fnv1a64_rows(c[:, None], start=h))
+        assert [int(g) for g in got] == [fnv1a64([int(x)], start=int(y)) for x, y in zip(c, h)]
+        # the entries of a code are found from an array of codes of any shape
+        assert np.array_equal(fingerprints._step_tables(codes.reshape(5, 9))[1],
+                              at.reshape(5, 9))
+
     def test_fnv_rows_match_scalar(self):
         rng = np.random.default_rng(6)
         special = np.array([0, 1 << 63, (1 << 64) - 1], dtype=np.uint64)
@@ -420,6 +453,30 @@ class TestBatch:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20
         assert np.array_equal(fps["k9-7"].bits, topological_fingerprint(copies[0]).bits)
+
+
+    def test_step_tables_bounded_per_distinct_code(self):
+        # every node and bond has its own attribute tuple, so its own code: the
+        # tables' worst case, 2 KiB per code kept and three times that while
+        # they are built, on top of a walk that takes under 2 MiB here
+        rng = np.random.default_rng(15)
+        graphs, fresh = [], iter(range(10 ** 6))
+        for i in range(16):
+            chords = {tuple(sorted(map(int, rng.choice(60, 2, replace=False))))
+                      for _ in range(10)}
+            g = chorded_cycle(rng, 60, chords)
+            graphs.append(molecule(60, g.edges, [(next(fresh),) for _ in range(60)],
+                                   [(next(fresh),) for _ in g.edges], gid=f"distinct{i}"))
+        codes = sum(g.node_count + g.edge_count for g in graphs)
+        tracemalloc.start()
+        try:
+            fps = topological_fingerprints(graphs, max_path_len=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 1024 * codes + 2 * 2 ** 20
+        for g, fp in zip(graphs, fps):
+            assert np.array_equal(fp.bits, reference_topological_bits(g, 4, 2048, 2)), g.id
 
 
 class TestMorgan:

@@ -161,6 +161,34 @@ class TestGraphInvariants:
                                             rf"got {re.escape(bad)}"):
             LabeledGraph(**fields)
 
+    @pytest.mark.parametrize("labels", [(True,), (1.0,), (np.int64(1),), (None, False)],
+                             ids=["bool", "float", "numpy-int", "bool-after-missing"])
+    def test_non_integer_graph_label_rejected(self, tmp_path, labels):
+        # equal to 0 or 1 but not an int: load_corpus would refuse what
+        # save_corpus wrote, so the constructor refuses it too
+        with pytest.raises(DataError, match=rf"graph 'x': graph_labels: expected an integer, "
+                                            rf"got {re.escape(repr(labels[-1]))}"):
+            LabeledGraph(id="x", node_count=1, edges=(), node_attrs=((0,),),
+                         edge_attrs=(), graph_labels=labels)
+        if isinstance(labels[-1], np.generic):
+            return  # JSON has no numpy integers
+        record = dict(json.loads(TRIANGLE_LINE), graph_labels=list(labels))
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match="line 1: .*graph_labels: expected an integer"):
+            load_corpus(path)
+
+    def test_integer_and_missing_graph_labels_round_trip(self, tmp_path):
+        graphs = tuple(LabeledGraph(id=f"g{i}", node_count=1, edges=(), node_attrs=((0,),),
+                                    edge_attrs=(), graph_labels=labels)
+                       for i, labels in enumerate([(0, 1), (None, 0), (1, None)]))
+        corpus = GraphCorpus(graphs=graphs, task_count=2)
+        path = tmp_path / "labels.jsonl"
+        save_corpus(corpus, path)
+        loaded = load_corpus(path)
+        assert loaded.graphs == graphs
+        assert all(type(y) is int for g in loaded for y in g.graph_labels if y is not None)
+
     def test_task_count_mismatch(self):
         g = LabeledGraph(id="x", node_count=1, edges=(), node_attrs=((0,),),
                          edge_attrs=(), graph_labels=(1, 0))
