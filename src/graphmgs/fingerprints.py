@@ -208,19 +208,30 @@ def _attr_codes(rows) -> np.ndarray:
 
 def _batch_csr(graphs):
     """The CSR of a batch, its nodes renumbered to global rows: ``owner[v]``
-    is the graph of node v, and slot s, in order of its head node, runs from
-    ``head[s]`` to ``tail[s]`` over a bond with code ``bond[s]``; the slots of
-    node v are ``indptr[v]:indptr[v + 1]``."""
-    sizes = [g.node_count for g in graphs]
+    is the graph of node v and ``local[v]`` its index there, and slot s, in
+    order of its head node, runs from ``head[s]`` to ``tail[s]`` over a bond
+    with code ``bond[s]``, ``rev[s]`` being the slot back over its edge; the
+    slots of node v are ``indptr[v]:indptr[v + 1]``."""
+    sizes = np.fromiter((g.node_count for g in graphs), dtype=np.intp, count=len(graphs))
+    starts = np.cumsum(sizes) - sizes
     owner = np.repeat(np.arange(len(graphs)), sizes)
-    ends = np.array([(u + lo, v + lo) for g, lo in zip(graphs, np.cumsum([0] + sizes).tolist())
-                     for u, v in g.edges], dtype=np.intp).reshape(-1, 2)
+    local = np.arange(len(owner)) - starts[owner]
+    edge_counts = np.fromiter((len(g.edges) for g in graphs), dtype=np.intp, count=len(graphs))
+    m = int(edge_counts.sum())
+    ends = np.fromiter((end for g in graphs for edge in g.edges for end in edge),
+                       dtype=np.intp, count=2 * m).reshape(m, 2)
+    ends += np.repeat(starts, edge_counts)[:, None]
+    # directed rows i and i + m are the two directions of edge i
     directed = np.concatenate([ends, ends[:, ::-1]])
+    partner = np.concatenate([np.arange(m, 2 * m), np.arange(m)])
     order = np.argsort(directed[:, 0], kind="stable")
+    slot_of = np.empty_like(order)
+    slot_of[order] = np.arange(2 * m)
+    rev = slot_of[partner[order]]
     head, tail = directed[order].T.copy()
     bond = np.tile(_attr_codes([a for g in graphs for a in g.edge_attrs]), 2)[order]
     indptr = np.concatenate([[0], np.cumsum(np.bincount(head, minlength=len(owner)))])
-    return owner, head, tail, bond, indptr
+    return owner, local, head, tail, rev, bond, indptr
 
 
 def topological_fingerprint(g: LabeledGraph, max_path_len: int = 7,
@@ -261,12 +272,7 @@ def topological_fingerprints(graphs, max_path_len: int = 7, nbits: int = 2048,
               ("bits_per_feature", bits_per_feature))
     graphs = list(graphs)
     bits = np.zeros(len(graphs) * nbits, dtype=bool)  # bit b of graph i is bits[i * nbits + b]
-    owner, head, tail, bond, indptr = _batch_csr(graphs)
-    # rev[s]: the slot back over slot s's edge.  The k-th slot in (head, tail)
-    # order is the reverse of the k-th in (tail, head) order, since every
-    # edge has one slot each way
-    rev = np.empty_like(head)
-    rev[np.lexsort((head, tail))] = np.lexsort((tail, head))
+    owner, local, head, tail, rev, bond, indptr = _batch_csr(graphs)
     # node codes hash the attributes alone: with degrees in them, adding an edge
     # elsewhere would rewrite the encodings of untouched paths and clear bits
     node_code = _attr_codes([a for g in graphs for a in g.node_attrs])
@@ -277,10 +283,8 @@ def topological_fingerprints(graphs, max_path_len: int = 7, nbits: int = 2048,
     next_first, next_count = indptr[tail], np.diff(indptr)[tail] - 1
     # a node's signature bit is its index within its graph, mod 64; only in a
     # graph of more than 64 nodes can two nodes share it
-    sizes = np.bincount(owner, minlength=len(graphs))
-    local = np.arange(len(owner)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     node_bit = np.uint64(1) << (local & 63).astype(np.uint64)
-    shared = sizes[owner] > 64
+    shared = np.bincount(owner, minlength=len(graphs))[owner] > 64
     totals = np.zeros(len(graphs), dtype=np.int64)
     # depth first over blocks of k-edge paths, a (k, rows) int32 table of
     # slots each, with the FNV state of each row's forward codes and the
@@ -465,7 +469,7 @@ def _ball_blocks(sizes):
 
 def _set_morgan_bits(bits: np.ndarray, graphs, radius: int) -> None:
     """Set the Morgan bits of each graph of a run in its row of ``bits``."""
-    owner, head, tail, bond, indptr = _batch_csr(graphs)
+    owner, local, head, tail, _, bond, indptr = _batch_csr(graphs)
     n = len(owner)
     deg = np.diff(indptr)
     ids = np.empty((radius + 1, n), dtype=np.uint64)
@@ -474,9 +478,8 @@ def _set_morgan_bits(bits: np.ndarray, graphs, radius: int) -> None:
     ids[0] = fnv1a64_rows(bond[np.lexsort((bond, head))], deg, start=fnv1a64_rows(
         deg[:, None], start=_attr_codes([a for g in graphs for a in g.node_attrs])))
     # ball rows: bit i of a row marks node i of its graph
-    sizes = np.bincount(owner, minlength=len(graphs))
-    local = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    balls = np.zeros((radius + 1, n, _ball_bytes(int(sizes.max(initial=0)))), dtype=np.uint8)
+    balls = np.zeros((radius + 1, n, _ball_bytes(int(local.max(initial=0)) + 1)),
+                     dtype=np.uint8)
     balls[0, np.arange(n), local >> 3] = 1 << (local & 7)
     linked = deg > 0
     for rnd in range(1, radius + 1):

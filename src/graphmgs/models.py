@@ -135,6 +135,7 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.nd
 def init_model(config: GnnConfig, seed: int) -> GnnModel:
     """Seeded encoder parameters (Glorot uniform weights, zero biases), with no
     classification head: ``with_head`` attaches one."""
+    check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     h = config.hidden_dim
     params: dict[str, T.Tensor] = {}
@@ -294,6 +295,7 @@ def classify(model: GnnModel, graphs, training: bool = False,
 def with_head(model: GnnModel, task_count: int, seed: int) -> GnnModel:
     """Attach (or replace) a linear head, keeping encoder parameters shared."""
     check_int("task_count", task_count, 1)
+    check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     h = model.config.hidden_dim
     params = dict(model.params)
@@ -323,8 +325,9 @@ def save_model(model: GnnModel, path) -> None:
 def load_model(path) -> GnnModel:
     """A ``save_model`` checkpoint.  Its parameters must be exactly those that
     ``init_model`` gives its config, with their shapes, plus an optional head
-    (``head.w`` of shape (hidden_dim, t) and ``head.b`` of shape (t,), t >= 1);
-    anything else, or another version, raises ``DataError``."""
+    (``head.w`` of shape (hidden_dim, t) and ``head.b`` of shape (t,), t >= 1),
+    every value finite; anything else, or another version, raises
+    ``DataError``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -350,5 +353,8 @@ def load_model(path) -> GnnModel:
                         f"{config.arch} encoder's: missing {sorted(want.keys() - got.keys())}, "
                         f"unexpected {sorted(got.keys() - want.keys())}, misshapen "
                         f"{sorted(k for k in want.keys() & got.keys() if want[k] != got[k])}")
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise DataError(f"model checkpoint parameter {name!r} is not finite")
     return GnnModel(config=config, params={
         name: T.Tensor(arr, requires_grad=True) for name, arr in arrays.items()})

@@ -7,13 +7,16 @@ block nothing is recorded, so a forward-only pass needs no switch.
 
 A ``Tensor`` is its ``data`` and a small gradient slot (``requires_grad``,
 ``grad`` and a recorded op's ``backward`` closure).  The tape holds slots,
-not tensors, and each closure holds its parents' slots plus exactly the
-arrays its own gradient formula reads, so an array no gradient reads is
-freed as soon as the forward pass drops its tensor: ``relu`` and ``sqrt``
-keep their output, ``linear`` and ``multiply`` an operand only when the
-other side requires grad, ``block_diag_matmul`` its input only for its self
-weight's gradient, and ``add``, ``sub``, ``transpose``, ``tsum``,
-``segment_mean``, ``index_select`` and ``gather2d`` only shapes and indices.
+not tensors.  Every op records through one path, ``_node``: the op states
+one gradient function per parent, and ``_node`` keeps only those of parents
+that require grad.  So what a node keeps follows from the edges it drops,
+and an array no kept gradient reads is freed as soon as the forward pass
+drops its tensor: ``relu`` and ``sqrt`` keep their output, ``linear`` and
+``multiply`` an operand only when the other side requires grad,
+``block_diag_matmul`` its input only for its self weight's gradient,
+``block_diag_attention`` its input only for the scores' gradient, and
+``add``, ``sub``, ``transpose``, ``tsum``, ``segment_mean``,
+``index_select`` and ``gather2d`` only shapes and indices.
 ``backward`` pops the innermost open tape's slots in reverse, cutting each
 slot's closure as it runs it, so a kept array is freed once the sweep has run
 every node that reads it; leaving the block, normally or by a raise, drops
@@ -24,8 +27,7 @@ Each thread (each ``contextvars`` context) has its own open tapes.
 ``block_diag_matmul`` fuse what would otherwise be two or three nodes: ``linear``
 adds an optional bias into the product's own array and ``block_diag_matmul``
 its optional self term c * a.  Each is one node and one output array, with the
-sums, and the gradients in the order, of the ops it fuses.  A backward
-computes a parent's gradient only when that parent requires grad.
+sums, and the gradients in the order, of the ops it fuses.
 
 ``soft_rank`` and ``models.embed_rows`` split their work across the CPUs the
 process may run on with ``_split``, which runs each span in a fresh context,
@@ -211,12 +213,25 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _record(out: Tensor, parents: tuple[Tensor, ...], backward) -> Tensor:
-    """Put out's slot on the innermost open tape with ``backward`` when a
-    parent requires grad.  ``backward(g)`` must hold slots and arrays, never
-    a tensor, so that recording keeps no array the forward pass drops."""
+def _node(out, *edges) -> Tensor:
+    """The array out as a tensor, recorded on the innermost open tape when the
+    parent of an edge requires grad; outside every tape block, only the tensor.
+
+    Each edge is ``(parent, grad)``, grad(g) giving the parent's gradient from
+    the output's g.  Only the edges whose parent requires grad are kept, so
+    what only a dropped edge's grad captured is freed now.  A grad must
+    capture arrays, never a tensor.  The node's backward runs the kept edges
+    in the order given and adds each result into its parent's gradient in a
+    new array, never in place: ``add`` hands the same g to both parents."""
+    out = Tensor(out)
     nodes = _open_tape.get()
-    if nodes is not None and any(p.requires_grad for p in parents):
+    kept = [] if nodes is None else [(p._slot, grad) for p, grad in edges if p.requires_grad]
+    if kept:
+        def backward(g):
+            for parent, grad in kept:
+                d = grad(g)
+                parent.grad = d if parent.grad is None else parent.grad + d
+
         slot = out._slot
         slot.requires_grad, slot.backward = True, backward
         nodes.append(slot)
@@ -231,14 +246,6 @@ def _drop(nodes: list) -> None:
     nodes.clear()
 
 
-def _accumulate(slot: _Slot, g: np.ndarray) -> None:
-    """Add g into the slot's gradient in a new array, never in place: ``add``
-    hands the same g to both of its parents."""
-    if not slot.requires_grad:
-        return
-    slot.grad = g if slot.grad is None else slot.grad + g
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum gradient over axes that numpy broadcasting expanded."""
     while g.ndim > len(shape):
@@ -249,57 +256,46 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _binary(name: str, a, b, fwd, da, db, reads: tuple[str, str] = ("", "")) -> Tensor:
-    """fwd(x, y) of the data x of a and y of b, with gradients da(g, x, y) for
-    a and db(g, x, y) for b.  ``reads`` names the operands, "x" and "y", that
-    da and db read; the node keeps an operand only when a parent that
-    requires grad has a gradient that reads it, and passes None for the
-    others."""
+def _elementwise(name: str, fwd, a, b) -> tuple[Tensor, Tensor, np.ndarray]:
+    """a and b as tensors and fwd of their data, numpy broadcasting them."""
     a, b = as_tensor(a), as_tensor(b)
     try:
-        out = Tensor(fwd(a.data, b.data))
+        return a, b, fwd(a.data, b.data)
     except ValueError as exc:
         raise DataError(f"{name}: incompatible shapes {a.shape} vs {b.shape}") from exc
-    read = (reads[0] if a.requires_grad else "") + (reads[1] if b.requires_grad else "")
-    x = a.data if "x" in read else None
-    y = b.data if "y" in read else None
-    sa, sb, shape_a, shape_b = a._slot, b._slot, a.data.shape, b.data.shape
-
-    def backward(g):
-        if sa.requires_grad:
-            _accumulate(sa, _unbroadcast(da(g, x, y), shape_a))
-        if sb.requires_grad:
-            _accumulate(sb, _unbroadcast(db(g, x, y), shape_b))
-
-    return _record(out, (a, b), backward)
 
 
 def add(a, b) -> Tensor:
-    return _binary("add", a, b, lambda x, y: x + y,
-                   lambda g, x, y: g, lambda g, x, y: g)
+    a, b, out = _elementwise("add", np.add, a, b)
+    sa, sb = a.shape, b.shape
+    return _node(out, (a, lambda g: _unbroadcast(g, sa)), (b, lambda g: _unbroadcast(g, sb)))
 
 
 def sub(a, b) -> Tensor:
-    return _binary("sub", a, b, lambda x, y: x - y,
-                   lambda g, x, y: g, lambda g, x, y: -g)
+    a, b, out = _elementwise("sub", np.subtract, a, b)
+    sa, sb = a.shape, b.shape
+    return _node(out, (a, lambda g: _unbroadcast(g, sa)), (b, lambda g: _unbroadcast(-g, sb)))
 
 
 def multiply(a, b) -> Tensor:
-    return _binary("multiply", a, b, lambda x, y: x * y,
-                   lambda g, x, y: g * y, lambda g, x, y: g * x, ("y", "x"))
+    a, b, out = _elementwise("multiply", np.multiply, a, b)
+    x, y, sa, sb = a.data, b.data, a.shape, b.shape
+    return _node(out, (a, lambda g: _unbroadcast(g * y, sa)),
+                 (b, lambda g: _unbroadcast(g * x, sb)))
 
 
 def divide(a, b) -> Tensor:
-    return _binary("divide", a, b, lambda x, y: x / y,
-                   lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y), ("y", "xy"))
+    a, b, out = _elementwise("divide", np.divide, a, b)
+    x, y, sa, sb = a.data, b.data, a.shape, b.shape
+    return _node(out, (a, lambda g: _unbroadcast(g / y, sa)),
+                 (b, lambda g: _unbroadcast(-g * x / (y * y), sb)))
 
 
 def linear(a, w, b=None) -> Tensor:
     """a @ w, the one dense product, with b added into the product's own array
     when given: one node and one array where a product then ``add`` keep two,
     with the same sums and the gradients of those two in their order (b, a,
-    w).  b is a bias row or a running sum of the product's shape.  The node
-    keeps a only when w requires grad and w only when a does."""
+    w).  b is a bias row or a running sum of the product's shape."""
     a, w = as_tensor(a), as_tensor(w)
     b = None if b is None else as_tensor(b)
     if a.data.ndim != 2 or w.data.ndim != 2:
@@ -311,39 +307,20 @@ def linear(a, w, b=None) -> Tensor:
     except ValueError as exc:
         plus = "" if b is None else f" + {b.shape}"
         raise DataError(f"linear: incompatible shapes {a.shape} @ {w.shape}{plus}") from exc
-    x = a.data if w.requires_grad else None
-    m = w.data if a.requires_grad else None
-    sa, sw = a._slot, w._slot
-    sb, shape_b = (None, None) if b is None else (b._slot, b.data.shape)
-
-    def backward(g):
-        if sb is not None and sb.requires_grad:
-            _accumulate(sb, _unbroadcast(g, shape_b))
-        if sa.requires_grad:
-            _accumulate(sa, g @ m.T)
-        if sw.requires_grad:
-            _accumulate(sw, x.T @ g)
-
-    return _record(Tensor(out), (a, w) if b is None else (a, w, b), backward)
-
-
-def _unary(a, fwd, dgrad) -> Tensor:
-    """fwd(x), whose gradient dgrad(g, y) reads only the output y, which the
-    node keeps in place of its input."""
-    a = as_tensor(a)
-    out = Tensor(fwd(a.data))
-    sa, y = a._slot, out.data
-
-    def backward(g):
-        _accumulate(sa, dgrad(g, y))
-
-    return _record(out, (a,), backward)
+    x, m = a.data, w.data
+    edges = (a, lambda g: g @ m.T), (w, lambda g: x.T @ g)
+    if b is None:
+        return _node(out, *edges)
+    sb = b.shape
+    return _node(out, (b, lambda g: _unbroadcast(g, sb)), *edges)
 
 
 def relu(a) -> Tensor:
     """max(x, 0), whose gradient mask y > 0 on the output is x > 0 bit for
     bit, NaN included."""
-    return _unary(a, lambda x: np.maximum(x, 0.0), lambda g, y: g * (y > 0.0))
+    a = as_tensor(a)
+    y = np.maximum(a.data, 0.0)
+    return _node(y, (a, lambda g: g * (y > 0.0)))
 
 
 def _sigmoid_stable(x: np.ndarray, out: Optional[np.ndarray] = None,
@@ -366,21 +343,22 @@ def _sigmoid_stable(x: np.ndarray, out: Optional[np.ndarray] = None,
 
 
 def sqrt(a) -> Tensor:
-    return _unary(a, np.sqrt, lambda g, y: g / (2.0 * y))
+    a = as_tensor(a)
+    y = np.sqrt(a.data)
+    return _node(y, (a, lambda g: g / (2.0 * y)))
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
-    sa, shape = a._slot, a.data.shape
+    shape = a.data.shape
 
-    def backward(g):
+    def grad(g):
         g = np.asarray(g)
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accumulate(sa, np.broadcast_to(g, shape).copy())
+        return np.broadcast_to(g, shape).copy()
 
-    return _record(out, (a,), backward)
+    return _node(a.data.sum(axis=axis, keepdims=keepdims), (a, grad))
 
 
 def _scatter_add(shape: tuple[int, ...], flat, g) -> np.ndarray:
@@ -396,28 +374,20 @@ def index_select(a, index) -> Tensor:
     idx = np.asarray(index, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
         raise DataError(f"index_select: index out of range for {a.shape}")
-    out = Tensor(a.data[idx])
-    sa, shape = a._slot, a.data.shape
+    shape = a.data.shape
 
-    def backward(g):
+    def grad(g):
         inner = math.prod(shape[1:])
-        flat = idx.reshape(-1, 1) * inner + np.arange(inner)
-        _accumulate(sa, _scatter_add(shape, flat, g))
+        return _scatter_add(shape, idx.reshape(-1, 1) * inner + np.arange(inner), g)
 
-    return _record(out, (a,), backward)
+    return _node(a.data[idx], (a, grad))
 
 
 def transpose(a) -> Tensor:
     a = as_tensor(a)
     if a.data.ndim != 2:
         raise DataError(f"transpose: expected 2-D, got {a.shape}")
-    out = Tensor(a.data.T.copy())
-    sa = a._slot
-
-    def backward(g):
-        _accumulate(sa, g.T)
-
-    return _record(out, (a,), backward)
+    return _node(a.data.T.copy(), (a, lambda g: g.T))
 
 
 def gather2d(a, rows, cols) -> Tensor:
@@ -430,13 +400,8 @@ def gather2d(a, rows, cols) -> Tensor:
     if r.size and (min(r.min(), c.min()) < 0 or r.max() >= a.data.shape[0]
                    or c.max() >= a.data.shape[1]):
         raise DataError(f"gather2d: index out of range for {a.shape}")
-    out = Tensor(a.data[r, c])
-    sa, shape = a._slot, a.data.shape
-
-    def backward(g):
-        _accumulate(sa, _scatter_add(shape, r * shape[1] + c, g))
-
-    return _record(out, (a,), backward)
+    shape = a.data.shape
+    return _node(a.data[r, c], (a, lambda g: _scatter_add(shape, r * shape[1] + c, g)))
 
 
 def _block_spans(name: str, blocks: Sequence[np.ndarray], offsets, rows: int) -> list:
@@ -455,8 +420,7 @@ def block_diag_matmul(blocks: Sequence[np.ndarray], offsets, a,
 
     A scalar ``self_weight`` c adds c * a into the same array, (diag(blocks) +
     cI) @ a as one node: the sums of ``block_diag_matmul(blocks, offsets, a) +
-    c * a``, and a's gradient in their order, g * c before the blocks' term.
-    The node keeps a only for c's gradient, when c requires grad."""
+    c * a``, and a's gradient in their order, g * c before the blocks' term."""
     a = as_tensor(a)
     c = None if self_weight is None else as_tensor(self_weight)
     if c is not None and c.data.shape != ():
@@ -465,24 +429,20 @@ def block_diag_matmul(blocks: Sequence[np.ndarray], offsets, a,
     out = np.empty_like(a.data)
     for b, lo, hi in spans:
         out[lo:hi] = b @ a.data[lo:hi]
-    if c is not None:
-        out += c.data * a.data
-    sa, shape = a._slot, a.data.shape
-    sc, cw = (None, None) if c is None else (c._slot, c.data)
-    x = a.data if c is not None and c.requires_grad else None
+    shape = a.data.shape
 
-    def backward(g):
-        if sa.requires_grad:
-            if sc is not None:
-                _accumulate(sa, g * cw)
-            ga = np.empty(shape)
-            for b, lo, hi in spans:
-                ga[lo:hi] = b.T @ g[lo:hi]
-            _accumulate(sa, ga)
-        if sc is not None and sc.requires_grad:
-            _accumulate(sc, _unbroadcast(g * x, ()))
+    def blocks_grad(g):
+        ga = np.empty(shape)
+        for b, lo, hi in spans:
+            ga[lo:hi] = b.T @ g[lo:hi]
+        return ga
 
-    return _record(Tensor(out), (a,) if c is None else (a, c), backward)
+    if c is None:
+        return _node(out, (a, blocks_grad))
+    x, cw = a.data, c.data
+    out += cw * x
+    return _node(out, (a, lambda g: g * cw), (a, blocks_grad),
+                 (c, lambda g: _unbroadcast(g * x, ())))
 
 
 def block_diag_attention(blocks: Sequence[np.ndarray], offsets, scores, a) -> Tensor:
@@ -497,21 +457,23 @@ def block_diag_attention(blocks: Sequence[np.ndarray], offsets, scores, a) -> Te
     out = np.empty_like(a.data)
     for (b, lo, hi), wk in zip(spans, w):
         out[lo:hi] = (b * wk) @ a.data[lo:hi]
+    x, shape = a.data, a.data.shape
 
-    ss, sa, x = s._slot, a._slot, a.data
-
-    def backward(g):
-        gs, ga = np.empty((len(x), 2)), np.empty(x.shape)
+    def scores_grad(g):
+        gs = np.empty((len(x), 2))
         for (b, lo, hi), wk in zip(spans, w):
-            m = b * wk
-            ga[lo:hi] = m.T @ g[lo:hi]
             gz = (g[lo:hi] @ x[lo:hi].T) * b * (1.0 - wk * wk)
             gs[lo:hi, 0] = gz.sum(axis=1)
             gs[lo:hi, 1] = gz.sum(axis=0)
-        _accumulate(ss, gs)
-        _accumulate(sa, ga)
+        return gs
 
-    return _record(Tensor(out), (s, a), backward)
+    def rows_grad(g):
+        ga = np.empty(shape)
+        for (b, lo, hi), wk in zip(spans, w):
+            ga[lo:hi] = (b * wk).T @ g[lo:hi]
+        return ga
+
+    return _node(out, (s, scores_grad), (a, rows_grad))
 
 
 def segment_mean(a, offsets) -> Tensor:
@@ -523,13 +485,8 @@ def segment_mean(a, offsets) -> Tensor:
     if len(counts) == 0 or counts.min() < 1 or offsets[0] != 0 or offsets[-1] != len(a.data):
         raise DataError(f"segment_mean: offsets {offsets.tolist()} do not split "
                         f"{len(a.data)} rows into non-empty segments")
-    out = Tensor(np.add.reduceat(a.data, offsets[:-1], axis=0) / counts[:, None])
-    sa = a._slot
-
-    def backward(g):
-        _accumulate(sa, np.repeat(g / counts[:, None], counts, axis=0))
-
-    return _record(out, (a,), backward)
+    return _node(np.add.reduceat(a.data, offsets[:-1], axis=0) / counts[:, None],
+                 (a, lambda g: np.repeat(g / counts[:, None], counts, axis=0)))
 
 
 def _soft_rank_rows(p: int) -> int:
@@ -612,10 +569,8 @@ def soft_rank(a, tau: float) -> Tensor:
             ranks[b_lo:b_hi] = s.sum(axis=1)
 
     _split(p, unit, forward)
-    out = Tensor(ranks)
-    sa = a._slot
 
-    def backward(g):
+    def grad(g):
         g = np.asarray(g)
         ga = np.empty_like(x)
 
@@ -626,9 +581,9 @@ def soft_rank(a, tau: float) -> Tensor:
                 ga[b_lo:b_hi] = (g[b_lo:b_hi] * sprime.sum(axis=1) - sprime @ g) / tau
 
         _split(p, unit, span)
-        _accumulate(sa, ga)
+        return ga
 
-    return _record(out, (a,), backward)
+    return _node(ranks, (a, grad))
 
 
 def bce_with_logits(logits, targets, mask=None) -> Tensor:
@@ -646,13 +601,9 @@ def bce_with_logits(logits, targets, mask=None) -> Tensor:
         raise DataError("bce_with_logits: no unmasked labels")
     # max(x,0) - x*y + log(1+exp(-|x|))
     per = np.maximum(x.data, 0.0) - x.data * y + np.log1p(np.exp(-np.abs(x.data)))
-    out = Tensor(float((per * m).sum() / count))
-    sx, z = x._slot, x.data
-
-    def backward(g):
-        _accumulate(sx, np.asarray(g) * m * (_sigmoid_stable(z) - y) / count)
-
-    return _record(out, (x,), backward)
+    z = x.data
+    return _node(float((per * m).sum() / count),
+                 (x, lambda g: np.asarray(g) * m * (_sigmoid_stable(z) - y) / count))
 
 
 def backward(loss: Tensor) -> None:

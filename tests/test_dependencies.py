@@ -33,9 +33,13 @@ patches functions by name), except the names on ``TEST_ONLY``, which only
 shrinks.
 No public function is a second name for another: none has a body, after its
 docstring, that only returns a call passing its own parameters on, in order.
-A backward closure of ``tensor.py`` reads only the arrays it captured: no
-nested function named ``backward`` reads a ``.data`` attribute, which would
-mean it holds a tensor and so keeps that tensor's array until the sweep.
+A gradient closure of ``tensor.py`` reads only the arrays it captured: no
+lambda or nested function reads a ``.data`` attribute, which would mean it
+holds a tensor and so keeps that tensor's array until the sweep.
+There is one recording path: in ``tensor.py`` only ``_node``, the
+``Tensor`` class, ``tape``, ``_drop``, ``backward`` and ``tape_size`` read a
+tensor's ``_slot`` or the open tape, so no op writes the tape protocol out
+for itself.
 The topological walk hashes by table lookup: the loop of
 ``topological_fingerprints``, its nested functions and every function of
 ``fingerprints.py`` they call neither call ``fnv1a64_rows``, whose byte
@@ -64,6 +68,9 @@ INPUT_BUILDERS = {"prepare", "_attr_table", "infer_attr_sizes"}
 SCHEME_NAMERS = {"fingerprints.py", "spectral.py"}
 # the modules that may refer to tensor._split
 SPLITTERS = {"tensor.py", "models.py"}
+# the definitions of tensor.py that may read a tensor's gradient slot or the
+# open tape: every op records through _node
+TAPE_KEEPERS = {"_node", "Tensor", "tape", "_drop", "backward", "tape_size"}
 # public functions and methods that only tests call, each with the ROADMAP
 # item that gives it a caller or deletes it; a name that gains a caller must
 # leave the list
@@ -178,14 +185,24 @@ def test_products_and_sums_fused_in_models():
 
 
 def test_backward_closures_read_no_tensor_data():
-    found = [f"tensor.py:{node.lineno}: {outer.name}'s backward reads {ast.unparse(node)}"
+    found = [f"tensor.py:{node.lineno}: {outer.name}'s closure reads {ast.unparse(node)}"
              for _, tree in _trees([PACKAGE / "tensor.py"]) for outer in tree.body
              if isinstance(outer, ast.FunctionDef)
              for fn in ast.walk(outer)
-             if fn is not outer and isinstance(fn, ast.FunctionDef) and fn.name == "backward"
+             if fn is not outer and isinstance(fn, (ast.FunctionDef, ast.Lambda))
              for node in ast.walk(fn)
              if isinstance(node, ast.Attribute) and node.attr == "data"
              and isinstance(node.ctx, ast.Load)]
+    assert not found
+
+
+def test_one_recording_path():
+    found = [f"tensor.py:{node.lineno}: {outer.name} reads {ast.unparse(node)}"
+             for _, tree in _trees([PACKAGE / "tensor.py"]) for outer in tree.body
+             if isinstance(outer, (ast.FunctionDef, ast.ClassDef)) and outer.name not in TAPE_KEEPERS
+             for node in ast.walk(outer)
+             if (isinstance(node, ast.Attribute) and node.attr == "_slot")
+             or (isinstance(node, ast.Name) and node.id == "_open_tape")]
     assert not found
 
 

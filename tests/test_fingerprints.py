@@ -364,6 +364,24 @@ class TestBatch:
     """``topological_fingerprints`` walks a whole batch; each graph's bits and
     path cap are its own."""
 
+    def test_csr_rev_and_local_by_definition(self):
+        # rev: the k-th slot in (tail, head) order is the reverse of the k-th
+        # in (head, tail) order, since every edge has one slot each way
+        rng = np.random.default_rng(12)
+        edgeless = molecule(4, [], [(6,), (7,), (8,), (6,)], [], gid="edgeless")
+        batches = [[], [edgeless], [molecule(0, [], [], [], gid="empty"), edgeless]]
+        batches += [[random_attributed_graph(rng, n_min=1, n_max=12) for _ in range(k)]
+                    + [edgeless] for k in (1, 3, 8) for _ in range(4)]
+        for graphs in batches:
+            owner, local, head, tail, rev, _, indptr = fingerprints._batch_csr(graphs)
+            want = np.empty_like(head)
+            want[np.lexsort((head, tail))] = np.lexsort((tail, head))
+            assert rev.dtype == want.dtype and np.array_equal(rev, want)
+            assert np.array_equal(local, [v for g in graphs for v in range(g.node_count)])
+            assert np.array_equal(owner, [i for i, g in enumerate(graphs)
+                                          for _ in range(g.node_count)])
+            assert len(head) == 2 * sum(g.edge_count for g in graphs) == indptr[-1]
+
     def test_mixed_batch_matches_scalar_reference(self):
         rng = np.random.default_rng(9)
         graphs = [molecule(0, [], [], [], gid="empty"),

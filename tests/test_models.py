@@ -218,6 +218,14 @@ class TestReadoutAndHead:
         with pytest.raises(DataError, match="task_count must be an integer >= 1"):
             with_head(small_model("gcn"), task_count, seed=0)
 
+    @pytest.mark.parametrize("seed", [True, -1, 1.5, "3"])
+    def test_seed_checked(self, seed):
+        # True would give seed 1's parameters; the others would raise from numpy
+        with pytest.raises(DataError, match="seed must be an integer >= 0"):
+            init_model(small_model("gcn").config, seed)
+        with pytest.raises(DataError, match="seed must be an integer >= 0"):
+            with_head(small_model("gcn"), 1, seed)
+
 
 @pytest.mark.parametrize("field, value", [
     ("arch", "gat"), ("layers", 0), ("layers", 1.5), ("hidden_dim", True), ("hidden_dim", 0),
@@ -516,6 +524,16 @@ class TestModelCheckpoint:
         text = json.dumps([payload] if case == "not-an-object" else payload)
         path.write_text(text[:-1] if case == "truncated-json" else text, encoding="utf-8")
         with pytest.raises(DataError, match=match):
+            load_model(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_parameter_rejected(self, tmp_path, value):
+        path = tmp_path / "model.json"
+        save_model(small_model("gin", task_count=1), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["params"]["layer1.w2"]["values"][3] = value
+        path.write_text(json.dumps(payload), encoding="utf-8")  # as NaN or Infinity
+        with pytest.raises(DataError, match="parameter 'layer1.w2' is not finite"):
             load_model(path)
 
     def test_headless_roundtrip(self, tmp_path):

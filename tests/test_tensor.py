@@ -461,8 +461,7 @@ class TestBackward:
         w = T.Tensor(rng.normal(size=(6, 6)), requires_grad=True)
         seen = []
         with T.tape():
-            probe = T._record(T.Tensor(x.data * 1.0), (x,),
-                              lambda g: seen.append(later() is None))
+            probe = T._node(x.data * 1.0, (x, lambda g: seen.append(later() is None)))
             mid = T.relu(probe @ w)
             later = weakref.ref(mid.data)
             loss = T.tsum(mid * 2.0)
@@ -479,7 +478,7 @@ class TestBackward:
 
         with T.tape():
             y = T.relu(x * 2.0)
-            loss = T.tsum(T._record(T.Tensor(y.data * 1.0), (y,), fail))
+            loss = T.tsum(T._node(y.data * 1.0, (y, fail)))
             with pytest.raises(ValueError, match="mid-backward"):
                 T.backward(loss)
             assert T.tape_size() == 0
@@ -609,6 +608,63 @@ class TestWhatANodeKeeps:
         with T.tape():
             T.backward(T.tsum(T.relu(x) * g))
         assert np.array_equal(x.grad, g * (x.data > 0.0))
+
+
+class TestNode:
+    """Every op records through ``_node``: it keeps only the edges whose parent
+    requires grad, and runs them in the order given, one add each."""
+
+    def test_edge_of_a_constant_is_never_run(self):
+        def fail(g):
+            raise AssertionError("a constant's gradient ran")
+
+        x = T.Tensor([1.0, 2.0], requires_grad=True)
+        c = T.Tensor([3.0, 4.0])
+        with T.tape():
+            T.backward(T.tsum(T._node(x.data + c.data, (c, fail), (x, lambda g: g))))
+        assert np.array_equal(x.grad, [1.0, 1.0]) and c.grad is None
+
+    def test_edge_of_a_constant_is_not_held(self):
+        refs = []
+
+        def scaled_by(k):  # a gradient holding an array no other code holds
+            held = np.full(3, k)
+            refs.append(weakref.ref(held))
+            return lambda g: g * held
+
+        x = T.Tensor(np.ones(3), requires_grad=True)
+        c = T.Tensor(np.full(3, 2.0))
+        with T.tape():
+            y = T._node(x.data * c.data, (x, scaled_by(2.0)), (c, scaled_by(1.0)))
+            assert [ref() is None for ref in refs] == [False, True]
+            T.backward(T.tsum(y))
+        assert np.array_equal(x.grad, [2.0, 2.0, 2.0]) and c.grad is None
+
+    def test_parent_listed_twice_adds_twice_in_order(self):
+        rng = np.random.default_rng(60)
+        x = T.Tensor(rng.normal(size=64), requires_grad=True)
+        c, d = rng.normal(size=64), rng.normal(size=64)
+        with T.tape():
+            y = T._node(x.data * 1.0, (x, lambda g: g * 0.1), (x, lambda g: g * 0.7))
+            # recorded later, so its gradient is in x.grad before y's edges run
+            T.backward(T.tsum(y * c) + T.tsum(x * d))
+        in_order = (d + c * 0.1) + c * 0.7
+        assert x.grad.tobytes() == in_order.tobytes()
+        assert x.grad.tobytes() != ((d + c * 0.7) + c * 0.1).tobytes()
+
+    @pytest.mark.parametrize("scores_grad", [False, True])
+    def test_attention_keeps_its_rows_only_for_the_scores(self, scores_grad):
+        rng = np.random.default_rng(61)
+        x = T.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        s = T.Tensor(rng.normal(size=(5, 2)), requires_grad=scores_grad)
+        with T.tape():
+            t = x * 1.0
+            ref = weakref.ref(t.data)
+            out = T.block_diag_attention([np.ones((2, 2)), np.ones((3, 3))], [0, 2, 5], s, t)
+            del t
+            assert (ref() is None) == (not scores_grad)
+            T.backward(T.tsum(out * out))
+        assert x.grad is not None and (s.grad is not None) == scores_grad
 
 
 class TestGradChecksAllOps:
