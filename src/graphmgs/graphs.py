@@ -63,6 +63,9 @@ class LabeledGraph:
             key = (min(u, v), max(u, v))
             if key in seen:
                 raise DataError(f"graph {self.id!r}: duplicate edge ({u},{v})")
+            if u > v:
+                raise DataError(f"graph {self.id!r}: edge ({u},{v}) must be stored as "
+                                f"({v},{u}), u < v")
             seen.add(key)
         if len(self.node_attrs) != self.node_count:
             raise DataError(f"graph {self.id!r}: node_attrs length != node_count")

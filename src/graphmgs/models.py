@@ -184,9 +184,11 @@ def prepare(config: GnnConfig, graphs) -> list[tuple]:
     """The encoder's input for ``config``: each graph becomes the triple of
     ``config``, its rows of ``_attr_table`` and its read-only operator from
     ``_OPERATORS`` (None for FCN); a triple made for ``config`` passes through,
-    and one made for another config raises ``DataError``.  Every input check
-    runs here: an empty batch, an empty graph, a node with another slot count
-    and an attribute outside its embedding table raise ``DataError``."""
+    and one made for another config raises ``DataError``.  A batch of triples
+    only is returned as it is, with no table built and no operator called, as
+    ``embed_graph`` gets each block of ``embed_rows``.  Every input check runs
+    here: an empty batch, an empty graph, a node with another slot count and
+    an attribute outside its embedding table raise ``DataError``."""
     batch = list(graphs)
     if not batch:
         raise DataError("cannot encode an empty batch of graphs")
@@ -194,6 +196,8 @@ def prepare(config: GnnConfig, graphs) -> list[tuple]:
     for k, item in enumerate(batch):
         if not isinstance(item, LabeledGraph) and item[0] != config:
             raise DataError(f"batch position {k}: input prepared for {item[0]}, not {config}")
+    if not raw:
+        return batch
     fresh = [batch[k] for k in raw]
     table = _attr_table(fresh, config.attr_sizes)
     blocks = np.split(table, np.cumsum([g.node_count for g in fresh]))

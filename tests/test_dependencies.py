@@ -45,7 +45,11 @@ The topological walk hashes by table lookup: the loop of
 ``fingerprints.py`` they call neither call ``fnv1a64_rows``, whose byte
 steps cost 16 passes over every new path, nor take a remainder by
 ``nbits``; the tables are built, and the 1-edge paths hashed, before the
-loop."""
+loop.
+Tanimoto scores only the pairs it is given: ``structural_pair_sims`` forms
+no matrix product (``@``, ``dot``, ``matmul``, ``einsum``, ``tensordot``,
+``inner``), such as the graphs x graphs Gram of which a pair set reads a
+few entries; it counts shared bits by popcount."""
 
 import ast
 import sys
@@ -354,4 +358,17 @@ def test_path_walk_hashes_by_table():
                  and node.func.id == "fnv1a64_rows")
              or (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Mod)
                  and "nbits" in names(node.right if isinstance(node, ast.BinOp) else node.value))]
+    assert not found
+
+
+def test_tanimoto_forms_no_matrix_product():
+    _, tree = _trees([PACKAGE / "similarity.py"])[0]
+    (scorer,) = [fn for fn in tree.body
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "structural_pair_sims"]
+    products = {"dot", "matmul", "einsum", "tensordot", "inner"}
+    found = [f"similarity.py:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(scorer)
+             if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult))
+             or (isinstance(node, ast.Call)
+                 and (getattr(node.func, "id", None) in products
+                      or getattr(node.func, "attr", None) in products))]
     assert not found

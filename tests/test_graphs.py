@@ -124,6 +124,21 @@ class TestGraphInvariants:
             LabeledGraph(id="d", node_count=2, edges=((0, 1), (1, 0)),
                          node_attrs=((0,), (0,)), edge_attrs=((0,), (0,)))
 
+    def test_edge_stored_high_to_low_rejected(self):
+        with pytest.raises(DataError, match=r"edge \(2,0\) must be stored as \(0,2\)"):
+            make_graph(edges=((2, 0), (1, 2)), labels=None)
+
+    @pytest.mark.parametrize("edges", [((2, 0), (1, 2)), ((0, 2), (2, 1)), ((0, 2), (1, 2))])
+    def test_a_graph_that_constructs_round_trips(self, tmp_path, edges):
+        try:
+            g = make_graph(edges=edges, labels=None)
+        except DataError as exc:
+            assert "must be stored as" in str(exc)
+            return
+        path = tmp_path / "one.jsonl"
+        save_corpus(GraphCorpus(graphs=(g,)), path)
+        assert load_corpus(path).graphs == (g,)
+
     def test_label_length_checked(self):
         with pytest.raises(DataError, match="node_labels"):
             make_graph(labels=(0, 1))

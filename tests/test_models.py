@@ -314,6 +314,25 @@ class TestBatching:
         with pytest.raises(DataError, match=f"position 1: input prepared for .*'{other}'"):
             embed_graph(gcn, [own[0], foreign[1]] + own[2:])
 
+    def test_prepared_batch_returned_as_it_is(self, monkeypatch):
+        def untouched(*args):
+            raise AssertionError("a prepared batch was prepared again")
+
+        class NoOperators(dict):
+            __contains__ = __getitem__ = untouched
+
+        graphs = mixed_batch(np.random.default_rng(28))
+        for arch in ARCHS:
+            model = small_model(arch)
+            own = prepare(model.config, graphs)
+            want = embed_graph(model, own).data
+            with monkeypatch.context() as m:
+                m.setattr(models, "_attr_table", untouched)
+                m.setattr(models, "_OPERATORS", NoOperators())
+                again = prepare(model.config, own)
+                assert all(a is b for a, b in zip(again, own)) and len(again) == len(own)
+                assert embed_graph(model, own[1:3]).data.tobytes() == want[1:3].tobytes()
+
 
 def gin_and_graphs(hidden=ENCODE_SPLIT_WIDTH, count=40):
     """An untrained 2-layer GIN and more graphs than two encoder blocks hold."""

@@ -6,14 +6,14 @@ import pytest
 
 from graphmgs.errors import DataError, NumericError
 from graphmgs.fingerprints import BitFingerprint
-from graphmgs.similarity import (SimilarityPairSet, average_ranks, build_pair_set,
-                                 cosine_pair_sims, cosine_similarity, mgs, pearson,
-                                 sample_pair_indices, spearman, structural_pair_sims,
+from graphmgs.similarity import (TANIMOTO_RUN_PAIRS, SimilarityPairSet, average_ranks,
+                                 build_pair_set, cosine_pair_sims, cosine_similarity, mgs,
+                                 pearson, sample_pair_indices, spearman, structural_pair_sims,
                                  structural_similarity, write_pair_csv)
 from graphmgs.spectral import SpectralFingerprint, spectral_fingerprint
 
 from conftest import random_attributed_graph
-from spec import cosine, sample_pairs, structural
+from spec import cosine, sample_pairs, structural, tanimoto
 
 
 def scored(structural, embedding):
@@ -436,6 +436,35 @@ class TestPairScorer:
         assert got.tobytes() == np.asarray(expected).tobytes()
         if scheme != "spectral":
             assert got[-3:].tolist() == [1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("nbits", [1, 8, 64, 2048])
+    def test_popcount_tanimoto_matches_scalar_oracle(self, nbits):
+        # every pair of 50 fingerprints, more pairs than one run, the last two all-zero
+        rng = np.random.default_rng(nbits)
+        fps = [bitfp(rng.random(nbits) < density) for density in rng.uniform(0.0, 0.6, 48)]
+        fps += [bitfp(np.zeros(nbits, dtype=bool))] * 2
+        rows, cols = np.triu_indices(len(fps), k=1)
+        assert len(rows) > TANIMOTO_RUN_PAIRS
+        got = structural_pair_sims(fps, rows, cols)
+        expected = [tanimoto(fps[i], fps[j]) for i, j in zip(rows, cols)]
+        assert got.tobytes() == np.asarray(expected).tobytes()
+        assert got[-1] == 1.0
+
+    def test_tanimoto_memory_bounded_by_packed_bits(self):
+        # 400 fingerprints of 8,192 bits: a float64 copy of the bits alone is 26 MB
+        rng = np.random.default_rng(18)
+        n, nbits = 400, 8192
+        fps = [bitfp(rng.random(nbits) < 0.1) for _ in range(n)]
+        rows, cols = rng.integers(0, n, size=(2, 10))
+        tracemalloc.start()
+        try:
+            got = structural_pair_sims(fps, rows, cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the bits stacked as bytes and their packed words, plus 256 KiB
+        assert peak < n * nbits * 9 // 8 + (1 << 18)
+        assert got.tolist() == [tanimoto(fps[i], fps[j]) for i, j in zip(rows, cols)]
 
     def test_cosines_match_scalar(self):
         rng = np.random.default_rng(12)
