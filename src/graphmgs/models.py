@@ -8,13 +8,15 @@ and a single graph is a batch of one.  Weight matmuls act on all rows at once
 and each graph's dense propagation operator on its own rows (FAGCN weights its
 operator's entries by edge attention first), so a forward pass records a
 fixed number of tape nodes per layer, whatever the batch.  A product that is
-added to goes through ``tensor.linear`` and GIN's (A + (1 + eps) I) h through
-``block_diag_matmul``'s ``self_weight``, so a GIN layer records five nodes
-(1 + eps, the aggregate, two linears and a ReLU) and keeps three (rows,
-hidden) arrays for its backward: its input, for eps's gradient, the
-aggregate, for w1's, and the ReLU's output, for the ReLU's mask and w2's
-gradient.  The pre-ReLU rows, the embedding lookups and, with dropout, the
-rows before the mask are freed as the forward pass moves on.
+added to goes through ``tensor.linear``, and GIN's first linear takes its
+aggregate (A + (1 + eps) I) h through ``linear``'s ``blocks`` and
+``self_weight``, so a GIN layer records four nodes (1 + eps, the aggregate
+with the first linear, a ReLU and the second linear) and keeps two (rows,
+hidden) arrays for its backward: its input, for eps's gradient and to
+rebuild the aggregate for w1's, and the ReLU's output, for the ReLU's mask
+and w2's gradient.  The aggregate, the pre-ReLU rows, the embedding lookups
+and, with dropout, the rows before the mask are freed as the forward pass
+moves on.
 
 The encoder reads graphs as ``prepare`` gives them: each graph's int64
 attribute rows and its dense operator, both read-only.  Every input check
@@ -194,7 +196,7 @@ def prepare(config: GnnConfig, graphs) -> list[tuple]:
         raise DataError("cannot encode an empty batch of graphs")
     raw = [k for k, g in enumerate(batch) if isinstance(g, LabeledGraph)]
     for k, item in enumerate(batch):
-        if not isinstance(item, LabeledGraph) and item[0] != config:
+        if not isinstance(item, LabeledGraph) and item[0] is not config and item[0] != config:
             raise DataError(f"batch position {k}: input prepared for {item[0]}, not {config}")
     if not raw:
         return batch
@@ -243,8 +245,8 @@ def encode_nodes(model: GnnModel, graphs, training: bool = False,
         elif cfg.arch == "fcn":
             h = T.relu(h @ p[f"layer{l}.theta"])
         elif cfg.arch == "gin":
-            agg = T.block_diag_matmul(ops, offsets, h, self_weight=p[f"layer{l}.eps"] + 1.0)
-            mid = T.relu(T.linear(agg, p[f"layer{l}.w1"], p[f"layer{l}.b1"]))
+            mid = T.relu(T.linear(h, p[f"layer{l}.w1"], p[f"layer{l}.b1"], blocks=ops,
+                                  offsets=offsets, self_weight=p[f"layer{l}.eps"] + 1.0))
             h = T.linear(mid, p[f"layer{l}.w2"], p[f"layer{l}.b2"])
         elif cfg.arch == "chebnet":
             xk_prev, xk = None, h

@@ -12,22 +12,26 @@ one gradient function per parent, and ``_node`` keeps only those of parents
 that require grad.  So what a node keeps follows from the edges it drops,
 and an array no kept gradient reads is freed as soon as the forward pass
 drops its tensor: ``relu`` and ``sqrt`` keep their output, ``linear`` and
-``multiply`` an operand only when the other side requires grad,
-``block_diag_matmul`` its input only for its self weight's gradient,
-``block_diag_attention`` its input only for the scores' gradient, and
-``add``, ``sub``, ``transpose``, ``tsum``, ``segment_mean``,
-``index_select`` and ``gather2d`` only shapes and indices.
+``multiply`` an operand only when the other side requires grad, ``linear``
+over ``blocks`` its input only for the weight's or the self weight's
+gradient (never its aggregate, which the backward rebuilds) and its weight
+only for the input's or the self weight's, ``block_diag_attention`` its
+input only for the scores' gradient, and ``add``, ``sub``, ``transpose``,
+``tsum``, ``segment_mean``, ``index_select``, ``gather2d`` and
+``block_diag_matmul`` only shapes, indices and constant blocks.
 ``backward`` pops the innermost open tape's slots in reverse, cutting each
 slot's closure as it runs it, so a kept array is freed once the sweep has run
 every node that reads it; leaving the block, normally or by a raise, drops
 whatever the tape still holds.
 Each thread (each ``contextvars`` context) has its own open tapes.
 
-``linear`` is the one dense product: ``a @ w`` is ``linear(a, w)``.  It and
-``block_diag_matmul`` fuse what would otherwise be two or three nodes: ``linear``
-adds an optional bias into the product's own array and ``block_diag_matmul``
-its optional self term c * a.  Each is one node and one output array, with the
-sums, and the gradients in the order, of the ops it fuses.
+``linear`` is the one dense product: ``a @ w`` is ``linear(a, w)``.  It fuses
+what would otherwise be up to three nodes: it adds an optional bias into the
+product's own array, and with ``blocks`` it first aggregates a as
+``block_diag_matmul`` does, adding a self term c * a, without keeping the
+aggregate.  It is one node and one output array, with the sums,
+and the gradients in the order, of the ops it fuses.  ``block_diag_matmul``
+and ``linear`` share one per-block product loop, ``_block_rows``.
 
 ``soft_rank`` and ``models.embed_rows`` split their work across the CPUs the
 process may run on with ``_split``, which runs each span in a fresh context,
@@ -71,6 +75,13 @@ SOFT_RANK_BLOCK_ENTRIES = 1 << 14
 # run (13.3 -> 11.8 ms, 18.4 -> 13.8 ms).  So B = 32 (P = 496) stays inline and
 # B = 64 (2,016) and B = 128 (8,128) split.
 SOFT_RANK_SPLIT_VALUES = 1_485
+
+# entries of c * x that GIN's aggregate forms at a time: whole rows, as many as
+# fit.  A temporary of the rows' full size is fresh memory at every call.  One
+# aggregate of 1,645 x 300 rows (a wide-batch-pretrain step; 1 BLAS thread, 2-vCPU
+# host) took 3.9 ms with c * x formed whole and 1.2 ms in such chunks; at 404 x 64
+# (desk-repro) one chunk holds every row.
+SELF_TERM_CHUNK_ENTRIES = 1 << 14
 
 ADAM_LEARNING_RATE = 1e-3
 ADAM_BETA1 = 0.9
@@ -213,7 +224,7 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _node(out, *edges) -> Tensor:
+def _node(out, *edges, inner=None) -> Tensor:
     """The array out as a tensor, recorded on the innermost open tape when the
     parent of an edge requires grad; outside every tape block, only the tensor.
 
@@ -222,20 +233,37 @@ def _node(out, *edges) -> Tensor:
     what only a dropped edge's grad captured is freed now.  A grad must
     capture arrays, never a tensor.  The node's backward runs the kept edges
     in the order given and adds each result into its parent's gradient in a
-    new array, never in place: ``add`` hands the same g to both parents."""
+    new array, never in place: ``add`` hands the same g to both parents.
+
+    ``inner``, ``(grad, edges)``, stands for an intermediate the op does not
+    record: grad(g) is that intermediate's gradient, computed once, after the
+    node's own edges, when one of its edges is kept, handed to those edges in
+    their order and dropped after the last.  So the node runs as the node of
+    the intermediate would have run right after it."""
     out = Tensor(out)
     nodes = _open_tape.get()
-    kept = [] if nodes is None else [(p._slot, grad) for p, grad in edges if p.requires_grad]
-    if kept:
+    if nodes is None:
+        return out
+    kept, inner_kept = ([(p._slot, grad) for p, grad in pairs if p.requires_grad]
+                        for pairs in (edges, () if inner is None else inner[1]))
+    inner_grad = inner[0] if inner_kept else None
+    if kept or inner_kept:
         def backward(g):
-            for parent, grad in kept:
-                d = grad(g)
-                parent.grad = d if parent.grad is None else parent.grad + d
+            _accumulate(kept, g)
+            if inner_kept:
+                _accumulate(inner_kept, inner_grad(g))
 
         slot = out._slot
         slot.requires_grad, slot.backward = True, backward
         nodes.append(slot)
     return out
+
+
+def _accumulate(kept: list, g: np.ndarray) -> None:
+    """Add each kept edge's grad(g) into its parent slot's gradient, in order."""
+    for parent, grad in kept:
+        d = grad(g)
+        parent.grad = d if parent.grad is None else parent.grad + d
 
 
 def _drop(nodes: list) -> None:
@@ -291,28 +319,48 @@ def divide(a, b) -> Tensor:
                  (b, lambda g: _unbroadcast(-g * x / (y * y), sb)))
 
 
-def linear(a, w, b=None) -> Tensor:
+def linear(a, w, b=None, *, blocks=None, offsets=None, self_weight=None) -> Tensor:
     """a @ w, the one dense product, with b added into the product's own array
     when given: one node and one array where a product then ``add`` keep two,
     with the same sums and the gradients of those two in their order (b, a,
-    w).  b is a bias row or a running sum of the product's shape."""
+    w).  b is a bias row or a running sum of the product's shape.
+
+    With constant square ``blocks`` tiling a's rows at ``offsets`` and a
+    scalar ``self_weight`` c, a is first aggregated as ``block_diag_matmul``
+    aggregates it, c * a added into the aggregate's array: ((diag(blocks) +
+    cI) @ a) @ w + b, GIN's aggregate and first linear as one node.  It keeps
+    a, not the aggregate, and rebuilds the aggregate in its backward for w's
+    gradient; G = g @ w.T, the aggregate's gradient, is computed once after
+    b's and w's and dropped after its last reader.  The sums, and the
+    gradients in their order (b, w, then a as g * c, a through the blocks,
+    c), are those of ``block_diag_matmul`` plus c * a, then ``linear``."""
     a, w = as_tensor(a), as_tensor(w)
     b = None if b is None else as_tensor(b)
+    c = None if self_weight is None else as_tensor(self_weight)
     if a.data.ndim != 2 or w.data.ndim != 2:
         raise DataError(f"linear: only 2-D operands, got {a.shape} @ {w.shape}")
+    if not (blocks is None) == (offsets is None) == (c is None):
+        raise DataError("linear: blocks, offsets and self_weight come together")
+    if c is not None and c.data.shape != ():
+        raise DataError(f"linear: self_weight must be a scalar, got {c.shape}")
+    x, m = a.data, w.data
+    cw = None if c is None else c.data
+    spans = None if c is None else _block_spans("linear", blocks, offsets, len(x))
     try:
-        out = a.data @ w.data
+        out = (x if spans is None else _aggregate(spans, x, cw)) @ m
         if b is not None:
             out += b.data
     except ValueError as exc:
         plus = "" if b is None else f" + {b.shape}"
         raise DataError(f"linear: incompatible shapes {a.shape} @ {w.shape}{plus}") from exc
-    x, m = a.data, w.data
-    edges = (a, lambda g: g @ m.T), (w, lambda g: x.T @ g)
-    if b is None:
-        return _node(out, *edges)
-    sb = b.shape
-    return _node(out, (b, lambda g: _unbroadcast(g, sb)), *edges)
+    sb = None if b is None else b.shape
+    bias = () if b is None else ((b, lambda g: _unbroadcast(g, sb)),)
+    if spans is None:
+        return _node(out, *bias, (a, lambda g: g @ m.T), (w, lambda g: x.T @ g))
+    return _node(out, *bias, (w, lambda g: _aggregate(spans, x, cw).T @ g),
+                 inner=(lambda g: g @ m.T, [
+                     (a, lambda g: g * cw), (a, lambda g: _block_rows(spans, g, transpose=True)),
+                     (c, lambda g: _unbroadcast(g * x, ()))]))
 
 
 def relu(a) -> Tensor:
@@ -413,36 +461,38 @@ def _block_spans(name: str, blocks: Sequence[np.ndarray], offsets, rows: int) ->
     return spans
 
 
-def block_diag_matmul(blocks: Sequence[np.ndarray], offsets, a,
-                      self_weight=None) -> Tensor:
+def _block_rows(spans: list, x: np.ndarray, out: Optional[np.ndarray] = None,
+                transpose: bool = False) -> np.ndarray:
+    """out, or a new C-ordered array, with out[lo:hi] = b @ x[lo:hi] (b.T @
+    x[lo:hi] with ``transpose``) for each (b, lo, hi) of spans: the one
+    per-block product loop."""
+    out = np.empty(x.shape) if out is None else out
+    for b, lo, hi in spans:
+        out[lo:hi] = (b.T if transpose else b) @ x[lo:hi]
+    return out
+
+
+def _aggregate(spans: list, x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(diag(blocks) + cI) @ x in a new array of x's layout: what ``linear``
+    computes in its forward pass and rebuilds, bit for bit, in its backward.
+    c * x is added ``SELF_TERM_CHUNK_ENTRIES`` entries at a time, with the
+    bits of adding it whole: an elementwise op's bits do not depend on its
+    extent."""
+    out = _block_rows(spans, x, np.empty_like(x))
+    rows = max(1, SELF_TERM_CHUNK_ENTRIES // max(1, x.shape[1]))
+    for lo in range(0, len(x), rows):
+        out[lo:lo + rows] += c * x[lo:lo + rows]
+    return out
+
+
+def block_diag_matmul(blocks: Sequence[np.ndarray], offsets, a) -> Tensor:
     """diag(blocks) @ a without forming it: out[lo:hi] = blocks[k] @ a[lo:hi] for
     lo, hi = offsets[k], offsets[k + 1], the blocks being constant and square.
-
-    A scalar ``self_weight`` c adds c * a into the same array, (diag(blocks) +
-    cI) @ a as one node: the sums of ``block_diag_matmul(blocks, offsets, a) +
-    c * a``, and a's gradient in their order, g * c before the blocks' term."""
+    ``linear`` takes the same blocks to aggregate its input before its product."""
     a = as_tensor(a)
-    c = None if self_weight is None else as_tensor(self_weight)
-    if c is not None and c.data.shape != ():
-        raise DataError(f"block_diag_matmul: self_weight must be a scalar, got {c.shape}")
     spans = _block_spans("block_diag_matmul", blocks, offsets, len(a.data))
-    out = np.empty_like(a.data)
-    for b, lo, hi in spans:
-        out[lo:hi] = b @ a.data[lo:hi]
-    shape = a.data.shape
-
-    def blocks_grad(g):
-        ga = np.empty(shape)
-        for b, lo, hi in spans:
-            ga[lo:hi] = b.T @ g[lo:hi]
-        return ga
-
-    if c is None:
-        return _node(out, (a, blocks_grad))
-    x, cw = a.data, c.data
-    out += cw * x
-    return _node(out, (a, lambda g: g * cw), (a, blocks_grad),
-                 (c, lambda g: _unbroadcast(g * x, ())))
+    return _node(_block_rows(spans, a.data, np.empty_like(a.data)),
+                 (a, lambda g: _block_rows(spans, g, transpose=True)))
 
 
 def block_diag_attention(blocks: Sequence[np.ndarray], offsets, scores, a) -> Tensor:

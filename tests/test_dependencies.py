@@ -25,7 +25,10 @@ statement and registers no ``os.register_at_fork`` hook, so a thread, pool or
 other object made for a call is gone when it returns.
 The encoder adds no bias or running sum to a matrix product with ``+``:
 ``models.py`` spells that ``tensor.linear``, one tape node and one array, so
-no ``@`` in it is an operand of an addition.
+no ``@`` in it is an operand of an addition.  Nor does it pass the result of
+``tensor.block_diag_matmul`` to ``tensor.linear``, directly or through a name
+bound to it: that node would keep the aggregate for the weight's gradient,
+where ``linear`` over ``blocks`` keeps the input and rebuilds the aggregate.
 Public code has callers: every public top-level function and method of
 ``src/graphmgs`` is named by a module of the package or of the benchmark
 (its tests aside), as a call, an attribute or a string (the benchmark's tracer
@@ -185,6 +188,28 @@ def test_products_and_sums_fused_in_models():
                  and (is_matmul(node.left) or is_matmul(node.right)))
              or (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add)
                  and is_matmul(node.value))]
+    assert not found
+
+
+def test_no_aggregate_passed_to_linear_in_models():
+    def calls(node, name):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == name and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "T")
+
+    found = []
+    for _, tree in _trees([PACKAGE / "models.py"]):
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            bound = {target.id for node in ast.walk(fn)
+                     if isinstance(node, ast.Assign) and calls(node.value, "block_diag_matmul")
+                     for target in node.targets if isinstance(target, ast.Name)}
+            found += [f"models.py:{node.lineno}: {ast.unparse(node)}"
+                      for node in ast.walk(fn) if calls(node, "linear")
+                      for arg in [*node.args, *(kw.value for kw in node.keywords)]
+                      if calls(arg, "block_diag_matmul")
+                      or (isinstance(arg, ast.Name) and arg.id in bound)]
     assert not found
 
 

@@ -283,15 +283,15 @@ class TestBatching:
                     counts.append(T.tape_size())
             assert counts[0] == counts[1], arch
 
-    def test_gin_layer_records_five_tape_nodes(self):
-        # 1 + eps, the aggregate with its self term, two linears and a ReLU
+    def test_gin_layer_records_four_tape_nodes(self):
+        # 1 + eps, the aggregate fused into the first linear, a ReLU and the second linear
         graphs = mixed_batch(np.random.default_rng(26))
         counts = []
         for layers in (2, 3):
             with T.tape():
                 encode_nodes(small_model("gin", layers=layers), graphs)
                 counts.append(T.tape_size())
-        assert counts[1] - counts[0] == 5
+        assert counts[1] - counts[0] == 4
 
     def test_empty_graph_in_batch_rejected(self):
         empty = LabeledGraph(id="empty", node_count=0, edges=(), node_attrs=(), edge_attrs=())
@@ -403,26 +403,81 @@ class TestWhatBackwardKeeps:
             T.backward(T.tsum(out * out))
         assert all(p.grad is not None for p in model.parameters())
 
-    def test_gin_forward_keeps_three_arrays_per_layer(self):
-        # each layer's input (for eps's gradient), its aggregate (for w1's) and
-        # its ReLU output (for the mask and w2's), and the output the caller
-        # holds; the slack covers slots, closures, operators and indices
+    def test_gin_forward_frees_its_aggregate(self, monkeypatch):
+        # the first linear keeps the layer's input and rebuilds the aggregate in
+        # its backward, once per layer
+        aggregates = []
+        aggregate = T._aggregate
+
+        def watched_aggregate(*args):
+            out = aggregate(*args)
+            aggregates.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(T, "_aggregate", watched_aggregate)
+        model = small_model("gin", layers=3)
+        with T.tape():
+            out, _ = encode_nodes(model, mixed_batch(np.random.default_rng(44)))
+            assert [ref() for ref in aggregates] == [None] * 3
+            T.backward(T.tsum(out * out))
+        assert len(aggregates) == 6 and [ref() for ref in aggregates] == [None] * 6
+        assert all(p.grad is not None for p in model.parameters())
+
+    def test_gin_forward_keeps_two_arrays_per_layer(self):
+        # each layer's input (for eps's and w1's gradients, the aggregate being
+        # rebuilt from it) and its ReLU output (for the mask and w2's), and the
+        # output the caller holds; the slack covers slots, closures, operators
+        # and indices
         layers, hidden = 3, 256
-        rng = np.random.default_rng(43)
-        graphs = [random_attributed_graph(rng, n_min=12, n_max=16, attr_sizes=ATTRS)
-                  for _ in range(12)]
+        graphs = kept_graphs()
         model = small_model("gin", layers=layers, hidden=hidden)
-        batch = prepare(model.config, graphs)
         array = sum(g.node_count for g in graphs) * hidden * 8
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            with T.tape():
-                out, _ = encode_nodes(model, batch)
-                kept = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert kept <= (3 * layers + 1) * array + array // 2, kept / array
+        kept = _kept_by_forward(model, graphs, training=False)
+        assert kept <= (2 * layers + 1) * array + array // 2, kept / array
+
+    # (rows, hidden) arrays a layer keeps for its backward, as measured:
+    # - gcn and fcn: the ReLU's output, which the next product reads;
+    # - gin: its input and its ReLU's output, its aggregate rebuilt;
+    # - chebnet: its input and the Chebyshev terms T_1 x and T_2 x;
+    # - fagcn: its input, and per graph the attention weights;
+    # and with dropout, the float mask and the masked rows beside the output
+    KEPT_PER_LAYER = {"eval": {"gcn": 1, "gin": 2, "chebnet": 3, "fagcn": 1, "fcn": 1},
+                      "dropout": {"gcn": 3, "gin": 3, "chebnet": 5, "fagcn": 2, "fcn": 3}}
+
+    @pytest.mark.parametrize("mode", ["eval", "dropout"])
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_forward_keeps_arrays_per_layer(self, arch, mode):
+        # one layer more keeps exactly this many arrays more: a count that
+        # falls, as a rebuilt activation makes it, must be lowered here
+        hidden, graphs = 256, kept_graphs()
+        array = sum(g.node_count for g in graphs) * hidden * 8
+        kept = [_kept_by_forward(small_model(arch, layers=layers, hidden=hidden), graphs,
+                                 training=mode == "dropout") for layers in (2, 3)]
+        per_layer = (kept[1] - kept[0]) / array
+        count = self.KEPT_PER_LAYER[mode][arch]
+        assert count - 0.5 < per_layer <= count + 0.1, per_layer
+
+
+def kept_graphs() -> list:
+    """Twelve graphs of 12 to 16 nodes: 172 rows in all."""
+    rng = np.random.default_rng(43)
+    return [random_attributed_graph(rng, n_min=12, n_max=16, attr_sizes=ATTRS)
+            for _ in range(12)]
+
+
+def _kept_by_forward(model, graphs, training: bool) -> int:
+    """Bytes that a taped forward pass over graphs leaves allocated, its output
+    among them, with the input prepared beforehand."""
+    batch = prepare(model.config, graphs)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with T.tape():
+            out, _ = encode_nodes(model, batch, training=training,
+                                  rng=np.random.default_rng(45))
+            return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
 
 
 class TestEmbedRows:

@@ -1,3 +1,4 @@
+import contextlib
 import multiprocessing
 import sys
 import threading
@@ -556,8 +557,8 @@ class TestBackward:
             assert finite_difference_check(cosine, [a], h=1e-4) < 1e-5
 
 
-def _grad_leaf():
-    return T.Tensor(np.full(3, 0.5), requires_grad=True)
+def _grad_leaf(shape=3):
+    return T.Tensor(np.full(shape, 0.5), requires_grad=True)
 
 
 class TestWhatANodeKeeps:
@@ -583,10 +584,20 @@ class TestWhatANodeKeeps:
         ("linear-constant", lambda t: T.linear(t, np.ones((3, 2))), True),
         ("linear-weight", lambda t: T.linear(t, T.Tensor(np.ones((3, 2)), requires_grad=True)),
          False),
-        ("block_diag_matmul-constant", lambda t: T.block_diag_matmul(
-            [np.eye(4)], [0, 4], t, self_weight=2.0), True),
-        ("block_diag_matmul-self-weight", lambda t: T.block_diag_matmul(
-            [np.eye(4)], [0, 4], t, self_weight=T.Tensor(2.0, requires_grad=True)), False),
+        ("block_diag_matmul-constant", lambda t: T.block_diag_matmul([np.eye(4)], [0, 4], t),
+         True),
+        # GIN's aggregate is rebuilt from the input, never kept: the input
+        # goes only when neither the weight nor the self weight takes a gradient
+        ("linear-blocks-constant", lambda t: T.linear(
+            t, np.ones((3, 2)), blocks=[np.eye(4)], offsets=[0, 4], self_weight=2.0), True),
+        ("linear-blocks-weight", lambda t: T.linear(
+            t, _grad_leaf((3, 2)), blocks=[np.eye(4)], offsets=[0, 4], self_weight=2.0), False),
+        ("linear-blocks-self-weight", lambda t: T.linear(
+            t, np.ones((3, 2)), blocks=[np.eye(4)], offsets=[0, 4],
+            self_weight=T.Tensor(2.0, requires_grad=True)), False),
+        # the weight goes when neither the input nor the self weight takes a gradient
+        ("linear-blocks-as-weight", lambda t: T.linear(
+            np.ones((2, 4)), t, blocks=[np.eye(2)], offsets=[0, 2], self_weight=2.0), True),
         ("bce_with_logits", lambda t: T.bce_with_logits(t, np.ones((4, 3))), False),
     ]])
     def test_input_freed_unless_a_gradient_reads_it(self, op, freed):
@@ -635,8 +646,9 @@ class TestNode:
         x = T.Tensor(np.ones(3), requires_grad=True)
         c = T.Tensor(np.full(3, 2.0))
         with T.tape():
-            y = T._node(x.data * c.data, (x, scaled_by(2.0)), (c, scaled_by(1.0)))
-            assert [ref() is None for ref in refs] == [False, True]
+            y = T._node(x.data * c.data, (x, scaled_by(2.0)), (c, scaled_by(1.0)),
+                        inner=(scaled_by(3.0), [(c, scaled_by(4.0))]))
+            assert [ref() is None for ref in refs] == [False, True, True, True]
             T.backward(T.tsum(y))
         assert np.array_equal(x.grad, [2.0, 2.0, 2.0]) and c.grad is None
 
@@ -651,6 +663,25 @@ class TestNode:
         in_order = (d + c * 0.1) + c * 0.7
         assert x.grad.tobytes() == in_order.tobytes()
         assert x.grad.tobytes() != ((d + c * 0.7) + c * 0.1).tobytes()
+
+    def test_inner_gradient_made_once_after_the_nodes_edges(self):
+        calls = []
+
+        def step(name, scale):
+            return lambda g: calls.append(name) or g * scale
+
+        def fail(g):
+            raise AssertionError("an inner gradient no kept edge reads ran")
+
+        x = T.Tensor(np.ones(3), requires_grad=True)
+        c = T.Tensor(np.full(3, 2.0))
+        with T.tape():
+            y = T._node(x.data * 1.0, (x, step("own", 1.0)), inner=(step("inner", 3.0), [
+                (x, step("first", 0.5)), (c, fail), (x, step("second", 0.25))]))
+            z = T._node(x.data * 1.0, (x, step("plain", 1.0)), inner=(fail, [(c, fail)]))
+            T.backward(T.tsum(y) + T.tsum(z))
+        assert calls == ["plain", "own", "inner", "first", "second"]
+        assert x.grad.tobytes() == (((1.0 + 1.0) + 1.5) + 0.75 + np.zeros(3)).tobytes()
 
     @pytest.mark.parametrize("scores_grad", [False, True])
     def test_attention_keeps_its_rows_only_for_the_scores(self, scores_grad):
@@ -712,8 +743,11 @@ class TestGradChecksAllOps:
                 "linear": (lambda: T.tsum(T.linear(A, B, bias) * wm), [A, B, bias]),
                 "linear_running_sum": (lambda: T.tsum(T.linear(A, B, running) * wm),
                                        [A, B, running]),
-                "block_diag_matmul_self_weight": (lambda: T.tsum(
-                    T.block_diag_matmul(blocks, offsets, A, self_weight=c) * C), [A, c]),
+                "linear_blocks": (lambda: T.tsum(T.linear(
+                    A, B, bias, blocks=blocks, offsets=offsets, self_weight=c) * wm),
+                    [A, B, bias, c]),
+                "linear_blocks_isolated_node": (lambda: T.tsum(T.linear(
+                    A, B, blocks=zeroed, offsets=offsets, self_weight=c) * wm), [A, B, c]),
                 "block_diag_attention": (lambda: T.tsum(
                     T.block_diag_attention(zeroed, offsets, S, A) * C), [S, A]),
                 "sum_keepdims": (lambda: T.tsum(T.tsum(A, axis=1, keepdims=True) * w), [A]),
@@ -763,33 +797,64 @@ class TestFusedOps:
 
         assert run(True) == run(False)
 
-    def test_block_diag_matmul_self_weight_is_gin_aggregate(self):
+    @pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+    def test_linear_over_blocks_is_gin_aggregate_then_linear(self, taped):
+        # graphs of 3, 1 and 5 nodes; the 5-node graph's node 2 is isolated
         rng = np.random.default_rng(32)
         blocks = [rng.normal(size=(k, k)) for k in (3, 1, 5)]
+        blocks[2][2, :] = blocks[2][:, 2] = 0.0
         offsets = np.array([0, 3, 4, 9])
-        a0, later = rng.normal(size=(9, 4)), rng.normal(size=(9, 4))
+        a0, w0, b0 = rng.normal(size=(9, 4)), rng.normal(size=(4, 6)), rng.normal(size=6)
+        later = rng.normal(size=(9, 6))
 
         def run(fused):
-            a = T.Tensor(a0, requires_grad=True)
+            a, w, b = (T.Tensor(x, requires_grad=True) for x in (a0, w0, b0))
             eps = T.Tensor(np.asarray(0.3), requires_grad=True)
-            with T.tape():
+            with T.tape() if taped else contextlib.nullcontext():
                 if fused:
-                    y = T.block_diag_matmul(blocks, offsets, a, self_weight=eps + 1.0)
+                    y = T.linear(a, w, b, blocks=blocks, offsets=offsets, self_weight=eps + 1.0)
                 else:
-                    y = T.block_diag_matmul(blocks, offsets, a) + ((eps + 1.0) * a)
-                loss = T.tsum(T.relu(y) * later) + T.tsum(a * a) + T.tsum(eps * eps)
-                T.backward(loss)
-            return _bits(y.data, a.grad, eps.grad)
+                    agg = T.block_diag_matmul(blocks, offsets, a) + ((eps + 1.0) * a)
+                    y = T.linear(agg, w, b)
+                if taped:
+                    T.backward(T.tsum(T.relu(y) * later) + T.tsum(a * a) + T.tsum(eps * eps)
+                               + T.tsum(w * w) + T.tsum(b * b))
+            grads = [t.grad for t in (a, eps, w, b)]
+            return _bits(y.data), [None if g is None else g.tobytes() for g in grads]
 
-        assert run(True) == run(False)
+        fused = run(True)
+        assert fused == run(False)
+        assert all((g is None) != taped for g in fused[1])
+
+    def test_self_term_added_in_chunks_has_the_bits_of_the_whole(self):
+        rng = np.random.default_rng(36)
+        sizes = rng.integers(1, 9, size=40)
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        x = rng.normal(size=(offsets[-1], 300))
+        assert x.size > 2 * T.SELF_TERM_CHUNK_ENTRIES
+        spans = T._block_spans("test", [rng.normal(size=(k, k)) for k in sizes], offsets, len(x))
+        c = np.asarray(1.3)
+        whole = T._block_rows(spans, x) + c * x
+        assert T._aggregate(spans, x, c).tobytes() == whole.tobytes()
+
+    def test_linear_over_blocks_records_one_node(self):
+        rng = np.random.default_rng(35)
+        a, w = (T.Tensor(rng.normal(size=shape), requires_grad=True) for shape in ((4, 3), (3, 2)))
+        c = T.Tensor(np.asarray(1.5), requires_grad=True)
+        with T.tape():
+            y = T.linear(a, w, blocks=[np.ones((1, 1)), np.ones((3, 3))], offsets=[0, 1, 4],
+                         self_weight=c)
+            assert T.tape_size() == 1
+            T.backward(T.tsum(y * y))
+        assert all(t.grad is not None for t in (a, w, c))
 
     def test_constant_inputs_get_no_gradient(self):
         rng = np.random.default_rng(33)
         a = T.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
         w, b = T.Tensor(rng.normal(size=(3, 2))), T.Tensor(rng.normal(size=2))
         with T.tape():
-            T.backward(T.tsum(T.block_diag_matmul(
-                [np.eye(4)], np.array([0, 4]), T.linear(a, w, b), self_weight=2.0)))
+            T.backward(T.tsum(T.linear(a, w, b, blocks=[np.eye(4)], offsets=np.array([0, 4]),
+                                       self_weight=2.0)))
         assert a.grad is not None and w.grad is None and b.grad is None
 
     def test_product_is_one_linear_node(self, monkeypatch):
@@ -814,8 +879,15 @@ class TestFusedOps:
             T.linear(ones, ones, 0.0)
         with pytest.raises(DataError, match="linear: incompatible shapes"):
             T.linear(ones, T.Tensor(np.ones((3, 2))), np.ones((3, 2)))
-        with pytest.raises(DataError, match="self_weight must be a scalar"):
-            T.block_diag_matmul([np.eye(2)], np.array([0, 2]), ones, self_weight=np.ones(2))
+        blocks, offsets = [np.eye(2)], np.array([0, 2])
+        with pytest.raises(DataError, match="linear: self_weight must be a scalar"):
+            T.linear(ones, ones.data.T, blocks=blocks, offsets=offsets, self_weight=np.ones(2))
+        for given in ({"blocks": blocks}, {"self_weight": 2.0},
+                      {"blocks": blocks, "offsets": offsets}):
+            with pytest.raises(DataError, match="blocks, offsets and self_weight come together"):
+                T.linear(ones, ones.data.T, **given)
+        with pytest.raises(DataError, match="linear: blocks do not tile the 2 rows"):
+            T.linear(ones, ones.data.T, blocks=blocks, offsets=np.array([0, 1]), self_weight=2.0)
 
 
 class TestDeterminism:

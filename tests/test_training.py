@@ -311,9 +311,11 @@ class TestPretrain:
 
 def test_gin_step_keeps_few_activations_per_layer():
     # one pre-training step of a 5-layer GIN whose (rows, width) activations
-    # dwarf its weights: a layer keeps 4 such arrays for its backward, and the
-    # embeddings 3 more; with the step's transients the peak stays under 6 per
-    # layer, where a tape of unfused matmul-then-add ops held 8 per layer
+    # dwarf its weights: a layer keeps 2 such arrays for its backward, its
+    # input and its ReLU's output, and rebuilds its aggregate there.  With the
+    # embeddings and the step's transients the peak reads 2.84 per layer;
+    # keeping the aggregate read 3.51, and a tape of unfused matmul-then-add
+    # ops held 8 per layer
     rng = np.random.default_rng(0)
     graphs = [random_attributed_graph(rng, 40, 60) for _ in range(24)]
     layers, width = 5, 32
@@ -334,7 +336,7 @@ def test_gin_step_keeps_few_activations_per_layer():
     finally:
         tracemalloc.stop()
     activation = sum(g.node_count for g in graphs) * width * 8
-    assert peak < 6 * layers * activation
+    assert peak < 3.2 * layers * activation
 
 
 class TestEvaluateMgs:
