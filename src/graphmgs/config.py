@@ -10,11 +10,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
+
+
+def json_default(obj):
+    """A numpy integer, which ``check_int`` accepts, as its int; anything else as its str."""
+    return int(obj) if isinstance(obj, numbers.Integral) else str(obj)
 
 
 def stable_hash(obj) -> str:
     """sha256 of the canonical JSON encoding; stable across runs and platforms."""
-    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str)
+    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=json_default)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

@@ -178,15 +178,15 @@ def load_corpus(path, name: str = "") -> GraphCorpus:
     """
     graphs = []
     task_count = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
+            except ValueError as exc:  # not UTF-8, or not JSON
+                raise DataError(f"line {line_no}: invalid JSON ({exc})") from exc
             g = _graph_from_record(rec, line_no)
             if g.graph_labels is not None:
                 if task_count == 0:

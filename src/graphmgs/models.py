@@ -42,6 +42,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
+from .config import json_default
 from .errors import DataError, check_int
 from .graphs import GraphCorpus, LabeledGraph
 from .spectral import normalized_adjacency
@@ -325,7 +326,7 @@ def save_model(model: GnnModel, path) -> None:
         },
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        json.dump(payload, fh, default=json_default)
 
 
 def load_model(path) -> GnnModel:
@@ -337,8 +338,8 @@ def load_model(path) -> GnnModel:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"model checkpoint is not JSON: {exc}") from exc
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise DataError(f"model checkpoint {str(path)!r} is not JSON: {exc}") from exc
     version = payload.get("version") if isinstance(payload, dict) else None
     if version != MODEL_CHECKPOINT_VERSION:
         raise DataError(f"model checkpoint version {version!r} unsupported")
@@ -346,6 +347,8 @@ def load_model(path) -> GnnModel:
         fields = payload["config"]
         config = GnnConfig(**dict(fields, attr_sizes=tuple(fields["attr_sizes"])))
         want = {name: p.data.shape for name, p in init_model(config, 0).params.items()}
+        if not isinstance(payload["params"], dict):
+            raise TypeError(f"params must be an object, not {type(payload['params']).__name__}")
         arrays = {name: np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
                   for name, entry in payload["params"].items()}
     except (KeyError, TypeError, ValueError) as exc:

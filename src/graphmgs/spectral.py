@@ -1,6 +1,6 @@
-"""Graph Laplacians, their eigenvalues, and eigenvalue fingerprints: the
-``spectral`` scheme of ``fingerprints.SCHEMES`` (Wilson & Zhu, Pattern
-Recognition 2008), whose scalar distance oracle is in ``tests/spec.py``."""
+"""The combinatorial Laplacian D - A, its eigenvalues, and eigenvalue fingerprints: the
+``spectral`` scheme of ``fingerprints.SCHEMES`` (Wilson & Zhu, Pattern Recognition 2008),
+whose distance oracle is in ``tests/spec.py``; and the encoders' ``normalized_adjacency``."""
 
 from __future__ import annotations
 
@@ -14,8 +14,7 @@ from .errors import DataError, check_int
 from .graphs import LabeledGraph
 
 COMBINATORIAL = "combinatorial"
-SYM_NORMALIZED = "sym_normalized"
-LAPLACIAN_KINDS = (COMBINATORIAL, SYM_NORMALIZED)
+LAPLACIAN_KINDS = (COMBINATORIAL,)
 SPECTRAL = "spectral"
 
 
@@ -54,17 +53,11 @@ def normalized_adjacency(a: np.ndarray) -> np.ndarray:
     return (dinv[:, None] * a) * dinv[None, :]
 
 
-def laplacian(g: LabeledGraph, kind: str = COMBINATORIAL) -> np.ndarray:
-    """Dense Laplacian: D - A, or I - D^{-1/2} A D^{-1/2} (an isolated node
-    keeps only its identity term)."""
-    if kind not in LAPLACIAN_KINDS:
-        raise DataError(f"unknown laplacian kind {kind!r}")
+def laplacian(g: LabeledGraph) -> np.ndarray:
+    """Dense combinatorial Laplacian D - A."""
     if g.node_count < 1:
         raise DataError(f"graph {g.id!r}: laplacian needs at least one node")
-    a = g.adjacency()
-    if kind == COMBINATORIAL:
-        return np.diag(g.degrees().astype(np.float64)) - a
-    return np.eye(g.node_count) - normalized_adjacency(a)
+    return np.diag(g.degrees().astype(np.float64)) - g.adjacency()
 
 
 def symmetric_eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -83,10 +76,11 @@ def symmetric_eigenvalues(m: np.ndarray) -> np.ndarray:
 def spectral_fingerprint(g: LabeledGraph, k: int,
                          kind: str = COMBINATORIAL) -> SpectralFingerprint:
     """k largest Laplacian eigenvalues, descending; negatives within roundoff
-    are clamped to zero."""
+    are clamped to zero.  ``kind`` must be ``COMBINATORIAL``; it is kept in ``params``."""
     check_int("spectral fingerprint: k", k, 1)
-    eig = symmetric_eigenvalues(laplacian(g, kind))
+    if kind not in LAPLACIAN_KINDS:
+        raise DataError(f"unknown laplacian kind {kind!r}")
+    eig = symmetric_eigenvalues(laplacian(g))
     top = np.maximum(eig[::-1][:k], 0.0)
     values = list(top) + [0.0] * (k - len(top))
-    return SpectralFingerprint(eigenvalues=tuple(float(v) for v in values),
-                               params=(("k", k), ("kind", kind)))
+    return SpectralFingerprint(eigenvalues=values, params=(("k", k), ("kind", kind)))

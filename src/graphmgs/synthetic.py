@@ -11,8 +11,8 @@ A ``SyntheticSpec`` holds the settings a caller chooses.  The rest are fixed
 module constants: ``CLASSES`` (2 node classes), ``LABEL_ATTR_NOISE`` (0.1),
 ``EDGE_FACTOR`` (1.5), ``EDGE_MUTATION`` (0.15), ``ATTR_MUTATION`` (0.15) and
 ``ATTR_CONCENTRATION`` (0.4), next to the rewiring bounds ``REWIRE_LIMIT``
-and ``HOMOPHILY_TOL``.  The one label rule, ``triangle_motif``, labels a
-graph 1 when its triangle count is at least the corpus median.
+and ``HOMOPHILY_TOL``.  The one rule of ``LABEL_RULES``, ``triangle_motif``,
+labels a graph 1 when its triangle count is at least the corpus median.
 
 Categorical attributes are drawn by one rule, the one ``Generator.choice``
 follows for a probability vector ``p``: with ``cdf = p.cumsum(); cdf /=
@@ -41,6 +41,7 @@ from .errors import DataError, NumericError, check_int, check_real
 from .graphs import GraphCorpus, LabeledGraph, adjacency_of, degrees_of, same_label_count
 
 TRIANGLE_MOTIF = "triangle_motif"
+LABEL_RULES = (TRIANGLE_MOTIF,)
 
 REWIRE_LIMIT = 10 ** 4
 HOMOPHILY_TOL = 0.05
@@ -82,7 +83,7 @@ class SyntheticSpec:
             check_int(name, getattr(self, name), minimum)
         for s in (*self.attr_sizes, *self.edge_attr_sizes):
             check_int("every attribute alphabet size", s, 1)
-        if self.label_rule != TRIANGLE_MOTIF:
+        if self.label_rule not in LABEL_RULES:
             raise DataError(f"unknown label rule {self.label_rule!r}")
         if self.size_max < self.size_min:
             raise DataError("graph sizes must satisfy 3 <= size_min <= size_max")

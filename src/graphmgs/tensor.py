@@ -30,8 +30,9 @@ what would otherwise be up to three nodes: it adds an optional bias into the
 product's own array, and with ``blocks`` it first aggregates a as
 ``block_diag_matmul`` does, adding a self term c * a, without keeping the
 aggregate.  It is one node and one output array, with the sums,
-and the gradients in the order, of the ops it fuses.  ``block_diag_matmul``
-and ``linear`` share one per-block product loop, ``_block_rows``.
+and the gradients in the order, of the ops it fuses.  ``block_diag_matmul``,
+``linear`` and ``block_diag_attention`` (over its weighted blocks b * w, which
+its backward rebuilds) share one per-block product loop, ``_block_rows``.
 
 ``soft_rank`` and ``models.embed_rows`` split their work across the CPUs the
 process may run on with ``_split``, which runs each span in a fresh context,
@@ -46,7 +47,7 @@ import contextvars
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -174,10 +175,6 @@ class Tensor:
     @grad.setter
     def grad(self, value: Optional[np.ndarray]) -> None:
         self._slot.grad = value
-
-    @property
-    def _backward(self):
-        return self._slot.backward
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -461,7 +458,7 @@ def _block_spans(name: str, blocks: Sequence[np.ndarray], offsets, rows: int) ->
     return spans
 
 
-def _block_rows(spans: list, x: np.ndarray, out: Optional[np.ndarray] = None,
+def _block_rows(spans: Iterable, x: np.ndarray, out: Optional[np.ndarray] = None,
                 transpose: bool = False) -> np.ndarray:
     """out, or a new C-ordered array, with out[lo:hi] = b @ x[lo:hi] (b.T @
     x[lo:hi] with ``transpose``) for each (b, lo, hi) of spans: the one
@@ -504,10 +501,10 @@ def block_diag_attention(blocks: Sequence[np.ndarray], offsets, scores, a) -> Te
     if s.data.shape != (len(a.data), 2):
         raise DataError(f"block_diag_attention: scores {s.shape} for {len(a.data)} rows")
     w = [np.tanh(s.data[lo:hi, 0, None] + s.data[None, lo:hi, 1]) for _, lo, hi in spans]
-    out = np.empty_like(a.data)
-    for (b, lo, hi), wk in zip(spans, w):
-        out[lo:hi] = (b * wk) @ a.data[lo:hi]
-    x, shape = a.data, a.data.shape
+    x = a.data
+
+    def weighted():  # one weighted block at a time
+        return ((b * wk, lo, hi) for (b, lo, hi), wk in zip(spans, w))
 
     def scores_grad(g):
         gs = np.empty((len(x), 2))
@@ -517,13 +514,8 @@ def block_diag_attention(blocks: Sequence[np.ndarray], offsets, scores, a) -> Te
             gs[lo:hi, 1] = gz.sum(axis=0)
         return gs
 
-    def rows_grad(g):
-        ga = np.empty(shape)
-        for (b, lo, hi), wk in zip(spans, w):
-            ga[lo:hi] = (b * wk).T @ g[lo:hi]
-        return ga
-
-    return _node(out, (s, scores_grad), (a, rows_grad))
+    return _node(_block_rows(weighted(), x, np.empty_like(x)), (s, scores_grad),
+                 (a, lambda g: _block_rows(weighted(), g, transpose=True)))
 
 
 def segment_mean(a, offsets) -> Tensor:

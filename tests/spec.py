@@ -4,6 +4,7 @@ are tested against, one value at a time in plain Python."""
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -41,6 +42,17 @@ def neighbors(g) -> list[list[int]]:
         adj[u].append(v)
         adj[v].append(u)
     return adj
+
+
+def scaled_laplacian(g) -> list[list[float]]:
+    """ChebNet's operator L_sym - I = -D^{-1/2} A D^{-1/2}, entry by entry:
+    -1 / sqrt(d_i d_j) at both (i, j) and (j, i) of each edge, 0 elsewhere, so
+    an isolated node's row and column are 0."""
+    deg = [len(adj) for adj in neighbors(g)]
+    out = [[0.0] * g.node_count for _ in range(g.node_count)]
+    for u, v in g.edges:
+        out[u][v] = out[v][u] = -1.0 / math.sqrt(deg[u] * deg[v])
+    return out
 
 
 def permuted(g, perm):

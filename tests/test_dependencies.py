@@ -34,6 +34,12 @@ Public code has callers: every public top-level function and method of
 (its tests aside), as a call, an attribute or a string (the benchmark's tracer
 patches functions by name), except the names on ``TEST_ONLY``, which only
 shrinks.
+Every option value has a caller: each member of ``training.SURROGATES``,
+``spectral.LAPLACIAN_KINDS``, ``fingerprints.SCHEMES``, ``models.ARCHS`` and
+``synthetic.LABEL_RULES`` is passed under its option's keyword by some call in
+the package or the benchmark (its tests aside), as a literal or a module
+constant bound to one, except the values on ``UNCALLED_OPTIONS``, which only
+shrinks.  A value no caller passes is a branch the system never runs.
 No public function is a second name for another: none has a body, after its
 docstring, that only returns a call passing its own parameters on, in order.
 A gradient closure of ``tensor.py`` reads only the arrays it captured: no
@@ -58,10 +64,12 @@ import ast
 import sys
 from pathlib import Path
 
-from graphmgs.fingerprints import SCHEMES
+from graphmgs import fingerprints, models, spectral, synthetic, training
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "graphmgs"
+BENCHMARK = [path for path in sorted((ROOT / "perfbench").glob("*.py"))
+             if not path.name.startswith("test_")]
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "graphmgs"}
 ENVIRONMENT = {"environ", "getenv", "putenv"}
 CONFIGS = ("SyntheticSpec", "GnnConfig", "PgmConfig")
@@ -92,6 +100,13 @@ TEST_ONLY = {
     "training.TrainReport.to_dict": "D6 step 2: run.json records the report",
     "training.FinetuneReport.to_dict": "D6 step 2: run.json records the report",
 }
+# each option set with the keywords that pass its values
+OPTIONS = {("surrogate",): training.SURROGATES, ("kind",): spectral.LAPLACIAN_KINDS,
+           ("scheme",): fingerprints.SCHEMES, ("arch", "archs"): models.ARCHS,
+           ("label_rule",): synthetic.LABEL_RULES}
+# option values that no call outside the tests passes, each with the ROADMAP
+# item that gives it a caller; a value that gains a caller must leave the list
+UNCALLED_OPTIONS = {"pearson": "D6 step 3: an arm of the grid"}
 
 
 def _trees(modules=None):
@@ -239,7 +254,7 @@ def test_schemes_named_in_one_place():
     found = [f"{path.name}:{node.lineno}: {node.value!r}" for path, tree in _trees()
              if path.name not in SCHEME_NAMERS for node in ast.walk(tree)
              if isinstance(node, ast.Constant) and isinstance(node.value, str)
-             and node.value in SCHEMES]
+             and node.value in fingerprints.SCHEMES]
     for path, tree in _trees([PACKAGE / "training.py"]):
         found += [f"{path.name}:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
                   if (isinstance(node, ast.ImportFrom) and node.level == 1
@@ -348,15 +363,36 @@ def test_no_public_alias():
 
 
 def test_public_names_have_callers_outside_tests():
-    benchmark = [path for path in sorted((ROOT / "perfbench").glob("*.py"))
-                 if not path.name.startswith("test_")]
-    named = {name for _, tree in _trees() + _trees(benchmark) for node in ast.walk(tree)
+    named = {name for _, tree in _trees() + _trees(BENCHMARK) for node in ast.walk(tree)
              for name in (getattr(node, "id", None), getattr(node, "attr", None),
                           getattr(node, "value", None))
              if isinstance(name, str)}
     test_only = [f"{path.stem}.{name}" for path, tree in _trees()
                  for name, fn in _public_functions(tree) if fn.name not in named]
     assert sorted(test_only) == sorted(TEST_ONLY)
+
+
+def test_every_option_value_has_a_caller():
+    trees = [tree for _, tree in _trees() + _trees(BENCHMARK)]
+    bound = {(target.id, node.value.value) for tree in trees for node in tree.body
+             if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+             for target in node.targets if isinstance(target, ast.Name)}
+
+    def values(expr) -> list:
+        """The values an argument passes: a literal, a module constant bound to
+        one (by name or as a module's attribute), or a tuple or list of those."""
+        if isinstance(expr, (ast.Tuple, ast.List)):
+            return [value for element in expr.elts for value in values(element)]
+        if isinstance(expr, ast.Constant):
+            return [expr.value]
+        name = getattr(expr, "id", None) or getattr(expr, "attr", None)
+        return [value for constant, value in bound if constant == name]
+
+    passed = {(kw.arg, value) for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.Call) for kw in node.keywords for value in values(kw.value)}
+    uncalled = [value for keywords, members in OPTIONS.items() for value in members
+                if not any((keyword, value) in passed for keyword in keywords)]
+    assert sorted(uncalled) == sorted(UNCALLED_OPTIONS)
 
 
 def test_path_walk_hashes_by_table():

@@ -53,6 +53,12 @@ class TestLoadCorpus:
         with pytest.raises(DataError, match="line 2"):
             load_corpus(path)
 
+    def test_non_utf8_line_named(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(TRIANGLE_LINE.encode("utf-8") + b"\n\xff\n")
+        with pytest.raises(DataError, match="line 2: invalid JSON .'utf-8' codec"):
+            load_corpus(path)
+
     @pytest.mark.parametrize("field, value", [
         ("node_labels", ["x", 1, 0]), ("node_labels", 5), ("node_labels", [0, 1.0, 1]),
         ("graph_labels", ["x"]), ("graph_labels", [0.7]), ("graph_labels", [True]),

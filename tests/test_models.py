@@ -14,10 +14,9 @@ from graphmgs.models import (ARCHS, CHEB_ORDER, ENCODE_BLOCK_GRAPHS, ENCODE_SPLI
                              FAGCN_EPS, GnnConfig, classify, embed_graph, embed_rows,
                              encode_nodes, infer_attr_sizes, init_model, load_model,
                              prepare, save_model, with_head)
-from graphmgs.spectral import SYM_NORMALIZED, laplacian
 
 from conftest import finite_difference_check, random_attributed_graph
-from spec import permuted
+from spec import permuted, scaled_laplacian
 
 ATTRS = (4, 2)
 
@@ -93,7 +92,7 @@ class TestLayerFormulas:
             g = graph_for(rng)
             model = small_model("chebnet", layers=1, seed=int(rng.integers(1 << 20)))
             out = encode_nodes(model, [g])[0].data
-            lhat = laplacian(g, SYM_NORMALIZED) - np.eye(g.node_count)
+            lhat = np.asarray(scaled_laplacian(g))
             h = np.zeros((g.node_count, model.config.hidden_dim))
             for s in range(len(ATTRS)):
                 table = model.params[f"embed.{s}"].data
@@ -599,6 +598,34 @@ class TestModelCheckpoint:
         path.write_text(text[:-1] if case == "truncated-json" else text, encoding="utf-8")
         with pytest.raises(DataError, match=match):
             load_model(path)
+
+    @pytest.mark.parametrize("params", [[], "layer0.theta", 3], ids=["list", "string", "number"])
+    def test_params_not_an_object_rejected(self, tmp_path, params):
+        path = tmp_path / "model.json"
+        save_model(small_model("gcn"), path)
+        payload = dict(json.loads(path.read_text(encoding="utf-8")), params=params)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(DataError, match="malformed model checkpoint: params must be an object"):
+            load_model(path)
+
+    def test_non_utf8_checkpoint_names_the_file(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b"\xff\n")
+        with pytest.raises(DataError, match=r"'.*model\.json' is not JSON: 'utf-8' codec"):
+            load_model(path)
+
+    def test_numpy_integer_config_roundtrip(self, tmp_path):
+        # a numpy integer passes the setting checks, so a checkpoint must save it
+        config = GnnConfig(arch="gin", layers=np.int64(2), hidden_dim=np.int64(6),
+                           attr_sizes=tuple(np.array(ATTRS)))
+        model = init_model(config, seed=3)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.config == config == GnnConfig(arch="gin", layers=2, hidden_dim=6,
+                                                    attr_sizes=ATTRS)
+        for name, p in model.params.items():
+            assert loaded.params[name].data.tobytes() == p.data.tobytes()
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_parameter_rejected(self, tmp_path, value):

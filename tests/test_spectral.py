@@ -5,8 +5,9 @@ from graphmgs.errors import DataError
 from graphmgs.fingerprints import make_fingerprints
 from graphmgs.graphs import LabeledGraph
 from graphmgs.similarity import check_comparable
-from graphmgs.spectral import (COMBINATORIAL, SYM_NORMALIZED, SpectralFingerprint, laplacian,
-                               spectral_fingerprint, symmetric_eigenvalues)
+from graphmgs.spectral import (COMBINATORIAL, SpectralFingerprint, laplacian,
+                               normalized_adjacency, spectral_fingerprint,
+                               symmetric_eigenvalues)
 
 from conftest import random_attributed_graph
 from spec import permuted
@@ -47,17 +48,19 @@ def complete_spectrum(n):
 
 class TestLaplacian:
     def test_single_edge_combinatorial(self):
-        lap = laplacian(plain_graph(2, [(0, 1)]), COMBINATORIAL)
+        lap = laplacian(plain_graph(2, [(0, 1)]))
         assert np.array_equal(lap, [[1, -1], [-1, 1]])
 
     def test_triangle_normalized_spectrum(self):
-        lap = laplacian(complete_graph(3), SYM_NORMALIZED)
-        assert np.allclose(lap, np.eye(3) - 0.5 * complete_graph(3).adjacency())
+        # I - D^{-1/2} A D^{-1/2}, the operator behind ChebNet and FAGCN
+        a = complete_graph(3).adjacency()
+        lap = np.eye(3) - normalized_adjacency(a)
+        assert np.allclose(lap, np.eye(3) - 0.5 * a)
         eig = symmetric_eigenvalues(lap)
         assert np.allclose(eig, [0.0, 1.5, 1.5], atol=1e-10)
 
     def test_isolated_node(self):
-        lap = laplacian(plain_graph(1, []), COMBINATORIAL)
+        lap = laplacian(plain_graph(1, []))
         assert lap.shape == (1, 1) and lap[0, 0] == 0.0
 
     def test_row_sums_zero_combinatorial(self):
@@ -67,8 +70,10 @@ class TestLaplacian:
             assert np.allclose(laplacian(g).sum(axis=1), 0.0, atol=1e-12)
 
     def test_unknown_kind(self):
-        with pytest.raises(DataError):
-            laplacian(plain_graph(2, [(0, 1)]), "rw")
+        # the combinatorial Laplacian is the only one
+        for kind in ("sym_normalized", "rw"):
+            with pytest.raises(DataError, match=f"unknown laplacian kind '{kind}'"):
+                spectral_fingerprint(plain_graph(2, [(0, 1)]), 6, kind=kind)
 
 
 class TestNonFiniteMatrix:
@@ -128,7 +133,8 @@ class TestSymmetricEigenvalues:
         rng = np.random.default_rng(7)
         for _ in range(30):
             g = random_attributed_graph(rng)
-            eig = symmetric_eigenvalues(laplacian(g, SYM_NORMALIZED))
+            eig = symmetric_eigenvalues(np.eye(g.node_count)
+                                        - normalized_adjacency(g.adjacency()))
             assert eig.min() > -1e-8 and eig.max() < 2.0 + 1e-8
 
 
@@ -186,7 +192,7 @@ class TestSpectralFingerprint:
         assert a == b and hash(a) == hash(b) and len({a, b}) == 1
         assert a != SpectralFingerprint(eigenvalues=(2.0, 0.5), params=(("k", 2),))
 
-    @pytest.mark.parametrize("kind", [COMBINATORIAL, SYM_NORMALIZED])
+    @pytest.mark.parametrize("kind", [COMBINATORIAL])
     def test_make_fingerprints_matches_per_graph(self, kind):
         rng = np.random.default_rng(9)
         graphs = [random_attributed_graph(rng, n_min=1, n_max=10) for _ in range(30)]

@@ -483,7 +483,7 @@ class TestBackward:
             with pytest.raises(ValueError, match="mid-backward"):
                 T.backward(loss)
             assert T.tape_size() == 0
-        assert not y.requires_grad and y._backward is None and x.grad is None
+        assert not y.requires_grad and y._slot.backward is None and x.grad is None
 
     def test_raising_block_drops_its_nodes(self):
         x = T.Tensor([1.0, 2.0], requires_grad=True)
@@ -493,7 +493,7 @@ class TestBackward:
                 assert T.tape_size() == 2
                 raise ValueError("mid-forward")
         assert T.tape_size() == 0
-        assert not y.requires_grad and y._backward is None
+        assert not y.requires_grad and y._slot.backward is None
 
     def test_backward_after_block_exit_rejected(self):
         x = T.Tensor([1.0], requires_grad=True)

@@ -14,7 +14,7 @@ from graphmgs.graphs import GraphCorpus, LabeledGraph, load_corpus
 from graphmgs.models import (ARCHS, ENCODE_SPLIT_WIDTH, GnnConfig, embed_graph, infer_attr_sizes,
                              init_model, prepare, with_head)
 from graphmgs.similarity import average_ranks, mgs, spearman, write_pair_csv
-from graphmgs.spectral import COMBINATORIAL, SYM_NORMALIZED, spectral_fingerprint
+from graphmgs.spectral import COMBINATORIAL, spectral_fingerprint
 from graphmgs.synthetic import SyntheticSpec, generate_synthetic
 from graphmgs.training import (MIN_STRATUM, FinetuneReport, PgmConfig, SkippedBatch,
                                evaluate_mgs, finetune, pgm_loss, pretrain, roc_auc,
@@ -145,6 +145,14 @@ class TestPretrain:
         assert report.losses == [] and report.holdout_mgs == []
         for k, p in model.params.items():
             assert p.data.tobytes() == before[k].tobytes()
+
+    def test_numpy_integer_seed_hashes_as_the_int(self, tiny_corpus, tiny_fps):
+        # a numpy integer passes the setting checks, so it must hash as the integer
+        # it holds, and a config of Python values keeps the hash it always had
+        hashes = [pretrain(tiny_corpus, tiny_model(tiny_corpus, seed=1),
+                           PgmConfig(batch_size=8, epochs=0, seed=seed), tiny_fps)[1].config_hash
+                  for seed in (3, np.int64(3))]
+        assert hashes == ["7d93ed935012f017ce12eef6062ddf2e54e51f6de211db04405cb002bdcab9a1"] * 2
 
     def test_seeded_determinism_bitwise(self, tiny_corpus, tiny_fps):
         def run():
@@ -378,10 +386,9 @@ class TestEvaluateMgs:
          r"topological\(max_path_len=4, .* and morgan\(radius=2, "),
         (("topological", dict(max_path_len=4)), ("topological", dict(max_path_len=3)),
          r"max_path_len=4, .* and topological\(max_path_len=3, "),
-        (("spectral", dict(k=6, kind=COMBINATORIAL)),
-         ("spectral", dict(k=6, kind=SYM_NORMALIZED)),
-         r"kind=combinatorial\) .* and spectral\(k=6, kind=sym_normalized\)")],
-        ids=["topological-morgan", "max_path_len", "laplacian_kind"])
+        (("spectral", dict(k=6, kind=COMBINATORIAL)), ("spectral", dict(k=5, kind=COMBINATORIAL)),
+         r"kind=combinatorial\) of length 6 and spectral\(k=5, kind=combinatorial\) of length 5")],
+        ids=["topological-morgan", "max_path_len", "spectral_k"])
     def test_mixed_kinds_rejected_before_encoding(self, tiny_corpus, monkeypatch,
                                                   first, second, match):
         encoded = []
