@@ -37,7 +37,10 @@ its backward rebuilds) share one per-block product loop, ``_block_rows``.
 ``soft_rank`` and ``models.embed_rows`` split their work across the CPUs the
 process may run on with ``_split``, which runs each span in a fresh context,
 so no span records on the caller's tape.  Its threads are made for the call
-and joined before it returns.
+and joined before it returns.  ``soft_rank`` chooses by P between keeping and
+rebuilding (Chen et al., arXiv:1604.06174): below ``SOFT_RANK_SPLIT_VALUES``
+values it runs inline and keeps its sigmoid derivative for the backward, at
+most 17.6 MB; from there on it splits and its backward rebuilds the blocks.
 """
 
 from __future__ import annotations
@@ -74,7 +77,10 @@ SOFT_RANK_BLOCK_ENTRIES = 1 << 14
 # ms), P = 1,225 to 1,431 within the noise either way, P = 1,485 faster in 3 of 4
 # such runs (10.8-11.5 -> 8.9-10.9 ms) and P = 1,653 and 2,016 faster in every
 # run (13.3 -> 11.8 ms, 18.4 -> 13.8 ms).  So B = 32 (P = 496) stays inline and
-# B = 64 (2,016) and B = 128 (8,128) split.
+# B = 64 (2,016) and B = 128 (8,128) split.  These times were taken with a
+# backward that rebuilt every block.  Below this count the forward pass also
+# keeps its sigmoid derivative for the backward, which bounds what it keeps
+# at 1,484^2 x 8 B = 17.6 MB.
 SOFT_RANK_SPLIT_VALUES = 1_485
 
 # entries of c * x that GIN's aggregate forms at a time: whole rows, as many as
@@ -556,26 +562,43 @@ def _soft_rank_blocks(x: np.ndarray, tau: float, lo: int, hi: int):
         yield b_lo, b_hi, _sigmoid_stable(z, out=sbuf[:b_hi - b_lo], work=z), z
 
 
+def _sigmoid_slope(s: np.ndarray, out: Optional[np.ndarray] = None):
+    """``(sprime, rowsum)``: sigma' = (1 - s) s of a sigmoid block s, in ``out``
+    when given, and its row sums."""
+    sprime = np.subtract(1.0, s, out=out)
+    sprime *= s  # symmetric: sigma'(z) is even and z_ij = -z_ji
+    return sprime, sprime.sum(axis=1)
+
+
 def soft_rank(a, tau: float) -> Tensor:
     """Differentiable ranks r_i = sum_j sigmoid((x_i - x_j) / tau) over a 1-D tensor.
 
-    The P x P sigmoid matrix is never held whole: forward and backward each
-    build it in blocks of whole rows, and the backward pass recomputes the
-    blocks instead of keeping them, so time is O(P^2) and memory O(P) per
-    block. A block has 128 rows, halved while it would hold more than
-    ``SOFT_RANK_BLOCK_ENTRIES`` (2^14) entries, but never fewer than 8: 64
-    rows at P = 190, 32 at P = 496 and 8 from P = 2,048 on.
+    The forward pass builds the P x P sigmoid matrix in blocks of whole
+    rows, so time is O(P^2). A block has 128 rows, halved while it would
+    hold more than ``SOFT_RANK_BLOCK_ENTRIES`` (2^14) entries, but never
+    fewer than 8: 64 rows at P = 190, 32 at P = 496 and 8 from P = 2,048 on.
 
-    From ``SOFT_RANK_SPLIT_VALUES`` values on, the forward pass and the
-    backward pass each split the blocks into one contiguous run of whole
-    blocks per worker (``_split``); below it they run inline on the calling
-    thread. Each worker allocates two rows x P buffers once and reuses them
+    What the backward pass reads depends on P:
+    - Below ``SOFT_RANK_SPLIT_VALUES`` values, forward and backward run
+      inline on the calling thread. When the input requires grad, the
+      forward pass also writes each block's sprime = (1 - s) s into its rows
+      of one P x P array and keeps it and the row sums (``_sigmoid_slope``)
+      on the backward closure, and the backward evaluates no sigmoid. That
+      is at most 1,484^2 x 8 B = 17.6 MB, freed when the sweep runs the node
+      or the tape drops it. An input that does not require grad, as in
+      evaluation, keeps and computes no sprime.
+    - From ``SOFT_RANK_SPLIT_VALUES`` values on, the forward and the
+      backward pass each split the blocks into one contiguous run of whole
+      blocks per worker (``_split``), and the backward rebuilds every block
+      instead of keeping it, so memory is O(P) per block.
+    Each pass allocates two rows x P buffers per worker once and reuses them
     for every block of its run: z is computed in one, and ``_sigmoid_stable``
     writes s into the other with a branch-free select, taking z itself as
-    its ``work`` (its ``work`` may be its input); the backward pass then
-    builds sprime = s (1 - s) in z's buffer.  So a pass holds two buffers per
-    worker. The buffers are not shared between workers or calls, or kept by
-    the backward closure.
+    its ``work`` (its ``work`` may be its input); a rebuilding backward pass
+    then builds sprime in z's buffer. The buffers are not shared between
+    workers or calls, or kept by the backward closure. Kept or rebuilt,
+    sprime and its row sums come from the same ops in the same order, so
+    the two paths give the same bits.
 
     What is guaranteed:
     - The ranks are bit-identical to the dense computation at every P,
@@ -606,9 +629,18 @@ def soft_rank(a, tau: float) -> Tensor:
     unit = _soft_rank_rows(p) if p >= SOFT_RANK_SPLIT_VALUES else max(p, 1)
     ranks = np.empty_like(x)
 
+    # every block's (b_lo, b_hi, sprime, rowsum) for the backward, when the
+    # pass runs inline and its input requires grad.  The blocks' sprime are
+    # rows of one P x P array: at P = 496 (1 BLAS thread, 2-vCPU host) forward
+    # plus backward took 1.8 ms so, against 2.3 ms with an array per block
+    kept = [] if a.requires_grad and p < SOFT_RANK_SPLIT_VALUES else None
+    slopes = None if kept is None else np.empty((p, p))
+
     def forward(lo, hi):
         for b_lo, b_hi, s, _ in _soft_rank_blocks(x, tau, lo, hi):
             ranks[b_lo:b_hi] = s.sum(axis=1)
+            if kept is not None:
+                kept.append((b_lo, b_hi, *_sigmoid_slope(s, out=slopes[b_lo:b_hi])))
 
     _split(p, unit, forward)
 
@@ -616,13 +648,16 @@ def soft_rank(a, tau: float) -> Tensor:
         g = np.asarray(g)
         ga = np.empty_like(x)
 
-        def span(lo, hi):
-            for b_lo, b_hi, s, spare in _soft_rank_blocks(x, tau, lo, hi):
-                sprime = np.subtract(1.0, s, out=spare)
-                sprime *= s  # symmetric: sigma'(z) is even and z_ij = -z_ji
-                ga[b_lo:b_hi] = (g[b_lo:b_hi] * sprime.sum(axis=1) - sprime @ g) / tau
+        def fill(blocks):
+            for b_lo, b_hi, sprime, rowsum in blocks:
+                ga[b_lo:b_hi] = (g[b_lo:b_hi] * rowsum - sprime @ g) / tau
 
-        _split(p, unit, span)
+        if kept is not None:
+            fill(kept)
+        else:
+            _split(p, unit, lambda lo, hi: fill(
+                (b_lo, b_hi, *_sigmoid_slope(s, out=spare))
+                for b_lo, b_hi, s, spare in _soft_rank_blocks(x, tau, lo, hi)))
         return ga
 
     return _node(ranks, (a, grad))

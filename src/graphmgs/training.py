@@ -160,7 +160,7 @@ def pretrain(corpus: GraphCorpus, model: GnnModel, cfg: PgmConfig,
             raise DataError(f"graph {g.id!r}: {fp.scheme} fingerprint, but "
                             f"the config's scheme is {cfg.scheme!r}")
     check_comparable(fps)
-    report = TrainReport(seed=cfg.seed, config_hash=stable_hash(vars(cfg)))
+    report = TrainReport(seed=int(cfg.seed), config_hash=stable_hash(vars(cfg)))
     if cfg.epochs == 0:
         return model, report
 
@@ -411,7 +411,7 @@ def finetune(corpus: GraphCorpus, model: GnnModel, epochs: int = 100,
             on_label_read(fold, epoch)
         return labels[folds[fold]]
 
-    report = FinetuneReport(seed=seed, config_hash=stable_hash(
+    report = FinetuneReport(seed=int(seed), config_hash=stable_hash(
         {"epochs": epochs, "batch_size": batch_size, "seed": seed,
          "model": asdict(model.config)}))
     state = T.AdamState(model.parameters())

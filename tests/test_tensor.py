@@ -264,6 +264,71 @@ class TestSoftRankBlocks:
             assert np.array_equal(got.data, alone_ranks)
             assert np.array_equal(grad, alone_grad)
 
+    # below the split the forward keeps each block's sigma' for the backward;
+    # from it on the backward rebuilds every block's sigmoid
+    @pytest.mark.parametrize("p", [190, 496, 1484, 1485, 2016])
+    def test_backward_evaluates_a_sigmoid_only_from_the_split_on(self, monkeypatch, p):
+        calls = []
+        real = T._sigmoid_stable
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(T, "_sigmoid_stable", counted)
+        x, tau, g = _soft_rank_case(p)
+        a = T.Tensor(x, requires_grad=True)
+        with T.tape():
+            loss = T.tsum(T.soft_rank(a, tau) * T.Tensor(g))
+            forward = len(calls)
+            T.backward(loss)
+        blocks = -(-p // T._soft_rank_rows(p))
+        assert forward == blocks
+        assert len(calls) - forward == (0 if p < T.SOFT_RANK_SPLIT_VALUES else blocks)
+
+    def test_kept_slopes_freed_when_the_tape_is_left_without_a_backward(self):
+        p = 1000
+        assert p < T.SOFT_RANK_SPLIT_VALUES
+        x, tau, _ = _soft_rank_case(p)
+        a = T.Tensor(x, requires_grad=True)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            with T.tape():
+                ranks = T.soft_rank(a, tau)
+                held = tracemalloc.get_traced_memory()[0] - start
+                del ranks
+            left = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert held >= p * p * 8, f"{held} B held: sigma' of every block is {p * p * 8} B"
+        assert left < 4096, f"{left} B left after the tape block"
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_constant_input_keeps_and_computes_no_slope(self, monkeypatch, taped):
+        # as in evaluation: nothing will ask for the gradient
+        slopes = []
+        real = T._sigmoid_slope
+
+        def counted(*args, **kwargs):
+            slopes.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(T, "_sigmoid_slope", counted)
+        p = 1000
+        x, tau, _ = _soft_rank_case(p)
+        tracemalloc.start()
+        try:
+            with T.tape() if taped else contextlib.nullcontext():
+                T.soft_rank(T.Tensor(x), tau)
+                assert T.tape_size() == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert slopes == []
+        budget = p * p * 8 // 16
+        assert peak < budget, f"peak {peak} B, 1/16 of the kept sigma' is {budget} B"
+
     @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf, 0.0, -1.0])
     def test_bad_tau_rejected(self, tau):
         with pytest.raises(DataError, match="tau"):

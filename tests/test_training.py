@@ -154,6 +154,16 @@ class TestPretrain:
                   for seed in (3, np.int64(3))]
         assert hashes == ["7d93ed935012f017ce12eef6062ddf2e54e51f6de211db04405cb002bdcab9a1"] * 2
 
+    @pytest.mark.parametrize("epochs", [0, 1])
+    def test_numpy_integer_seed_report_round_trips_through_json(self, tiny_corpus, tiny_fps,
+                                                                epochs):
+        _, report = pretrain(tiny_corpus, tiny_model(tiny_corpus, seed=1),
+                             PgmConfig(batch_size=8, epochs=epochs, seed=np.int64(3),
+                                       eval_pairs=20), tiny_fps)
+        record = json.loads(json.dumps(report.to_dict()))
+        assert record == report.to_dict()
+        assert type(report.seed) is int and record["seed"] == 3
+
     def test_seeded_determinism_bitwise(self, tiny_corpus, tiny_fps):
         def run():
             model = tiny_model(tiny_corpus, seed=2)
@@ -480,6 +490,14 @@ class TestFinetune:
         model = tiny_model(corpus, seed=9)
         with pytest.raises(DataError, match="missing"):
             finetune(corpus, model, epochs=1, seed=0)
+
+    @pytest.mark.parametrize("epochs", [0, 1])
+    def test_numpy_integer_seed_report_round_trips_through_json(self, tiny_corpus, epochs):
+        model = tiny_model(tiny_corpus, seed=11, task_count=1)
+        _, report = finetune(tiny_corpus, model, epochs=epochs, seed=np.int64(2))
+        text = json.dumps(report.to_dict())
+        assert json.dumps(json.loads(text)) == text  # NaN AUCs compare as text
+        assert type(report.seed) is int and json.loads(text)["seed"] == 2
 
     def test_unlabeled_corpus_rejected(self):
         g = LabeledGraph(id="u", node_count=2, edges=((0, 1),),
